@@ -65,15 +65,16 @@ __all__ = [
 class DiscretizedPath:
     """Paired (rho, Lam) node values on a grid.
 
-    Both lists must hold Hermitian operators of equal dimension, one per
-    node. The state nodes of a solution path keep a constant trace, but that
-    is not enforced here: the gauge-shift check deliberately evaluates the
-    action on synthetic non-normalized paths.
+    ``rho`` and ``lam`` are complex arrays of shape ``(n_steps + 1, d, d)``
+    (a list of d×d operators is stacked), Hermitian at every node. The state
+    nodes of a solution path keep a constant trace, but that is not enforced
+    here: the gauge-shift check deliberately evaluates the action on
+    synthetic non-normalized paths.
     """
 
     grid: TimeGrid
-    rho: list
-    lam: list
+    rho: np.ndarray
+    lam: np.ndarray
 
     def __post_init__(self):
         n_nodes = self.grid.n_steps + 1
@@ -81,16 +82,18 @@ class DiscretizedPath:
             raise ValueError(
                 f"path needs {n_nodes} nodes, got {len(self.rho)} rho / {len(self.lam)} lam"
             )
-        shape = self.rho[0].shape
-        for label, ops in (("rho", self.rho), ("lam", self.lam)):
-            for k, op in enumerate(ops):
-                if op.shape != shape:
-                    raise ValueError(f"{label}[{k}]: dimension mismatch")
-                linalg.require_hermitian(op, rtol=1e-10, what=f"{label}[{k}]")
+        rho = linalg.as_operator(self.rho, stack=True)
+        lam = linalg.as_operator(self.lam, stack=True)
+        if rho.ndim != 3 or rho.shape != lam.shape:
+            raise ValueError(f"dimension mismatch: rho {rho.shape} vs lam {lam.shape}")
+        linalg.require_hermitian(rho, rtol=1e-10, what="rho")
+        linalg.require_hermitian(lam, rtol=1e-10, what="lam")
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "lam", lam)
 
     @property
     def dim(self) -> int:
-        return self.rho[0].shape[0]
+        return self.rho.shape[1]
 
 
 @dataclass(frozen=True)
@@ -240,23 +243,20 @@ def gauge_shift_check(
     grid = path.grid
     n = grid.n_steps
     dt = grid.dt
-    lam_mid = [float(lambda_schedule(grid.midpoint(k))) for k in range(n)]
+    lam_mid = np.array([float(lambda_schedule(grid.midpoint(k))) for k in range(n)])
 
-    phi = [0.0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        phi[k] = phi[k + 1] + dt * lam_mid[k]
+    # phi_k = phi_{k+1} + dt * lambda(t̄_k), accumulated from phi_N = 0
+    phi = np.zeros(n + 1)
+    phi[:n] = np.cumsum((dt * lam_mid)[::-1])[::-1]
 
-    eye = linalg.identity(path.dim)
-    shifted = [path.lam[k] + phi[k] * eye for k in range(n + 1)]
+    shifted = path.lam + phi[:, None, None] * linalg.identity(path.dim)
     if not np.array_equal(shifted[n], path.lam[n]):
         raise AssertionError("gauge shift moved the final auxiliary node")
     shifted_path = DiscretizedPath(grid=grid, rho=path.rho, lam=shifted)
 
     delta_s = evaluate_action(shifted_path, model) - evaluate_action(path, model)
 
-    trace0 = linalg.trace(path.rho[0]).real
-    rhs = 0.0
-    for k in range(n):
-        tr_mid = 0.5 * (linalg.trace(path.rho[k]).real + linalg.trace(path.rho[k + 1]).real)
-        rhs += dt * lam_mid[k] * (tr_mid - trace0)
+    tr = np.trace(path.rho, axis1=1, axis2=2).real
+    tr_mid = 0.5 * (tr[:-1] + tr[1:])
+    rhs = float(np.sum(dt * lam_mid * (tr_mid - tr[0])))
     return abs(delta_s - rhs)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,13 +25,7 @@ import numpy as np
 from . import invariant as invariant_mod
 from . import linalg, verify
 from .action import gauge_shift_check, stationarity_check, DiscretizedPath
-from .dynamics import (
-    TimeGrid,
-    conservation_series,
-    integrate_invariant,
-    integrate_state,
-    write_trajectory_csv,
-)
+from .dynamics import TimeGrid, integrate_invariant, integrate_state, write_trajectory_csv
 from .errors import (
     BlowupError,
     ConfigError,
@@ -101,6 +96,20 @@ def _load_config(args) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config", "must be a JSON object")
     return cfg
+
+
+def _positive_bound(cfg: dict, field: str, default: float) -> float:
+    value = cfg.get(field, default)
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (numeric and math.isfinite(value) and value > 0):
+        raise ConfigError(field, f"must be a finite positive number, got {value!r}")
+    return float(value)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    # strict JSON: a NaN or infinity is an error, never written
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _parse_literal(value, field):
@@ -201,9 +210,7 @@ class RunSetup:
 
     def write_json(self, name: str, payload: dict) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        with open(self.out_dir / name, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(self.out_dir / name, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +250,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_invariant(args) -> int:
     setup = RunSetup(args)
-    drift_bound = float(setup.cfg.get("drift_bound", DEFAULT_DRIFT_BOUND))
+    drift_bound = _positive_bound(setup.cfg, "drift_bound", DEFAULT_DRIFT_BOUND)
     state, monitors = integrate_state(
         setup.model, setup.rho0, setup.grid, setup.method,
         leakage_index=setup.leakage_index,
     )
     inv = integrate_invariant(setup.model, setup.invariant_seed(), "start",
                               setup.grid, setup.method)
-    series = conservation_series(inv, state)
     report = invariant_mod.analyze(inv, state)
-    spectrum = invariant_mod.spectrum_series(inv)
 
     setup.out_dir.mkdir(parents=True, exist_ok=True)
-    invariant_mod.write_expectation_csv(setup.grid, series, setup.out_dir / "expectation.csv")
-    invariant_mod.write_spectrum_csv(spectrum, setup.out_dir / "spectrum.csv")
+    invariant_mod.write_expectation_csv(setup.grid, report.expectation,
+                                        setup.out_dir / "expectation.csv")
+    invariant_mod.write_spectrum_csv(report.spectrum, setup.out_dir / "spectrum.csv")
     payload = report.to_dict()
     payload["drift_bound"] = drift_bound
     payload["monitors"] = monitors.to_dict()
@@ -274,7 +280,7 @@ def cmd_invariant(args) -> int:
 
 def cmd_action_check(args) -> int:
     setup = RunSetup(args)
-    residual_bound = float(setup.cfg.get("residual_bound", DEFAULT_RESIDUAL_BOUND))
+    residual_bound = _positive_bound(setup.cfg, "residual_bound", DEFAULT_RESIDUAL_BOUND)
     lam_final = setup.lambda_final()
     report = stationarity_check(setup.model, setup.rho0, lam_final,
                                 setup.grid, setup.method)
@@ -323,9 +329,7 @@ def cmd_verify(args) -> int:
     }
     out_dir = Path(args.out) if args.out is not None else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "verify_report.json", "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out_dir / "verify_report.json", payload)
     for r in results:
         status = "pass" if r.passed else "FAIL"
         print(f"{status}  {r.name}: worst defect {r.worst_defect:.3e} "
@@ -364,3 +368,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -41,6 +41,7 @@ __all__ = [
     "integrate_invariant",
     "conservation_series",
     "write_trajectory_csv",
+    "write_csv",
     "STATE",
     "INVARIANT",
     "METHODS",
@@ -80,21 +81,29 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Operator samples on the grid nodes.
+
+    ``samples`` is one complex array of shape ``(n_steps + 1, d, d)``, node
+    ``k`` at ``samples[k]``; a list of d×d operators is stacked into it.
+    """
+
     grid: TimeGrid
-    samples: list  # one operator per node, n_steps + 1 in total
+    samples: np.ndarray
     kind: str
 
     def __post_init__(self):
-        if len(self.samples) != self.grid.n_steps + 1:
+        samples = linalg.as_operator(self.samples, stack=True)
+        object.__setattr__(self, "samples", samples)
+        if samples.ndim != 3 or len(samples) != self.grid.n_steps + 1:
             raise ValueError(
-                f"{len(self.samples)} samples for {self.grid.n_steps + 1} nodes"
+                f"{len(samples)} samples for {self.grid.n_steps + 1} nodes"
             )
         if self.kind not in (STATE, INVARIANT):
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
 
     @property
     def dim(self) -> int:
-        return self.samples[0].shape[0]
+        return self.samples.shape[1]
 
 
 @dataclass(frozen=True)
@@ -188,7 +197,8 @@ def integrate_state(
     _validate_model_on_grid(model, grid)
 
     dt = grid.dt
-    samples = [rho0]
+    samples = np.empty((grid.n_steps + 1,) + rho0.shape, dtype=complex)
+    samples[0] = rho0
     y = rho0
     max_herm = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -198,21 +208,20 @@ def integrate_state(
                 raise IntegrationError(f"non-finite state at step {k + 1}", step=k + 1)
             max_herm = max(max_herm, linalg.hermiticity_defect(y))
             y = linalg.hermitize(y)
-            samples.append(y)
+            samples[k + 1] = y
 
     traj = Trajectory(grid=grid, samples=samples, kind=STATE)
-    trace0 = linalg.trace(rho0).real
-    drift = max(abs(linalg.trace(s).real - trace0) for s in samples)
-    min_eig = min(float(linalg.hermitian_eigenvalues(s)[0]) for s in samples)
+    drift = np.max(np.abs(np.trace(samples, axis1=1, axis2=2).real - tr0.real))
+    min_eig = np.min(linalg.hermitian_eigenvalues(samples)[:, 0])
     if leakage_index is not None:
-        leak = max(float(s[leakage_index, leakage_index].real) for s in samples)
+        leak = np.max(samples[:, leakage_index, leakage_index].real)
     else:
         leak = 0.0
     report = MonitorReport(
-        max_trace_drift=drift,
+        max_trace_drift=float(drift),
         max_hermiticity_defect=max_herm,
-        min_eigenvalue=min_eig,
-        max_leakage=leak,
+        min_eigenvalue=float(min_eig),
+        max_leakage=float(leak),
     )
     return traj, report
 
@@ -240,7 +249,7 @@ def integrate_invariant(
 
     n = grid.n_steps
     dt = grid.dt
-    samples: list = [None] * (n + 1)
+    samples = np.empty((n + 1,) + seed.shape, dtype=complex)
     if seed_time == "start":
         order = range(n)  # computes node k+1 from node k
         h = dt
@@ -250,10 +259,11 @@ def integrate_invariant(
         h = -dt
         samples[n] = seed
 
+    y = seed
     with np.errstate(over="ignore", invalid="ignore"):
         for k in order:
             dst = k + 1 if seed_time == "start" else k - 1
-            y = _step(model, +1, grid.node(k), samples[k], h, method)
+            y = _step(model, +1, grid.node(k), y, h, method)
             if not np.all(np.isfinite(y)):
                 raise IntegrationError(f"non-finite invariant at node {dst}", step=dst)
             mag = linalg.maxabs(y)
@@ -263,7 +273,8 @@ def integrate_invariant(
                     step=dst,
                     magnitude=mag,
                 )
-            samples[dst] = linalg.hermitize(y)
+            y = linalg.hermitize(y)
+            samples[dst] = y
 
     return Trajectory(grid=grid, samples=samples, kind=INVARIANT)
 
@@ -280,27 +291,26 @@ def conservation_series(inv: Trajectory, state: Trajectory) -> np.ndarray:
         raise ValueError("trajectories live on different grids")
     if inv.dim != state.dim:
         raise ValueError(f"dimension mismatch: {inv.dim} vs {state.dim}")
-    values = np.empty(inv.grid.n_steps + 1)
-    for k, (a, rho) in enumerate(zip(inv.samples, state.samples)):
-        v = complex(np.einsum("jk,kj->", a, rho))
-        if abs(v.imag) > 1e-10 * max(1.0, abs(v)):
-            raise ValueError(f"expectation at node {k} has imaginary part {v.imag:.3e}")
-        values[k] = v.real
-    return values
+    values = np.einsum("njk,nkj->n", inv.samples, state.samples)
+    bad = np.flatnonzero(np.abs(values.imag) > 1e-10 * np.maximum(1.0, np.abs(values)))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"expectation at node {k} has imaginary part {values[k].imag:.3e}")
+    return values.real.copy()
+
+
+def write_csv(path, header: list[str], nodes, values) -> None:
+    """CSV export: the header row, then per node t and the node's ``values``
+    row, every number with 17 significant digits (lossless)."""
+    table = np.column_stack([nodes, values])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV export: t, then re_j_k / im_j_k for the row-major operator entries."""
     d = traj.dim
-    header = ["t"]
-    for j in range(d):
-        for k in range(d):
-            header += [f"re_{j}_{k}", f"im_{j}_{k}"]
-    nodes = traj.grid.nodes()
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for t, s in zip(nodes, traj.samples):
-            cells = [f"{t:.17g}"]
-            for v in s.reshape(-1):
-                cells += [f"{v.real:.17g}", f"{v.imag:.17g}"]
-            f.write(",".join(cells) + "\n")
+    header = ["t"] + [f"{part}_{j}_{k}"
+                      for j in range(d) for k in range(d) for part in ("re", "im")]
+    # a complex128 row viewed as float64 interleaves the real and imaginary parts
+    flat = np.ascontiguousarray(traj.samples).reshape(len(traj.samples), -1).view(np.float64)
+    write_csv(path, header, traj.grid.nodes(), flat)

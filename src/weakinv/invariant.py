@@ -18,8 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import INVARIANT, TimeGrid, Trajectory, conservation_series, integrate_invariant
-from .errors import NotHermitianError
+from .dynamics import (
+    INVARIANT,
+    TimeGrid,
+    Trajectory,
+    conservation_series,
+    integrate_invariant,
+    write_csv,
+)
 from .model import LindbladModel
 
 # Classification threshold, relative to maxabs of the seed sample.
@@ -45,9 +51,14 @@ class SpectrumSeries:
 
 @dataclass(frozen=True)
 class InvariantReport:
+    """Drift, spectrum variation and classification, together with the
+    conservation series and spectrum they were computed from."""
+
     max_expectation_drift: float
     spectrum_total_variation: np.ndarray
     classification: str  # "strong-like" | "weak"
+    expectation: np.ndarray  # (n_nodes,), Re tr(I rho) per node
+    spectrum: SpectrumSeries
 
     def to_dict(self) -> dict:
         return {
@@ -61,13 +72,7 @@ def spectrum_series(inv: Trajectory) -> SpectrumSeries:
     """Sorted eigenvalues per node plus per-index total variation."""
     if inv.kind != INVARIANT:
         raise ValueError("expected an invariant trajectory")
-    rows = []
-    for k, s in enumerate(inv.samples):
-        try:
-            rows.append(linalg.hermitian_eigenvalues(s))
-        except NotHermitianError as e:
-            raise NotHermitianError(f"node {k}: {e}") from None
-    eig = np.vstack(rows)
+    eig = linalg.hermitian_eigenvalues(inv.samples)
     tv = np.sum(np.abs(np.diff(eig, axis=0)), axis=0)
     return SpectrumSeries(grid=inv.grid, eigenvalues=eig, total_variation=tv)
 
@@ -92,6 +97,8 @@ def analyze(
         max_expectation_drift=drift,
         spectrum_total_variation=spec.total_variation,
         classification="strong-like" if strong else "weak",
+        expectation=series,
+        spectrum=spec,
     )
 
 
@@ -106,27 +113,16 @@ def shift_check(model: LindbladModel, inv: Trajectory, c: float, method: str = "
     eye = linalg.identity(inv.dim)
     shifted_seed = inv.samples[0] + c * eye
     shifted = integrate_invariant(model, shifted_seed, "start", inv.grid, method)
-    defect = 0.0
-    for s_shift, s in zip(shifted.samples, inv.samples):
-        defect = max(defect, linalg.maxabs(s_shift - (s + c * eye)))
-    return defect
+    return linalg.maxabs(shifted.samples - (inv.samples + c * eye))
 
 
 def write_spectrum_csv(series: SpectrumSeries, path) -> None:
     """CSV export: t, lambda_1 .. lambda_dim (ascending per node)."""
     dim = series.eigenvalues.shape[1]
     header = ["t"] + [f"lambda_{j + 1}" for j in range(dim)]
-    nodes = series.grid.nodes()
-    with open(path, "w") as f:
-        f.write(",".join(header) + "\n")
-        for t, row in zip(nodes, series.eigenvalues):
-            f.write(",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in row]) + "\n")
+    write_csv(path, header, series.grid.nodes(), series.eigenvalues)
 
 
 def write_expectation_csv(grid: TimeGrid, values, path) -> None:
     """CSV export of a conservation series: t, expectation."""
-    nodes = grid.nodes()
-    with open(path, "w") as f:
-        f.write("t,expectation\n")
-        for t, v in zip(nodes, values):
-            f.write(f"{t:.17g},{v:.17g}\n")
+    write_csv(path, ["t", "expectation"], grid.nodes(), values)

@@ -1,15 +1,12 @@
 """Dense complex operator algebra for small quantum systems.
 
-Operators are plain square ``complex128`` numpy arrays (row-major). Every
-function here is pure and never mutates its arguments, so operators can be
-shared freely between threads once built.
+Operators are plain square ``complex128`` numpy arrays (row-major); a
+trajectory is one ``(n, d, d)`` stack of them. Every function here is pure
+and never mutates its arguments, so operators can be shared freely between
+threads once built.
 
-Hermitian eigenvalues are computed with a cyclic Jacobi iteration using
-complex plane rotations. That keeps the package dependency-free below numpy
-array arithmetic and is entirely adequate for the dimensions targeted here
-(Fock truncations of a few dozen levels at most). Rotations whose pivot is
-already below the convergence threshold are skipped, which makes the solver
-cheap on the near-diagonal matrices produced by the integrators.
+The Hermiticity gate and the Hermitian eigenvalues accept one operator or a
+whole stack; the eigenvalues come from LAPACK through ``np.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
@@ -43,10 +40,13 @@ __all__ = [
 ]
 
 
-def as_operator(a) -> np.ndarray:
-    """Coerce ``a`` to a square complex matrix, validating the shape."""
+def as_operator(a, *, stack: bool = False) -> np.ndarray:
+    """Coerce ``a`` to a square complex matrix, validating the shape.
+
+    With ``stack``, an ``(n, d, d)`` stack of square matrices is accepted too.
+    """
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
     return m
 
@@ -61,8 +61,8 @@ def maxabs(a) -> float:
 
 
 def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(a, dtype=complex)).T
+    """Conjugate transpose (of each node, for a stack)."""
+    return np.conj(np.asarray(a, dtype=complex)).swapaxes(-1, -2)
 
 
 def _same_dim(a: np.ndarray, b: np.ndarray) -> None:
@@ -102,9 +102,12 @@ def expectation(a, rho) -> complex:
 
 
 def hermitize(a) -> np.ndarray:
-    """Hermitian part ``(a + a†) / 2``; exactly Hermitian in floating point."""
-    a = as_operator(a)
-    return (a + dagger(a)) / 2.0
+    """Hermitian part ``(a + a†) / 2`` of an operator or a stack; exactly
+    Hermitian in floating point."""
+    a = as_operator(a, stack=True)
+    h = a + dagger(a)
+    h /= 2.0
+    return h
 
 
 def hermiticity_defect(a) -> float:
@@ -114,71 +117,34 @@ def hermiticity_defect(a) -> float:
 
 
 def require_hermitian(a, rtol: float = HERMITICITY_RTOL, what: str = "operator") -> np.ndarray:
-    """Return the Hermitian part of ``a``, or raise if the defect is too large."""
-    a = as_operator(a)
-    defect = hermiticity_defect(a)
-    tol = max(rtol * max(1.0, maxabs(a)), TOLERANCE_FLOOR)
-    if defect > tol:
+    """Return the Hermitian part of ``a``, or raise if the defect is too large.
+
+    ``a`` is one operator or an ``(n, d, d)`` stack. Each node is held to
+    ``rtol * max(1, maxabs)`` of its own entries (floor ``TOLERANCE_FLOOR``);
+    for a stack the error names the first failing node.
+    """
+    a = as_operator(a, stack=True)
+    defect = np.max(np.abs(a - dagger(a)), axis=(-2, -1))
+    tol = np.maximum(rtol * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1))), TOLERANCE_FLOOR)
+    bad = np.flatnonzero(defect > tol)
+    if bad.size:
+        k = bad[0]
+        where = f"{what}[{k}] at node {k}" if a.ndim == 3 else what
         raise NotHermitianError(
-            f"{what} is not Hermitian: defect {defect:.3e} exceeds tolerance {tol:.3e}"
+            f"{where} is not Hermitian: defect {defect.flat[k]:.3e} "
+            f"exceeds tolerance {tol.flat[k]:.3e}"
         )
     return hermitize(a)
 
 
-def _off_norm(m: np.ndarray) -> float:
-    off = m.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
 def hermitian_eigenvalues(a, *, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending, via cyclic Jacobi sweeps.
+    """Ascending eigenvalues of a Hermitian operator, or of every node of a
+    ``(n, d, d)`` stack (one row per node), from LAPACK's ``eigvalsh``.
 
-    The input is symmetrized to ``(a + a†)/2`` first; a Hermiticity defect
-    beyond ``rtol * max(1, maxabs)`` raises :class:`NotHermitianError` naming
-    the defect norm. Sweeps run until the off-diagonal Frobenius norm drops
-    below ``1e-13`` of its initial value (with an absolute floor), so the
-    returned values carry an off-diagonal residual well under ``1e-11`` of
-    the matrix scale.
+    The input passes :func:`require_hermitian` first, so a Hermiticity defect
+    beyond ``rtol * max(1, maxabs)`` raises :class:`NotHermitianError`.
     """
-    m = require_hermitian(a, rtol=rtol, what="eigensolver input")
-    n = m.shape[0]
-    if n == 1:
-        return np.array([m[0, 0].real])
-    m = np.array(m, dtype=complex)
-    off0 = _off_norm(m)
-    target = max(1e-13 * off0, TOLERANCE_FLOOR * max(1.0, maxabs(m)))
-    if off0 <= target:
-        return np.sort(np.diag(m).real)
-    # Pivots below `skip` leave the final off-norm under `target` even if
-    # every remaining pair sits exactly at the threshold.
-    skip = target / (2.0 * n)
-    for _ in range(60):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                piv = m[p, q]
-                apiv = abs(piv)
-                if apiv <= skip:
-                    continue
-                rotated = True
-                theta = (m[q, q].real - m[p, p].real) / (2.0 * apiv)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                phase = piv / apiv
-                rot = np.array([[c, s * phase], [-s * phase.conjugate(), c]])
-                idx = [p, q]
-                m[idx, :] = rot.conj().T @ m[idx, :]
-                m[:, idx] = m[:, idx] @ rot
-        if _off_norm(m) <= target or not rotated:
-            break
-    else:
-        raise RuntimeError(
-            f"Jacobi iteration stalled: off-diagonal norm {_off_norm(m):.3e} "
-            f"above target {target:.3e} after 60 sweeps"
-        )
-    return np.sort(np.diag(m).real)
+    return np.linalg.eigvalsh(require_hermitian(a, rtol=rtol, what="eigensolver input"))
 
 
 def hermitian_basis(dim: int) -> list[np.ndarray]:

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from weakinv.cli import main
+import weakinv
+from weakinv.cli import _write_json, main
 
 SZ_LITERAL = [[1, 0], [0, 0], [0, 0], [-1, 0]]
 SMINUS_LITERAL = [[0, 0], [1, 0], [0, 0], [0, 0]]
@@ -194,3 +199,59 @@ class TestUsage:
     def test_bad_method(self, tmp_path, capsys):
         cfg = amp_damp_config(tmp_path)
         assert main(["simulate", "--config", cfg, "--method", "euler"]) == 1
+
+
+BAD_BOUNDS = [float("nan"), float("inf"), -float("inf"), 0.0, -1e-6, "1e-6", True, None, [1e-6]]
+
+
+class TestBounds:
+    @pytest.mark.parametrize("bound", BAD_BOUNDS)
+    def test_invariant_rejects_bad_drift_bound(self, tmp_path, capsys, bound):
+        cfg = amp_damp_config(tmp_path, n_steps=50, invariant_seed="sz", drift_bound=bound)
+        assert main(["invariant", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "drift_bound must be a finite positive number" in capsys.readouterr().err
+        assert not (tmp_path / "invariant_report.json").exists()
+
+    @pytest.mark.parametrize("bound", BAD_BOUNDS)
+    def test_action_check_rejects_bad_residual_bound(self, tmp_path, capsys, bound):
+        cfg = amp_damp_config(tmp_path, n_steps=50, lambda_final=SZ_LITERAL,
+                              residual_bound=bound)
+        assert main(["action-check", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert "residual_bound must be a finite positive number" in capsys.readouterr().err
+        assert not (tmp_path / "action_report.json").exists()
+
+    def test_integer_bounds_accepted(self, tmp_path):
+        cfg = amp_damp_config(tmp_path, n_steps=50, invariant_seed="sz", drift_bound=1,
+                              lambda_final=SZ_LITERAL, residual_bound=1)
+        assert main(["invariant", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["action-check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "invariant_report.json").read_text())
+        assert report["drift_bound"] == 1.0
+
+    def test_json_reports_are_strict(self, tmp_path):
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError):
+            _write_json(path, {"x": float("nan")})
+        assert not path.exists()
+
+
+def run_module(*args):
+    """``python -m weakinv.cli ARGS`` in a child interpreter that imports this
+    checkout's package."""
+    src = str(Path(weakinv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "weakinv.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_the_cli(self, tmp_path):
+        proc = run_module("simulate", "amp-damp", "--steps", "50", "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert len((tmp_path / "state.csv").read_text().splitlines()) == 52
+
+    def test_python_m_bad_input_exits_1(self, tmp_path):
+        proc = run_module("simulate", "no-such-thing", "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert "unknown scenario" in proc.stderr

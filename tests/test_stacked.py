@@ -1,0 +1,180 @@
+"""Trajectories as one (n+1, d, d) stack: the batched Hermiticity gate, the
+batched spectra against an independent oracle, and the savetxt CSV export
+against the per-cell formatter it replaced."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+from numpy.testing import assert_allclose
+
+from helpers import PLUS_STATE, SMINUS, SX, SZ, random_density, random_hermitian
+from weakinv import action, dynamics, linalg
+from weakinv.dynamics import TimeGrid, Trajectory, conservation_series, integrate_invariant, integrate_state
+from weakinv.errors import NotHermitianError
+from weakinv.model import LindbladModel
+
+
+def hermitian_stack(rng, n, dim):
+    return np.stack([random_hermitian(rng, dim, amp=float(rng.uniform(0.1, 50.0)))
+                     for _ in range(n)])
+
+
+def stack_with_bad_node(rng, n, dim, bad):
+    stack = hermitian_stack(rng, n, dim)
+    stack[bad, 0, dim - 1] += 0.5  # breaks a_{0,d-1} = conj(a_{d-1,0})
+    return stack
+
+
+class TestBatchedEigenvalues:
+    @pytest.mark.parametrize("dim", [1, 2, 5, 13])
+    def test_rows_match_scipy(self, rng, dim):
+        stack = hermitian_stack(rng, 9, dim)
+        rows = linalg.hermitian_eigenvalues(stack)
+        assert rows.shape == (9, dim)
+        for a, row in zip(stack, rows):
+            ref = scipy.linalg.eigvalsh(a)
+            assert_allclose(row, ref, rtol=0, atol=1e-11 * max(1.0, linalg.maxabs(a)))
+
+    def test_stack_rows_equal_single_calls(self, rng):
+        stack = hermitian_stack(rng, 6, 4)
+        rows = linalg.hermitian_eigenvalues(stack)
+        for a, row in zip(stack, rows):
+            assert_allclose(row, linalg.hermitian_eigenvalues(a), rtol=0, atol=1e-13 * linalg.maxabs(a))
+
+
+class TestBatchedHermiticityGate:
+    @pytest.mark.parametrize("bad", [0, 3, 6])
+    def test_require_hermitian_names_node(self, rng, bad):
+        stack = stack_with_bad_node(rng, 7, 3, bad)
+        with pytest.raises(NotHermitianError, match=f"node {bad} .*defect"):
+            linalg.require_hermitian(stack, what="rho")
+
+    def test_hermitian_eigenvalues_names_node(self, rng):
+        stack = stack_with_bad_node(rng, 7, 3, 4)
+        with pytest.raises(NotHermitianError, match="node 4"):
+            linalg.hermitian_eigenvalues(stack)
+
+    def test_first_failing_node_is_named(self, rng):
+        stack = stack_with_bad_node(rng, 7, 3, 5)
+        stack[2, 1, 0] += 1.0
+        with pytest.raises(NotHermitianError, match="node 2"):
+            linalg.require_hermitian(stack)
+
+    def test_tolerance_is_per_node(self):
+        # the same absolute defect passes on a large node, fails on a small one
+        big = 1e6 * SX
+        big[0, 1] += 1e-8
+        small = SX.copy()
+        small[0, 1] += 1e-8
+        linalg.require_hermitian(np.stack([big, SZ]))
+        with pytest.raises(NotHermitianError, match="node 1"):
+            linalg.require_hermitian(np.stack([big, small]))
+
+    def test_returns_hermitian_part(self, rng):
+        stack = hermitian_stack(rng, 5, 3)
+        stack[:, 0, 1] += 1e-15
+        out = linalg.require_hermitian(stack)
+        assert out.shape == stack.shape
+        for a, h in zip(stack, out):
+            assert np.array_equal(h, linalg.hermitize(a))
+
+    @pytest.mark.parametrize("which", ["rho", "lam"])
+    def test_discretized_path_names_node(self, rng, which):
+        grid = TimeGrid(0.0, 1.0, 6)
+        good = hermitian_stack(rng, 7, 2)
+        bad = stack_with_bad_node(rng, 7, 2, 5)
+        stacks = {"rho": good, "lam": good, which: bad}
+        with pytest.raises(NotHermitianError, match=rf"{which}\[5\].*node 5"):
+            action.DiscretizedPath(grid=grid, **stacks)
+
+    def test_path_shape_mismatch(self, rng):
+        grid = TimeGrid(0.0, 1.0, 2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            action.DiscretizedPath(grid=grid, rho=hermitian_stack(rng, 3, 2),
+                                   lam=hermitian_stack(rng, 3, 3))
+
+
+class TestStackedTrajectory:
+    def test_list_is_stacked(self):
+        grid = TimeGrid(0.0, 1.0, 2)
+        traj = Trajectory(grid=grid, samples=[np.eye(2)] * 3, kind="state")
+        assert isinstance(traj.samples, np.ndarray)
+        assert traj.samples.shape == (3, 2, 2)
+        assert traj.samples.dtype == complex
+
+    def test_integrators_return_stacks(self):
+        m = LindbladModel(2, SZ.copy(), [(SMINUS, 0.3)])
+        grid = TimeGrid(0.0, 1.0, 20)
+        state, _ = integrate_state(m, PLUS_STATE, grid)
+        for seed_time in ("start", "end"):
+            inv = integrate_invariant(m, SX, seed_time, grid)
+            assert inv.samples.shape == (21, 2, 2)
+        assert state.samples.shape == (21, 2, 2)
+
+    def test_monitors_match_per_node_values(self, rng):
+        m = LindbladModel(4, random_hermitian(rng, 4), [(random_hermitian(rng, 4), 0.4)])
+        traj, mon = integrate_state(m, random_density(rng, 4), TimeGrid(0.0, 1.0, 100),
+                                    leakage_index=3)
+        per_node_min = min(float(linalg.hermitian_eigenvalues(s)[0]) for s in traj.samples)
+        assert mon.min_eigenvalue == pytest.approx(per_node_min, abs=1e-15)
+        assert mon.max_leakage == max(float(s[3, 3].real) for s in traj.samples)
+        tr0 = np.trace(traj.samples[0]).real
+        drift = max(abs(np.trace(s).real - tr0) for s in traj.samples)
+        assert mon.max_trace_drift == pytest.approx(drift, abs=1e-16)
+
+    @pytest.mark.parametrize("dim", [2, 3, 6, 20])
+    def test_conservation_series_bitwise_per_node(self, rng, dim):
+        grid = TimeGrid(0.0, 1.0, 30)
+        state = Trajectory(grid=grid, samples=[random_density(rng, dim) for _ in range(31)],
+                           kind="state")
+        inv = Trajectory(grid=grid, samples=hermitian_stack(rng, 31, dim), kind="invariant")
+        per_node = [complex(np.einsum("jk,kj->", a, r)).real
+                    for a, r in zip(inv.samples, state.samples)]
+        assert np.array_equal(conservation_series(inv, state), per_node)
+
+    def test_conservation_series_names_node(self, rng):
+        grid = TimeGrid(0.0, 1.0, 4)
+        state = Trajectory(grid=grid, samples=[np.diag([1.0, 0.0])] * 5, kind="state")
+        inv_samples = np.stack([np.diag([1.0, 2.0]).astype(complex)] * 5)
+        inv_samples[2, 0, 0] = 1.0 + 1e-3j
+        inv = Trajectory(grid=grid, samples=inv_samples, kind="invariant")
+        with pytest.raises(ValueError, match="node 2"):
+            conservation_series(inv, state)
+
+
+def per_cell_csv(traj):
+    """The per-cell f-string writer that the savetxt export replaced."""
+    d = traj.dim
+    header = ["t"]
+    for j in range(d):
+        for k in range(d):
+            header += [f"re_{j}_{k}", f"im_{j}_{k}"]
+    lines = [",".join(header)]
+    for t, s in zip(traj.grid.nodes(), traj.samples):
+        cells = [f"{t:.17g}"]
+        for v in s.reshape(-1):
+            cells += [f"{v.real:.17g}", f"{v.imag:.17g}"]
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestCsvGoldenBytes:
+    def test_special_values(self, tmp_path):
+        specials = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, -1.0 / 3.0, 2.0**-1074 * 3,
+                    float("inf"), float("nan"), 1.0, 0.0]
+        grid = TimeGrid(-0.3, 0.9, 2)
+        samples = np.empty((3, 2, 2), dtype=complex)
+        samples.real.flat = specials
+        samples.imag.flat = specials[::-1]
+        traj = Trajectory(grid=grid, samples=samples, kind="state")
+        path = tmp_path / "s.csv"
+        dynamics.write_trajectory_csv(traj, path)
+        assert path.read_bytes() == per_cell_csv(traj)
+        assert b"-0," in path.read_bytes() and b"4.9406564584124654e-324" in path.read_bytes()
+
+    def test_integrated_trajectory(self, tmp_path, rng):
+        m = LindbladModel(3, random_hermitian(rng, 3), [(random_hermitian(rng, 3), 0.2)])
+        traj, _ = integrate_state(m, random_density(rng, 3), TimeGrid(0.0, 2.0, 50))
+        path = tmp_path / "s.csv"
+        dynamics.write_trajectory_csv(traj, path)
+        assert path.read_bytes() == per_cell_csv(traj)
