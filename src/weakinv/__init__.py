@@ -10,6 +10,7 @@ from .action import (
     grad_lam,
     grad_rho,
     stationarity_check,
+    stationarity_report,
 )
 from .dynamics import (
     MonitorReport,
@@ -29,7 +30,6 @@ from .scenarios import (
 )
 from .superop import (
     VectorizedLiouvillian,
-    adjoint_pairing_defect,
     apply_adjoint,
     apply_liouvillian,
     build_liouvillian_matrix,

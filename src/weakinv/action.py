@@ -56,6 +56,7 @@ __all__ = [
     "grad_rho",
     "grad_lam",
     "stationarity_check",
+    "stationarity_report",
     "auxiliary_trajectory",
     "gauge_shift_check",
 ]
@@ -124,12 +125,10 @@ class ActionReport:
         }
 
 
-def _cell_snapshots(path: DiscretizedPath, model: LindbladModel):
-    return [model.snapshot(path.grid.midpoint(k)) for k in range(path.grid.n_steps)]
-
-
-def _cell_generators(path: DiscretizedPath, snaps) -> list:
-    """G_k = (Lam_{k+1} - Lam_k)/dt - i L*(Λ̄_k) per cell."""
+def _cell_generators(path: DiscretizedPath, model: LindbladModel) -> list:
+    """G_k = (Lam_{k+1} - Lam_k)/dt - i L*(Λ̄_k) per cell, with the model at
+    the cell midpoints of the grid lattice."""
+    snaps = model.on_grid(path.grid)[1::2]
     dt = path.grid.dt
     lam = path.lam
     return [
@@ -139,10 +138,7 @@ def _cell_generators(path: DiscretizedPath, snaps) -> list:
     ]
 
 
-def evaluate_action(path: DiscretizedPath, model: LindbladModel) -> float:
-    """S_disc for the path; raises if the imaginary residue is not roundoff."""
-    snaps = _cell_snapshots(path, model)
-    gens = _cell_generators(path, snaps)
+def _action_value(path: DiscretizedPath, gens) -> float:
     rho = path.rho
     s = 0.0 + 0.0j
     dt = path.grid.dt
@@ -157,10 +153,7 @@ def evaluate_action(path: DiscretizedPath, model: LindbladModel) -> float:
     return float(s.real)
 
 
-def grad_rho(path: DiscretizedPath, model: LindbladModel) -> list:
-    """Exact node gradients of S_disc with respect to the rho nodes."""
-    snaps = _cell_snapshots(path, model)
-    gens = _cell_generators(path, snaps)
+def _grad_rho(path: DiscretizedPath, gens) -> list:
     dt = path.grid.dt
     n = path.grid.n_steps
     grads = [-(0.5 * dt) * gens[0] - path.lam[0]]
@@ -170,9 +163,19 @@ def grad_rho(path: DiscretizedPath, model: LindbladModel) -> list:
     return grads
 
 
+def evaluate_action(path: DiscretizedPath, model: LindbladModel) -> float:
+    """S_disc for the path; raises if the imaginary residue is not roundoff."""
+    return _action_value(path, _cell_generators(path, model))
+
+
+def grad_rho(path: DiscretizedPath, model: LindbladModel) -> list:
+    """Exact node gradients of S_disc with respect to the rho nodes."""
+    return _grad_rho(path, _cell_generators(path, model))
+
+
 def grad_lam(path: DiscretizedPath, model: LindbladModel) -> list:
     """Exact node gradients of S_disc with respect to the Lam nodes."""
-    snaps = _cell_snapshots(path, model)
+    snaps = model.on_grid(path.grid)[1::2]
     rho = path.rho
     dt = path.grid.dt
     n = path.grid.n_steps
@@ -213,17 +216,23 @@ def stationarity_check(
     discrete action is on the pair."""
     state, _ = integrate_state(model, rho0, grid, method)
     lam = auxiliary_trajectory(model, lam_final, grid, method)
-    path = DiscretizedPath(grid=grid, rho=state.samples, lam=lam.samples)
-    action = evaluate_action(path, model)
-    gr = grad_rho(path, model)
+    return stationarity_report(DiscretizedPath(grid=grid, rho=state.samples, lam=lam.samples),
+                               model)
+
+
+def stationarity_report(path: DiscretizedPath, model: LindbladModel) -> ActionReport:
+    """Action value, gradient residuals and boundary terms on a given path;
+    the cell generators are built once for the value and the rho gradient."""
+    gens = _cell_generators(path, model)
+    gr = _grad_rho(path, gens)
     gl = grad_lam(path, model)
     return ActionReport(
-        action_value=action,
-        grad_rho_residual=_interior_residual(gr, grid.dt),
-        grad_lam_residual=_interior_residual(gl, grid.dt),
+        action_value=_action_value(path, gens),
+        grad_rho_residual=_interior_residual(gr, path.grid.dt),
+        grad_lam_residual=_interior_residual(gl, path.grid.dt),
         boundary_rho_term=linalg.maxabs(gr[0] + path.lam[0]),
         boundary_lam_term=linalg.maxabs(gl[-1] + path.rho[-1]),
-        grid=grid,
+        grid=path.grid,
     )
 
 

@@ -7,16 +7,16 @@ Commands:
   action-check  stationarity + gauge-shift diagnostics, write action_report.json
   verify        randomized property suites, write verify_report.json
 
-Exit codes: 0 success, 1 usage/config error, 2 verification or monitor
-failure. Runs are deterministic: the same config and seed produce
-bit-identical output files.
+Exit codes: 0 success, 1 usage/config error (a wrong type, a non-finite
+number or an unknown key in the config included), 2 verification or monitor
+failure; every run command gates on the state monitors. Runs are
+deterministic: the same config and seed produce bit-identical output files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import invariant as invariant_mod
 from . import linalg, verify
-from .action import gauge_shift_check, stationarity_check, DiscretizedPath
+from .action import DiscretizedPath, auxiliary_trajectory, gauge_shift_check, stationarity_report
 from .dynamics import TimeGrid, integrate_invariant, integrate_state, write_trajectory_csv
 from .errors import (
     BlowupError,
@@ -42,6 +42,11 @@ MIN_EIGENVALUE_THRESHOLD = -1e-8
 DEFAULT_DRIFT_BOUND = 1e-6
 DEFAULT_RESIDUAL_BOUND = 1e-4
 GAUGE_DEFECT_BOUND = 1e-10
+
+# Every key a run config may hold; any other key is a typo and an error.
+CONFIG_KEYS = ("scenario", "scenario_args", "grid", "method", "rho0", "invariant_seed",
+               "lambda_final", "output_dir", "seed", "drift_bound", "residual_bound")
+GRID_KEYS = ("t_start", "t_end", "n_steps")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,15 +100,33 @@ def _load_config(args) -> dict:
         raise ConfigError("config", f"invalid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config", "must be a JSON object")
+    _reject_unknown_keys(cfg, CONFIG_KEYS, "")
     return cfg
 
 
-def _positive_bound(cfg: dict, field: str, default: float) -> float:
-    value = cfg.get(field, default)
+def _reject_unknown_keys(obj: dict, known, prefix: str) -> None:
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigError(prefix + unknown[0], f"is not a config key; expected one of {list(known)}")
+
+
+def _real(value, field: str, *, positive: bool = False) -> float:
+    """``value`` as a float if it is a finite (and, with ``positive``, a
+    positive) JSON number; a bool, a string or an integer beyond float range
+    is not one."""
     numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (numeric and math.isfinite(value) and value > 0):
-        raise ConfigError(field, f"must be a finite positive number, got {value!r}")
+    if not (numeric and abs(value) <= sys.float_info.max and (value > 0 or not positive)):
+        kind = "finite positive number" if positive else "finite number"
+        raise ConfigError(field, f"must be a {kind}, got {value!r}")
     return float(value)
+
+
+def _integer(value, field: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(field, f"must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(field, f"must be ≥ {minimum}")
+    return value
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -125,7 +148,7 @@ class RunSetup:
     def __init__(self, args):
         cfg = _load_config(args)
         self.cfg = cfg
-        self.seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        self.seed = _integer(args.seed if args.seed is not None else cfg.get("seed", 0), "seed", 0)
 
         scenario = args.scenario if args.scenario is not None else cfg.get("scenario")
         if scenario is None:
@@ -151,16 +174,13 @@ class RunSetup:
         else:
             if not isinstance(grid_cfg, dict):
                 raise ConfigError("grid", "must be an object")
-            try:
-                t_start = float(grid_cfg["t_start"])
-                t_end = float(grid_cfg["t_end"])
-                n_steps = int(grid_cfg["n_steps"])
-            except (KeyError, TypeError, ValueError):
-                raise ConfigError("grid", "needs numeric t_start, t_end, n_steps") from None
+            _reject_unknown_keys(grid_cfg, GRID_KEYS, "grid.")
+            t_start = _real(grid_cfg.get("t_start"), "grid.t_start")
+            t_end = _real(grid_cfg.get("t_end"), "grid.t_end")
+            n_steps = grid_cfg.get("n_steps")
         if args.steps is not None:
             n_steps = args.steps
-        if n_steps < 1:
-            raise ConfigError("grid.n_steps", "must be ≥ 1")
+        n_steps = _integer(n_steps, "grid.n_steps", 1)
         if not t_end > t_start:
             raise ConfigError("grid.t_end", "must exceed grid.t_start")
         self.grid = TimeGrid(t_start, t_end, n_steps)
@@ -176,7 +196,10 @@ class RunSetup:
         else:
             self.rho0 = linalg.identity(self.model.dim) / self.model.dim
 
-        self.out_dir = Path(args.out) if args.out is not None else Path(cfg.get("output_dir", "."))
+        out_dir = cfg.get("output_dir", ".")
+        if not isinstance(out_dir, str):
+            raise ConfigError("output_dir", f"must be a path string, got {out_dir!r}")
+        self.out_dir = Path(args.out if args.out is not None else out_dir)
         self.leakage_index = (
             self.spec.truncation_dim - 1
             if self.spec is not None and self.spec.truncation_dim is not None
@@ -208,6 +231,11 @@ class RunSetup:
             raise ConfigError("lambda_final", "is required for action-check")
         return _parse_literal(raw, "lambda_final")
 
+    def integrate_state(self):
+        """The state trajectory and its monitors, leakage tracked if truncated."""
+        return integrate_state(self.model, self.rho0, self.grid, self.method,
+                               leakage_index=self.leakage_index)
+
     def write_json(self, name: str, payload: dict) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(self.out_dir / name, payload)
@@ -218,43 +246,38 @@ class RunSetup:
 # ---------------------------------------------------------------------------
 
 
-def _monitor_violations(report) -> list[str]:
-    violations = []
-    if report.max_trace_drift > TRACE_DRIFT_THRESHOLD:
-        violations.append("trace")
-    if report.min_eigenvalue < MIN_EIGENVALUE_THRESHOLD:
-        violations.append("positivity")
-    if report.max_leakage > LEAKAGE_THRESHOLD:
-        violations.append("leakage")
-    return violations
+def _finish(setup: RunSetup, name: str, payload: dict, monitors, failure: str = "") -> int:
+    """Write the JSON report with the tripped state monitors; exit 2 if any
+    monitor tripped or the command's own check failed (``failure`` says how)."""
+    violations = [monitor for monitor, tripped in (
+        ("trace", monitors.max_trace_drift > TRACE_DRIFT_THRESHOLD),
+        ("positivity", monitors.min_eigenvalue < MIN_EIGENVALUE_THRESHOLD),
+        ("leakage", monitors.max_leakage > LEAKAGE_THRESHOLD),
+    ) if tripped]
+    payload["violations"] = violations
+    setup.write_json(name, payload)
+    if violations:
+        print(f"monitor violation(s): {', '.join(violations)}", file=sys.stderr)
+    if failure:
+        print(failure, file=sys.stderr)
+    return 2 if violations or failure else 0
 
 
 def cmd_simulate(args) -> int:
     setup = RunSetup(args)
-    traj, monitors = integrate_state(
-        setup.model, setup.rho0, setup.grid, setup.method,
-        leakage_index=setup.leakage_index,
-    )
+    traj, monitors = setup.integrate_state()
     setup.out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, setup.out_dir / "state.csv")
-    violations = _monitor_violations(monitors)
     payload = monitors.to_dict()
-    payload["violations"] = violations
     payload["grid"] = setup.grid.to_dict()
-    setup.write_json("monitors.json", payload)
-    if violations:
-        print(f"monitor violation(s): {', '.join(violations)}", file=sys.stderr)
-        return 2
-    return 0
+    return _finish(setup, "monitors.json", payload, monitors)
 
 
 def cmd_invariant(args) -> int:
     setup = RunSetup(args)
-    drift_bound = _positive_bound(setup.cfg, "drift_bound", DEFAULT_DRIFT_BOUND)
-    state, monitors = integrate_state(
-        setup.model, setup.rho0, setup.grid, setup.method,
-        leakage_index=setup.leakage_index,
-    )
+    drift_bound = _real(setup.cfg.get("drift_bound", DEFAULT_DRIFT_BOUND), "drift_bound",
+                        positive=True)
+    state, monitors = setup.integrate_state()
     inv = integrate_invariant(setup.model, setup.invariant_seed(), "start",
                               setup.grid, setup.method)
     report = invariant_mod.analyze(inv, state)
@@ -267,28 +290,24 @@ def cmd_invariant(args) -> int:
     payload["drift_bound"] = drift_bound
     payload["monitors"] = monitors.to_dict()
     payload["grid"] = setup.grid.to_dict()
-    setup.write_json("invariant_report.json", payload)
+    failure = ""
     if report.max_expectation_drift > drift_bound:
-        print(
-            f"expectation drift {report.max_expectation_drift:.3e} exceeds "
-            f"bound {drift_bound:.3e}",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+        failure = (f"expectation drift {report.max_expectation_drift:.3e} exceeds "
+                   f"bound {drift_bound:.3e}")
+    return _finish(setup, "invariant_report.json", payload, monitors, failure)
 
 
 def cmd_action_check(args) -> int:
     setup = RunSetup(args)
-    residual_bound = _positive_bound(setup.cfg, "residual_bound", DEFAULT_RESIDUAL_BOUND)
+    residual_bound = _real(setup.cfg.get("residual_bound", DEFAULT_RESIDUAL_BOUND),
+                           "residual_bound", positive=True)
     lam_final = setup.lambda_final()
-    report = stationarity_check(setup.model, setup.rho0, lam_final,
-                                setup.grid, setup.method)
+    state, monitors = setup.integrate_state()
+    lam = auxiliary_trajectory(setup.model, lam_final, setup.grid, setup.method)
+    path = DiscretizedPath(grid=setup.grid, rho=state.samples, lam=lam.samples)
+    report = stationarity_report(path, setup.model)
 
     # gauge check on the same solution path, with a seeded random rate table
-    state, _ = integrate_state(setup.model, setup.rho0, setup.grid, setup.method)
-    lam = integrate_invariant(setup.model, lam_final, "end", setup.grid, setup.method)
-    path = DiscretizedPath(grid=setup.grid, rho=state.samples, lam=lam.samples)
     rng = np.random.default_rng(setup.seed)
     knots = np.linspace(setup.grid.t_start, setup.grid.t_end, 9)
     values = rng.uniform(-1.0, 1.0, size=9)
@@ -298,22 +317,16 @@ def cmd_action_check(args) -> int:
     payload = report.to_dict()
     payload["gauge_defect"] = gauge_defect
     payload["residual_bound"] = residual_bound
-    setup.write_json("action_report.json", payload)
-
-    ok = (
+    failure = ""
+    if not (
         report.grad_rho_residual <= residual_bound
         and report.grad_lam_residual <= residual_bound
         and gauge_defect <= GAUGE_DEFECT_BOUND
-    )
-    if not ok:
-        print(
-            f"action check failed: residuals ({report.grad_rho_residual:.3e}, "
-            f"{report.grad_lam_residual:.3e}) vs bound {residual_bound:.3e}, "
-            f"gauge defect {gauge_defect:.3e} vs {GAUGE_DEFECT_BOUND:.1e}",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    ):
+        failure = (f"action check failed: residuals ({report.grad_rho_residual:.3e}, "
+                   f"{report.grad_lam_residual:.3e}) vs bound {residual_bound:.3e}, "
+                   f"gauge defect {gauge_defect:.3e} vs {GAUGE_DEFECT_BOUND:.1e}")
+    return _finish(setup, "action_report.json", payload, monitors, failure)
 
 
 def cmd_verify(args) -> int:

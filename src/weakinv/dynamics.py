@@ -9,6 +9,9 @@ supports seeding at either end of the grid.
 Only deterministic one-step methods are offered (classic RK4 and explicit
 midpoint, both sampling schedules at step midpoints); the action module
 needs ρ and Λ on exactly the same nodes, which rules out adaptive stepping.
+Both integrators read the model from ``LindbladModel.on_grid``: it is
+sampled and validated once at every node and cell midpoint, and that one
+lattice serves both flows and the action.
 Each step re-symmetrizes the iterate to (A + A†)/2, which suppresses
 Hermiticity drift without touching the order of accuracy.
 """
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BlowupError, IntegrationError, ModelValidationError
+from .errors import BlowupError, IntegrationError
 from .model import LindbladModel
 from .superop import apply_adjoint, apply_liouvillian
 
@@ -68,9 +71,6 @@ class TimeGrid:
 
     def nodes(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.n_steps + 1)
-
-    def node(self, k: int) -> float:
-        return self.t_start + self.dt * k
 
     def midpoint(self, k: int) -> float:
         return self.t_start + self.dt * (k + 0.5)
@@ -128,33 +128,21 @@ class MonitorReport:
         }
 
 
-def _validate_model_on_grid(model: LindbladModel, grid: TimeGrid) -> None:
-    if model.is_constant:
-        times = [grid.t_start]
-    else:
-        times = list(grid.nodes()) + [grid.midpoint(k) for k in range(grid.n_steps)]
-    issues = model.validate(times)
-    if issues:
-        first = issues[0]
-        raise ModelValidationError(
-            f"model invalid on grid: {len(issues)} issue(s), first: {first.kind} "
-            f"at t={first.t}"
-            + (f" (channel {first.channel})" if first.channel is not None else "")
-        )
-
-
-def _step(model, sign, t, y, h, method):
-    """One step of y' = sign * i * generator(y), sampling schedules at t, t+h/2, t+h."""
+def _step(lattice, j, sign, y, h, method):
+    """One step of y' = sign * i * generator(y) from the node at lattice entry
+    ``j``, sampling the model at t, t+h/2, t+h (entries j, j±1, j±2 as h > 0
+    or h < 0)."""
 
     def rhs(snap, v):
         if sign < 0:
             return -1j * apply_liouvillian(snap, v)
         return 1j * apply_adjoint(snap, v)
 
-    s0 = model.snapshot(t)
-    sm = model.snapshot(t + 0.5 * h)
+    d = 1 if h > 0 else -1
+    s0 = lattice[j]
+    sm = lattice[j + d]
     if method == "rk4":
-        s1 = model.snapshot(t + h)
+        s1 = lattice[j + 2 * d]
         k1 = rhs(s0, y)
         k2 = rhs(sm, y + (0.5 * h) * k1)
         k3 = rhs(sm, y + (0.5 * h) * k2)
@@ -194,7 +182,7 @@ def integrate_state(
     min_eig0 = float(linalg.hermitian_eigenvalues(rho0)[0])
     if min_eig0 < -1e-10:
         raise ValueError(f"rho0 has negative eigenvalue {min_eig0}")
-    _validate_model_on_grid(model, grid)
+    lattice = model.on_grid(grid)
 
     dt = grid.dt
     samples = np.empty((grid.n_steps + 1,) + rho0.shape, dtype=complex)
@@ -203,7 +191,7 @@ def integrate_state(
     max_herm = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(grid.n_steps):
-            y = _step(model, -1, grid.node(k), y, dt, method)
+            y = _step(lattice, 2 * k, -1, y, dt, method)
             if not np.all(np.isfinite(y)):
                 raise IntegrationError(f"non-finite state at step {k + 1}", step=k + 1)
             max_herm = max(max_herm, linalg.hermiticity_defect(y))
@@ -245,25 +233,18 @@ def integrate_invariant(
     seed = linalg.require_hermitian(seed, what="invariant seed")
     if seed.shape != (model.dim, model.dim):
         raise ValueError(f"seed dimension {seed.shape[0]} != model dim {model.dim}")
-    _validate_model_on_grid(model, grid)
+    lattice = model.on_grid(grid)
 
     n = grid.n_steps
-    dt = grid.dt
+    d = 1 if seed_time == "start" else -1
+    first = 0 if d > 0 else n
     samples = np.empty((n + 1,) + seed.shape, dtype=complex)
-    if seed_time == "start":
-        order = range(n)  # computes node k+1 from node k
-        h = dt
-        samples[0] = seed
-    else:
-        order = range(n, 0, -1)  # computes node k-1 from node k
-        h = -dt
-        samples[n] = seed
-
+    samples[first] = seed
     y = seed
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in order:
-            dst = k + 1 if seed_time == "start" else k - 1
-            y = _step(model, +1, grid.node(k), y, h, method)
+        for k in range(first, n - first, d):  # computes node k + d from node k
+            dst = k + d
+            y = _step(lattice, 2 * k, +1, y, d * grid.dt, method)
             if not np.all(np.isfinite(y)):
                 raise IntegrationError(f"non-finite invariant at node {dst}", step=dst)
             mag = linalg.maxabs(y)

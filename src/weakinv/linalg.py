@@ -26,9 +26,7 @@ __all__ = [
     "identity",
     "maxabs",
     "dagger",
-    "commutator",
     "trace",
-    "hs_inner",
     "expectation",
     "hermitize",
     "hermiticity_defect",
@@ -36,7 +34,6 @@ __all__ = [
     "hermitian_eigenvalues",
     "hermitian_basis",
     "parse_matrix_literal",
-    "matrix_literal",
 ]
 
 
@@ -65,39 +62,16 @@ def dagger(a) -> np.ndarray:
     return np.conj(np.asarray(a, dtype=complex)).swapaxes(-1, -2)
 
 
-def _same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def commutator(a, b) -> np.ndarray:
-    """``a @ b - b @ a``."""
-    a = as_operator(a)
-    b = as_operator(b)
-    _same_dim(a, b)
-    return a @ b - b @ a
-
-
 def trace(a) -> complex:
     return complex(np.trace(as_operator(a)))
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product ``tr(a† b)``.
-
-    Linear in ``b``, conjugate-linear in ``a``.
-    """
-    a = as_operator(a)
-    b = as_operator(b)
-    _same_dim(a, b)
-    return complex(np.sum(np.conj(a) * b))
 
 
 def expectation(a, rho) -> complex:
     """``tr(a rho)``; real up to roundoff when both arguments are Hermitian."""
     a = as_operator(a)
     rho = as_operator(rho)
-    _same_dim(a, rho)
+    if a.shape != rho.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {rho.shape}")
     return complex(np.einsum("jk,kj->", a, rho))
 
 
@@ -194,8 +168,3 @@ def parse_matrix_literal(obj) -> np.ndarray:
         raise ValueError("matrix literal contains non-finite values")
     return flat.reshape(dim, dim)
 
-
-def matrix_literal(a) -> list[list[float]]:
-    """Inverse of :func:`parse_matrix_literal` (row-major ``[re, im]`` pairs)."""
-    m = as_operator(a)
-    return [[float(v.real), float(v.imag)] for v in m.reshape(-1)]

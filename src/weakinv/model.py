@@ -1,9 +1,11 @@
-"""Time-dependent Lindblad models: schedules, validation, per-time snapshots.
+"""Time-dependent Lindblad models: schedules, validated snapshots on a grid.
 
 A model bundles a Hamiltonian schedule H(t) with a list of damping channels
 (L_n(t), alpha_n(t)). Rates alpha_n must stay nonnegative and H must stay
-Hermitian at every evaluated time; ``LindbladModel.validate`` reports
-violations, ``LindbladModel.snapshot`` refuses them.
+Hermitian at every evaluated time. ``LindbladModel.on_grid`` samples the
+model once at every node and cell midpoint of a time grid, and
+``LindbladModel.snapshot`` at one time; both check every sampled value and
+raise :class:`ModelValidationError` on the first violation.
 
 Schedule kinds are deliberately few: constant, sinusoidal (scalars only),
 tabulated with linear interpolation and no extrapolation, and a scalar
@@ -194,23 +196,15 @@ class ChannelSnapshot:
 @dataclass(frozen=True)
 class ModelSnapshot:
     """Model evaluated at one time, with the products every generator
-    application needs cached."""
+    application needs cached. Time-independent parts are shared between the
+    snapshots of one sampling."""
 
-    t: float
     h: np.ndarray
     channels: tuple[ChannelSnapshot, ...]
 
     @property
     def dim(self) -> int:
         return self.h.shape[0]
-
-
-@dataclass(frozen=True)
-class ValidationIssue:
-    t: float
-    kind: str  # "hamiltonian-not-hermitian" | "negative-rate"
-    magnitude: float
-    channel: int | None = None
 
 
 class Channel:
@@ -224,10 +218,11 @@ class Channel:
 
 
 class LindbladModel:
-    """Immutable bundle (H(t), {(L_n(t), alpha_n(t))}) on a fixed dimension.
+    """Bundle (H(t), {(L_n(t), alpha_n(t))}) on a fixed dimension.
 
-    Instances are not mutated after construction; ``snapshot`` may be called
-    concurrently.
+    The schedules are fixed at construction. The model keeps the validated
+    snapshots of the last grid passed to ``on_grid``, so every pass of one
+    run over the same grid samples the model once.
     """
 
     def __init__(self, dim: int, hamiltonian, channels=()):
@@ -237,16 +232,9 @@ class LindbladModel:
         self.hamiltonian = _as_schedule(hamiltonian, name="hamiltonian")
         if not self.hamiltonian.is_operator_valued:
             raise ValueError("hamiltonian schedule must be operator-valued")
-        built = []
-        for ch in channels:
-            if isinstance(ch, Channel):
-                built.append(ch)
-            else:
-                op, alpha = ch
-                built.append(Channel(op, alpha))
-        self.channels = tuple(built)
+        self.channels = tuple(ch if isinstance(ch, Channel) else Channel(*ch) for ch in channels)
         self._check_constant_dims()
-        self._const_snapshot: ModelSnapshot | None = None
+        self._lattice = None  # (grid, snapshots) of the last on_grid call
 
     def _check_constant_dims(self):
         for label, sched in self._operator_schedules():
@@ -263,84 +251,84 @@ class LindbladModel:
 
     @property
     def is_constant(self) -> bool:
-        scheds = [self.hamiltonian]
-        for ch in self.channels:
-            scheds += [ch.op, ch.alpha]
-        return all(s.is_constant for s in scheds)
+        return self.hamiltonian.is_constant and all(
+            ch.op.is_constant and ch.alpha.is_constant for ch in self.channels)
 
     def snapshot(self, t: float) -> ModelSnapshot:
-        """Evaluate all schedules at ``t`` and cache the channel products.
+        """The model at one time ``t``, validated; deterministic for equal ``t``."""
+        return self._sample([float(t)])[0]
 
-        Deterministic for equal ``t``; for fully constant models the same
-        snapshot object is reused (only the timestamp differs).
+    def on_grid(self, grid) -> list[ModelSnapshot]:
+        """Validated snapshots at the ``2 n_steps + 1`` times
+        ``t_start + (dt/2) j``: node k at entry 2k and the midpoint of cell k
+        at entry 2k + 1, bitwise equal to ``grid.nodes()[k]`` and
+        ``grid.midpoint(k)``.
+
+        The result for the last grid is kept and returned again for an equal
+        grid. A constant model's entries are all one snapshot.
         """
-        t = float(t)
-        if self._const_snapshot is not None:
-            base = self._const_snapshot
-            if base.t == t:
-                return base
-            return ModelSnapshot(t=t, h=base.h, channels=base.channels)
+        lattice = self._lattice
+        if lattice is None or lattice[0] != grid:
+            times = grid.t_start + (0.5 * grid.dt) * np.arange(2 * grid.n_steps + 1)
+            lattice = self._lattice = (grid, self._sample(times.tolist()))
+        return lattice[1]
 
-        h = self._eval("hamiltonian", self.hamiltonian, t)
-        h = linalg.as_operator(h)
-        if h.shape != (self.dim, self.dim):
-            raise ModelValidationError(
-                f"hamiltonian: dimension {h.shape[0]} != model dim {self.dim} at t={t}"
-            )
-        defect = linalg.hermiticity_defect(h)
-        tol = max(HAMILTONIAN_HERMITICITY_RTOL * linalg.maxabs(h), linalg.TOLERANCE_FLOOR)
-        if defect > tol:
-            raise ModelValidationError(
-                f"hamiltonian not Hermitian at t={t}: defect {defect:.3e}"
-            )
-        chans = []
-        for i, ch in enumerate(self.channels):
-            l = linalg.as_operator(self._eval(f"channels[{i}].op", ch.op, t))
-            if l.shape != (self.dim, self.dim):
-                raise ModelValidationError(
-                    f"channels[{i}].op: dimension {l.shape[0]} != model dim {self.dim} at t={t}"
-                )
-            alpha = float(self._eval(f"channels[{i}].alpha", ch.alpha, t))
-            if alpha < 0.0:
-                raise ModelValidationError(
-                    f"channels[{i}].alpha is negative at t={t}: {alpha}"
-                )
-            l_dag = linalg.dagger(l)
-            chans.append(ChannelSnapshot(l=l, l_dag=l_dag, l_dag_l=l_dag @ l, alpha=alpha))
-        snap = ModelSnapshot(t=t, h=h, channels=tuple(chans))
-        if self.is_constant:
-            self._const_snapshot = snap
-        return snap
-
-    @staticmethod
-    def _eval(label, sched, t):
-        try:
-            return sched(t)
-        except ScheduleDomainError as e:
-            raise ScheduleDomainError(f"{label}: {e}") from None
-
-    def validate(self, sample_times) -> list[ValidationIssue]:
-        """Check H(t) Hermiticity and rate nonnegativity at the given times.
-
-        Returns the list of violations; an empty list means the model is
-        valid at every sampled time. Nothing is raised (errors surface where
-        the model is actually used).
-        """
-        issues = []
-        for t in sample_times:
-            t = float(t)
-            h = linalg.as_operator(self._eval("hamiltonian", self.hamiltonian, t))
+    def _sample(self, times: list[float]) -> list[ModelSnapshot]:
+        """Snapshots at ``times``. A time-independent schedule, and the
+        products built from it, are evaluated, checked and shared once."""
+        hs = [self._operator("hamiltonian", h, t) for t, h in
+              zip(times, self._evaluate("hamiltonian", self.hamiltonian, times))]
+        for t, h in zip(times, hs):
             defect = linalg.hermiticity_defect(h)
             tol = max(HAMILTONIAN_HERMITICITY_RTOL * linalg.maxabs(h), linalg.TOLERANCE_FLOOR)
             if defect > tol:
-                issues.append(ValidationIssue(t=t, kind="hamiltonian-not-hermitian",
-                                              magnitude=defect))
-            for i, ch in enumerate(self.channels):
-                alpha = float(self._eval(f"channels[{i}].alpha", ch.alpha, t))
-                if alpha < 0.0:
-                    issues.append(ValidationIssue(t=t, kind="negative-rate",
-                                                  magnitude=alpha, channel=i))
-        return issues
+                raise ModelValidationError(
+                    f"hamiltonian not Hermitian at t={t}: defect {defect:.3e}"
+                )
+        chans = [self._sample_channel(i, ch, times) for i, ch in enumerate(self.channels)]
+        if self.is_constant:
+            return [ModelSnapshot(h=hs[0], channels=tuple(c[0] for c in chans))] * len(times)
+        return [
+            ModelSnapshot(h=_at(hs, j), channels=tuple(_at(c, j) for c in chans))
+            for j in range(len(times))
+        ]
+
+    def _sample_channel(self, i, ch, times) -> list[ChannelSnapshot]:
+        label = f"channels[{i}]"
+        alphas = [float(a) for a in self._evaluate(f"{label}.alpha", ch.alpha, times)]
+        for t, alpha in zip(times, alphas):
+            if alpha < 0.0:
+                raise ModelValidationError(f"{label}.alpha: negative-rate {alpha} at t={t}")
+        products = []
+        for t, l in zip(times, self._evaluate(f"{label}.op", ch.op, times)):
+            l = self._operator(f"{label}.op", l, t)
+            l_dag = linalg.dagger(l)
+            products.append((l, l_dag, l_dag @ l))
+        return [
+            ChannelSnapshot(*_at(products, j), alpha=_at(alphas, j))
+            for j in range(max(len(products), len(alphas)))
+        ]
+
+    @staticmethod
+    def _evaluate(label, sched, times) -> list:
+        """Values of ``sched`` at ``times``, or its one value if constant."""
+        try:
+            return [sched(t) for t in (times[:1] if sched.is_constant else times)]
+        except ScheduleDomainError as e:
+            raise ScheduleDomainError(f"{label}: {e}") from None
+
+    def _operator(self, label, value, t) -> np.ndarray:
+        op = linalg.as_operator(value)
+        if op.shape != (self.dim, self.dim):
+            raise ModelValidationError(
+                f"{label}: dimension {op.shape[0]} != model dim {self.dim} at t={t}"
+            )
+        return op
+
+
+def _at(values: list, j: int):
+    """Entry ``j`` of a per-time list, or its one entry if time-independent."""
+    return values[j] if len(values) > 1 else values[0]
 
 
 def _schedule_operator_values(sched):

@@ -8,7 +8,7 @@ Observable side, fixed by the pairing convention tr(a L(rho)) = tr(L*(a) rho):
 
     L*(a) = -[H, a] - i sum_n alpha_n (Ln†Ln a + a Ln†Ln - 2 Ln† a Ln)
 
-Both follow from trace cyclicity, so ``adjoint_pairing_defect`` is zero up to
+Both follow from trace cyclicity, so the two sides of the pairing agree up to
 roundoff for any operator pair. Useful consequences that hold termwise:
 tr L(rho) = 0 (trace preservation), L*(identity) = 0, and the shift property
 L*(a + c*identity) = L*(a) for any c-number c.
@@ -28,7 +28,6 @@ from .model import ModelSnapshot
 __all__ = [
     "apply_liouvillian",
     "apply_adjoint",
-    "adjoint_pairing_defect",
     "vec",
     "unvec",
     "VectorizedLiouvillian",
@@ -63,15 +62,6 @@ def apply_adjoint(s: ModelSnapshot, a) -> np.ndarray:
     return out
 
 
-def adjoint_pairing_defect(s: ModelSnapshot, a, rho) -> float:
-    """|tr(a L(rho)) - tr(L*(a) rho)|; mathematically zero."""
-    a = _check_dim(s, a)
-    rho = _check_dim(s, rho)
-    lhs = np.einsum("jk,kj->", a, apply_liouvillian(s, rho))
-    rhs = np.einsum("jk,kj->", apply_adjoint(s, a), rho)
-    return float(abs(lhs - rhs))
-
-
 def vec(a) -> np.ndarray:
     """Column-stacking vectorization."""
     return linalg.as_operator(a).reshape(-1, order="F")
@@ -86,7 +76,6 @@ class VectorizedLiouvillian:
     """dim² x dim² matrix M with M @ vec(rho) = vec(L(rho))."""
 
     matrix: np.ndarray
-    t: float
 
     @property
     def dim(self) -> int:
@@ -106,4 +95,4 @@ def build_liouvillian_matrix(s: ModelSnapshot) -> VectorizedLiouvillian:
             + np.kron(ch.l_dag_l.T, eye)
             - 2.0 * np.kron(np.conj(ch.l), ch.l)
         )
-    return VectorizedLiouvillian(matrix=m, t=s.t)
+    return VectorizedLiouvillian(matrix=m)

@@ -39,6 +39,19 @@ def amp_damp_state(t, omega, gamma, rho0):
     return np.array([[rho0[0, 0] + rho0[1, 1] - p11, r01], [np.conj(r01), p11]])
 
 
+def driven_amp_damp_state(t, gamma, rho0):
+    """Amplitude-damping qubit with H(t) = omega(t)*diag(0,1),
+    omega(t) = 1 + 0.5 sin(2t), channel (sigma_-, gamma).
+
+    Same scalar ODEs as the constant case with omega(t) in place of omega,
+    so the coherence phase is Phi(t) = t + (1 - cos 2t)/4.
+    """
+    p11 = rho0[1, 1] * math.exp(-2.0 * gamma * t)
+    phase = t + 0.25 * (1.0 - math.cos(2.0 * t))
+    r01 = rho0[0, 1] * np.exp(1j * phase - gamma * t)
+    return np.array([[rho0[0, 0] + rho0[1, 1] - p11, r01], [np.conj(r01), p11]])
+
+
 def amp_damp_invariant(t, gamma):
     """Weak invariant seeded at sigma_z: stays diagonal, diag(1, 1 - 2 e^{2 gamma t})."""
     return np.diag([1.0, 1.0 - 2.0 * math.exp(2.0 * gamma * t)]).astype(complex)

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from helpers import PLUS_STATE, SMINUS, SX, SZ, random_hermitian
 from weakinv import action, linalg
 from weakinv.dynamics import TimeGrid, conservation_series, integrate_invariant, integrate_state
-from weakinv.model import LindbladModel, constant, tabulated
+from weakinv.model import LindbladModel, constant, scaled, sinusoidal, tabulated
 
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
 
@@ -183,6 +183,25 @@ class TestStationarity:
         lam = action.auxiliary_trajectory(m, SX, grid)
         series = conservation_series(lam, state)
         assert np.max(np.abs(series - series[0])) <= 1e-8
+
+    def test_driven_residuals_shrink_quadratically(self):
+        # a generator read anywhere but the cell midpoint leaves O(dt) residuals
+        m = LindbladModel(2, scaled(sinusoidal(1.0, 0.5, 2.0), EXCITED), [(SMINUS, 0.5)])
+        coarse, fine = (action.stationarity_check(m, PLUS_STATE, SZ, TimeGrid(0.0, 1.0, n))
+                        for n in (200, 400))
+        assert 3.5 <= coarse.grad_rho_residual / fine.grad_rho_residual <= 4.5
+        assert 3.5 <= coarse.grad_lam_residual / fine.grad_lam_residual <= 4.5
+
+    def test_report_matches_the_public_functions(self, rng):
+        m = LindbladModel(2, scaled(sinusoidal(1.0, 0.5, 2.0), EXCITED), [(SMINUS, 0.5)])
+        path = random_path(rng, TimeGrid(0.0, 1.0, 20))
+        report = action.stationarity_report(path, m)
+        gr = action.grad_rho(path, m)
+        gl = action.grad_lam(path, m)
+        assert report.action_value == action.evaluate_action(path, m)
+        assert report.grad_rho_residual == max(linalg.maxabs(g) for g in gr[1:-1]) / path.grid.dt
+        assert report.boundary_rho_term == linalg.maxabs(gr[0] + path.lam[0])
+        assert report.boundary_lam_term == linalg.maxabs(gl[-1] + path.rho[-1])
 
     def test_report_serialization(self):
         grid = TimeGrid(0.0, 1.0, 100)

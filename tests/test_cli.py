@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,9 +10,12 @@ import numpy as np
 import pytest
 
 import weakinv
+from weakinv import action, cli, scenarios
 from weakinv.cli import _write_json, main
+from weakinv.model import LindbladModel, Schedule
 
 SZ_LITERAL = [[1, 0], [0, 0], [0, 0], [-1, 0]]
+SMINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 SMINUS_LITERAL = [[0, 0], [1, 0], [0, 0], [0, 0]]
 ZERO2_LITERAL = [[0, 0], [0, 0], [0, 0], [0, 0]]
 
@@ -44,11 +48,18 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "grid.n_steps must be ≥ 1" in capsys.readouterr().err
 
-    def test_leakage_violation_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, report", [
+        ("simulate", "monitors.json"),
+        ("invariant", "invariant_report.json"),
+        ("action-check", "action_report.json"),
+    ], ids=["simulate", "invariant", "action-check"])
+    def test_leakage_violation_exits_2(self, tmp_path, capsys, command, report):
         # all population parked on the top retained level of the oscillator
         dim = 6
         rho0 = [[0, 0]] * (dim * dim)
         rho0[dim * dim - 1] = [1, 0]
+        lambda_final = [[0, 0]] * (dim * dim)
+        lambda_final[0] = [1, 0]
         cfg = write_config(
             tmp_path / "cfg.json",
             {
@@ -56,11 +67,13 @@ class TestSimulate:
                 "scenario_args": {"n_trunc": dim},
                 "grid": {"t_start": 0.0, "t_end": 0.5, "n_steps": 100},
                 "rho0": rho0,
+                "lambda_final": lambda_final,
             },
         )
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
-        monitors = json.loads((tmp_path / "monitors.json").read_text())
-        assert "leakage" in monitors["violations"]
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        payload = json.loads((tmp_path / report).read_text())
+        assert "leakage" in payload["violations"]
+        assert "monitor violation(s): leakage" in capsys.readouterr().err
 
     def test_unknown_scenario(self, tmp_path, capsys):
         assert main(["simulate", "no-such-thing", "--out", str(tmp_path)]) == 1
@@ -233,6 +246,89 @@ class TestBounds:
         with pytest.raises(ValueError):
             _write_json(path, {"x": float("nan")})
         assert not path.exists()
+
+
+# (id, config change, the field the error must name); 1e999 in JSON parses to inf
+BAD_CONFIG_VALUES = [
+    ("n_steps-str", {"grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": "300"}}, "grid.n_steps"),
+    ("n_steps-float", {"grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 3.7}}, "grid.n_steps"),
+    ("n_steps-bool", {"grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": True}}, "grid.n_steps"),
+    ("n_steps-missing", {"grid": {"t_start": 0.0, "t_end": 1.0}}, "grid.n_steps"),
+    ("t_start-str", {"grid": {"t_start": "0", "t_end": 1.0, "n_steps": 30}}, "grid.t_start"),
+    ("t_start-nan", {"grid": {"t_start": float("nan"), "t_end": 1.0, "n_steps": 30}},
+     "grid.t_start"),
+    ("t_end-str", {"grid": {"t_start": 0.0, "t_end": "1", "n_steps": 30}}, "grid.t_end"),
+    ("t_end-inf", {"grid": {"t_start": 0.0, "t_end": float("inf"), "n_steps": 30}}, "grid.t_end"),
+    ("t_end-huge-int", {"grid": {"t_start": 0.0, "t_end": 10**400, "n_steps": 30}}, "grid.t_end"),
+    ("grid-unknown-key", {"grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 30, "dt": 0.1}},
+     "grid.dt"),
+    ("seed-float", {"seed": 1.5}, "seed"),
+    ("seed-str", {"seed": "3"}, "seed"),
+    ("seed-negative", {"seed": -1}, "seed"),
+    ("output_dir-int", {"output_dir": 5}, "output_dir"),
+    ("unknown-key", {"drift_bnd": 1e-6}, "drift_bnd"),
+]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("command", ["simulate", "invariant", "action-check"])
+    @pytest.mark.parametrize("change, field", [pytest.param(c, f, id=i)
+                                               for i, c, f in BAD_CONFIG_VALUES])
+    def test_bad_value_exits_1(self, tmp_path, capsys, command, change, field):
+        cfg = {"scenario": "amp-damp", "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 30},
+               "invariant_seed": "sz", "lambda_final": SZ_LITERAL}
+        cfg.update(change)
+        path = write_config(tmp_path / "cfg.json", cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} ")
+        assert not list(tmp_path.glob("*.csv"))
+
+
+class CountingRate(Schedule):
+    """A rate of 0.5 that the model must treat as time-dependent; counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return 0.5
+
+    @property
+    def is_operator_valued(self):
+        return False
+
+
+class TestComputeOnce:
+    @pytest.mark.parametrize("command", ["invariant", "action-check"])
+    def test_model_sampled_once_per_lattice_time(self, tmp_path, monkeypatch, command):
+        rate = CountingRate()
+        spec = scenarios.amplitude_damping_qubit()
+        model = LindbladModel(2, spec.model.hamiltonian, [(SMINUS, rate)])
+        monkeypatch.setattr(cli, "build_scenario",
+                            lambda name, **kw: dataclasses.replace(spec, model=model))
+        cfg = amp_damp_config(tmp_path, n_steps=200, invariant_seed="sz",
+                              lambda_final=SZ_LITERAL)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert rate.calls == 2 * 200 + 1
+
+    def test_action_check_integrates_each_flow_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (cli, action):
+            for name in ("integrate_state", "integrate_invariant"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        cfg = amp_damp_config(tmp_path, n_steps=200, lambda_final=SZ_LITERAL)
+        assert main(["action-check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert sorted(calls) == ["integrate_invariant", "integrate_state"]
 
 
 def run_module(*args):

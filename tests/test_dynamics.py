@@ -9,13 +9,18 @@ from helpers import PLUS_STATE, SMINUS, SX, SZ, random_density, random_hermitian
 from weakinv import dynamics, linalg
 from weakinv.dynamics import TimeGrid, Trajectory, conservation_series, integrate_invariant, integrate_state
 from weakinv.errors import BlowupError, IntegrationError, ModelValidationError, NotHermitianError
-from weakinv.model import LindbladModel, sinusoidal
+from weakinv.model import LindbladModel, scaled, sinusoidal
 
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
 
 
 def amp_damp(omega=1.0, gamma=0.5):
     return LindbladModel(2, omega * EXCITED, [(SMINUS, gamma)])
+
+
+def driven_amp_damp(gamma=0.5):
+    """H(t) = (1 + 0.5 sin 2t) diag(0, 1): every node and midpoint differs."""
+    return LindbladModel(2, scaled(sinusoidal(1.0, 0.5, 2.0), EXCITED), [(SMINUS, gamma)])
 
 
 class TestTimeGrid:
@@ -127,6 +132,24 @@ class TestConvergence:
     def test_midpoint_second_order(self):
         assert self._error(100, "midpoint") / self._error(200, "midpoint") >= 3.5
 
+    @staticmethod
+    def _driven_error(n, method):
+        # the model is read at the nodes and midpoints of the grid lattice
+        gamma = 0.5
+        grid = TimeGrid(0.0, 2.0, n)
+        traj, _ = integrate_state(driven_amp_damp(gamma), PLUS_STATE, grid, method)
+        return max(
+            linalg.maxabs(s - helpers.driven_amp_damp_state(t, gamma, PLUS_STATE))
+            for t, s in zip(grid.nodes(), traj.samples)
+        )
+
+    def test_driven_rk4_fourth_order(self):
+        assert self._driven_error(100, "rk4") <= 1e-7
+        assert self._driven_error(100, "rk4") / self._driven_error(200, "rk4") >= 12.0
+
+    def test_driven_midpoint_second_order(self):
+        assert self._driven_error(100, "midpoint") / self._driven_error(200, "midpoint") >= 3.5
+
 
 class TestIntegrateInvariant:
     def test_unitary_flow_is_isospectral(self):
@@ -163,6 +186,19 @@ class TestIntegrateInvariant:
         fwd = integrate_invariant(amp_damp(), SZ, "start", grid)
         back = integrate_invariant(amp_damp(), fwd.samples[-1], "end", grid)
         assert linalg.maxabs(back.samples[0] - SZ) <= 1e-9
+
+    @pytest.mark.parametrize("method, bound", [("rk4", 1e-11), ("midpoint", 2e-5)])
+    def test_driven_round_trip_and_conservation(self, method, bound):
+        # backward steps read the lattice from the far end; a misread midpoint
+        # breaks both the round trip and the conserved expectation
+        m = driven_amp_damp()
+        grid = TimeGrid(0.0, 1.0, 400)
+        fwd = integrate_invariant(m, SX, "start", grid, method)
+        back = integrate_invariant(m, fwd.samples[-1], "end", grid, method)
+        assert linalg.maxabs(back.samples[0] - SX) <= bound
+        state, _ = integrate_state(m, PLUS_STATE, grid, method)
+        series = conservation_series(back, state)
+        assert np.max(np.abs(series - series[0])) <= bound
 
     def test_rejects_non_hermitian_seed(self):
         with pytest.raises(NotHermitianError):

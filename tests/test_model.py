@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from helpers import SMINUS, SZ
 from weakinv import model
+from weakinv.dynamics import TimeGrid
 from weakinv.errors import ConfigError, ModelValidationError, ScheduleDomainError
 
 
@@ -115,24 +116,99 @@ class TestSnapshot:
 
 class TestValidate:
     def test_valid_model_empty_report(self):
-        issues = _amp_damp_model().validate([0.0, 1.0, 2.0])
-        assert issues == []
+        snaps = _amp_damp_model().on_grid(TimeGrid(0.0, 2.0, 2))
+        assert len(snaps) == 5
 
     def test_flags_negative_rate(self):
+        # alpha(4.8) = 0.1 + 0.2 sin(4.8) < 0 at the last node; 0 and 2.4 are fine
         m = model.LindbladModel(2, SZ, [(SMINUS, model.sinusoidal(0.1, 0.2, 1.0))])
-        issues = m.validate([4.8])
-        assert len(issues) == 1
-        assert issues[0].kind == "negative-rate"
-        assert issues[0].channel == 0
-        assert issues[0].magnitude == pytest.approx(0.1 + 0.2 * math.sin(4.8))
-        assert issues[0].magnitude < 0
+        alpha = 0.1 + 0.2 * math.sin(4.8)
+        assert alpha < 0
+        with pytest.raises(ModelValidationError) as err:
+            m.on_grid(TimeGrid(0.0, 4.8, 1))
+        assert str(err.value) == f"channels[0].alpha: negative-rate {alpha} at t=4.8"
 
     def test_flags_non_hermitian_hamiltonian(self):
         # sigma_+ as H: defect |H - H†| = 1
-        issues = model.LindbladModel(2, SMINUS.conj().T).validate([0.0])
-        assert len(issues) == 1
-        assert issues[0].kind == "hamiltonian-not-hermitian"
-        assert issues[0].magnitude == pytest.approx(1.0)
+        m = model.LindbladModel(2, SMINUS.conj().T)
+        with pytest.raises(ModelValidationError,
+                           match=r"hamiltonian not Hermitian at t=0\.5: defect 1\.000e\+00"):
+            m.on_grid(TimeGrid(0.5, 1.0, 3))
+
+
+def _driven_model():
+    """Scaled sinusoidal H, constant jump operator, tabulated rate."""
+    return model.LindbladModel(
+        2,
+        model.scaled(model.sinusoidal(1.0, 0.3, 2.0), np.diag([0.0, 1.0])),
+        [(SMINUS, model.tabulated([0.0, 1.0, 3.0], [0.2, 0.9, 0.4]))],
+    )
+
+
+class _CountingRate(model.Schedule):
+    """0.5 everywhere, but time-dependent as far as the model knows; counts calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return 0.5
+
+    @property
+    def is_operator_valued(self):
+        return False
+
+
+class TestOnGrid:
+    def test_entries_equal_snapshots_bitwise(self):
+        m = _driven_model()
+        grid = TimeGrid(0.1, 2.9, 7)
+        snaps = m.on_grid(grid)
+        assert len(snaps) == 2 * grid.n_steps + 1
+        nodes = grid.nodes()
+        for k in range(grid.n_steps + 1):
+            for entry, t in [(2 * k, nodes[k])] + ([(2 * k + 1, grid.midpoint(k))]
+                                                   if k < grid.n_steps else []):
+                ref = m.snapshot(t)
+                assert np.array_equal(snaps[entry].h, ref.h)
+                assert snaps[entry].channels[0].alpha == ref.channels[0].alpha
+                assert np.array_equal(snaps[entry].channels[0].l_dag_l, ref.channels[0].l_dag_l)
+
+    def test_time_independent_parts_shared(self):
+        snaps = _driven_model().on_grid(TimeGrid(0.0, 3.0, 10))
+        first = snaps[0].channels[0]
+        for s in snaps[1:]:
+            ch = s.channels[0]
+            assert ch.l is first.l and ch.l_dag is first.l_dag and ch.l_dag_l is first.l_dag_l
+        m = model.LindbladModel(2, SZ, [(SMINUS, model.tabulated([0.0, 1.0], [0.1, 0.2]))])
+        snaps = m.on_grid(TimeGrid(0.0, 1.0, 4))
+        assert all(s.h is snaps[0].h for s in snaps)
+        assert len({s.channels[0].alpha for s in snaps}) == 9
+
+    def test_constant_model_is_one_snapshot(self):
+        snaps = _amp_damp_model().on_grid(TimeGrid(0.0, 1.0, 50))
+        assert len(snaps) == 101
+        assert all(s is snaps[0] for s in snaps)
+
+    def test_last_grid_kept(self):
+        m = _driven_model()
+        snaps = m.on_grid(TimeGrid(0.0, 1.0, 4))
+        assert m.on_grid(TimeGrid(0.0, 1.0, 4)) is snaps
+        assert m.on_grid(TimeGrid(0.0, 1.0, 5)) is not snaps
+
+    def test_each_schedule_evaluated_once_per_time(self):
+        rate = _CountingRate()
+        m = model.LindbladModel(2, SZ, [(SMINUS, rate)])
+        m.on_grid(TimeGrid(0.0, 1.0, 6))
+        assert rate.calls == 13
+        m.on_grid(TimeGrid(0.0, 1.0, 6))
+        assert rate.calls == 13
+
+    def test_out_of_domain_names_schedule(self):
+        m = model.LindbladModel(2, SZ, [(SMINUS, model.tabulated([0.0, 1.0], [0.1, 0.2]))])
+        with pytest.raises(ScheduleDomainError, match=r"channels\[0\]\.alpha"):
+            m.on_grid(TimeGrid(0.0, 2.0, 4))
 
 
 class TestModelConstruction:

@@ -16,6 +16,13 @@ def amp_damp_snapshot(gamma=0.5):
     return LindbladModel(2, EXCITED.copy(), [(SMINUS, gamma)]).snapshot(0.0)
 
 
+def pairing_defect(s, a, rho):
+    """|tr(a L(rho)) - tr(L*(a) rho)|; mathematically zero."""
+    lhs = np.einsum("jk,kj->", a, superop.apply_liouvillian(s, rho))
+    rhs = np.einsum("jk,kj->", superop.apply_adjoint(s, a), rho)
+    return abs(lhs - rhs)
+
+
 class TestApplyLiouvillian:
     def test_amplitude_damping_excited(self):
         # hand computation: [H, rho] = 0; dissipator gives -i*(2 rho - 2 ground)
@@ -26,7 +33,7 @@ class TestApplyLiouvillian:
         h = random_hermitian(rng, 3)
         s = LindbladModel(3, h, [(random_hermitian(rng, 3), 0.0)]).snapshot(0.0)
         rho = random_density(rng, 3)
-        assert_allclose(superop.apply_liouvillian(s, rho), linalg.commutator(h, rho), atol=1e-14)
+        assert_allclose(superop.apply_liouvillian(s, rho), h @ rho - rho @ h, atol=1e-14)
 
     def test_ground_state_stationary(self):
         out = superop.apply_liouvillian(amp_damp_snapshot(0.7), GROUND)
@@ -53,14 +60,14 @@ class TestApplyAdjoint:
         h = random_hermitian(rng, 4)
         s = LindbladModel(4, h, [(random_hermitian(rng, 4), 0.0)]).snapshot(0.0)
         a = random_hermitian(rng, 4)
-        assert_allclose(superop.apply_adjoint(s, a), -linalg.commutator(h, a), atol=1e-14)
+        assert_allclose(superop.apply_adjoint(s, a), -(h @ a - a @ h), atol=1e-14)
 
 
 class TestPairing:
     def test_identity_both_sides_zero(self, rng):
         s = random_model(rng, 3).snapshot(0.0)
         rho = random_density(rng, 3)
-        assert superop.adjoint_pairing_defect(s, linalg.identity(3), rho) <= 1e-13
+        assert pairing_defect(s, linalg.identity(3), rho) <= 1e-13
 
     def test_hand_computed_value(self):
         # tr(sz L(rho)) = tr(diag(1,-1) diag(i,-i)) = 2i on both sides
@@ -69,7 +76,7 @@ class TestPairing:
         rhs = np.trace(superop.apply_adjoint(s, SZ) @ EXCITED)
         assert lhs == pytest.approx(2j)
         assert rhs == pytest.approx(2j)
-        assert superop.adjoint_pairing_defect(s, SZ, EXCITED) <= 1e-14
+        assert pairing_defect(s, SZ, EXCITED) <= 1e-14
 
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 8))
     @settings(max_examples=60, deadline=None)
@@ -79,7 +86,7 @@ class TestPairing:
         a = random_hermitian(rng, dim)
         rho = random_density(rng, dim)
         scale = max(1.0, float(np.linalg.norm(a) * np.linalg.norm(rho)))
-        assert superop.adjoint_pairing_defect(s, a, rho) <= 1e-12 * scale
+        assert pairing_defect(s, a, rho) <= 1e-12 * scale
 
 
 class TestGeneratorProperties:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from weakinv import linalg, verify
+from weakinv.dynamics import TimeGrid
 
 
 def test_random_density_is_valid(rng):
@@ -15,7 +16,9 @@ def test_random_density_is_valid(rng):
 def test_random_model_validates(rng):
     for dim in (2, 4, 7):
         m = verify.random_model(rng, dim, time_dependent=True)
-        assert m.validate(np.linspace(0.0, 5.0, 11)) == []
+        snaps = m.on_grid(TimeGrid(0.0, 5.0, 5))  # t = 0, 0.5, ..., 5
+        assert len(snaps) == 11
+        assert all(ch.alpha >= 0.0 for s in snaps for ch in s.channels)
 
 
 def test_run_all_passes_and_is_reproducible():
