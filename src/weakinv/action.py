@@ -33,6 +33,17 @@ exact at the discrete level: shifting Lam_k by (suffix midpoint quadrature
 of a scalar rate lambda) times the identity changes S_disc by exactly the
 same quadrature applied to lambda(t) (tr rho(t) - tr rho(t_0)), up to
 roundoff, while leaving Lam at the final node untouched.
+
+The node values, cell generators and gradients are ``(n, d, d)`` stacks.
+The generator is applied to whole runs of cells that share one model
+snapshot: a constant model's lattice is one snapshot, so all n cells take
+one stacked call (split into blocks of ``linalg.BLOCK_ENTRIES`` entries, so
+that a long grid at large d keeps its temporaries bounded), while a driven
+model is applied cell by cell, which keeps its memory at one cell's
+temporaries. The paths themselves come from the
+integrators in ``dynamics``: a constant model of dimension at most
+``dynamics.STEP_MATRIX_MAX_DIM`` is stepped by its precomputed step matrix,
+a driven model by the direct RK4 or midpoint stages.
 """
 
 from __future__ import annotations
@@ -87,8 +98,8 @@ class DiscretizedPath:
         lam = linalg.as_operator(self.lam, stack=True)
         if rho.ndim != 3 or rho.shape != lam.shape:
             raise ValueError(f"dimension mismatch: rho {rho.shape} vs lam {lam.shape}")
-        linalg.require_hermitian(rho, rtol=1e-10, what="rho")
-        linalg.require_hermitian(lam, rtol=1e-10, what="lam")
+        linalg.check_hermitian(rho, rtol=1e-10, what="rho")
+        linalg.check_hermitian(lam, rtol=1e-10, what="lam")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "lam", lam)
 
@@ -125,27 +136,47 @@ class ActionReport:
         }
 
 
-def _cell_generators(path: DiscretizedPath, model: LindbladModel) -> list:
-    """G_k = (Lam_{k+1} - Lam_k)/dt - i L*(Λ̄_k) per cell, with the model at
-    the cell midpoints of the grid lattice."""
-    snaps = model.on_grid(path.grid)[1::2]
-    dt = path.grid.dt
-    lam = path.lam
-    return [
-        (lam[k + 1] - lam[k]) / dt
-        - 1j * apply_adjoint(snaps[k], 0.5 * (lam[k] + lam[k + 1]))
-        for k in range(path.grid.n_steps)
-    ]
+def _runs(snaps, dim: int):
+    """``(snapshot, k0, k1)`` for each run of consecutive cells k0..k1-1 that
+    share one snapshot object, at most ``linalg.BLOCK_ENTRIES`` operator
+    entries long: one run for a constant model on a short grid or of small
+    dimension, one per cell for a driven one."""
+    block = max(1, linalg.BLOCK_ENTRIES // dim**2)
+    k0 = 0
+    for k in range(1, len(snaps) + 1):
+        if k == len(snaps) or snaps[k] is not snaps[k0] or k - k0 == block:
+            yield snaps[k0], k0, k
+            k0 = k
 
 
-def _action_value(path: DiscretizedPath, gens) -> float:
-    rho = path.rho
-    s = 0.0 + 0.0j
-    dt = path.grid.dt
-    for k, g in enumerate(gens):
-        rho_mid = 0.5 * (rho[k] + rho[k + 1])
-        s -= dt * np.einsum("jk,kj->", g, rho_mid)
-    s -= np.einsum("jk,kj->", path.lam[0], rho[0])
+def _cell_generators(grid: TimeGrid, lam: np.ndarray, model: LindbladModel) -> np.ndarray:
+    """G_k = (Lam_{k+1} - Lam_k)/dt - i L*(Λ̄_k) per cell, as an (n, d, d)
+    stack, with the model at the cell midpoints of the grid lattice."""
+    dt = grid.dt
+    gens = np.empty((grid.n_steps,) + lam.shape[1:], dtype=complex)
+    for snap, k0, k1 in _runs(model.on_grid(grid)[1::2], model.dim):
+        a, b = lam[k0:k1], lam[k0 + 1:k1 + 1]
+        gens[k0:k1] = (b - a) / dt - 1j * apply_adjoint(snap, 0.5 * (a + b))
+    return gens
+
+
+def _node_sums(cells: np.ndarray) -> np.ndarray:
+    """Per node, the sum of the values of the cells next to it:
+    c_0, c_0 + c_1, ..., c_{N-2} + c_{N-1}, c_{N-1}."""
+    out = np.empty((len(cells) + 1,) + cells.shape[1:], dtype=complex)
+    out[0] = cells[0]
+    np.add(cells[:-1], cells[1:], out=out[1:-1])
+    out[-1] = cells[-1]
+    return out
+
+
+def _action(grid: TimeGrid, rho: np.ndarray, lam: np.ndarray, gens: np.ndarray) -> float:
+    """S_disc from the node values and the cell generators; raises if the
+    imaginary residue is not roundoff."""
+    # tr(G_k ρ̄_k) = (tr(G_k ρ_k) + tr(G_k ρ_{k+1}))/2, with no stack of ρ̄
+    pairing = np.einsum("njk,nkj->", gens, rho[:-1]) + np.einsum("njk,nkj->", gens, rho[1:])
+    s = -(0.5 * grid.dt) * pairing
+    s -= np.einsum("jk,kj->", lam[0], rho[0])
     if abs(s.imag) > ACTION_IMAG_RTOL * (1.0 + abs(s.real)):
         raise ValueError(
             f"action has imaginary part {s.imag:.3e}; non-Hermitian path or model defect"
@@ -153,47 +184,44 @@ def _action_value(path: DiscretizedPath, gens) -> float:
     return float(s.real)
 
 
-def _grad_rho(path: DiscretizedPath, gens) -> list:
-    dt = path.grid.dt
-    n = path.grid.n_steps
-    grads = [-(0.5 * dt) * gens[0] - path.lam[0]]
-    for k in range(1, n):
-        grads.append(-(0.5 * dt) * (gens[k - 1] + gens[k]))
-    grads.append(-(0.5 * dt) * gens[n - 1])
+def _grad_rho(path: DiscretizedPath, gens: np.ndarray) -> np.ndarray:
+    grads = _node_sums(gens)
+    grads *= -(0.5 * path.grid.dt)
+    grads[0] -= path.lam[0]
     return grads
 
 
 def evaluate_action(path: DiscretizedPath, model: LindbladModel) -> float:
     """S_disc for the path; raises if the imaginary residue is not roundoff."""
-    return _action_value(path, _cell_generators(path, model))
+    return _action(path.grid, path.rho, path.lam, _cell_generators(path.grid, path.lam, model))
 
 
-def grad_rho(path: DiscretizedPath, model: LindbladModel) -> list:
-    """Exact node gradients of S_disc with respect to the rho nodes."""
-    return _grad_rho(path, _cell_generators(path, model))
+def grad_rho(path: DiscretizedPath, model: LindbladModel) -> np.ndarray:
+    """Exact node gradients of S_disc with respect to the rho nodes, as an
+    ``(n_steps + 1, d, d)`` stack."""
+    return _grad_rho(path, _cell_generators(path.grid, path.lam, model))
 
 
-def grad_lam(path: DiscretizedPath, model: LindbladModel) -> list:
-    """Exact node gradients of S_disc with respect to the Lam nodes."""
-    snaps = model.on_grid(path.grid)[1::2]
+def grad_lam(path: DiscretizedPath, model: LindbladModel) -> np.ndarray:
+    """Exact node gradients of S_disc with respect to the Lam nodes, as an
+    ``(n_steps + 1, d, d)`` stack."""
     rho = path.rho
-    dt = path.grid.dt
-    n = path.grid.n_steps
-    b = [
-        apply_liouvillian(snaps[k], 0.5 * (rho[k] + rho[k + 1]))
-        for k in range(n)
-    ]
-    grads = [0.5 * (rho[1] - rho[0]) + (0.5j * dt) * b[0]]
-    for k in range(1, n):
-        grads.append(0.5 * (rho[k + 1] - rho[k - 1]) + (0.5j * dt) * (b[k - 1] + b[k]))
-    grads.append(-0.5 * (rho[n] + rho[n - 1]) + (0.5j * dt) * b[n - 1])
+    b = np.empty((path.grid.n_steps,) + rho.shape[1:], dtype=complex)
+    for snap, k0, k1 in _runs(model.on_grid(path.grid)[1::2], model.dim):
+        b[k0:k1] = apply_liouvillian(snap, 0.5 * (rho[k0:k1] + rho[k0 + 1:k1 + 1]))
+    grads = _node_sums(b)
+    del b
+    grads *= 0.5j * path.grid.dt
+    grads[0] += 0.5 * (rho[1] - rho[0])
+    diffs = rho[2:] - rho[:-2]
+    diffs *= 0.5
+    grads[1:-1] += diffs
+    grads[-1] -= 0.5 * (rho[-1] + rho[-2])
     return grads
 
 
-def _interior_residual(grads, dt: float) -> float:
-    if len(grads) <= 2:
-        return 0.0
-    return max(linalg.maxabs(g) for g in grads[1:-1]) / dt
+def _interior_residual(grads: np.ndarray, dt: float) -> float:
+    return linalg.maxabs(grads[1:-1]) / dt
 
 
 def auxiliary_trajectory(
@@ -223,14 +251,20 @@ def stationarity_check(
 def stationarity_report(path: DiscretizedPath, model: LindbladModel) -> ActionReport:
     """Action value, gradient residuals and boundary terms on a given path;
     the cell generators are built once for the value and the rho gradient."""
-    gens = _cell_generators(path, model)
+    dt = path.grid.dt
+    gens = _cell_generators(path.grid, path.lam, model)
+    value = _action(path.grid, path.rho, path.lam, gens)
     gr = _grad_rho(path, gens)
+    del gens  # each stack is freed once reduced to scalars; they are n×d×d each
+    rho_residual = _interior_residual(gr, dt)
+    rho_boundary = linalg.maxabs(gr[0] + path.lam[0])
+    del gr
     gl = grad_lam(path, model)
     return ActionReport(
-        action_value=_action_value(path, gens),
-        grad_rho_residual=_interior_residual(gr, path.grid.dt),
-        grad_lam_residual=_interior_residual(gl, path.grid.dt),
-        boundary_rho_term=linalg.maxabs(gr[0] + path.lam[0]),
+        action_value=value,
+        grad_rho_residual=rho_residual,
+        grad_lam_residual=_interior_residual(gl, dt),
+        boundary_rho_term=rho_boundary,
         boundary_lam_term=linalg.maxabs(gl[-1] + path.rho[-1]),
         grid=path.grid,
     )
@@ -258,12 +292,17 @@ def gauge_shift_check(
     phi = np.zeros(n + 1)
     phi[:n] = np.cumsum((dt * lam_mid)[::-1])[::-1]
 
-    shifted = path.lam + phi[:, None, None] * linalg.identity(path.dim)
+    shifted = path.lam.copy()
+    diag = np.arange(path.dim)
+    shifted[:, diag, diag] += phi[:, None]
     if not np.array_equal(shifted[n], path.lam[n]):
         raise AssertionError("gauge shift moved the final auxiliary node")
-    shifted_path = DiscretizedPath(grid=grid, rho=path.rho, lam=shifted)
 
-    delta_s = evaluate_action(shifted_path, model) - evaluate_action(path, model)
+    # a real multiple of the identity keeps the checked path Hermitian, so the
+    # shifted action is evaluated on the arrays without building a second path
+    shifted_s = _action(grid, path.rho, shifted, _cell_generators(grid, shifted, model))
+    del shifted
+    delta_s = shifted_s - evaluate_action(path, model)
 
     tr = np.trace(path.rho, axis1=1, axis2=2).real
     tr_mid = 0.5 * (tr[:-1] + tr[1:])

@@ -34,7 +34,7 @@ from .errors import (
     NotHermitianError,
     ScheduleDomainError,
 )
-from .model import model_from_config, tabulated
+from .model import model_from_config, reject_unknown_keys, tabulated
 from .scenarios import LEAKAGE_THRESHOLD, SCENARIOS, build_scenario
 
 TRACE_DRIFT_THRESHOLD = 1e-8
@@ -100,14 +100,8 @@ def _load_config(args) -> dict:
         raise ConfigError("config", f"invalid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config", "must be a JSON object")
-    _reject_unknown_keys(cfg, CONFIG_KEYS, "")
+    reject_unknown_keys(cfg, CONFIG_KEYS, "")
     return cfg
-
-
-def _reject_unknown_keys(obj: dict, known, prefix: str) -> None:
-    unknown = sorted(set(obj) - set(known))
-    if unknown:
-        raise ConfigError(prefix + unknown[0], f"is not a config key; expected one of {list(known)}")
 
 
 def _real(value, field: str, *, positive: bool = False) -> float:
@@ -174,7 +168,7 @@ class RunSetup:
         else:
             if not isinstance(grid_cfg, dict):
                 raise ConfigError("grid", "must be an object")
-            _reject_unknown_keys(grid_cfg, GRID_KEYS, "grid.")
+            reject_unknown_keys(grid_cfg, GRID_KEYS, "grid.")
             t_start = _real(grid_cfg.get("t_start"), "grid.t_start")
             t_end = _real(grid_cfg.get("t_end"), "grid.t_end")
             n_steps = grid_cfg.get("n_steps")

@@ -12,7 +12,15 @@ needs ρ and Λ on exactly the same nodes, which rules out adaptive stepping.
 Both integrators read the model from ``LindbladModel.on_grid``: it is
 sampled and validated once at every node and cell midpoint, and that one
 lattice serves both flows and the action.
-Each step re-symmetrizes the iterate to (A + A†)/2, which suppresses
+
+A constant model (``LindbladModel.is_constant``) of dimension at most
+``STEP_MATRIX_MAX_DIM`` makes both flows linear and autonomous, so one step
+of either method is one fixed d²×d² matrix, built once per integration from
+``superop.build_liouvillian_matrix`` and applied as one matrix-vector
+product per step. Driven models, and larger constant ones, evaluate the
+method's stages with the generator directly. Either way each step is checked
+for non-finite values (and, on the invariant flow, for magnitudes beyond
+``BLOWUP_CAP``), and re-symmetrized to (A + A†)/2, which suppresses
 Hermiticity drift without touching the order of accuracy.
 """
 
@@ -25,7 +33,7 @@ import numpy as np
 from . import linalg
 from .errors import BlowupError, IntegrationError
 from .model import LindbladModel
-from .superop import apply_adjoint, apply_liouvillian
+from .superop import apply_adjoint, apply_liouvillian, build_liouvillian_matrix
 
 STATE = "state"
 INVARIANT = "invariant"
@@ -35,6 +43,15 @@ METHODS = ("rk4", "midpoint")
 # Hard cap on iterate magnitude; the dissipative adjoint flow may grow
 # exponentially, which is legitimate, but overflow must be loud.
 BLOWUP_CAP = 1e12
+
+# Largest dimension at which a constant model steps by its precomputed
+# d²×d² step matrix (d⁴·16 bytes). One RK4 step with one channel at one BLAS
+# thread (Xeon, 2 cores): at d=16, 110 µs direct and 18 µs as a
+# matrix-vector product, with a 1 MB matrix built in 14 ms; at d=20, 117 µs
+# against 91 µs, as the 2.6 MB matrix no longer stays in cache, and the
+# 36 ms build repays only grids of more than ~1400 steps; from d=24 the
+# product is slower than the direct step.
+STEP_MATRIX_MAX_DIM = 16
 
 __all__ = [
     "TimeGrid",
@@ -152,6 +169,40 @@ def _step(lattice, j, sign, y, h, method):
     return y + h * rhs(sm, y + (0.5 * h) * k1)
 
 
+def _step_matrix(snap, sign, h, method) -> np.ndarray:
+    """The step of y' = sign * i * generator(y) for a constant model, as one
+    matrix acting on the row-major vec(y) (``y.reshape(-1)``).
+
+    With M the column-stacking Liouvillian matrix and S the transpose
+    permutation, the row-major generator matrix is S M S and, by the pairing
+    tr(a L(rho)) = tr(L*(a) rho), the adjoint's is Mᵀ. For X = h·sign·i·(that
+    matrix), the RK4 map of the linear autonomous flow is
+    I + X + X²/2 + X³/6 + X⁴/24 and the midpoint map I + X + X²/2.
+    """
+    d = snap.dim
+    m = build_liouvillian_matrix(snap).matrix
+    if sign < 0:
+        x = (-1j * h) * m.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+    else:
+        x = (1j * h) * m.T
+    x2 = x @ x
+    step = np.eye(d * d, dtype=complex) + x + x2 / 2.0
+    if method == "rk4":
+        step += x2 @ (x / 6.0 + x2 / 24.0)
+    return step
+
+
+def _stepper(model, grid, sign, h, method):
+    """``step(j, y)``: one step of size ``h`` from the node at lattice entry
+    ``j``, by the precomputed step matrix for a constant model of dimension
+    at most ``STEP_MATRIX_MAX_DIM``, else by the method's stages."""
+    lattice = model.on_grid(grid)
+    if model.is_constant and model.dim <= STEP_MATRIX_MAX_DIM:
+        p = _step_matrix(lattice[0], sign, h, method)
+        return lambda j, y: (p @ y.reshape(-1)).reshape(y.shape)
+    return lambda j, y: _step(lattice, j, sign, y, h, method)
+
+
 def _check_method(method):
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -182,16 +233,15 @@ def integrate_state(
     min_eig0 = float(linalg.hermitian_eigenvalues(rho0)[0])
     if min_eig0 < -1e-10:
         raise ValueError(f"rho0 has negative eigenvalue {min_eig0}")
-    lattice = model.on_grid(grid)
+    step = _stepper(model, grid, -1, grid.dt, method)
 
-    dt = grid.dt
     samples = np.empty((grid.n_steps + 1,) + rho0.shape, dtype=complex)
     samples[0] = rho0
     y = rho0
     max_herm = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(grid.n_steps):
-            y = _step(lattice, 2 * k, -1, y, dt, method)
+            y = step(2 * k, y)
             if not np.all(np.isfinite(y)):
                 raise IntegrationError(f"non-finite state at step {k + 1}", step=k + 1)
             max_herm = max(max_herm, linalg.hermiticity_defect(y))
@@ -233,18 +283,17 @@ def integrate_invariant(
     seed = linalg.require_hermitian(seed, what="invariant seed")
     if seed.shape != (model.dim, model.dim):
         raise ValueError(f"seed dimension {seed.shape[0]} != model dim {model.dim}")
-    lattice = model.on_grid(grid)
-
     n = grid.n_steps
     d = 1 if seed_time == "start" else -1
     first = 0 if d > 0 else n
+    step = _stepper(model, grid, +1, d * grid.dt, method)
     samples = np.empty((n + 1,) + seed.shape, dtype=complex)
     samples[first] = seed
     y = seed
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(first, n - first, d):  # computes node k + d from node k
             dst = k + d
-            y = _step(lattice, 2 * k, +1, y, d * grid.dt, method)
+            y = step(2 * k, y)
             if not np.all(np.isfinite(y)):
                 raise IntegrationError(f"non-finite invariant at node {dst}", step=dst)
             mag = linalg.maxabs(y)

@@ -21,6 +21,10 @@ from .errors import NotHermitianError
 HERMITICITY_RTOL = 1e-12
 TOLERANCE_FLOOR = 1e-14
 
+# Entries per block where a stack is processed a block of nodes at a time,
+# so that the temporaries stay near a megabyte however long the stack.
+BLOCK_ENTRIES = 1 << 16
+
 __all__ = [
     "as_operator",
     "identity",
@@ -30,6 +34,7 @@ __all__ = [
     "expectation",
     "hermitize",
     "hermiticity_defect",
+    "check_hermitian",
     "require_hermitian",
     "hermitian_eigenvalues",
     "hermitian_basis",
@@ -90,24 +95,36 @@ def hermiticity_defect(a) -> float:
     return maxabs(a - dagger(a))
 
 
-def require_hermitian(a, rtol: float = HERMITICITY_RTOL, what: str = "operator") -> np.ndarray:
-    """Return the Hermitian part of ``a``, or raise if the defect is too large.
+def check_hermitian(a, rtol: float = HERMITICITY_RTOL, what: str = "operator") -> None:
+    """Raise :class:`NotHermitianError` unless ``a`` is Hermitian within tolerance.
 
     ``a`` is one operator or an ``(n, d, d)`` stack. Each node is held to
     ``rtol * max(1, maxabs)`` of its own entries (floor ``TOLERANCE_FLOOR``);
-    for a stack the error names the first failing node.
+    for a stack the error names the first failing node. No copy of ``a`` is
+    kept or returned.
     """
     a = as_operator(a, stack=True)
-    defect = np.max(np.abs(a - dagger(a)), axis=(-2, -1))
-    tol = np.maximum(rtol * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1))), TOLERANCE_FLOOR)
-    bad = np.flatnonzero(defect > tol)
-    if bad.size:
-        k = bad[0]
-        where = f"{what}[{k}] at node {k}" if a.ndim == 3 else what
-        raise NotHermitianError(
-            f"{where} is not Hermitian: defect {defect.flat[k]:.3e} "
-            f"exceeds tolerance {tol.flat[k]:.3e}"
-        )
+    nodes = a.reshape((-1,) + a.shape[-2:])
+    block = max(1, BLOCK_ENTRIES // a.shape[-1] ** 2)
+    for k0 in range(0, len(nodes), block):
+        part = nodes[k0:k0 + block]
+        defect = np.max(np.abs(part - dagger(part)), axis=(-2, -1))
+        tol = np.maximum(rtol * np.maximum(1.0, np.max(np.abs(part), axis=(-2, -1))),
+                         TOLERANCE_FLOOR)
+        bad = np.flatnonzero(defect > tol)
+        if bad.size:
+            j = bad[0]
+            k = k0 + j
+            where = f"{what}[{k}] at node {k}" if a.ndim == 3 else what
+            raise NotHermitianError(
+                f"{where} is not Hermitian: defect {defect[j]:.3e} "
+                f"exceeds tolerance {tol[j]:.3e}"
+            )
+
+
+def require_hermitian(a, rtol: float = HERMITICITY_RTOL, what: str = "operator") -> np.ndarray:
+    """Return the Hermitian part of ``a`` once :func:`check_hermitian` passes."""
+    check_hermitian(a, rtol=rtol, what=what)
     return hermitize(a)
 
 

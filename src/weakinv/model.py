@@ -349,8 +349,29 @@ def _schedule_operator_values(sched):
 #
 # Schedule objects carry a "kind" of constant | sinusoidal | tabulated
 # (plus "scaled" for scalar-times-fixed-operator); matrices use the
-# row-major [re, im] literal format from linalg.
+# row-major [re, im] literal format from linalg. A key that the model, a
+# channel or a schedule of that kind does not read is rejected, naming its
+# field (e.g. "scenario.channels[0].alpha.valu").
 # ---------------------------------------------------------------------------
+
+
+# The keys each schedule kind reads; any other key is a typo and an error.
+SCHEDULE_KEYS = {
+    "constant": ("kind", "value"),
+    "sinusoidal": ("kind", "offset", "amplitude", "omega", "phase"),
+    "tabulated": ("kind", "times", "values"),
+    "scaled": ("kind", "scalar", "matrix"),
+}
+MODEL_KEYS = ("dim", "hamiltonian", "channels")
+CHANNEL_KEYS = ("op", "alpha")
+
+
+def reject_unknown_keys(obj: dict, known, prefix: str) -> None:
+    """Raise :class:`ConfigError` naming ``prefix`` + the first key of ``obj``
+    that is not in ``known``."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigError(prefix + unknown[0], f"is not a config key; expected one of {list(known)}")
 
 
 def _literal_or_scalar(value, field):
@@ -368,6 +389,9 @@ def schedule_from_config(obj, field) -> Schedule:
     if not isinstance(obj, dict):
         raise ConfigError(field, "must be a schedule object")
     kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in SCHEDULE_KEYS:
+        raise ConfigError(f"{field}.kind", "must be constant, sinusoidal, tabulated, or scaled")
+    reject_unknown_keys(obj, SCHEDULE_KEYS[kind], f"{field}.")
     try:
         if kind == "constant":
             if "value" not in obj:
@@ -398,12 +422,12 @@ def schedule_from_config(obj, field) -> Schedule:
         if isinstance(e, ConfigError):
             raise
         raise ConfigError(field, str(e)) from None
-    raise ConfigError(f"{field}.kind", "must be constant, sinusoidal, tabulated, or scaled")
 
 
 def model_from_config(cfg, field="model") -> LindbladModel:
     if not isinstance(cfg, dict):
         raise ConfigError(field, "must be an object")
+    reject_unknown_keys(cfg, MODEL_KEYS, f"{field}.")
     dim = cfg.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ConfigError(f"{field}.dim", "must be a positive integer")
@@ -415,6 +439,7 @@ def model_from_config(cfg, field="model") -> LindbladModel:
     for i, ch in enumerate(raw_channels):
         if not isinstance(ch, dict):
             raise ConfigError(f"{field}.channels[{i}]", "must be an object")
+        reject_unknown_keys(ch, CHANNEL_KEYS, f"{field}.channels[{i}].")
         op = schedule_from_config(ch.get("op"), f"{field}.channels[{i}].op")
         alpha = schedule_from_config(ch.get("alpha"), f"{field}.channels[{i}].alpha")
         channels.append((op, alpha))

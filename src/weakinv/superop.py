@@ -13,6 +13,9 @@ roundoff for any operator pair. Useful consequences that hold termwise:
 tr L(rho) = 0 (trace preservation), L*(identity) = 0, and the shift property
 L*(a + c*identity) = L*(a) for any c-number c.
 
+Both generators take one operator or an ``(n, d, d)`` stack of them; a stack
+is mapped node by node with the one snapshot.
+
 Vectorization is column-stacking: vec(A X B) = (B^T kron A) vec(X).
 """
 
@@ -36,8 +39,8 @@ __all__ = [
 
 
 def _check_dim(s: ModelSnapshot, a: np.ndarray) -> np.ndarray:
-    a = linalg.as_operator(a)
-    if a.shape != s.h.shape:
+    a = linalg.as_operator(a, stack=True)
+    if a.shape[-2:] != s.h.shape:
         raise ValueError(f"dimension mismatch: operator {a.shape} vs model {s.h.shape}")
     return a
 

@@ -2,12 +2,16 @@
 
 The oracles here are derived by hand from the scalar ODEs of the two qubit
 models and from exact unitary conjugation; they never call the integrators
-they are used to check.
+they are used to check. The per-cell action references apply the generator
+one cell at a time, with the model sampled on its own at each cell midpoint.
 """
 
 import math
 
 import numpy as np
+
+from weakinv.model import LindbladModel
+from weakinv.superop import apply_adjoint, apply_liouvillian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -20,6 +24,16 @@ def random_hermitian(rng, dim, amp=1.0):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (m + m.conj().T) / 2.0
     return amp * h / np.max(np.abs(h))
+
+
+def random_constant_model(rng, dim):
+    """Constant model: random Hermitian H and two random channels with
+    maxabs-normalized jump operators at rates in [0.1, 0.6]."""
+    channels = []
+    for rate in rng.uniform(0.1, 0.6, size=2):
+        l = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        channels.append((l / np.max(np.abs(l)), rate))
+    return LindbladModel(dim, random_hermitian(rng, dim), channels)
 
 
 def random_density(rng, dim):
@@ -70,3 +84,49 @@ def unitary_conjugation(t, h_diag, op):
     """exp(-iHt) op exp(+iHt) for diagonal H (exact phases)."""
     phases = np.exp(-1j * np.asarray(h_diag) * t)
     return (phases[:, None] * op) * np.conj(phases)[None, :]
+
+
+def _cell_snapshots(grid, model):
+    return [model.snapshot(grid.midpoint(k)) for k in range(grid.n_steps)]
+
+
+def per_cell_generators(path, model):
+    """Reference G_k = (Lam_{k+1} - Lam_k)/dt - i L*(Λ̄_k), one generator call
+    per cell, with the model sampled at each cell midpoint on its own."""
+    dt, lam = path.grid.dt, path.lam
+    return [(lam[k + 1] - lam[k]) / dt
+            - 1j * apply_adjoint(s, 0.5 * (lam[k] + lam[k + 1]))
+            for k, s in enumerate(_cell_snapshots(path.grid, model))]
+
+
+def per_cell_action(path, model):
+    """Reference S_disc, summed cell by cell."""
+    rho, dt = path.rho, path.grid.dt
+    s = 0.0 + 0.0j
+    for k, g in enumerate(per_cell_generators(path, model)):
+        s -= dt * np.einsum("jk,kj->", g, 0.5 * (rho[k] + rho[k + 1]))
+    s -= np.einsum("jk,kj->", path.lam[0], rho[0])
+    return s.real
+
+
+def per_cell_grad_rho(path, model):
+    """Reference rho-gradients, node by node."""
+    gens, dt = per_cell_generators(path, model), path.grid.dt
+    n = len(gens)
+    grads = [-(0.5 * dt) * gens[0] - path.lam[0]]
+    grads += [-(0.5 * dt) * (gens[k - 1] + gens[k]) for k in range(1, n)]
+    grads.append(-(0.5 * dt) * gens[n - 1])
+    return np.array(grads)
+
+
+def per_cell_grad_lam(path, model):
+    """Reference Lam-gradients, one generator call per cell, node by node."""
+    rho, dt = path.rho, path.grid.dt
+    b = [apply_liouvillian(s, 0.5 * (rho[k] + rho[k + 1]))
+         for k, s in enumerate(_cell_snapshots(path.grid, model))]
+    n = len(b)
+    grads = [0.5 * (rho[1] - rho[0]) + (0.5j * dt) * b[0]]
+    grads += [0.5 * (rho[k + 1] - rho[k - 1]) + (0.5j * dt) * (b[k - 1] + b[k])
+              for k in range(1, n)]
+    grads.append(-0.5 * (rho[n] + rho[n - 1]) + (0.5j * dt) * b[n - 1])
+    return np.array(grads)

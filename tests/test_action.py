@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import helpers
 from helpers import PLUS_STATE, SMINUS, SX, SZ, random_hermitian
 from weakinv import action, linalg
 from weakinv.dynamics import TimeGrid, conservation_series, integrate_invariant, integrate_state
@@ -211,6 +212,55 @@ class TestStationarity:
             "boundary_rho", "boundary_lam", "grid",
         }
         assert payload["grid"] == {"t_start": 0.0, "t_end": 1.0, "n_steps": 100}
+
+
+def random_driven_model(rng, dim):
+    """Every cell midpoint differs: H(t) and the rate both depend on t."""
+    return LindbladModel(dim, scaled(sinusoidal(1.0, 0.5, 2.0), random_hermitian(rng, dim)),
+                         [(random_hermitian(rng, dim) + 1j * random_hermitian(rng, dim),
+                           sinusoidal(0.4, 0.2, 3.0))])
+
+
+class TestStackedGeneratorCalls:
+    """The action applies the generator to one stack per run of cells that
+    share a snapshot; it must agree with one call per cell."""
+
+    # at d=64 a block of linalg.BLOCK_ENTRIES entries holds 16 cells
+    MODELS = [pytest.param(helpers.random_constant_model, 3, 1, id="constant"),
+              pytest.param(random_driven_model, 3, 40, id="driven"),
+              pytest.param(helpers.random_constant_model, 64, 3, id="constant-blocks")]
+
+    @pytest.mark.parametrize("make_model, dim, calls", MODELS)
+    def test_matches_per_cell_reference(self, rng, make_model, dim, calls):
+        m = make_model(rng, dim)
+        path = random_path(rng, TimeGrid(0.0, 1.0, 40), dim=dim)
+        ref_value = helpers.per_cell_action(path, m)
+        assert abs(action.evaluate_action(path, m) - ref_value) <= 1e-13 * max(1.0, abs(ref_value))
+        for grads, ref in ((action.grad_rho(path, m), helpers.per_cell_grad_rho(path, m)),
+                           (action.grad_lam(path, m), helpers.per_cell_grad_lam(path, m))):
+            assert grads.shape == ref.shape == (41, dim, dim)
+            assert linalg.maxabs(grads - ref) <= 1e-13
+
+    @pytest.mark.parametrize("make_model, dim, calls", MODELS)
+    def test_one_call_per_run_of_shared_snapshots(self, rng, monkeypatch, make_model, dim,
+                                                  calls):
+        counts = {"apply_adjoint": 0, "apply_liouvillian": 0}
+
+        def counted(name):
+            fn = getattr(action, name)
+
+            def wrapper(s, a):
+                counts[name] += 1
+                return fn(s, a)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(action, name, counted(name))
+        m = make_model(rng, dim)
+        path = random_path(rng, TimeGrid(0.0, 1.0, 40), dim=dim)
+        action.evaluate_action(path, m)
+        action.grad_lam(path, m)
+        assert counts == {"apply_adjoint": calls, "apply_liouvillian": calls}
 
 
 class TestAuxiliaryEquivalence:

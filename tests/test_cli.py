@@ -18,6 +18,7 @@ SZ_LITERAL = [[1, 0], [0, 0], [0, 0], [-1, 0]]
 SMINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 SMINUS_LITERAL = [[0, 0], [1, 0], [0, 0], [0, 0]]
 ZERO2_LITERAL = [[0, 0], [0, 0], [0, 0], [0, 0]]
+EXCITED_LITERAL = [[0, 0], [0, 0], [0, 0], [1, 0]]
 
 
 def write_config(path, payload):
@@ -282,6 +283,55 @@ class TestConfigValues:
         assert main([command, "--config", path, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} ")
+        assert not list(tmp_path.glob("*.csv"))
+
+
+def inline_amp_damp():
+    return {
+        "dim": 2,
+        "hamiltonian": {"kind": "scaled", "matrix": EXCITED_LITERAL,
+                        "scalar": {"kind": "sinusoidal", "offset": 1.0, "amplitude": 0.0,
+                                   "omega": 1.0}},
+        "channels": [{"op": {"kind": "constant", "value": SMINUS_LITERAL},
+                      "alpha": {"kind": "constant", "value": 0.5}}],
+    }
+
+
+INLINE_MODEL_TYPOS = [
+    ("model", lambda m: m.update(chanels=m.pop("channels")), "scenario.chanels"),
+    ("channel", lambda m: m["channels"][0].update(rate=0.5), "scenario.channels[0].rate"),
+    ("constant", lambda m: m["channels"][0]["alpha"].update(valu=0.5),
+     "scenario.channels[0].alpha.valu"),
+    ("scaled", lambda m: m["hamiltonian"].update(value=EXCITED_LITERAL),
+     "scenario.hamiltonian.value"),
+    ("sinusoidal", lambda m: m["hamiltonian"]["scalar"].update(phse=0.1),
+     "scenario.hamiltonian.scalar.phse"),
+    ("tabulated", lambda m: m["channels"][0].update(
+        alpha={"kind": "tabulated", "times": [0.0, 1.0], "values": [0.5, 0.5], "knots": 2}),
+     "scenario.channels[0].alpha.knots"),
+]
+
+
+class TestInlineModelKeys:
+    def _config(self, tmp_path, mutate=None):
+        scenario = inline_amp_damp()
+        if mutate is not None:
+            mutate(scenario)
+        return write_config(tmp_path / "cfg.json", {
+            "scenario": scenario, "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 50},
+            "rho0": EXCITED_LITERAL, "invariant_seed": "sz", "lambda_final": SZ_LITERAL})
+
+    @pytest.mark.parametrize("command", ["simulate", "invariant", "action-check"])
+    def test_valid_inline_model_runs(self, tmp_path, command):
+        assert main([command, "--config", self._config(tmp_path), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "invariant", "action-check"])
+    @pytest.mark.parametrize("mutate, field", [pytest.param(m, f, id=i)
+                                               for i, m, f in INLINE_MODEL_TYPOS])
+    def test_unknown_key_exits_1(self, tmp_path, capsys, command, mutate, field):
+        cfg = self._config(tmp_path, mutate)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} is not a config key")
         assert not list(tmp_path.glob("*.csv"))
 
 

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import helpers
-from helpers import PLUS_STATE, SMINUS, SX, SZ, random_density, random_hermitian
+from helpers import (PLUS_STATE, SMINUS, SX, SZ, random_constant_model, random_density,
+                     random_hermitian)
 from weakinv import dynamics, linalg
 from weakinv.dynamics import TimeGrid, Trajectory, conservation_series, integrate_invariant, integrate_state
 from weakinv.errors import BlowupError, IntegrationError, ModelValidationError, NotHermitianError
@@ -214,6 +215,87 @@ class TestIntegrateInvariant:
     def test_bad_seed_time(self):
         with pytest.raises(ValueError, match="seed_time"):
             integrate_invariant(amp_damp(), SZ, "middle", TimeGrid(0.0, 1.0, 10))
+
+
+def direct_twin(m):
+    """The same model with H wrapped as 1.0 * H(t): bitwise the same snapshots,
+    but not ``is_constant``, so the integrators take the direct stages."""
+    h = m.hamiltonian.value
+    return LindbladModel(m.dim, scaled(sinusoidal(1.0, 0.0, 1.0), h), m.channels)
+
+
+def counting_steps(monkeypatch):
+    """Count the direct RK4/midpoint steps taken."""
+    calls = []
+    direct = dynamics._step
+
+    def counted(*args):
+        calls.append(1)
+        return direct(*args)
+
+    monkeypatch.setattr(dynamics, "_step", counted)
+    return calls
+
+
+class TestStepMatrix:
+    """A constant model of dimension at most STEP_MATRIX_MAX_DIM steps by one
+    precomputed matrix; it must agree with the direct stages and keep every
+    per-step check."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
+    def test_parity_with_direct_path(self, rng, monkeypatch, method, dim):
+        m = random_constant_model(rng, dim)
+        twin = direct_twin(m)
+        grid = TimeGrid(0.0, 1.5, 300)
+        rho0 = random_density(rng, dim)
+        seed = random_hermitian(rng, dim) + 2.0 * linalg.identity(dim)
+        steps = counting_steps(monkeypatch)
+
+        fast, fast_mon = integrate_state(m, rho0, grid, method)
+        fast_inv = [integrate_invariant(m, seed, at, grid, method) for at in ("start", "end")]
+        assert steps == []
+        direct, direct_mon = integrate_state(twin, rho0, grid, method)
+        direct_inv = [integrate_invariant(twin, seed, at, grid, method) for at in ("start", "end")]
+        assert len(steps) == 3 * grid.n_steps
+
+        for a, b in [(fast, direct)] + list(zip(fast_inv, direct_inv)):
+            assert linalg.maxabs(a.samples - b.samples) <= 1e-12 * linalg.maxabs(b.samples)
+            # every node re-symmetrized, exactly
+            assert np.array_equal(a.samples, linalg.dagger(a.samples))
+        assert fast_mon.max_trace_drift <= 1e-12
+        assert fast_mon.min_eigenvalue == pytest.approx(direct_mon.min_eigenvalue, abs=1e-12)
+        # the defect is taken from the raw step, before re-symmetrization
+        assert fast_mon.max_hermiticity_defect <= 1e-14
+        if dim > 1:
+            assert fast_mon.max_hermiticity_defect > 0.0
+
+    @pytest.mark.parametrize("offset, direct_steps", [(0, 0), (1, 4)])
+    def test_dimension_cap(self, rng, monkeypatch, offset, direct_steps):
+        dim = dynamics.STEP_MATRIX_MAX_DIM + offset
+        m = random_constant_model(rng, dim)
+        steps = counting_steps(monkeypatch)
+        integrate_state(m, random_density(rng, dim), TimeGrid(0.0, 0.1, 4))
+        assert len(steps) == direct_steps
+
+    def test_blowup_at_the_same_node(self):
+        errors = []
+        for m in (amp_damp(gamma=40.0), direct_twin(amp_damp(gamma=40.0))):
+            with pytest.raises(BlowupError) as err:
+                integrate_invariant(m, SZ, "start", TimeGrid(0.0, 1.0, 100))
+            errors.append(err.value)
+        fast, direct = errors
+        assert fast.step == direct.step > 0
+        assert fast.magnitude == pytest.approx(direct.magnitude, rel=1e-12)
+
+    def test_non_finite_at_the_same_step(self):
+        # far outside the stability region: both paths overflow at one step
+        steps = []
+        for m in (amp_damp(gamma=50.0), direct_twin(amp_damp(gamma=50.0))):
+            with pytest.raises(IntegrationError) as err:
+                integrate_state(m, EXCITED, TimeGrid(0.0, 100.0, 50))
+            steps.append(err.value.step)
+        assert steps[0] == steps[1] > 0
 
 
 class TestConservation:

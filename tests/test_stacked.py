@@ -2,6 +2,8 @@
 batched spectra against an independent oracle, and the savetxt CSV export
 against the per-cell formatter it replaced."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,7 +13,7 @@ from helpers import PLUS_STATE, SMINUS, SX, SZ, random_density, random_hermitian
 from weakinv import action, dynamics, linalg
 from weakinv.dynamics import TimeGrid, Trajectory, conservation_series, integrate_invariant, integrate_state
 from weakinv.errors import NotHermitianError
-from weakinv.model import LindbladModel
+from weakinv.model import LindbladModel, constant
 
 
 def hermitian_stack(rng, n, dim):
@@ -86,6 +88,42 @@ class TestBatchedHermiticityGate:
         stacks = {"rho": good, "lam": good, which: bad}
         with pytest.raises(NotHermitianError, match=rf"{which}\[5\].*node 5"):
             action.DiscretizedPath(grid=grid, **stacks)
+
+    def test_node_named_past_the_first_block(self, rng):
+        # a 64×64 stack is checked 16 nodes at a time
+        grid = TimeGrid(0.0, 1.0, 39)
+        good = hermitian_stack(rng, 40, 64)
+        bad = stack_with_bad_node(rng, 40, 64, 37)
+        with pytest.raises(NotHermitianError, match=r"lam\[37\] at node 37"):
+            action.DiscretizedPath(grid=grid, rho=good, lam=bad)
+        with pytest.raises(NotHermitianError, match="node 37"):
+            linalg.check_hermitian(bad)
+
+    def test_path_checks_without_copies(self, rng):
+        # the check keeps no Hermitized copy: its traced peak stays a fraction
+        # of one stack, and the path holds the caller's arrays
+        n, dim = 40001, 4
+        rho = linalg.hermitize(rng.standard_normal((n, dim, dim)) + 0j)
+        lam = rho.copy()
+        tracemalloc.start()
+        try:
+            path = action.DiscretizedPath(grid=TimeGrid(0.0, 1.0, n - 1), rho=rho, lam=lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.rho is rho and path.lam is lam
+        assert peak <= 0.5 * rho.nbytes
+
+    def test_gauge_shift_checks_no_node_again(self, monkeypatch):
+        m = LindbladModel(2, SZ.copy(), [(SMINUS, 0.3)])
+        grid = TimeGrid(0.0, 1.0, 50)
+        state, _ = integrate_state(m, PLUS_STATE, grid)
+        lam = integrate_invariant(m, SX, "end", grid)
+        path = action.DiscretizedPath(grid=grid, rho=state.samples, lam=lam.samples)
+        checks = []
+        monkeypatch.setattr(linalg, "check_hermitian", lambda *a, **k: checks.append(k))
+        assert action.gauge_shift_check(path, m, constant(0.7)) <= 1e-12
+        assert checks == []
 
     def test_path_shape_mismatch(self, rng):
         grid = TimeGrid(0.0, 1.0, 2)

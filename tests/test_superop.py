@@ -63,6 +63,23 @@ class TestApplyAdjoint:
         assert_allclose(superop.apply_adjoint(s, a), -(h @ a - a @ h), atol=1e-14)
 
 
+class TestStacks:
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    @pytest.mark.parametrize("fn", [superop.apply_liouvillian, superop.apply_adjoint],
+                             ids=["liouvillian", "adjoint"])
+    def test_stack_equals_per_node_calls(self, rng, fn, dim):
+        s = random_model(rng, dim).snapshot(0.0)
+        stack = np.stack([random_hermitian(rng, dim) for _ in range(7)])
+        out = fn(s, stack)
+        assert out.shape == stack.shape
+        for a, row in zip(stack, out):
+            assert_allclose(row, fn(s, a), rtol=0, atol=1e-15 * max(1.0, linalg.maxabs(row)))
+
+    def test_stack_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            superop.apply_adjoint(amp_damp_snapshot(), np.zeros((4, 3, 3)))
+
+
 class TestPairing:
     def test_identity_both_sides_zero(self, rng):
         s = random_model(rng, 3).snapshot(0.0)
