@@ -41,9 +41,10 @@ one stacked call (split into blocks of ``linalg.BLOCK_ENTRIES`` entries, so
 that a long grid at large d keeps its temporaries bounded), while a driven
 model is applied cell by cell, which keeps its memory at one cell's
 temporaries. The paths themselves come from the
-integrators in ``dynamics``: a constant model of dimension at most
-``dynamics.STEP_MATRIX_MAX_DIM`` is stepped by its precomputed step matrix,
-a driven model by the direct RK4 or midpoint stages.
+integrators in ``dynamics``, which run both flows through one checked loop:
+a constant model of dimension at most ``dynamics.STEP_MATRIX_MAX_DIM`` steps
+by a matrix built from the RK4 or midpoint stages, a driven model by the
+stages themselves.
 """
 
 from __future__ import annotations

@@ -15,13 +15,13 @@ lattice serves both flows and the action.
 
 A constant model (``LindbladModel.is_constant``) of dimension at most
 ``STEP_MATRIX_MAX_DIM`` makes both flows linear and autonomous, so one step
-of either method is one fixed d²×d² matrix, built once per integration from
-``superop.build_liouvillian_matrix`` and applied as one matrix-vector
-product per step. Driven models, and larger constant ones, evaluate the
-method's stages with the generator directly. Either way each step is checked
-for non-finite values (and, on the invariant flow, for magnitudes beyond
-``BLOWUP_CAP``), and re-symmetrized to (A + A†)/2, which suppresses
-Hermiticity drift without touching the order of accuracy.
+of either method is one fixed d²×d² matrix: the method's own stages applied
+once, as a stack, to the d² unit operators, then one matrix-vector product
+per step. Driven models, and larger constant ones, evaluate the stages at
+every step. Both flows run through one loop, which checks each step against
+``BLOWUP_CAP`` (non-finite values and finite magnitudes beyond the cap both
+abort, naming the node) and re-symmetrizes it to (A + A†)/2, which
+suppresses Hermiticity drift without touching the order of accuracy.
 """
 
 from __future__ import annotations
@@ -33,24 +33,24 @@ import numpy as np
 from . import linalg
 from .errors import BlowupError, IntegrationError
 from .model import LindbladModel
-from .superop import apply_adjoint, apply_liouvillian, build_liouvillian_matrix
+from .superop import apply_adjoint, apply_liouvillian
 
 STATE = "state"
 INVARIANT = "invariant"
 
 METHODS = ("rk4", "midpoint")
 
-# Hard cap on iterate magnitude; the dissipative adjoint flow may grow
-# exponentially, which is legitimate, but overflow must be loud.
+# Hard cap on iterate magnitude, on both flows; the dissipative adjoint flow
+# may grow exponentially, which is legitimate, but overflow must be loud.
 BLOWUP_CAP = 1e12
 
-# Largest dimension at which a constant model steps by its precomputed
-# d²×d² step matrix (d⁴·16 bytes). One RK4 step with one channel at one BLAS
-# thread (Xeon, 2 cores): at d=16, 110 µs direct and 18 µs as a
-# matrix-vector product, with a 1 MB matrix built in 14 ms; at d=20, 117 µs
-# against 91 µs, as the 2.6 MB matrix no longer stays in cache, and the
-# 36 ms build repays only grids of more than ~1400 steps; from d=24 the
-# product is slower than the direct step.
+# Largest dimension at which a constant model steps by its d²×d² step matrix
+# (d⁴·16 bytes). One RK4 step with one channel at one BLAS thread (Xeon,
+# 2 cores, best of 5): at d=16, 110-160 µs direct and 21-28 µs as a
+# matrix-vector product, with the 1 MB matrix built in 21 ms, repaid after
+# ~250 steps; at d=20 the 2.6 MB matrix no longer stays in cache (88-99 µs
+# per product) and its 52-60 ms build repays only grids of more than
+# ~500-1200 steps; from d=24 the product is slower than the direct step.
 STEP_MATRIX_MAX_DIM = 16
 
 __all__ = [
@@ -169,38 +169,54 @@ def _step(lattice, j, sign, y, h, method):
     return y + h * rhs(sm, y + (0.5 * h) * k1)
 
 
-def _step_matrix(snap, sign, h, method) -> np.ndarray:
-    """The step of y' = sign * i * generator(y) for a constant model, as one
-    matrix acting on the row-major vec(y) (``y.reshape(-1)``).
+def _propagate(model, y0, grid, sign, first, method, what):
+    """The flow y' = sign * i * generator(y) from ``y0`` at node ``first``
+    (0: forward, n_steps: backward), as the stack of every node and the
+    largest Hermiticity defect of a raw step.
 
-    With M the column-stacking Liouvillian matrix and S the transpose
-    permutation, the row-major generator matrix is S M S and, by the pairing
-    tr(a L(rho)) = tr(L*(a) rho), the adjoint's is Mᵀ. For X = h·sign·i·(that
-    matrix), the RK4 map of the linear autonomous flow is
-    I + X + X²/2 + X³/6 + X⁴/24 and the midpoint map I + X + X²/2.
+    A step is linear in y, so a constant model's step matrix is the step of
+    the d² unit operators. A step whose magnitude is not finite raises
+    ``IntegrationError``, one beyond ``BLOWUP_CAP`` ``BlowupError``; both
+    name ``what`` and the node.
     """
-    d = snap.dim
-    m = build_liouvillian_matrix(snap).matrix
-    if sign < 0:
-        x = (-1j * h) * m.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
-    else:
-        x = (1j * h) * m.T
-    x2 = x @ x
-    step = np.eye(d * d, dtype=complex) + x + x2 / 2.0
-    if method == "rk4":
-        step += x2 @ (x / 6.0 + x2 / 24.0)
-    return step
-
-
-def _stepper(model, grid, sign, h, method):
-    """``step(j, y)``: one step of size ``h`` from the node at lattice entry
-    ``j``, by the precomputed step matrix for a constant model of dimension
-    at most ``STEP_MATRIX_MAX_DIM``, else by the method's stages."""
+    n = grid.n_steps
+    d = 1 if first == 0 else -1
+    h = d * grid.dt
     lattice = model.on_grid(grid)
     if model.is_constant and model.dim <= STEP_MATRIX_MAX_DIM:
-        p = _step_matrix(lattice[0], sign, h, method)
-        return lambda j, y: (p @ y.reshape(-1)).reshape(y.shape)
-    return lambda j, y: _step(lattice, j, sign, y, h, method)
+        dim2 = model.dim ** 2
+        units = np.eye(dim2, dtype=complex).reshape(dim2, model.dim, model.dim)
+        p = _step(lattice, 2 * first, sign, units, h, method).reshape(dim2, dim2)
+
+        def step(j, y):
+            return (y.reshape(-1) @ p).reshape(y.shape)
+    else:
+        def step(j, y):
+            return _step(lattice, j, sign, y, h, method)
+
+    samples = np.empty((n + 1,) + y0.shape, dtype=complex)
+    samples[first] = y0
+    y = y0
+    max_defect = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(first, n - first, d):  # computes node k + d from node k
+            dst = k + d
+            y = step(2 * k, y)
+            mag = np.abs(y).max()
+            if not mag <= BLOWUP_CAP:  # NaN fails the comparison too
+                if not np.isfinite(mag):
+                    raise IntegrationError(f"non-finite {what} at node {dst}", step=dst)
+                raise BlowupError(
+                    f"{what} magnitude {mag:.3e} exceeded cap {BLOWUP_CAP:.1e} at node {dst}",
+                    step=dst,
+                    magnitude=float(mag),
+                )
+            y_dag = y.conj().T
+            max_defect = max(max_defect, np.abs(y - y_dag).max())
+            y = y + y_dag  # (y + y†) / 2, bitwise linalg.hermitize
+            y /= 2.0
+            samples[dst] = y
+    return samples, float(max_defect)
 
 
 def _check_method(method):
@@ -221,7 +237,8 @@ def integrate_state(
     ``rho0`` must be Hermitian, unit trace (within 1e-10) and positive
     semi-definite (min eigenvalue >= -1e-10). Returns the trajectory and a
     monitor report; pass ``leakage_index`` (the top retained basis level) to
-    have truncation leakage tracked.
+    have truncation leakage tracked. A step beyond ``BLOWUP_CAP`` raises
+    ``BlowupError``, a non-finite one ``IntegrationError``.
     """
     _check_method(method)
     rho0 = linalg.require_hermitian(rho0, rtol=1e-10, what="rho0")
@@ -233,21 +250,7 @@ def integrate_state(
     min_eig0 = float(linalg.hermitian_eigenvalues(rho0)[0])
     if min_eig0 < -1e-10:
         raise ValueError(f"rho0 has negative eigenvalue {min_eig0}")
-    step = _stepper(model, grid, -1, grid.dt, method)
-
-    samples = np.empty((grid.n_steps + 1,) + rho0.shape, dtype=complex)
-    samples[0] = rho0
-    y = rho0
-    max_herm = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(grid.n_steps):
-            y = step(2 * k, y)
-            if not np.all(np.isfinite(y)):
-                raise IntegrationError(f"non-finite state at step {k + 1}", step=k + 1)
-            max_herm = max(max_herm, linalg.hermiticity_defect(y))
-            y = linalg.hermitize(y)
-            samples[k + 1] = y
-
+    samples, max_herm = _propagate(model, rho0, grid, -1, 0, method, STATE)
     traj = Trajectory(grid=grid, samples=samples, kind=STATE)
     drift = np.max(np.abs(np.trace(samples, axis1=1, axis2=2).real - tr0.real))
     min_eig = np.min(linalg.hermitian_eigenvalues(samples)[:, 0])
@@ -275,7 +278,9 @@ def integrate_invariant(
 
     ``seed_time`` is "start" (forward from t_start) or "end" (backward from
     t_end, the direction the action principle fixes for the auxiliary
-    operator). Non-Hermitian seeds are rejected rather than symmetrized.
+    operator). Non-Hermitian seeds are rejected rather than symmetrized. A
+    step beyond ``BLOWUP_CAP`` raises ``BlowupError``, a non-finite one
+    ``IntegrationError``.
     """
     _check_method(method)
     if seed_time not in ("start", "end"):
@@ -283,29 +288,8 @@ def integrate_invariant(
     seed = linalg.require_hermitian(seed, what="invariant seed")
     if seed.shape != (model.dim, model.dim):
         raise ValueError(f"seed dimension {seed.shape[0]} != model dim {model.dim}")
-    n = grid.n_steps
-    d = 1 if seed_time == "start" else -1
-    first = 0 if d > 0 else n
-    step = _stepper(model, grid, +1, d * grid.dt, method)
-    samples = np.empty((n + 1,) + seed.shape, dtype=complex)
-    samples[first] = seed
-    y = seed
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(first, n - first, d):  # computes node k + d from node k
-            dst = k + d
-            y = step(2 * k, y)
-            if not np.all(np.isfinite(y)):
-                raise IntegrationError(f"non-finite invariant at node {dst}", step=dst)
-            mag = linalg.maxabs(y)
-            if mag > BLOWUP_CAP:
-                raise BlowupError(
-                    f"invariant magnitude {mag:.3e} exceeded cap {BLOWUP_CAP:.1e} at node {dst}",
-                    step=dst,
-                    magnitude=mag,
-                )
-            y = linalg.hermitize(y)
-            samples[dst] = y
-
+    first = 0 if seed_time == "start" else grid.n_steps
+    samples, _ = _propagate(model, seed, grid, +1, first, method, INVARIANT)
     return Trajectory(grid=grid, samples=samples, kind=INVARIANT)
 
 

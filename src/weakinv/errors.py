@@ -30,10 +30,11 @@ class IntegrationError(RuntimeError):
 
 
 class BlowupError(IntegrationError):
-    """Trajectory magnitude exceeded the hard cap.
+    """Trajectory magnitude exceeded the hard cap, on either flow.
 
-    Dissipative adjoint flow grows exponentially; growth is legitimate but
-    overflow must be loud rather than silent.
+    Dissipative adjoint flow grows exponentially, and an explicit step far
+    outside its stability region makes the state grow too; growth is
+    legitimate but overflow must be loud rather than silent.
     """
 
     def __init__(self, message, step, magnitude):

@@ -132,10 +132,13 @@ def hermitian_eigenvalues(a, *, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian operator, or of every node of a
     ``(n, d, d)`` stack (one row per node), from LAPACK's ``eigvalsh``.
 
-    The input passes :func:`require_hermitian` first, so a Hermiticity defect
-    beyond ``rtol * max(1, maxabs)`` raises :class:`NotHermitianError`.
+    The input passes :func:`check_hermitian` first, so a Hermiticity defect
+    beyond ``rtol * max(1, maxabs)`` raises :class:`NotHermitianError`; the
+    solver then reads one triangle of the input itself, without a copy.
     """
-    return np.linalg.eigvalsh(require_hermitian(a, rtol=rtol, what="eigensolver input"))
+    a = as_operator(a, stack=True)
+    check_hermitian(a, rtol=rtol, what="eigensolver input")
+    return np.linalg.eigvalsh(a)
 
 
 def hermitian_basis(dim: int) -> list[np.ndarray]:

@@ -225,7 +225,8 @@ def direct_twin(m):
 
 
 def counting_steps(monkeypatch):
-    """Count the direct RK4/midpoint steps taken."""
+    """Count the calls of the RK4/midpoint step: one per step on the direct
+    path, one per integration (on the unit operators) on the step-matrix path."""
     calls = []
     direct = dynamics._step
 
@@ -254,10 +255,10 @@ class TestStepMatrix:
 
         fast, fast_mon = integrate_state(m, rho0, grid, method)
         fast_inv = [integrate_invariant(m, seed, at, grid, method) for at in ("start", "end")]
-        assert steps == []
+        assert len(steps) == 3  # one step of the unit operators per integration
         direct, direct_mon = integrate_state(twin, rho0, grid, method)
         direct_inv = [integrate_invariant(twin, seed, at, grid, method) for at in ("start", "end")]
-        assert len(steps) == 3 * grid.n_steps
+        assert len(steps) == 3 + 3 * grid.n_steps
 
         for a, b in [(fast, direct)] + list(zip(fast_inv, direct_inv)):
             assert linalg.maxabs(a.samples - b.samples) <= 1e-12 * linalg.maxabs(b.samples)
@@ -270,7 +271,7 @@ class TestStepMatrix:
         if dim > 1:
             assert fast_mon.max_hermiticity_defect > 0.0
 
-    @pytest.mark.parametrize("offset, direct_steps", [(0, 0), (1, 4)])
+    @pytest.mark.parametrize("offset, direct_steps", [(0, 1), (1, 4)])
     def test_dimension_cap(self, rng, monkeypatch, offset, direct_steps):
         dim = dynamics.STEP_MATRIX_MAX_DIM + offset
         m = random_constant_model(rng, dim)
@@ -296,6 +297,48 @@ class TestStepMatrix:
                 integrate_state(m, EXCITED, TimeGrid(0.0, 100.0, 50))
             steps.append(err.value.step)
         assert steps[0] == steps[1] > 0
+
+
+class TestStepGuard:
+    """Both flows share one per-step guard: a finite magnitude beyond
+    BLOWUP_CAP is a BlowupError, a non-finite one a plain IntegrationError."""
+
+    def test_state_beyond_cap_is_a_blowup(self):
+        for m in (amp_damp(gamma=50.0), direct_twin(amp_damp(gamma=50.0))):
+            with pytest.raises(BlowupError) as err:
+                integrate_state(m, EXCITED, TimeGrid(0.0, 100.0, 50))
+            node = err.value.step
+            assert node > 0
+            assert str(err.value).startswith("state magnitude")
+            assert str(err.value).endswith(f"at node {node}")
+            assert err.value.magnitude > dynamics.BLOWUP_CAP
+
+    @pytest.mark.parametrize("flow, bad, node", [
+        ("state", np.nan, 3), ("start", np.nan, 3), ("end", np.nan, 7), ("end", np.inf, 7),
+    ])
+    def test_non_finite_is_not_a_blowup(self, monkeypatch, flow, bad, node):
+        # the third step (from node 0 forward, from node 10 backward) is poisoned
+        calls = []
+        direct = dynamics._step
+
+        def poisoned(*args):
+            calls.append(1)
+            out = direct(*args)
+            if len(calls) == 3:
+                out[0, 0] = bad
+            return out
+
+        monkeypatch.setattr(dynamics, "_step", poisoned)
+        m, grid = driven_amp_damp(), TimeGrid(0.0, 1.0, 10)
+        with pytest.raises(IntegrationError) as err:
+            if flow == "state":
+                integrate_state(m, PLUS_STATE, grid)
+            else:
+                integrate_invariant(m, SX, flow, grid)
+        assert not isinstance(err.value, BlowupError)
+        assert err.value.step == node
+        kind = "state" if flow == "state" else "invariant"
+        assert str(err.value) == f"non-finite {kind} at node {node}"
 
 
 class TestConservation:

@@ -43,6 +43,18 @@ class TestBatchedEigenvalues:
         for a, row in zip(stack, rows):
             assert_allclose(row, linalg.hermitian_eigenvalues(a), rtol=0, atol=1e-13 * linalg.maxabs(a))
 
+    def test_no_hermitized_copy(self, rng):
+        stack = linalg.hermitize(rng.standard_normal((2001, 20, 20))
+                                 + 1j * rng.standard_normal((2001, 20, 20)))
+        tracemalloc.start()
+        try:
+            rows = linalg.hermitian_eigenvalues(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (2001, 20)
+        assert peak <= 0.5 * stack.nbytes
+
 
 class TestBatchedHermiticityGate:
     @pytest.mark.parametrize("bad", [0, 3, 6])
