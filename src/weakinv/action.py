@@ -36,15 +36,16 @@ roundoff, while leaving Lam at the final node untouched.
 
 The node values, cell generators and gradients are ``(n, d, d)`` stacks.
 The generator is applied to whole runs of cells that share one model
-snapshot: a constant model's lattice is one snapshot, so all n cells take
-one stacked call (split into blocks of ``linalg.BLOCK_ENTRIES`` entries, so
-that a long grid at large d keeps its temporaries bounded), while a driven
-model is applied cell by cell, which keeps its memory at one cell's
-temporaries. The paths themselves come from the
-integrators in ``dynamics``, which run both flows through one checked loop:
-a constant model of dimension at most ``dynamics.STEP_MATRIX_MAX_DIM`` steps
-by a matrix built from the RK4 or midpoint stages, a driven model by the
-stages themselves.
+snapshot, through the unchecked effective-Hamiltonian kernels of
+``superop`` with K built once per run: a constant model's lattice is one
+snapshot, so all n cells take one stacked call (split into blocks of
+``linalg.BLOCK_ENTRIES`` entries, so that a long grid at large d keeps its
+temporaries bounded), while a driven model is applied cell by cell, which
+keeps its memory at one cell's temporaries. The paths themselves come from
+the integrators in ``dynamics``, which run both flows through one checked
+loop: a constant model of dimension at most
+``dynamics.STEP_MATRIX_MAX_DIM`` steps by a matrix built from the RK4 or
+midpoint stages, a driven model by the stages themselves.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import numpy as np
 from . import linalg
 from .dynamics import TimeGrid, Trajectory, integrate_invariant, integrate_state
 from .model import LindbladModel, Schedule
-from .superop import apply_adjoint, apply_liouvillian
+from .superop import adjoint, liouvillian
 
 # Tolerance on the (discarded) imaginary part of the action value.
 ACTION_IMAG_RTOL = 1e-10
@@ -157,7 +158,8 @@ def _cell_generators(grid: TimeGrid, lam: np.ndarray, model: LindbladModel) -> n
     gens = np.empty((grid.n_steps,) + lam.shape[1:], dtype=complex)
     for snap, k0, k1 in _runs(model.on_grid(grid)[1::2], model.dim):
         a, b = lam[k0:k1], lam[k0 + 1:k1 + 1]
-        gens[k0:k1] = (b - a) / dt - 1j * apply_adjoint(snap, 0.5 * (a + b))
+        gens[k0:k1] = (b - a) / dt - 1j * adjoint(snap.effective_hamiltonian(), snap.channels,
+                                                  0.5 * (a + b))
     return gens
 
 
@@ -209,7 +211,8 @@ def grad_lam(path: DiscretizedPath, model: LindbladModel) -> np.ndarray:
     rho = path.rho
     b = np.empty((path.grid.n_steps,) + rho.shape[1:], dtype=complex)
     for snap, k0, k1 in _runs(model.on_grid(path.grid)[1::2], model.dim):
-        b[k0:k1] = apply_liouvillian(snap, 0.5 * (rho[k0:k1] + rho[k0 + 1:k1 + 1]))
+        b[k0:k1] = liouvillian(snap.effective_hamiltonian(), snap.channels,
+                               0.5 * (rho[k0:k1] + rho[k0 + 1:k1 + 1]))
     grads = _node_sums(b)
     del b
     grads *= 0.5j * path.grid.dt
@@ -272,7 +275,10 @@ def stationarity_report(path: DiscretizedPath, model: LindbladModel) -> ActionRe
 
 
 def gauge_shift_check(
-    path: DiscretizedPath, model: LindbladModel, lambda_schedule: Schedule
+    path: DiscretizedPath,
+    model: LindbladModel,
+    lambda_schedule: Schedule,
+    unshifted_action: float | None = None,
 ) -> float:
     """Lagrange-multiplier identity defect for a scalar rate schedule.
 
@@ -281,6 +287,8 @@ def gauge_shift_check(
     final condition is untouched), re-evaluates the action, and compares the
     change against the same quadrature of lambda(t) (tr rho(t) - tr rho(t_0)).
     Returns the absolute difference, which is roundoff-level by construction.
+    ``unshifted_action`` is the action of ``path`` if already known (the
+    ``action_value`` of its ``stationarity_report``); it is evaluated otherwise.
     """
     if lambda_schedule.is_operator_valued:
         raise ValueError("gauge shift needs a scalar rate schedule")
@@ -303,7 +311,9 @@ def gauge_shift_check(
     # shifted action is evaluated on the arrays without building a second path
     shifted_s = _action(grid, path.rho, shifted, _cell_generators(grid, shifted, model))
     del shifted
-    delta_s = shifted_s - evaluate_action(path, model)
+    if unshifted_action is None:
+        unshifted_action = evaluate_action(path, model)
+    delta_s = shifted_s - unshifted_action
 
     tr = np.trace(path.rho, axis1=1, axis2=2).real
     tr_mid = 0.5 * (tr[:-1] + tr[1:])

@@ -306,7 +306,8 @@ def cmd_action_check(args) -> int:
     knots = np.linspace(setup.grid.t_start, setup.grid.t_end, 9)
     values = rng.uniform(-1.0, 1.0, size=9)
     gauge_defect = gauge_shift_check(path, setup.model,
-                                     tabulated(knots, list(values), name="lambda"))
+                                     tabulated(knots, list(values), name="lambda"),
+                                     report.action_value)
 
     payload = report.to_dict()
     payload["gauge_defect"] = gauge_defect

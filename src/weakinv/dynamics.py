@@ -11,7 +11,9 @@ midpoint, both sampling schedules at step midpoints); the action module
 needs ρ and Λ on exactly the same nodes, which rules out adaptive stepping.
 Both integrators read the model from ``LindbladModel.on_grid``: it is
 sampled and validated once at every node and cell midpoint, and that one
-lattice serves both flows and the action.
+lattice serves both flows and the action. The stages call the unchecked
+effective-Hamiltonian kernels of ``superop``, with K = H + K0 built once per
+distinct lattice entry of a step (the lattice keeps no per-time K).
 
 A constant model (``LindbladModel.is_constant``) of dimension at most
 ``STEP_MATRIX_MAX_DIM`` makes both flows linear and autonomous, so one step
@@ -33,7 +35,7 @@ import numpy as np
 from . import linalg
 from .errors import BlowupError, IntegrationError
 from .model import LindbladModel
-from .superop import apply_adjoint, apply_liouvillian
+from .superop import adjoint, liouvillian
 
 STATE = "state"
 INVARIANT = "invariant"
@@ -148,12 +150,15 @@ class MonitorReport:
 def _step(lattice, j, sign, y, h, method):
     """One step of y' = sign * i * generator(y) from the node at lattice entry
     ``j``, sampling the model at t, t+h/2, t+h (entries j, j±1, j±2 as h > 0
-    or h < 0)."""
+    or h < 0). The effective Hamiltonian is built once per distinct entry."""
+    ks = {}
 
     def rhs(snap, v):
+        if id(snap) not in ks:
+            ks[id(snap)] = snap.effective_hamiltonian()
         if sign < 0:
-            return -1j * apply_liouvillian(snap, v)
-        return 1j * apply_adjoint(snap, v)
+            return -1j * liouvillian(ks[id(snap)], snap.channels, v)
+        return 1j * adjoint(ks[id(snap)], snap.channels, v)
 
     d = 1 if h > 0 else -1
     s0 = lattice[j]

@@ -7,6 +7,13 @@ model once at every node and cell midpoint of a time grid, and
 ``LindbladModel.snapshot`` at one time; both check every sampled value and
 raise :class:`ModelValidationError` on the first violation.
 
+The samples form an affine lattice: a ``scaled`` Hamiltonian c(t) M is kept
+as its scalar c(t) per time and the one shared operator M, which is checked
+for Hermiticity once (c M is Hermitian whenever M is and c is real), and
+the dissipative part K0 = -i sum_n alpha_n Ln†Ln of the effective
+Hamiltonian K = H + K0 is built once while the channels do not depend on
+time. So a driven model holds no per-time operator for H and none for K.
+
 Schedule kinds are deliberately few: constant, sinusoidal (scalars only),
 tabulated with linear interpolation and no extrapolation, and a scalar
 schedule scaling a fixed operator. Anything fancier belongs in user code
@@ -193,18 +200,44 @@ class ChannelSnapshot:
     alpha: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelSnapshot:
     """Model evaluated at one time, with the products every generator
     application needs cached. Time-independent parts are shared between the
-    snapshots of one sampling."""
+    snapshots of one sampling.
 
-    h: np.ndarray
+    H is ``scale * operator`` for a ``scaled`` schedule (the operator is the
+    shared M) and ``operator`` itself when ``scale`` is None. ``k0`` is the
+    shared dissipative part of the effective Hamiltonian, or None when the
+    channels depend on time and it is built per call.
+    """
+
+    operator: np.ndarray
+    scale: float | None
     channels: tuple[ChannelSnapshot, ...]
+    k0: np.ndarray | None
+
+    @property
+    def h(self) -> np.ndarray:
+        """H at this time; for a ``scaled`` schedule bitwise ``float(c) * M``."""
+        return self.operator if self.scale is None else self.scale * self.operator
 
     @property
     def dim(self) -> int:
-        return self.h.shape[0]
+        return self.operator.shape[0]
+
+    def effective_hamiltonian(self) -> np.ndarray:
+        """K = H - i sum_n alpha_n Ln†Ln, built anew on each call."""
+        k0 = _dissipative_part(self.channels, self.dim) if self.k0 is None else self.k0
+        return self.h + k0
+
+
+def _dissipative_part(channels, dim: int) -> np.ndarray:
+    """K0 = -i sum_n alpha_n Ln†Ln, the non-Hermitian part of K."""
+    k0 = np.zeros((dim, dim), dtype=complex)
+    for ch in channels:
+        k0 -= (1j * ch.alpha) * ch.l_dag_l
+    return k0
 
 
 class Channel:
@@ -275,10 +308,18 @@ class LindbladModel:
 
     def _sample(self, times: list[float]) -> list[ModelSnapshot]:
         """Snapshots at ``times``. A time-independent schedule, and the
-        products built from it, are evaluated, checked and shared once."""
-        hs = [self._operator("hamiltonian", h, t) for t, h in
-              zip(times, self._evaluate("hamiltonian", self.hamiltonian, times))]
-        for t, h in zip(times, hs):
+        products built from it, are evaluated, checked and shared once; a
+        ``scaled`` Hamiltonian is its scalar per time and one operator,
+        checked at the first time."""
+        ham = self.hamiltonian
+        if isinstance(ham, _ScaledOperator):
+            ops = [ham.operator]
+            scales = [float(c) for c in self._evaluate("hamiltonian", ham.scalar, times)]
+        else:
+            ops = [self._operator("hamiltonian", h, t) for t, h in
+                   zip(times, self._evaluate("hamiltonian", ham, times))]
+            scales = [None]
+        for t, h in zip(times, ops):
             defect = linalg.hermiticity_defect(h)
             tol = max(HAMILTONIAN_HERMITICITY_RTOL * linalg.maxabs(h), linalg.TOLERANCE_FLOOR)
             if defect > tol:
@@ -286,12 +327,16 @@ class LindbladModel:
                     f"hamiltonian not Hermitian at t={t}: defect {defect:.3e}"
                 )
         chans = [self._sample_channel(i, ch, times) for i, ch in enumerate(self.channels)]
+        if all(len(c) == 1 for c in chans):  # the channels do not depend on time
+            channels = [tuple(c[0] for c in chans)]
+            k0 = _dissipative_part(channels[0], self.dim)
+        else:
+            channels = [tuple(_at(c, j) for c in chans) for j in range(len(times))]
+            k0 = None
         if self.is_constant:
-            return [ModelSnapshot(h=hs[0], channels=tuple(c[0] for c in chans))] * len(times)
-        return [
-            ModelSnapshot(h=_at(hs, j), channels=tuple(_at(c, j) for c in chans))
-            for j in range(len(times))
-        ]
+            return [ModelSnapshot(ops[0], scales[0], channels[0], k0)] * len(times)
+        return [ModelSnapshot(_at(ops, j), _at(scales, j), _at(channels, j), k0)
+                for j in range(len(times))]
 
     def _sample_channel(self, i, ch, times) -> list[ChannelSnapshot]:
         label = f"channels[{i}]"

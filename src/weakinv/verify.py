@@ -85,9 +85,12 @@ def random_model(rng, dim: int, *, time_dependent: bool = False) -> LindbladMode
 
 
 def _broken_adjoint(s, a):
-    out = superop.apply_adjoint(s, a)
+    """The K-form adjoint with each jump weight 2i alpha corrupted to
+    (2i + 1e-3) alpha."""
+    k = s.effective_hamiltonian()
+    out = a @ k - k.conj().T @ a
     for ch in s.channels:
-        out = out + (1e-3 * ch.alpha) * (ch.l_dag @ a @ ch.l)
+        out += ((2j + 1e-3) * ch.alpha) * (ch.l_dag @ a @ ch.l)
     return out
 
 

@@ -2,8 +2,10 @@
 
 The oracles here are derived by hand from the scalar ODEs of the two qubit
 models and from exact unitary conjugation; they never call the integrators
-they are used to check. The per-cell action references apply the generator
-one cell at a time, with the model sampled on its own at each cell midpoint.
+they are used to check. The generator references spell out the commutator
+and anticommutator form term by term. The per-cell action references apply
+the generator one cell at a time, with the model sampled on its own at each
+cell midpoint.
 """
 
 import math
@@ -41,6 +43,26 @@ def random_density(rng, dim):
     rho = m @ m.conj().T
     rho = rho / np.trace(rho).real
     return (rho + rho.conj().T) / 2.0
+
+
+def reference_liouvillian(h, channels, rho):
+    """[H, rho] - i sum alpha (L†L rho + rho L†L - 2 L rho L†), channels as
+    (L, alpha) pairs."""
+    out = h @ rho - rho @ h
+    for l, alpha in channels:
+        ldl = l.conj().T @ l
+        out = out - 1j * alpha * (ldl @ rho + rho @ ldl - 2.0 * l @ rho @ l.conj().T)
+    return out
+
+
+def reference_adjoint(h, channels, a):
+    """-[H, a] - i sum alpha (L†L a + a L†L - 2 L† a L), channels as
+    (L, alpha) pairs."""
+    out = a @ h - h @ a
+    for l, alpha in channels:
+        ldl = l.conj().T @ l
+        out = out - 1j * alpha * (ldl @ a + a @ ldl - 2.0 * l.conj().T @ a @ l)
+    return out
 
 
 def amp_damp_state(t, omega, gamma, rho0):

@@ -244,14 +244,14 @@ class TestStackedGeneratorCalls:
     @pytest.mark.parametrize("make_model, dim, calls", MODELS)
     def test_one_call_per_run_of_shared_snapshots(self, rng, monkeypatch, make_model, dim,
                                                   calls):
-        counts = {"apply_adjoint": 0, "apply_liouvillian": 0}
+        counts = {"adjoint": 0, "liouvillian": 0}
 
         def counted(name):
             fn = getattr(action, name)
 
-            def wrapper(s, a):
+            def wrapper(k, channels, a):
                 counts[name] += 1
-                return fn(s, a)
+                return fn(k, channels, a)
             return wrapper
 
         for name in counts:
@@ -260,7 +260,7 @@ class TestStackedGeneratorCalls:
         path = random_path(rng, TimeGrid(0.0, 1.0, 40), dim=dim)
         action.evaluate_action(path, m)
         action.grad_lam(path, m)
-        assert counts == {"apply_adjoint": calls, "apply_liouvillian": calls}
+        assert counts == {"adjoint": calls, "liouvillian": calls}
 
 
 class TestAuxiliaryEquivalence:
@@ -327,6 +327,15 @@ class TestGaugeShift:
             values = rng.uniform(-2.0, 2.0, size=6)
             defect = action.gauge_shift_check(path, m, tabulated(knots, list(values)))
             assert defect <= 1e-11 * (1.0 + float(np.max(np.abs(values))))
+
+    def test_known_unshifted_action_gives_the_same_defect(self, rng):
+        grid = TimeGrid(0.0, 1.0, 300)
+        m = random_driven_model(rng, 3)
+        path = random_path(rng, grid, dim=3)
+        sched = tabulated(np.linspace(0.0, 1.0, 6).tolist(), list(rng.uniform(-2.0, 2.0, 6)))
+        report = action.stationarity_report(path, m)
+        assert (action.gauge_shift_check(path, m, sched, report.action_value)
+                == action.gauge_shift_check(path, m, sched))
 
     def test_rejects_operator_rate(self):
         grid = TimeGrid(0.0, 1.0, 10)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import weakinv
-from weakinv import action, cli, scenarios
+from weakinv import action, cli, scenarios, superop
 from weakinv.cli import _write_json, main
 from weakinv.model import LindbladModel, Schedule
 
@@ -379,6 +379,34 @@ class TestComputeOnce:
         cfg = amp_damp_config(tmp_path, n_steps=200, lambda_final=SZ_LITERAL)
         assert main(["action-check", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert sorted(calls) == ["integrate_invariant", "integrate_state"]
+
+    def test_action_check_builds_the_cell_generators_twice(self, tmp_path, monkeypatch):
+        # once for the stationarity report, once for the shifted action; the
+        # unshifted action comes from the report
+        calls = []
+        cell_generators = action._cell_generators
+
+        def counted(*args):
+            calls.append(1)
+            return cell_generators(*args)
+
+        monkeypatch.setattr(action, "_cell_generators", counted)
+        cfg = amp_damp_config(tmp_path, n_steps=200, lambda_final=SZ_LITERAL)
+        assert main(["action-check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "invariant", "action-check"])
+    def test_hot_loops_skip_the_input_checks(self, tmp_path, monkeypatch, command):
+        # the driven oscillator steps and sums cell by cell through the
+        # unchecked K-form kernels
+        checks = []
+        monkeypatch.setattr(superop, "_check_dim", lambda *a: checks.append(1))
+        cfg = write_config(tmp_path / "cfg.json", {
+            "scenario": "damped-ho", "scenario_args": {"n_trunc": 6},
+            "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 200},
+            "lambda_final": [[1, 0] if j == k else [0, 0] for j in range(6) for k in range(6)]})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert checks == []
 
 
 def run_module(*args):

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from helpers import SMINUS, SZ
-from weakinv import model
+from weakinv import model, scenarios
 from weakinv.dynamics import TimeGrid
 from weakinv.errors import ConfigError, ModelValidationError, ScheduleDomainError
 
@@ -209,6 +210,39 @@ class TestOnGrid:
         m = model.LindbladModel(2, SZ, [(SMINUS, model.tabulated([0.0, 1.0], [0.1, 0.2]))])
         with pytest.raises(ScheduleDomainError, match=r"channels\[0\]\.alpha"):
             m.on_grid(TimeGrid(0.0, 2.0, 4))
+
+
+class TestAffineLattice:
+    """A ``scaled`` Hamiltonian is kept as c(t) per time and one shared M."""
+
+    def test_h_is_scale_times_shared_operator_bitwise(self):
+        omega = model.sinusoidal(1.0, 0.1, 1.0)
+        m_op = np.diag([0.5, 1.5, 2.5]).astype(complex)
+        m = model.LindbladModel(3, model.scaled(omega, m_op), [(np.eye(3, k=1), 0.1)])
+        grid = TimeGrid(0.0, 5.0, 40)
+        snaps = m.on_grid(grid)
+        times = grid.t_start + (0.5 * grid.dt) * np.arange(2 * grid.n_steps + 1)
+        for t, s in zip(times.tolist(), snaps):
+            assert s.operator is snaps[0].operator and s.k0 is snaps[0].k0
+            assert np.array_equal(s.h, float(omega(t)) * m_op)
+
+    def test_non_hermitian_scaled_operator_named_at_first_time(self):
+        m = model.LindbladModel(2, model.scaled(model.sinusoidal(1.0, 0.1, 1.0),
+                                                SMINUS.conj().T))
+        with pytest.raises(ModelValidationError,
+                           match=r"hamiltonian not Hermitian at t=0\.5: defect 1\.000e\+00"):
+            m.on_grid(TimeGrid(0.5, 1.0, 3))
+
+    def test_damped_oscillator_lattice_holds_no_operator_stack(self):
+        spec = scenarios.damped_oscillator()
+        tracemalloc.start()
+        try:
+            spec.model.on_grid(spec.default_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 20×20 complex H per time would be 64 MB on the 10001-entry lattice
+        assert peak < 8 * 2**20
 
 
 class TestModelConstruction:

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import SMINUS, SZ, random_density, random_hermitian
+from helpers import (SMINUS, SZ, random_density, random_hermitian, reference_adjoint,
+                     reference_liouvillian)
 from weakinv import linalg, superop
-from weakinv.model import LindbladModel
+from weakinv.dynamics import TimeGrid
+from weakinv.model import LindbladModel, scaled, sinusoidal, tabulated
 from weakinv.verify import random_model
 
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
@@ -78,6 +80,47 @@ class TestStacks:
     def test_stack_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             superop.apply_adjoint(amp_damp_snapshot(), np.zeros((4, 3, 3)))
+
+
+def random_operator(rng, dim):
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def assert_matches_reference(s, h, channels, x):
+    for fn, ref in ((superop.apply_liouvillian, reference_liouvillian),
+                    (superop.apply_adjoint, reference_adjoint)):
+        want = ref(h, channels, x)
+        got = fn(s, x)
+        assert linalg.maxabs(got - want) <= 1e-13 * max(1.0, linalg.maxabs(want))
+
+
+class TestEffectiveHamiltonianForm:
+    """The K-form generators against the commutator/anticommutator form on
+    non-Hermitian inputs, which the step-matrix build feeds them."""
+
+    @pytest.mark.parametrize("n_channels", [0, 1, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 13])
+    def test_constant_model(self, rng, dim, n_channels):
+        h = random_hermitian(rng, dim)
+        channels = [(random_operator(rng, dim), float(rng.uniform(0.1, 1.0)))
+                    for _ in range(n_channels)]
+        s = LindbladModel(dim, h, channels).snapshot(0.0)
+        assert s.k0 is not None
+        assert_matches_reference(s, h, channels, random_operator(rng, dim))
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 13])
+    def test_scaled_hamiltonian_with_tabulated_rate(self, rng, dim):
+        # a time-dependent rate leaves K0 unshared: K is built from the channels per call
+        m_op = random_hermitian(rng, dim)
+        l = random_operator(rng, dim)
+        rate = tabulated([0.0, 1.0, 2.0], [0.2, 0.9, 0.4])
+        m = LindbladModel(dim, scaled(sinusoidal(1.0, 0.3, 2.0), m_op), [(l, rate)])
+        snaps = m.on_grid(TimeGrid(0.0, 2.0, 4))
+        for j, t in enumerate(0.25 * np.arange(9)):
+            s = snaps[j]
+            assert s.k0 is None
+            c = 1.0 + 0.3 * np.sin(2.0 * t)
+            assert_matches_reference(s, c * m_op, [(l, rate(t))], random_operator(rng, dim))
 
 
 class TestPairing:
