@@ -46,6 +46,9 @@ the integrators in ``dynamics``, which run both flows through one checked
 loop: a constant model of dimension at most
 ``dynamics.STEP_MATRIX_MAX_DIM`` steps by a matrix built from the RK4 or
 midpoint stages, a driven model by the stages themselves.
+``stationarity_check`` integrates Lam backward in a forked child while this
+process integrates rho forward (``auxiliary_trajectory`` with
+``alongside``); the action and its gradients are evaluated in-process.
 """
 
 from __future__ import annotations
@@ -55,7 +58,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import TimeGrid, Trajectory, integrate_invariant, integrate_state
+from .dynamics import (
+    TimeGrid,
+    Trajectory,
+    check_state_inputs,
+    integrate_invariant,
+    integrate_state,
+)
 from .model import LindbladModel, Schedule
 from .superop import adjoint, liouvillian
 
@@ -229,12 +238,16 @@ def _interior_residual(grads: np.ndarray, dt: float) -> float:
 
 
 def auxiliary_trajectory(
-    model: LindbladModel, lam_final, grid: TimeGrid, method: str = "rk4"
-) -> Trajectory:
+    model: LindbladModel, lam_final, grid: TimeGrid, method: str = "rk4", *, alongside=None
+):
     """Auxiliary-operator path of the stationary action: the equation of
     motion obtained by varying rho is exactly the weak-invariant flow, so
-    this backward propagation shares the invariant integrator."""
-    return integrate_invariant(model, lam_final, "end", grid, method)
+    this backward propagation shares the invariant integrator, and its
+    errors name ``lambda_final``. With ``alongside`` the path is integrated
+    in a forked child while ``alongside()`` runs here, and the result is
+    ``(trajectory, alongside())``, as for ``integrate_invariant``."""
+    return integrate_invariant(model, lam_final, "end", grid, method,
+                               alongside=alongside, what="lambda_final")
 
 
 def stationarity_check(
@@ -244,10 +257,13 @@ def stationarity_check(
     grid: TimeGrid,
     method: str = "rk4",
 ) -> ActionReport:
-    """Integrate rho forward and Lam backward, then report how stationary the
-    discrete action is on the pair."""
-    state, _ = integrate_state(model, rho0, grid, method)
-    lam = auxiliary_trajectory(model, lam_final, grid, method)
+    """Integrate rho forward and, in a forked child at the same time, Lam
+    backward, then report how stationary the discrete action is on the pair.
+    Inputs are checked in the order of the two flows, rho0 first."""
+    check_state_inputs(model, rho0, grid, method)
+    lam, (state, _) = auxiliary_trajectory(
+        model, lam_final, grid, method,
+        alongside=lambda: integrate_state(model, rho0, grid, method))
     return stationarity_report(DiscretizedPath(grid=grid, rho=state.samples, lam=lam.samples),
                                model)
 

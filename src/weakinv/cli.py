@@ -7,6 +7,13 @@ Commands:
   action-check  stationarity + gauge-shift diagnostics, write action_report.json
   verify        randomized property suites, write verify_report.json
 
+`invariant` and `action-check` check every input first (rho0, the model
+lattice, then the invariant seed or lambda_final), then step the invariant
+flow in a forked child process while this process steps the state flow and
+its monitors; outputs are byte-identical to running the flows in turn, and
+a state-flow error is reported before an invariant-flow error. `simulate`
+and `verify` run in one process.
+
 Exit codes: 0 success, 1 usage/config error (a wrong type, a non-finite
 number or an unknown key in the config included), 2 verification or monitor
 failure; every run command gates on the state monitors. Runs are
@@ -25,7 +32,13 @@ import numpy as np
 from . import invariant as invariant_mod
 from . import linalg, verify
 from .action import DiscretizedPath, auxiliary_trajectory, gauge_shift_check, stationarity_report
-from .dynamics import TimeGrid, integrate_invariant, integrate_state, write_trajectory_csv
+from .dynamics import (
+    TimeGrid,
+    check_state_inputs,
+    integrate_invariant,
+    integrate_state,
+    write_trajectory_csv,
+)
 from .errors import (
     BlowupError,
     ConfigError,
@@ -271,9 +284,11 @@ def cmd_invariant(args) -> int:
     setup = RunSetup(args)
     drift_bound = _real(setup.cfg.get("drift_bound", DEFAULT_DRIFT_BOUND), "drift_bound",
                         positive=True)
-    state, monitors = setup.integrate_state()
-    inv = integrate_invariant(setup.model, setup.invariant_seed(), "start",
-                              setup.grid, setup.method)
+    # ρ0 and the lattice fail before the seed, as when the flows ran in turn
+    check_state_inputs(setup.model, setup.rho0, setup.grid, setup.method)
+    inv, (state, monitors) = integrate_invariant(setup.model, setup.invariant_seed(), "start",
+                                                 setup.grid, setup.method,
+                                                 alongside=setup.integrate_state)
     report = invariant_mod.analyze(inv, state)
 
     setup.out_dir.mkdir(parents=True, exist_ok=True)
@@ -296,8 +311,10 @@ def cmd_action_check(args) -> int:
     residual_bound = _real(setup.cfg.get("residual_bound", DEFAULT_RESIDUAL_BOUND),
                            "residual_bound", positive=True)
     lam_final = setup.lambda_final()
-    state, monitors = setup.integrate_state()
-    lam = auxiliary_trajectory(setup.model, lam_final, setup.grid, setup.method)
+    # ρ0 and the lattice fail before lambda_final's checks, as when the flows ran in turn
+    check_state_inputs(setup.model, setup.rho0, setup.grid, setup.method)
+    lam, (state, monitors) = auxiliary_trajectory(setup.model, lam_final, setup.grid,
+                                                  setup.method, alongside=setup.integrate_state)
     path = DiscretizedPath(grid=setup.grid, rho=state.samples, lam=lam.samples)
     report = stationarity_report(path, setup.model)
 

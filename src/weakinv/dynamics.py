@@ -24,10 +24,24 @@ every step. Both flows run through one loop, which checks each step against
 ``BLOWUP_CAP`` (non-finite values and finite magnitudes beyond the cap both
 abort, naming the node) and re-symmetrizes it to (A + A†)/2, which
 suppresses Hermiticity drift without touching the order of accuracy.
+
+Given the lattice the two flows are independent, so ``integrate_invariant``
+can take an ``alongside`` callable (the CLI and ``action`` pass the state
+flow): after the seed is checked and the lattice sampled, the invariant
+flow runs in a forked child, on a second core, writing its samples into an
+anonymous shared mapping, while this process calls ``alongside``. The
+results are bitwise those of the two calls in turn; where ``os.fork`` is
+missing they are made in turn. ``integrate_state`` and plain
+``integrate_invariant`` calls run in-process.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +73,7 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "MonitorReport",
+    "check_state_inputs",
     "integrate_state",
     "integrate_invariant",
     "conservation_series",
@@ -174,10 +189,10 @@ def _step(lattice, j, sign, y, h, method):
     return y + h * rhs(sm, y + (0.5 * h) * k1)
 
 
-def _propagate(model, y0, grid, sign, first, method, what):
+def _propagate(model, y0, grid, sign, first, method, what, out=None):
     """The flow y' = sign * i * generator(y) from ``y0`` at node ``first``
-    (0: forward, n_steps: backward), as the stack of every node and the
-    largest Hermiticity defect of a raw step.
+    (0: forward, n_steps: backward), as the stack of every node (written to
+    ``out`` if given) and the largest Hermiticity defect of a raw step.
 
     A step is linear in y, so a constant model's step matrix is the step of
     the d² unit operators. A step whose magnitude is not finite raises
@@ -199,7 +214,7 @@ def _propagate(model, y0, grid, sign, first, method, what):
         def step(j, y):
             return _step(lattice, j, sign, y, h, method)
 
-    samples = np.empty((n + 1,) + y0.shape, dtype=complex)
+    samples = np.empty((n + 1,) + y0.shape, dtype=complex) if out is None else out
     samples[first] = y0
     y = y0
     max_defect = 0.0
@@ -229,22 +244,69 @@ def _check_method(method):
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def integrate_state(
-    model: LindbladModel,
-    rho0,
-    grid: TimeGrid,
-    method: str = "rk4",
-    *,
-    leakage_index: int | None = None,
-) -> tuple[Trajectory, MonitorReport]:
-    """Propagate a density operator over the grid.
+def _beside(run, shape, alongside):
+    """``run(out)``, which fills the complex array ``out`` of ``shape``, in a
+    forked child process while this process calls ``alongside()``; returns
+    ``out`` and the result of ``alongside``.
 
-    ``rho0`` must be Hermitian, unit trace (within 1e-10) and positive
-    semi-definite (min eigenvalue >= -1e-10). Returns the trajectory and a
-    monitor report; pass ``leakage_index`` (the top retained basis level) to
-    have truncation leakage tracked. A step beyond ``BLOWUP_CAP`` raises
-    ``BlowupError``, a non-finite one ``IntegrationError``.
+    ``out`` lives in an anonymous shared mapping, so the child's samples
+    arrive without a copy, and a pipe carries back only the child's
+    exception (pickled) or ``None``. The child is always reaped; if
+    ``alongside`` raises, the child is killed first. An error of
+    ``alongside`` takes precedence over one of ``run``, as when the two run
+    in turn, which they do where ``os.fork`` is missing. A child that ends
+    without reporting (killed, say) raises ``IntegrationError`` naming the
+    invariant flow and its exit status.
     """
+    if not hasattr(os, "fork"):
+        out = np.empty(shape, dtype=complex)
+        result = alongside()
+        run(out)
+        return out, result
+    out = np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)), dtype=complex).reshape(shape)
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report, then exit without returning to the caller
+        status = 1
+        try:
+            os.close(r)
+            try:
+                run(out)
+                error = None
+            except Exception as e:
+                error = e
+            with os.fdopen(w, "wb") as pipe:
+                pipe.write(pickle.dumps(error))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        result = alongside()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        try:
+            with os.fdopen(r, "rb") as pipe:
+                report = pipe.read()
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if not report:
+        raise IntegrationError(f"invariant flow ended without a result (exit status {status})",
+                               step=None)
+    error = pickle.loads(report)
+    if error is not None:
+        raise error
+    return out, result
+
+
+def check_state_inputs(model: LindbladModel, rho0, grid: TimeGrid, method: str = "rk4"):
+    """Raise what ``integrate_state`` raises before its first step, in the
+    same order: the method, then ``rho0`` (Hermitian, of the model's
+    dimension, unit trace within 1e-10, min eigenvalue >= -1e-10), then the
+    model lattice, which is sampled here and kept. Returns ``rho0`` as a
+    Hermitian operator."""
     _check_method(method)
     rho0 = linalg.require_hermitian(rho0, rtol=1e-10, what="rho0")
     if rho0.shape != (model.dim, model.dim):
@@ -255,6 +317,27 @@ def integrate_state(
     min_eig0 = float(linalg.hermitian_eigenvalues(rho0)[0])
     if min_eig0 < -1e-10:
         raise ValueError(f"rho0 has negative eigenvalue {min_eig0}")
+    model.on_grid(grid)
+    return rho0
+
+
+def integrate_state(
+    model: LindbladModel,
+    rho0,
+    grid: TimeGrid,
+    method: str = "rk4",
+    *,
+    leakage_index: int | None = None,
+) -> tuple[Trajectory, MonitorReport]:
+    """Propagate a density operator over the grid.
+
+    ``rho0`` must pass ``check_state_inputs``. Returns the trajectory and a
+    monitor report; pass ``leakage_index`` (the top retained basis level) to
+    have truncation leakage tracked. A step beyond ``BLOWUP_CAP`` raises
+    ``BlowupError``, a non-finite one ``IntegrationError``.
+    """
+    rho0 = check_state_inputs(model, rho0, grid, method)
+    tr0 = linalg.trace(rho0)
     samples, max_herm = _propagate(model, rho0, grid, -1, 0, method, STATE)
     traj = Trajectory(grid=grid, samples=samples, kind=STATE)
     drift = np.max(np.abs(np.trace(samples, axis1=1, axis2=2).real - tr0.real))
@@ -278,24 +361,42 @@ def integrate_invariant(
     seed_time: str,
     grid: TimeGrid,
     method: str = "rk4",
-) -> Trajectory:
+    *,
+    alongside=None,
+    what: str = "invariant seed",
+):
     """Propagate dI/dt = +i L*(I) across the grid.
 
     ``seed_time`` is "start" (forward from t_start) or "end" (backward from
     t_end, the direction the action principle fixes for the auxiliary
-    operator). Non-Hermitian seeds are rejected rather than symmetrized. A
-    step beyond ``BLOWUP_CAP`` raises ``BlowupError``, a non-finite one
-    ``IntegrationError``.
+    operator). Non-Hermitian seeds are rejected rather than symmetrized;
+    ``what`` names the seed in those errors. A step beyond ``BLOWUP_CAP``
+    raises ``BlowupError``, a non-finite one ``IntegrationError``.
+
+    ``alongside``, a callable without arguments (typically the state flow),
+    overlaps this flow with other work: once the seed is checked and the
+    model lattice sampled, the flow runs in a forked child process, on
+    another core, while this process calls ``alongside()``, and the result
+    is ``(trajectory, alongside())``, bitwise the same as the two calls in
+    turn. An error of ``alongside`` takes precedence over one of the flow.
+    A fork copies only the calling thread, so pass ``alongside`` only from a
+    process that runs no other Python threads.
     """
     _check_method(method)
     if seed_time not in ("start", "end"):
         raise ValueError(f"seed_time must be 'start' or 'end', got {seed_time!r}")
-    seed = linalg.require_hermitian(seed, what="invariant seed")
+    seed = linalg.require_hermitian(seed, what=what)
     if seed.shape != (model.dim, model.dim):
-        raise ValueError(f"seed dimension {seed.shape[0]} != model dim {model.dim}")
+        raise ValueError(f"{what} dimension {seed.shape[0]} != model dim {model.dim}")
     first = 0 if seed_time == "start" else grid.n_steps
-    samples, _ = _propagate(model, seed, grid, +1, first, method, INVARIANT)
-    return Trajectory(grid=grid, samples=samples, kind=INVARIANT)
+    if alongside is None:
+        samples, _ = _propagate(model, seed, grid, +1, first, method, INVARIANT)
+        return Trajectory(grid=grid, samples=samples, kind=INVARIANT)
+    model.on_grid(grid)  # sampled before the fork, so that both processes share it
+    samples, result = _beside(
+        lambda out: _propagate(model, seed, grid, +1, first, method, INVARIANT, out),
+        (grid.n_steps + 1,) + seed.shape, alongside)
+    return Trajectory(grid=grid, samples=samples, kind=INVARIANT), result
 
 
 def conservation_series(inv: Trajectory, state: Trajectory) -> np.ndarray:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each survives pickling, which is how a forked flow reports its error.
+"""
 
 
 class ScheduleDomainError(ValueError):
@@ -20,6 +23,9 @@ class ConfigError(ValueError):
         super().__init__(f"{field} {message}" if field else message)
         self.field = field
 
+    def __reduce__(self):  # the message already holds the field
+        return type(self), (None, str(self)), self.__dict__
+
 
 class IntegrationError(RuntimeError):
     """Non-finite values encountered during time stepping."""
@@ -27,6 +33,9 @@ class IntegrationError(RuntimeError):
     def __init__(self, message, step):
         super().__init__(message)
         self.step = step
+
+    def __reduce__(self):
+        return type(self), (str(self), self.step)
 
 
 class BlowupError(IntegrationError):
@@ -40,3 +49,6 @@ class BlowupError(IntegrationError):
     def __init__(self, message, step, magnitude):
         super().__init__(message, step)
         self.magnitude = magnitude
+
+    def __reduce__(self):
+        return type(self), (str(self), self.step, self.magnitude)

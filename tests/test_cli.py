@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import weakinv
-from weakinv import action, cli, scenarios, superop
+from weakinv import action, cli, dynamics, scenarios, superop
 from weakinv.cli import _write_json, main
 from weakinv.model import LindbladModel, Schedule
 
@@ -19,6 +20,7 @@ SMINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 SMINUS_LITERAL = [[0, 0], [1, 0], [0, 0], [0, 0]]
 ZERO2_LITERAL = [[0, 0], [0, 0], [0, 0], [0, 0]]
 EXCITED_LITERAL = [[0, 0], [0, 0], [0, 0], [1, 0]]
+IDENTITY3_LITERAL = [[float(j == k), 0] for j in range(3) for k in range(3)]
 
 
 def write_config(path, payload):
@@ -135,6 +137,33 @@ class TestInvariant:
         cfg = amp_damp_config(tmp_path, invariant_seed=SZ_LITERAL)
         assert main(["invariant", "--config", cfg, "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("seed, message", [
+        (SMINUS_LITERAL, "invariant seed is not Hermitian"),
+        (IDENTITY3_LITERAL, "invariant seed dimension 3 != model dim 2"),
+        ("sx", "invariant_seed unknown name 'sx'"),
+    ], ids=["non-hermitian", "wrong-size", "unknown-name"])
+    def test_bad_seed_exits_1_before_any_step(self, tmp_path, monkeypatch, capsys, seed,
+                                              message):
+        steps = []
+        monkeypatch.setattr(dynamics, "_propagate", lambda *args: steps.append(1))
+        cfg = amp_damp_config(tmp_path, invariant_seed=seed)
+        assert main(["invariant", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert steps == []
+
+    def test_bad_seed_wins_over_a_state_blowup(self, tmp_path, capsys):
+        # the seed is checked before either flow steps, so this is an input error
+        cfg = amp_damp_config(tmp_path, t_end=400.0, n_steps=100, invariant_seed=SMINUS_LITERAL)
+        assert main(["invariant", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: invariant seed is not Hermitian")
+
+    @pytest.mark.parametrize("command, bad", [("invariant", "invariant_seed"),
+                                              ("action-check", "lambda_final")])
+    def test_rho0_errors_come_first(self, tmp_path, capsys, command, bad):
+        cfg = amp_damp_config(tmp_path, rho0=SMINUS_LITERAL, **{bad: SMINUS_LITERAL})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: rho0 is not Hermitian")
+
 
 class TestActionCheck:
     def test_trivial_inline_model(self, tmp_path):
@@ -173,6 +202,15 @@ class TestActionCheck:
         cfg = amp_damp_config(tmp_path)
         assert main(["action-check", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "lambda_final" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lambda_final, message", [
+        (SMINUS_LITERAL, "lambda_final is not Hermitian"),
+        (IDENTITY3_LITERAL, "lambda_final dimension 3 != model dim 2"),
+    ], ids=["non-hermitian", "wrong-size"])
+    def test_bad_lambda_final_is_named(self, tmp_path, capsys, lambda_final, message):
+        cfg = amp_damp_config(tmp_path, lambda_final=lambda_final)
+        assert main(["action-check", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 class TestVerify:
@@ -407,6 +445,71 @@ class TestComputeOnce:
             "lambda_final": [[1, 0] if j == k else [0, 0] for j in range(6) for k in range(6)]})
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
         assert checks == []
+
+
+def driven_ho_config(tmp_path, n_trunc=6):
+    return write_config(tmp_path / "cfg.json", {
+        "scenario": "damped-ho", "scenario_args": {"n_trunc": n_trunc},
+        "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 200},
+        "lambda_final": [[float(j == k), 0] for j in range(n_trunc) for k in range(n_trunc)]})
+
+
+class TestForkedInvariantFlow:
+    """``invariant`` and ``action-check`` step the invariant flow in a forked
+    child while the parent steps the state; outputs, messages and exit codes
+    are those of the two flows run in turn."""
+
+    def test_invariant_blowup_in_the_child(self, tmp_path, capsys):
+        cfg = amp_damp_config(tmp_path, t_end=40.0, n_steps=4000, invariant_seed="sz")
+        assert main(["invariant", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == ("error: invariant magnitude 1.002e+12 exceeded cap "
+                                           "1.0e+12 at node 2694 (step 2694)\n")
+
+    def test_state_blowup_wins_over_an_earlier_invariant_one(self, tmp_path, capsys):
+        # the invariant flow blows up at node 8, the state flow only at node 18
+        cfg = amp_damp_config(tmp_path, t_end=400.0, n_steps=100, invariant_seed="sz")
+        assert main(["invariant", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == ("error: state magnitude 3.815e+12 exceeded cap "
+                                           "1.0e+12 at node 18 (step 18)\n")
+
+    @pytest.mark.parametrize("command", ["invariant", "action-check"])
+    def test_child_killed_by_a_signal_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        parent, propagate = os.getpid(), dynamics._propagate
+
+        def killed_in_the_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return propagate(*args)
+
+        monkeypatch.setattr(dynamics, "_propagate", killed_in_the_child)
+        cfg = amp_damp_config(tmp_path, invariant_seed="sz", lambda_final=SZ_LITERAL)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == ("error: invariant flow ended without a result "
+                                           f"(exit status {-signal.SIGKILL})\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("command", ["invariant", "action-check"])
+    def test_same_bytes_without_fork(self, tmp_path, monkeypatch, command):
+        cfg = driven_ho_config(tmp_path)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "forked")]) == 0
+        monkeypatch.delattr(os, "fork")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
+        names = sorted(p.name for p in (tmp_path / "forked").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "serial").iterdir())
+        for name in names:
+            assert ((tmp_path / "forked" / name).read_bytes()
+                    == (tmp_path / "serial" / name).read_bytes())
+
+    @pytest.mark.parametrize("command", ["invariant", "action-check"])
+    def test_child_skips_the_input_checks(self, tmp_path, monkeypatch, command):
+        # an appending counter cannot see calls made in the child; a raise can
+        def check_dim(*args):
+            raise AssertionError("superop._check_dim called")
+
+        monkeypatch.setattr(superop, "_check_dim", check_dim)
+        assert main([command, "--config", driven_ho_config(tmp_path),
+                     "--out", str(tmp_path)]) == 0
 
 
 def run_module(*args):

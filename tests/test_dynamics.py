@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from numpy.testing import assert_allclose
 import helpers
 from helpers import (PLUS_STATE, SMINUS, SX, SZ, random_constant_model, random_density,
                      random_hermitian)
-from weakinv import dynamics, linalg
+from weakinv import dynamics, linalg, scenarios
 from weakinv.dynamics import TimeGrid, Trajectory, conservation_series, integrate_invariant, integrate_state
 from weakinv.errors import BlowupError, IntegrationError, ModelValidationError, NotHermitianError
 from weakinv.model import LindbladModel, scaled, sinusoidal
@@ -339,6 +340,87 @@ class TestStepGuard:
         assert err.value.step == node
         kind = "state" if flow == "state" else "invariant"
         assert str(err.value) == f"non-finite {kind} at node {node}"
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def raise_value_error():
+    raise ValueError("state flow failed")
+
+
+class TestForkedInvariantFlow:
+    """With ``alongside``, the invariant flow runs in a forked child while the
+    parent runs the state flow; the results must be the serial ones, bit for
+    bit, and every child must be reaped."""
+
+    @pytest.mark.parametrize("seed_time", ["start", "end"])
+    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
+    @pytest.mark.parametrize("case", ["step-matrix", "driven"])
+    def test_bitwise_equal_to_serial_calls(self, monkeypatch, case, method, seed_time):
+        if case == "step-matrix":
+            m, rho0, seed = amp_damp(), PLUS_STATE, SZ
+        else:
+            spec = scenarios.damped_oscillator(n_trunc=6)
+            m, rho0, seed = spec.model, spec.default_rho0, spec.default_invariant_seed
+        grid = TimeGrid(0.0, 1.0, 200)
+        serial_inv = integrate_invariant(m, seed, seed_time, grid, method)
+        serial_state, serial_mon = integrate_state(m, rho0, grid, method)
+
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        inv, (state, mon) = integrate_invariant(
+            m, seed, seed_time, grid, method,
+            alongside=lambda: integrate_state(m, rho0, grid, method))
+        assert forks == [1]
+        assert inv.kind == dynamics.INVARIANT and inv.grid == grid
+        assert inv.samples.tobytes() == serial_inv.samples.tobytes()
+        assert state.samples.tobytes() == serial_state.samples.tobytes()
+        assert mon == serial_mon
+
+    def test_without_fork_the_flows_run_in_turn(self, monkeypatch):
+        m, grid = driven_amp_damp(), TimeGrid(0.0, 1.0, 100)
+        forked = integrate_invariant(m, SX, "end", grid, alongside=lambda: "done")
+        monkeypatch.delattr(os, "fork")
+        order = []
+        serial = integrate_invariant(m, SX, "end", grid,
+                                     alongside=lambda: order.append("alongside") or "done")
+        assert serial[1] == forked[1] == "done"
+        assert serial[0].samples.tobytes() == forked[0].samples.tobytes()
+        assert order == ["alongside"]
+
+    def test_the_childs_error_arrives_whole(self):
+        with pytest.raises(BlowupError) as serial:
+            integrate_invariant(amp_damp(gamma=40.0), SZ, "start", TimeGrid(0.0, 1.0, 100))
+        with pytest.raises(BlowupError) as forked:
+            integrate_invariant(amp_damp(gamma=40.0), SZ, "start", TimeGrid(0.0, 1.0, 100),
+                                alongside=lambda: None)
+        assert str(forked.value) == str(serial.value)
+        assert forked.value.step == serial.value.step
+        assert forked.value.magnitude == serial.value.magnitude
+
+    def test_the_parents_error_comes_first(self):
+        # the child would blow up too; the error of ``alongside`` wins
+        with pytest.raises(ValueError, match="state flow failed"):
+            integrate_invariant(amp_damp(gamma=40.0), SZ, "start", TimeGrid(0.0, 1.0, 100),
+                                alongside=raise_value_error)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_zombie_and_no_leaked_descriptor(self):
+        m, grid = amp_damp(), TimeGrid(0.0, 1.0, 100)
+        fds = open_fds()
+        for _ in range(3):
+            integrate_invariant(m, SZ, "start", grid, alongside=lambda: None)
+            with pytest.raises(BlowupError):
+                integrate_invariant(amp_damp(gamma=40.0), SZ, "start", grid,
+                                    alongside=lambda: None)
+            with pytest.raises(ValueError, match="state flow failed"):
+                integrate_invariant(m, SZ, "start", grid, alongside=raise_value_error)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
 
 
 class TestConservation:
