@@ -12,7 +12,11 @@ lattice, then the invariant seed or lambda_final), then step the invariant
 flow in a forked child process while this process steps the state flow and
 its monitors; outputs are byte-identical to running the flows in turn, and
 a state-flow error is reported before an invariant-flow error. `simulate`
-and `verify` run in one process.
+hands each finished block of state.csv rows but the last to a forked child
+that formats it while the state flow keeps stepping; state.csv is written
+whole, byte-identical to formatting it in one process, or not at all.
+`verify` runs in one process. Every command creates its output directory
+once its config is checked, before the first step.
 
 Exit codes: 0 success, 1 usage/config error (a wrong type, a non-finite
 number or an unknown key in the config included), 2 verification or monitor
@@ -33,6 +37,7 @@ from . import invariant as invariant_mod
 from . import linalg, verify
 from .action import DiscretizedPath, auxiliary_trajectory, gauge_shift_check, stationarity_report
 from .dynamics import (
+    CsvStream,
     TimeGrid,
     check_state_inputs,
     integrate_invariant,
@@ -136,6 +141,13 @@ def _integer(value, field: str, minimum: int) -> int:
     return value
 
 
+def _make_dir(path: Path, field: str) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(field, f"cannot create {path}: {e.strerror}") from None
+
+
 def _write_json(path: Path, payload: dict) -> None:
     # strict JSON: a NaN or infinity is an error, never written
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
@@ -207,6 +219,7 @@ class RunSetup:
         if not isinstance(out_dir, str):
             raise ConfigError("output_dir", f"must be a path string, got {out_dir!r}")
         self.out_dir = Path(args.out if args.out is not None else out_dir)
+        self.out_field = "--out" if args.out is not None else "output_dir"
         self.leakage_index = (
             self.spec.truncation_dim - 1
             if self.spec is not None and self.spec.truncation_dim is not None
@@ -238,13 +251,17 @@ class RunSetup:
             raise ConfigError("lambda_final", "is required for action-check")
         return _parse_literal(raw, "lambda_final")
 
-    def integrate_state(self):
+    def make_out_dir(self) -> None:
+        """Create the output directory: once the config is checked, before
+        the first step. One that cannot be made is a config error."""
+        _make_dir(self.out_dir, self.out_field)
+
+    def integrate_state(self, done=None):
         """The state trajectory and its monitors, leakage tracked if truncated."""
         return integrate_state(self.model, self.rho0, self.grid, self.method,
-                               leakage_index=self.leakage_index)
+                               leakage_index=self.leakage_index, done=done)
 
     def write_json(self, name: str, payload: dict) -> None:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(self.out_dir / name, payload)
 
 
@@ -272,9 +289,10 @@ def _finish(setup: RunSetup, name: str, payload: dict, monitors, failure: str = 
 
 def cmd_simulate(args) -> int:
     setup = RunSetup(args)
-    traj, monitors = setup.integrate_state()
-    setup.out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj, setup.out_dir / "state.csv")
+    setup.make_out_dir()
+    with CsvStream(setup.grid, setup.out_dir) as stream:
+        traj, monitors = setup.integrate_state(stream.done)
+        write_trajectory_csv(traj, setup.out_dir / "state.csv", stream=stream)
     payload = monitors.to_dict()
     payload["grid"] = setup.grid.to_dict()
     return _finish(setup, "monitors.json", payload, monitors)
@@ -286,12 +304,12 @@ def cmd_invariant(args) -> int:
                         positive=True)
     # ρ0 and the lattice fail before the seed, as when the flows ran in turn
     check_state_inputs(setup.model, setup.rho0, setup.grid, setup.method)
-    inv, (state, monitors) = integrate_invariant(setup.model, setup.invariant_seed(), "start",
-                                                 setup.grid, setup.method,
-                                                 alongside=setup.integrate_state)
+    seed = setup.invariant_seed()
+    setup.make_out_dir()
+    inv, (state, monitors) = integrate_invariant(setup.model, seed, "start", setup.grid,
+                                                 setup.method, alongside=setup.integrate_state)
     report = invariant_mod.analyze(inv, state)
 
-    setup.out_dir.mkdir(parents=True, exist_ok=True)
     invariant_mod.write_expectation_csv(setup.grid, report.expectation,
                                         setup.out_dir / "expectation.csv")
     invariant_mod.write_spectrum_csv(report.spectrum, setup.out_dir / "spectrum.csv")
@@ -313,6 +331,7 @@ def cmd_action_check(args) -> int:
     lam_final = setup.lambda_final()
     # ρ0 and the lattice fail before lambda_final's checks, as when the flows ran in turn
     check_state_inputs(setup.model, setup.rho0, setup.grid, setup.method)
+    setup.make_out_dir()
     lam, (state, monitors) = auxiliary_trajectory(setup.model, lam_final, setup.grid,
                                                   setup.method, alongside=setup.integrate_state)
     path = DiscretizedPath(grid=setup.grid, rho=state.samples, lam=lam.samples)
@@ -342,18 +361,19 @@ def cmd_action_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    seed = _integer(args.seed, "seed", 0)
     if args.trials < 1:
         raise ConfigError("trials", "must be ≥ 1")
-    results = verify.run_all(args.seed, args.trials, break_adjoint=args.break_adjoint)
+    out_dir = Path(args.out) if args.out is not None else Path(".")
+    _make_dir(out_dir, "--out")
+    results = verify.run_all(seed, args.trials, break_adjoint=args.break_adjoint)
     all_pass = all(r.passed for r in results)
     payload = {
-        "seed": args.seed,
+        "seed": seed,
         "trials": args.trials,
         "all_pass": all_pass,
         "properties": [r.to_dict() for r in results],
     }
-    out_dir = Path(args.out) if args.out is not None else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "verify_report.json", payload)
     for r in results:
         status = "pass" if r.passed else "FAIL"

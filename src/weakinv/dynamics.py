@@ -31,8 +31,15 @@ flow): after the seed is checked and the lattice sampled, the invariant
 flow runs in a forked child, on a second core, writing its samples into an
 anonymous shared mapping, while this process calls ``alongside``. The
 results are bitwise those of the two calls in turn; where ``os.fork`` is
-missing they are made in turn. ``integrate_state`` and plain
+missing they are made in turn. Plain ``integrate_state`` and
 ``integrate_invariant`` calls run in-process.
+
+CSV text is formatted by one row formatter, in blocks of at most
+``CSV_BLOCK_VALUES`` values. A ``CsvStream`` given to ``integrate_state`` as
+its per-node ``done`` hook hands each finished block of state rows but the
+last to a forked child, so ``simulate`` formats ``state.csv`` while the flow
+keeps stepping; ``write_trajectory_csv`` then writes the same bytes as
+without a stream. Both uses of ``fork`` share one helper, ``_Child``.
 """
 
 from __future__ import annotations
@@ -41,7 +48,9 @@ import math
 import mmap
 import os
 import pickle
+import shutil
 import signal
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +78,16 @@ BLOWUP_CAP = 1e12
 # ~500-1200 steps; from d=24 the product is slower than the direct step.
 STEP_MATRIX_MAX_DIM = 16
 
+# CSV text is formatted in blocks of rows of at most this many values (at
+# least one row); a ``CsvStream`` hands each finished block but the last to a
+# forked child. At d=20 a block is 654 rows, ~0.1 s of %.17g formatting on
+# one core, and a table of one block (amp-damp's 5001 rows) forks nothing.
+CSV_BLOCK_VALUES = 1 << 19
+# Most formatter children running at a time: where formatting a block takes
+# longer than stepping one, the oldest is joined before the next fork, so
+# that a long grid does not pile up processes.
+CSV_FORMATTERS = 2
+
 __all__ = [
     "TimeGrid",
     "Trajectory",
@@ -79,6 +98,7 @@ __all__ = [
     "conservation_series",
     "write_trajectory_csv",
     "write_csv",
+    "CsvStream",
     "STATE",
     "INVARIANT",
     "METHODS",
@@ -189,10 +209,11 @@ def _step(lattice, j, sign, y, h, method):
     return y + h * rhs(sm, y + (0.5 * h) * k1)
 
 
-def _propagate(model, y0, grid, sign, first, method, what, out=None):
+def _propagate(model, y0, grid, sign, first, method, what, out=None, done=None):
     """The flow y' = sign * i * generator(y) from ``y0`` at node ``first``
     (0: forward, n_steps: backward), as the stack of every node (written to
     ``out`` if given) and the largest Hermiticity defect of a raw step.
+    ``done(samples, k)``, if given, is called as each node k is written.
 
     A step is linear in y, so a constant model's step matrix is the step of
     the d² unit operators. A step whose magnitude is not finite raises
@@ -216,6 +237,8 @@ def _propagate(model, y0, grid, sign, first, method, what, out=None):
 
     samples = np.empty((n + 1,) + y0.shape, dtype=complex) if out is None else out
     samples[first] = y0
+    if done:
+        done(samples, first)
     y = y0
     max_defect = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -236,6 +259,8 @@ def _propagate(model, y0, grid, sign, first, method, what, out=None):
             y = y + y_dag  # (y + y†) / 2, bitwise linalg.hermitize
             y /= 2.0
             samples[dst] = y
+            if done:
+                done(samples, dst)
     return samples, float(max_defect)
 
 
@@ -244,61 +269,56 @@ def _check_method(method):
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def _beside(run, shape, alongside):
-    """``run(out)``, which fills the complex array ``out`` of ``shape``, in a
-    forked child process while this process calls ``alongside()``; returns
-    ``out`` and the result of ``alongside``.
+class _Child:
+    """``run()`` in a forked child process, which reports back through a pipe
+    its exception (pickled) or ``None``; where ``os.fork`` is missing,
+    ``join`` calls ``run()`` here instead. ``join`` raises the child's
+    exception, or ``IntegrationError`` naming ``what`` and the exit status
+    if the child ended without a report (killed, say)."""
 
-    ``out`` lives in an anonymous shared mapping, so the child's samples
-    arrive without a copy, and a pipe carries back only the child's
-    exception (pickled) or ``None``. The child is always reaped; if
-    ``alongside`` raises, the child is killed first. An error of
-    ``alongside`` takes precedence over one of ``run``, as when the two run
-    in turn, which they do where ``os.fork`` is missing. A child that ends
-    without reporting (killed, say) raises ``IntegrationError`` naming the
-    invariant flow and its exit status.
-    """
-    if not hasattr(os, "fork"):
-        out = np.empty(shape, dtype=complex)
-        result = alongside()
-        run(out)
-        return out, result
-    out = np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)), dtype=complex).reshape(shape)
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child: report, then exit without returning to the caller
-        status = 1
-        try:
-            os.close(r)
+    def __init__(self, run, what):
+        self.run, self.what, self.pid = run, what, None
+        if not hasattr(os, "fork"):
+            return
+        r, w = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:  # the child: report, then exit without returning to the caller
+            status = 1
             try:
-                run(out)
-                error = None
-            except Exception as e:
-                error = e
-            with os.fdopen(w, "wb") as pipe:
-                pipe.write(pickle.dumps(error))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    try:
-        result = alongside()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
+                os.close(r)
+                try:
+                    run()
+                    error = None
+                except Exception as e:
+                    error = e
+                with os.fdopen(w, "wb") as pipe:
+                    pipe.write(pickle.dumps(error))
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        self.pipe = r
+
+    def join(self, kill=False):
+        """Wait for ``run()`` (killing the child first with ``kill``, which
+        drops its result) and raise its exception, if any."""
+        if self.pid is None:
+            return None if kill else self.run()
+        if kill:
+            os.kill(self.pid, signal.SIGKILL)
         try:
-            with os.fdopen(r, "rb") as pipe:
+            with os.fdopen(self.pipe, "rb") as pipe:
                 report = pipe.read()
         finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if not report:
-        raise IntegrationError(f"invariant flow ended without a result (exit status {status})",
-                               step=None)
-    error = pickle.loads(report)
-    if error is not None:
-        raise error
-    return out, result
+            status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        if kill:
+            return
+        if not report:
+            raise IntegrationError(f"{self.what} ended without a result (exit status {status})",
+                                   step=None)
+        error = pickle.loads(report)
+        if error is not None:
+            raise error
 
 
 def check_state_inputs(model: LindbladModel, rho0, grid: TimeGrid, method: str = "rk4"):
@@ -328,17 +348,20 @@ def integrate_state(
     method: str = "rk4",
     *,
     leakage_index: int | None = None,
+    done=None,
 ) -> tuple[Trajectory, MonitorReport]:
     """Propagate a density operator over the grid.
 
     ``rho0`` must pass ``check_state_inputs``. Returns the trajectory and a
     monitor report; pass ``leakage_index`` (the top retained basis level) to
-    have truncation leakage tracked. A step beyond ``BLOWUP_CAP`` raises
-    ``BlowupError``, a non-finite one ``IntegrationError``.
+    have truncation leakage tracked. ``done(samples, k)``, if given, is
+    called as each node k of the stack is written (``CsvStream.done``, say).
+    A step beyond ``BLOWUP_CAP`` raises ``BlowupError``, a non-finite one
+    ``IntegrationError``.
     """
     rho0 = check_state_inputs(model, rho0, grid, method)
     tr0 = linalg.trace(rho0)
-    samples, max_herm = _propagate(model, rho0, grid, -1, 0, method, STATE)
+    samples, max_herm = _propagate(model, rho0, grid, -1, 0, method, STATE, None, done)
     traj = Trajectory(grid=grid, samples=samples, kind=STATE)
     drift = np.max(np.abs(np.trace(samples, axis1=1, axis2=2).real - tr0.real))
     min_eig = np.min(linalg.hermitian_eigenvalues(samples)[:, 0])
@@ -378,8 +401,9 @@ def integrate_invariant(
     model lattice sampled, the flow runs in a forked child process, on
     another core, while this process calls ``alongside()``, and the result
     is ``(trajectory, alongside())``, bitwise the same as the two calls in
-    turn. An error of ``alongside`` takes precedence over one of the flow.
-    A fork copies only the calling thread, so pass ``alongside`` only from a
+    turn, which is how they run where ``os.fork`` is missing. An error of
+    ``alongside`` takes precedence over one of the flow, whose child is then
+    killed and reaped. A fork copies only the calling thread, so pass ``alongside`` only from a
     process that runs no other Python threads.
     """
     _check_method(method)
@@ -393,10 +417,18 @@ def integrate_invariant(
         samples, _ = _propagate(model, seed, grid, +1, first, method, INVARIANT)
         return Trajectory(grid=grid, samples=samples, kind=INVARIANT)
     model.on_grid(grid)  # sampled before the fork, so that both processes share it
-    samples, result = _beside(
-        lambda out: _propagate(model, seed, grid, +1, first, method, INVARIANT, out),
-        (grid.n_steps + 1,) + seed.shape, alongside)
-    return Trajectory(grid=grid, samples=samples, kind=INVARIANT), result
+    # an anonymous shared mapping, so that the child's samples arrive without a copy
+    shape = (grid.n_steps + 1,) + seed.shape
+    out = np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)), dtype=complex).reshape(shape)
+    child = _Child(lambda: _propagate(model, seed, grid, +1, first, method, INVARIANT, out),
+                   "invariant flow")
+    try:
+        result = alongside()
+    except BaseException:
+        child.join(kill=True)
+        raise
+    child.join()
+    return Trajectory(grid=grid, samples=out, kind=INVARIANT), result
 
 
 def conservation_series(inv: Trajectory, state: Trajectory) -> np.ndarray:
@@ -419,18 +451,93 @@ def conservation_series(inv: Trajectory, state: Trajectory) -> np.ndarray:
     return values.real.copy()
 
 
+def _csv_text(nodes, values):
+    """The CSV rows of ``values``, each led by its node's t, every number
+    with 17 significant digits (lossless), as bytes, one block of at most
+    ``CSV_BLOCK_VALUES`` values (at least one row) at a time."""
+    fmt = ",".join(["%.17g"] * (1 + values.shape[1])) + "\n"
+    rows = max(1, CSV_BLOCK_VALUES // (1 + values.shape[1]))
+    for a in range(0, len(nodes), rows):
+        table = np.column_stack([nodes[a:a + rows], values[a:a + rows]]).tolist()
+        yield "".join([fmt % tuple(row) for row in table]).encode()
+
+
 def write_csv(path, header: list[str], nodes, values) -> None:
     """CSV export: the header row, then per node t and the node's ``values``
     row, every number with 17 significant digits (lossless)."""
-    table = np.column_stack([nodes, values])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    nodes = np.asarray(nodes)
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\n").encode())
+        f.writelines(_csv_text(nodes, np.asarray(values).reshape(len(nodes), -1)))
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """CSV export: t, then re_j_k / im_j_k for the row-major operator entries."""
+def _flat(samples):
+    # a complex128 row viewed as float64 interleaves the real and imaginary parts
+    return np.ascontiguousarray(samples).reshape(len(samples), -1).view(np.float64)
+
+
+class CsvStream:
+    """A state trajectory's CSV rows, formatted in forked children while the
+    flow steps: ``done`` is ``integrate_state``'s per-node hook, and
+    ``write_trajectory_csv(..., stream=)`` writes the file. Each finished
+    block of rows (``CSV_BLOCK_VALUES`` values) but the last goes to a child
+    that writes its text to an unlinked temporary file in ``directory``.
+    Leaving the ``with`` block kills and reaps the children not joined and
+    closes the files, so an error leaves no process and no file behind."""
+
+    def __init__(self, grid: TimeGrid, directory):
+        self.nodes, self.directory = grid.nodes(), directory
+        self.running, self.files = [], []  # in row order
+        self.start = 0  # the first row not handed to a child
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for child in self.running:
+            child.join(kill=True)
+        for file in self.files:
+            file.close()
+
+    def done(self, samples, k):
+        end = self.start + max(1, CSV_BLOCK_VALUES // (1 + 2 * samples[0].size))
+        if k + 1 < end or end >= len(samples):
+            return
+        self.join(CSV_FORMATTERS - 1)
+        file = tempfile.TemporaryFile(dir=self.directory)
+        nodes, values = self.nodes[self.start:end], _flat(samples[self.start:end])
+
+        def run():
+            file.writelines(_csv_text(nodes, values))
+            file.flush()
+
+        self.running.append(_Child(run, "state CSV formatter"))
+        self.files.append(file)
+        self.start = end
+
+    def join(self, running=0):
+        """Join the oldest children until at most ``running`` are left,
+        raising the first error."""
+        while len(self.running) > running:
+            self.running.pop(0).join()
+
+
+def write_trajectory_csv(traj: Trajectory, path, *, stream: CsvStream | None = None) -> None:
+    """CSV export: t, then re_j_k / im_j_k for the row-major operator entries.
+
+    With a ``stream`` fed by the state flow, only the rows after its blocks
+    are formatted here; the file is written once all its children succeed.
+    """
     d = traj.dim
     header = ["t"] + [f"{part}_{j}_{k}"
                       for j in range(d) for k in range(d) for part in ("re", "im")]
-    # a complex128 row viewed as float64 interleaves the real and imaginary parts
-    flat = np.ascontiguousarray(traj.samples).reshape(len(traj.samples), -1).view(np.float64)
-    write_csv(path, header, traj.grid.nodes(), flat)
+    if stream is None:
+        return write_csv(path, header, traj.grid.nodes(), _flat(traj.samples))
+    tail = list(_csv_text(stream.nodes[stream.start:], _flat(traj.samples[stream.start:])))
+    stream.join()
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\n").encode())
+        for file in stream.files:
+            file.seek(0)
+            shutil.copyfileobj(file, f)
+        f.writelines(tail)

@@ -223,6 +223,11 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "adjoint_pairing" in out
 
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        assert main(["verify", "--seed", "-1", "--trials", "1", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: seed must be ≥ 0\n"
+        assert os.listdir(tmp_path) == []
+
     def test_trials_one_still_valid(self, tmp_path):
         assert main(["verify", "--trials", "1", "--out", str(tmp_path)]) == 0
 
@@ -510,6 +515,122 @@ class TestForkedInvariantFlow:
         monkeypatch.setattr(superop, "_check_dim", check_dim)
         assert main([command, "--config", driven_ho_config(tmp_path),
                      "--out", str(tmp_path)]) == 0
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+class TestStreamedStateCsv:
+    """``simulate`` formats finished blocks of ``state.csv`` rows in forked
+    children while the state flow steps; the file is written whole or not
+    at all, and every child is reaped."""
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        # two amp-damp rows (9 values each) per block
+        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", 18)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        return forks
+
+    def blowup(self, tmp_path, capsys):
+        # the state flow blows up at node 18, after nine blocks were handed off
+        cfg = amp_damp_config(tmp_path, t_end=400.0, n_steps=100)
+        out = tmp_path / "blowup"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: state magnitude 3.815e+12 exceeded cap "
+                                           "1.0e+12 at node 18 (step 18)\n")
+        assert os.listdir(out) == []
+
+    def killed(self, tmp_path, monkeypatch, capsys):
+        parent, csv_text = os.getpid(), dynamics._csv_text
+
+        def killed_in_the_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return csv_text(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_csv_text", killed_in_the_child)
+            out = tmp_path / "killed"
+            assert main(["simulate", "amp-damp", "--steps", "40", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: state CSV formatter ended without a result "
+                                           f"(exit status {-signal.SIGKILL})\n")
+        assert os.listdir(out) == []
+
+    def test_state_blowup_after_blocks_were_handed_off(self, tmp_path, capsys, small_blocks,
+                                                       forks):
+        self.blowup(tmp_path, capsys)
+        assert len(forks) == 9
+
+    def test_formatter_killed_by_a_signal_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                  small_blocks):
+        self.killed(tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_zombie_and_no_leaked_descriptor(self, tmp_path, monkeypatch, capsys,
+                                                small_blocks):
+        fds = open_fds()
+        for k in range(3):
+            out = tmp_path / f"ok{k}"
+            assert main(["simulate", "amp-damp", "--steps", "40", "--out", str(out)]) == 0
+            assert sorted(os.listdir(out)) == ["monitors.json", "state.csv"]
+            self.blowup(tmp_path, capsys)
+            self.killed(tmp_path, monkeypatch, capsys)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
+
+    @pytest.mark.parametrize("scenario", ["amp-damp", "damped-ho"])
+    def test_same_bytes_without_fork(self, tmp_path, monkeypatch, small_blocks, scenario):
+        argv = ["simulate", scenario, "--steps", "30", "--out"]
+        assert main(argv + [str(tmp_path / "forked")]) == 0
+        monkeypatch.delattr(os, "fork")
+        assert main(argv + [str(tmp_path / "serial")]) == 0
+        for name in ("state.csv", "monitors.json"):
+            assert ((tmp_path / "forked" / name).read_bytes()
+                    == (tmp_path / "serial" / name).read_bytes())
+        assert sorted(os.listdir(tmp_path / "serial")) == ["monitors.json", "state.csv"]
+
+    @pytest.mark.parametrize("argv, n_forks", [
+        (["amp-damp"], 0),  # 5001 rows of 9 values: one block
+        (["damped-ho", "--steps", "700"], 1),  # 701 rows of 801 values: 654 per block
+    ], ids=["amp-damp", "damped-ho"])
+    def test_forks_at_the_default_block(self, tmp_path, forks, argv, n_forks):
+        assert main(["simulate", *argv, "--out", str(tmp_path)]) == 0
+        assert len(forks) == n_forks
+
+
+class TestOutputDirectory:
+    """An output directory that cannot be made is a config error, found
+    before the first step."""
+
+    @pytest.mark.parametrize("command", ["simulate", "invariant", "action-check", "verify"])
+    def test_out_under_a_regular_file(self, tmp_path, monkeypatch, capsys, command):
+        cfg = amp_damp_config(tmp_path, n_steps=50, invariant_seed="sz",
+                              lambda_final=SZ_LITERAL)
+        monkeypatch.setattr(dynamics, "_propagate", None)  # no flow may start
+        monkeypatch.setattr(cli.verify, "run_all", None)
+        out = tmp_path / "cfg.json" / "sub"
+        argv = ["--trials", "1"] if command == "verify" else ["--config", cfg]
+        assert main([command, *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --out cannot create {out}: Not a directory\n"
+
+    def test_output_dir_is_named(self, tmp_path, capsys):
+        cfg = amp_damp_config(tmp_path, n_steps=50, output_dir=str(tmp_path / "cfg.json"))
+        assert main(["simulate", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (f"error: output_dir cannot create "
+                                           f"{tmp_path / 'cfg.json'}: File exists\n")
+
+    def test_verify_out_is_a_regular_file(self, tmp_path, capsys):
+        out = tmp_path / "report"
+        out.write_text("")
+        assert main(["verify", "--trials", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --out cannot create {out}: File exists\n"
 
 
 def run_module(*args):
