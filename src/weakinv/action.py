@@ -34,16 +34,26 @@ of a scalar rate lambda) times the identity changes S_disc by exactly the
 same quadrature applied to lambda(t) (tr rho(t) - tr rho(t_0)), up to
 roundoff, while leaving Lam at the final node untouched.
 
-The node values, cell generators and gradients are ``(n, d, d)`` stacks.
-The generator is applied to whole runs of cells that share one model
-snapshot, through the unchecked effective-Hamiltonian kernels of
-``superop`` with K built once per run: a constant model's lattice is one
-snapshot, so all n cells take one stacked call (split into blocks of
-``linalg.BLOCK_ENTRIES`` entries, so that a long grid at large d keeps its
-temporaries bounded), while a driven model is applied cell by cell, which
-keeps its memory at one cell's temporaries. The paths themselves come from
-the integrators in ``dynamics``, which run both flows through one checked
-loop: a constant model of dimension at most
+S_disc is linear in the rho nodes, so S_disc = sum_k tr(dS/drho_k rho_k):
+the value is summed from the rho gradients themselves, the boundary term
+-tr(Lam_0 rho_0) last, as in the formula above.
+
+The node values are ``(n, d, d)`` stacks. The cell generators G_k and B_k
+and the node gradients are not: they are streamed through blocks of at
+most ``linalg.BLOCK_ENTRIES`` operator entries (about 20 cells at d=20, so
+that a block's temporaries stay in cache), and the report reduces them
+block by block (the action sum, the interior maxima with each block's last
+cell carried across its edge, and the boundary nodes), as does the gauge
+check with Lam shifted block by block. ``grad_rho`` and ``grad_lam``
+collect the same blocks into a stack, so their values equal the report's.
+One block path serves every model: the generator is applied to a whole
+block per call of the unchecked effective-Hamiltonian kernels of
+``superop``, with K built once for a constant model and once per cell
+snapshot, stacked per block, for a driven one, whose time-dependent
+channels are stacked per block too.
+
+The paths themselves come from the integrators in ``dynamics``, which run
+both flows through one checked loop: a constant model of dimension at most
 ``dynamics.STEP_MATRIX_MAX_DIM`` steps by a matrix built from the RK4 or
 midpoint stages, a driven model by the stages themselves.
 ``stationarity_check`` integrates Lam backward in a forked child while this
@@ -65,7 +75,7 @@ from .dynamics import (
     integrate_invariant,
     integrate_state,
 )
-from .model import LindbladModel, Schedule
+from .model import ChannelSnapshot, LindbladModel, Schedule
 from .superop import adjoint, liouvillian
 
 # Tolerance on the (discarded) imaginary part of the action value.
@@ -147,48 +157,139 @@ class ActionReport:
         }
 
 
-def _runs(snaps, dim: int):
-    """``(snapshot, k0, k1)`` for each run of consecutive cells k0..k1-1 that
-    share one snapshot object, at most ``linalg.BLOCK_ENTRIES`` operator
-    entries long: one run for a constant model on a short grid or of small
-    dimension, one per cell for a driven one."""
-    block = max(1, linalg.BLOCK_ENTRIES // dim**2)
-    k0 = 0
-    for k in range(1, len(snaps) + 1):
-        if k == len(snaps) or snaps[k] is not snaps[k0] or k - k0 == block:
-            yield snaps[k0], k0, k
-            k0 = k
+def _blocks(model: LindbladModel, grid: TimeGrid):
+    """``(k0, k1, K, channels)`` for each block of cells k0..k1-1, at most
+    ``linalg.BLOCK_ENTRIES`` operator entries long, with the model at the
+    cell midpoints of the grid lattice. A constant model's one K and
+    channels serve every block, built once; otherwise K is built once per
+    cell snapshot and stacked per block, and so are the channels where they
+    depend on time."""
+    snaps = model.on_grid(grid)[1::2]
+    size = max(1, linalg.BLOCK_ENTRIES // model.dim**2)
+    shared = model.is_constant  # one snapshot serves every cell
+    if shared:
+        k, channels = snaps[0].effective_hamiltonian(), snaps[0].channels
+    for k0 in range(0, len(snaps), size):
+        part = snaps[k0:k0 + size]
+        if not shared:
+            k = np.stack([s.effective_hamiltonian() for s in part])
+            # a shared K0 means channels shared by every snapshot
+            channels = part[0].channels if part[0].k0 is not None else _stacked_channels(part)
+        yield k0, k0 + len(part), k, channels
 
 
-def _cell_generators(grid: TimeGrid, lam: np.ndarray, model: LindbladModel) -> np.ndarray:
-    """G_k = (Lam_{k+1} - Lam_k)/dt - i L*(Λ̄_k) per cell, as an (n, d, d)
-    stack, with the model at the cell midpoints of the grid lattice."""
+def _stacked_channels(snaps) -> tuple:
+    """The channels of a block of cell snapshots, each rate stacked per
+    cell as an ``(n, 1, 1)`` array and each operator too where it varies."""
+    def per_cell(values):
+        return values[0] if all(v is values[0] for v in values) else np.stack(values)
+
+    stacked = []
+    for i in range(len(snaps[0].channels)):
+        cells = [s.channels[i] for s in snaps]
+        stacked.append(ChannelSnapshot(
+            l=per_cell([c.l for c in cells]),
+            l_dag=per_cell([c.l_dag for c in cells]),
+            l_dag_l=per_cell([c.l_dag_l for c in cells]),
+            alpha=np.array([c.alpha for c in cells])[:, None, None]))
+    return tuple(stacked)
+
+
+def _lam_nodes(path: DiscretizedPath, phi: np.ndarray | None = None):
+    """``nodes(k0, k1)``, the Lam nodes k0..k1-1 of ``path``; with ``phi``,
+    each shifted by phi_k times the identity, as a new array per call."""
+    if phi is None:
+        return lambda k0, k1: path.lam[k0:k1]
+    diag = np.arange(path.dim)
+
+    def nodes(k0, k1):
+        shifted = path.lam[k0:k1].copy()
+        shifted[:, diag, diag] += phi[k0:k1, None]
+        return shifted
+    return nodes
+
+
+def _cell_generators(grid: TimeGrid, lam, model: LindbladModel):
+    """``(k0, k1, G)`` per block of cells, G_k = (Lam_{k+1} - Lam_k)/dt -
+    i L*(Λ̄_k) for k0 <= k < k1, with the Lam nodes read block by block
+    from ``lam(k0, k1)`` (see ``_lam_nodes``)."""
     dt = grid.dt
-    gens = np.empty((grid.n_steps,) + lam.shape[1:], dtype=complex)
-    for snap, k0, k1 in _runs(model.on_grid(grid)[1::2], model.dim):
-        a, b = lam[k0:k1], lam[k0 + 1:k1 + 1]
-        gens[k0:k1] = (b - a) / dt - 1j * adjoint(snap.effective_hamiltonian(), snap.channels,
-                                                  0.5 * (a + b))
-    return gens
+    for k0, k1, k, channels in _blocks(model, grid):
+        nodes = lam(k0, k1 + 1)
+        a, b = nodes[:-1], nodes[1:]
+        yield k0, k1, (b - a) / dt - 1j * adjoint(k, channels, 0.5 * (a + b))
 
 
-def _node_sums(cells: np.ndarray) -> np.ndarray:
-    """Per node, the sum of the values of the cells next to it:
-    c_0, c_0 + c_1, ..., c_{N-2} + c_{N-1}, c_{N-1}."""
-    out = np.empty((len(cells) + 1,) + cells.shape[1:], dtype=complex)
-    out[0] = cells[0]
-    np.add(cells[:-1], cells[1:], out=out[1:-1])
-    out[-1] = cells[-1]
-    return out
+def _node_sums(cells, n: int):
+    """``(k0, sums)`` per block ``(k0, k1, c)`` of cell values: sums[j] is
+    the sum of the values of the cells next to node k0 + j (c_{k-1} + c_k,
+    c_0 alone at node 0), each block's last cell carried across its edge;
+    then ``(n, [c_{n-1}])`` for the final node."""
+    last = None
+    for k0, _, c in cells:
+        sums = c.copy()
+        sums[1:] += c[:-1]
+        if last is not None:
+            sums[0] += last
+        last = c[-1]
+        yield k0, sums
+    yield n, last[None].copy()
 
 
-def _action(grid: TimeGrid, rho: np.ndarray, lam: np.ndarray, gens: np.ndarray) -> float:
-    """S_disc from the node values and the cell generators; raises if the
+def _grad_rho(grid: TimeGrid, lam, model: LindbladModel):
+    """``(k0, g)`` per block of nodes: the cell part -(dt/2)(G_{k-1} + G_k)
+    of the rho-gradients of S_disc, all of it but the boundary term -Lam_0
+    at node 0, with ``lam`` as for ``_cell_generators``."""
+    scale = -(0.5 * grid.dt)
+    for k0, g in _node_sums(_cell_generators(grid, lam, model), grid.n_steps):
+        g *= scale
+        yield k0, g
+
+
+def _grad_lam(path: DiscretizedPath, model: LindbladModel):
+    """``(k0, g)`` per block of nodes: the Lam-gradients of S_disc."""
+    rho, n = path.rho, path.grid.n_steps
+    scale = 0.5j * path.grid.dt
+    states = ((k0, k1, liouvillian(k, channels, 0.5 * (rho[k0:k1] + rho[k0 + 1:k1 + 1])))
+              for k0, k1, k, channels in _blocks(model, path.grid))
+    for k0, g in _node_sums(states, n):
+        g *= scale
+        k1 = k0 + len(g)
+        lo, hi = max(k0, 1), min(k1, n)  # the interior nodes of the block
+        diffs = rho[lo + 1:hi + 1] - rho[lo - 1:hi - 1]
+        diffs *= 0.5
+        g[lo - k0:hi - k0] += diffs
+        if k0 == 0:
+            g[0] += 0.5 * (rho[1] - rho[0])
+        if k1 == n + 1:
+            g[-1] -= 0.5 * (rho[-1] + rho[-2])
+        yield k0, g
+
+
+def _reduce(grads, n: int, rho: np.ndarray | None = None, edge: int | None = None):
+    """``(pairing, interior, boundary)`` of a stream of node-gradient blocks
+    ``(k0, g)``, keeping no more than a block: with ``rho``, sum_k
+    tr(g_k rho_k); with ``edge``, the largest entry over the interior nodes
+    1..n-1 and the gradient at node ``edge``."""
+    pairing, interior, boundary = 0j, 0.0, None
+    for k0, g in grads:
+        k1 = k0 + len(g)
+        if rho is not None:
+            pairing += np.einsum("njk,nkj->", g, rho[k0:k1])
+        if edge is not None:
+            # np.maximum, unlike max, keeps a NaN
+            interior = np.maximum(interior, linalg.maxabs(g[max(k0, 1) - k0:min(k1, n) - k0]))
+            if k0 <= edge < k1:
+                boundary = g[edge - k0]
+    return pairing, float(interior), boundary
+
+
+def _action(pairing: complex, lam0: np.ndarray, rho0: np.ndarray) -> float:
+    """S_disc from the pairing sum_k tr(g_k rho_k) of the cell parts g of
+    the rho-gradients, with the boundary term -tr(Lam_0 rho_0) added last,
+    so that the sum runs at the scale of the cell terms; raises if the
     imaginary residue is not roundoff."""
-    # tr(G_k ρ̄_k) = (tr(G_k ρ_k) + tr(G_k ρ_{k+1}))/2, with no stack of ρ̄
-    pairing = np.einsum("njk,nkj->", gens, rho[:-1]) + np.einsum("njk,nkj->", gens, rho[1:])
-    s = -(0.5 * grid.dt) * pairing
-    s -= np.einsum("jk,kj->", lam[0], rho[0])
+    s = pairing - np.einsum("jk,kj->", lam0, rho0)
     if abs(s.imag) > ACTION_IMAG_RTOL * (1.0 + abs(s.real)):
         raise ValueError(
             f"action has imaginary part {s.imag:.3e}; non-Hermitian path or model defect"
@@ -196,45 +297,32 @@ def _action(grid: TimeGrid, rho: np.ndarray, lam: np.ndarray, gens: np.ndarray) 
     return float(s.real)
 
 
-def _grad_rho(path: DiscretizedPath, gens: np.ndarray) -> np.ndarray:
-    grads = _node_sums(gens)
-    grads *= -(0.5 * path.grid.dt)
-    grads[0] -= path.lam[0]
-    return grads
+def _collect(grads, path: DiscretizedPath) -> np.ndarray:
+    out = np.empty(path.rho.shape, dtype=complex)
+    for k0, g in grads:
+        out[k0:k0 + len(g)] = g
+    return out
 
 
 def evaluate_action(path: DiscretizedPath, model: LindbladModel) -> float:
     """S_disc for the path; raises if the imaginary residue is not roundoff."""
-    return _action(path.grid, path.rho, path.lam, _cell_generators(path.grid, path.lam, model))
+    pairing = _reduce(_grad_rho(path.grid, _lam_nodes(path), model), path.grid.n_steps,
+                      path.rho)[0]
+    return _action(pairing, path.lam[0], path.rho[0])
 
 
 def grad_rho(path: DiscretizedPath, model: LindbladModel) -> np.ndarray:
     """Exact node gradients of S_disc with respect to the rho nodes, as an
     ``(n_steps + 1, d, d)`` stack."""
-    return _grad_rho(path, _cell_generators(path.grid, path.lam, model))
+    grads = _collect(_grad_rho(path.grid, _lam_nodes(path), model), path)
+    grads[0] -= path.lam[0]
+    return grads
 
 
 def grad_lam(path: DiscretizedPath, model: LindbladModel) -> np.ndarray:
     """Exact node gradients of S_disc with respect to the Lam nodes, as an
     ``(n_steps + 1, d, d)`` stack."""
-    rho = path.rho
-    b = np.empty((path.grid.n_steps,) + rho.shape[1:], dtype=complex)
-    for snap, k0, k1 in _runs(model.on_grid(path.grid)[1::2], model.dim):
-        b[k0:k1] = liouvillian(snap.effective_hamiltonian(), snap.channels,
-                               0.5 * (rho[k0:k1] + rho[k0 + 1:k1 + 1]))
-    grads = _node_sums(b)
-    del b
-    grads *= 0.5j * path.grid.dt
-    grads[0] += 0.5 * (rho[1] - rho[0])
-    diffs = rho[2:] - rho[:-2]
-    diffs *= 0.5
-    grads[1:-1] += diffs
-    grads[-1] -= 0.5 * (rho[-1] + rho[-2])
-    return grads
-
-
-def _interior_residual(grads: np.ndarray, dt: float) -> float:
-    return linalg.maxabs(grads[1:-1]) / dt
+    return _collect(_grad_lam(path, model), path)
 
 
 def auxiliary_trajectory(
@@ -269,23 +357,21 @@ def stationarity_check(
 
 
 def stationarity_report(path: DiscretizedPath, model: LindbladModel) -> ActionReport:
-    """Action value, gradient residuals and boundary terms on a given path;
-    the cell generators are built once for the value and the rho gradient."""
-    dt = path.grid.dt
-    gens = _cell_generators(path.grid, path.lam, model)
-    value = _action(path.grid, path.rho, path.lam, gens)
-    gr = _grad_rho(path, gens)
-    del gens  # each stack is freed once reduced to scalars; they are n×d×d each
-    rho_residual = _interior_residual(gr, dt)
-    rho_boundary = linalg.maxabs(gr[0] + path.lam[0])
-    del gr
-    gl = grad_lam(path, model)
+    """Action value, gradient residuals and boundary terms on a given path,
+    from one pass over the cell generators for the value and the rho
+    gradients and one over L(ρ̄_k) for the Lam gradients, block by block."""
+    n, dt = path.grid.n_steps, path.grid.dt
+    pairing, rho_interior, rho_edge = _reduce(
+        _grad_rho(path.grid, _lam_nodes(path), model), n, path.rho, edge=0)
+    value = _action(pairing, path.lam[0], path.rho[0])
+    _, lam_interior, lam_edge = _reduce(_grad_lam(path, model), n, edge=n)
     return ActionReport(
         action_value=value,
-        grad_rho_residual=rho_residual,
-        grad_lam_residual=_interior_residual(gl, dt),
-        boundary_rho_term=rho_boundary,
-        boundary_lam_term=linalg.maxabs(gl[-1] + path.rho[-1]),
+        grad_rho_residual=rho_interior / dt,
+        grad_lam_residual=lam_interior / dt,
+        # grad_rho[0] + Lam_0, with grad_rho[0] as grad_rho returns it
+        boundary_rho_term=linalg.maxabs((rho_edge - path.lam[0]) + path.lam[0]),
+        boundary_lam_term=linalg.maxabs(lam_edge + path.rho[-1]),
         grid=path.grid,
     )
 
@@ -316,17 +402,14 @@ def gauge_shift_check(
     # phi_k = phi_{k+1} + dt * lambda(t̄_k), accumulated from phi_N = 0
     phi = np.zeros(n + 1)
     phi[:n] = np.cumsum((dt * lam_mid)[::-1])[::-1]
-
-    shifted = path.lam.copy()
-    diag = np.arange(path.dim)
-    shifted[:, diag, diag] += phi[:, None]
-    if not np.array_equal(shifted[n], path.lam[n]):
+    if phi[n] != 0.0:
         raise AssertionError("gauge shift moved the final auxiliary node")
 
     # a real multiple of the identity keeps the checked path Hermitian, so the
-    # shifted action is evaluated on the arrays without building a second path
-    shifted_s = _action(grid, path.rho, shifted, _cell_generators(grid, shifted, model))
-    del shifted
+    # shifted action is evaluated on Lam shifted block by block, without a path
+    shifted = _lam_nodes(path, phi)
+    shifted_s = _action(_reduce(_grad_rho(grid, shifted, model), n, path.rho)[0],
+                        shifted(0, 1)[0], path.rho[0])
     if unshifted_action is None:
         unshifted_action = evaluate_action(path, model)
     delta_s = shifted_s - unshifted_action

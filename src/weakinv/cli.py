@@ -19,9 +19,10 @@ whole, byte-identical to formatting it in one process, or not at all.
 once its config is checked, before the first step.
 
 Exit codes: 0 success, 1 usage/config error (a wrong type, a non-finite
-number or an unknown key in the config included), 2 verification or monitor
-failure; every run command gates on the state monitors. Runs are
-deterministic: the same config and seed produce bit-identical output files.
+number or an unknown key in the config included, or an output file that
+cannot be written), 2 verification or monitor failure; every run command
+gates on the state monitors. Runs are deterministic: the same config and
+seed produce bit-identical output files.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -148,10 +150,21 @@ def _make_dir(path: Path, field: str) -> None:
         raise ConfigError(field, f"cannot create {path}: {e.strerror}") from None
 
 
+@contextmanager
+def _output(path: Path):
+    """Writing the output file ``path``: an ``OSError`` (a directory in its
+    place, a full disk) is an input error naming it, one line and exit 1."""
+    try:
+        yield path
+    except OSError as e:
+        raise ConfigError(None, f"cannot write {path}: {e.strerror or e}") from None
+
+
 def _write_json(path: Path, payload: dict) -> None:
     # strict JSON: a NaN or infinity is an error, never written
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n")
+    with _output(path):
+        path.write_text(text + "\n")
 
 
 def _parse_literal(value, field):
@@ -292,7 +305,8 @@ def cmd_simulate(args) -> int:
     setup.make_out_dir()
     with CsvStream(setup.grid, setup.out_dir) as stream:
         traj, monitors = setup.integrate_state(stream.done)
-        write_trajectory_csv(traj, setup.out_dir / "state.csv", stream=stream)
+        with _output(setup.out_dir / "state.csv") as path:
+            write_trajectory_csv(traj, path, stream=stream)
     payload = monitors.to_dict()
     payload["grid"] = setup.grid.to_dict()
     return _finish(setup, "monitors.json", payload, monitors)
@@ -310,9 +324,10 @@ def cmd_invariant(args) -> int:
                                                  setup.method, alongside=setup.integrate_state)
     report = invariant_mod.analyze(inv, state)
 
-    invariant_mod.write_expectation_csv(setup.grid, report.expectation,
-                                        setup.out_dir / "expectation.csv")
-    invariant_mod.write_spectrum_csv(report.spectrum, setup.out_dir / "spectrum.csv")
+    with _output(setup.out_dir / "expectation.csv") as path:
+        invariant_mod.write_expectation_csv(setup.grid, report.expectation, path)
+    with _output(setup.out_dir / "spectrum.csv") as path:
+        invariant_mod.write_spectrum_csv(report.spectrum, path)
     payload = report.to_dict()
     payload["drift_bound"] = drift_bound
     payload["monitors"] = monitors.to_dict()

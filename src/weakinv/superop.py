@@ -27,7 +27,10 @@ K once per snapshot; ``apply_liouvillian`` and ``apply_adjoint`` check their
 input and build K themselves.
 
 Every generator takes one operator or an ``(n, d, d)`` stack of them; a
-stack is mapped node by node with the one snapshot.
+stack is mapped node by node with the one snapshot. The unchecked kernels
+also take K, and each channel's operators and rate, as stacks over the same
+nodes (a rate as an ``(n, 1, 1)`` array), so that the cells of a driven
+model are applied one block at a time, each with its own K.
 
 Vectorization is column-stacking: vec(A X B) = (B^T kron A) vec(X).
 """
@@ -62,9 +65,10 @@ def _check_dim(s: ModelSnapshot, a: np.ndarray) -> np.ndarray:
 
 def liouvillian(k: np.ndarray, channels, rho: np.ndarray) -> np.ndarray:
     """K rho - rho K† + 2i sum alpha L rho L† for the effective Hamiltonian
-    ``k`` of the snapshot whose ``channels`` are given; no input checks."""
+    ``k`` of the snapshot whose ``channels`` are given, each one operator
+    or a stack over the nodes of ``rho``; no input checks."""
     out = k @ rho
-    out -= rho @ k.conj().T
+    out -= rho @ k.conj().swapaxes(-1, -2)
     for ch in channels:
         out += (2j * ch.alpha) * (ch.l @ rho @ ch.l_dag)
     return out
@@ -72,9 +76,10 @@ def liouvillian(k: np.ndarray, channels, rho: np.ndarray) -> np.ndarray:
 
 def adjoint(k: np.ndarray, channels, a: np.ndarray) -> np.ndarray:
     """a K - K† a + 2i sum alpha L† a L for the effective Hamiltonian ``k``
-    of the snapshot whose ``channels`` are given; no input checks."""
+    of the snapshot whose ``channels`` are given, each one operator or a
+    stack over the nodes of ``a``; no input checks."""
     out = a @ k
-    out -= k.conj().T @ a
+    out -= k.conj().swapaxes(-1, -2) @ a
     for ch in channels:
         out += (2j * ch.alpha) * (ch.l_dag @ a @ ch.l)
     return out

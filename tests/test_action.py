@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -221,14 +223,28 @@ def random_driven_model(rng, dim):
                            sinusoidal(0.4, 0.2, 3.0))])
 
 
-class TestStackedGeneratorCalls:
-    """The action applies the generator to one stack per run of cells that
-    share a snapshot; it must agree with one call per cell."""
+def random_channel_model(rng, dim):
+    """Constant H; one channel whose operator depends on t, one whose rate
+    does, and one constant channel."""
+    def jump():
+        return random_hermitian(rng, dim) + 1j * random_hermitian(rng, dim)
+    return LindbladModel(dim, random_hermitian(rng, dim),
+                         [(scaled(sinusoidal(1.0, 0.3, 1.5), jump()), 0.3),
+                          (jump(), sinusoidal(0.4, 0.2, 3.0)),
+                          (jump(), 0.1)])
 
-    # at d=64 a block of linalg.BLOCK_ENTRIES entries holds 16 cells
+
+class TestStackedGeneratorCalls:
+    """The action applies the generator to one stack per block of cells,
+    with K and the time-dependent channels stacked per cell where they
+    vary; it must agree with one call per cell."""
+
+    # at d=64 a block of linalg.BLOCK_ENTRIES entries holds 2 cells
     MODELS = [pytest.param(helpers.random_constant_model, 3, 1, id="constant"),
-              pytest.param(random_driven_model, 3, 40, id="driven"),
-              pytest.param(helpers.random_constant_model, 64, 3, id="constant-blocks")]
+              pytest.param(random_driven_model, 3, 1, id="driven"),
+              pytest.param(random_channel_model, 3, 1, id="driven-channels"),
+              pytest.param(helpers.random_constant_model, 64, 20, id="constant-blocks"),
+              pytest.param(random_driven_model, 64, 20, id="driven-blocks")]
 
     @pytest.mark.parametrize("make_model, dim, calls", MODELS)
     def test_matches_per_cell_reference(self, rng, make_model, dim, calls):
@@ -261,6 +277,91 @@ class TestStackedGeneratorCalls:
         action.evaluate_action(path, m)
         action.grad_lam(path, m)
         assert counts == {"adjoint": calls, "liouvillian": calls}
+
+
+BLOCK_CELLS = 4
+
+
+class TestBlockEdges:
+    """The action streams blocks of ``BLOCK_CELLS`` cells here (d=3), carrying
+    each block's last cell across its edge; every grid length around the
+    block size must agree with the per-cell reference, and the report with
+    the public functions exactly."""
+
+    MODELS = [pytest.param(helpers.random_constant_model, id="constant"),
+              pytest.param(random_driven_model, id="driven"),
+              pytest.param(random_channel_model, id="driven-channels")]
+    STEPS = [1, BLOCK_CELLS - 1, BLOCK_CELLS, BLOCK_CELLS + 1, 3 * BLOCK_CELLS + 2]
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", BLOCK_CELLS * 9)
+
+    @pytest.mark.parametrize("n_steps", STEPS)
+    @pytest.mark.parametrize("make_model", MODELS)
+    def test_matches_per_cell_reference(self, rng, make_model, n_steps):
+        m = make_model(rng, 3)
+        path = random_path(rng, TimeGrid(0.0, 1.0, n_steps), dim=3)
+        ref_value = helpers.per_cell_action(path, m)
+        assert abs(action.evaluate_action(path, m) - ref_value) <= 1e-13 * max(1.0, abs(ref_value))
+        for grads, ref in ((action.grad_rho(path, m), helpers.per_cell_grad_rho(path, m)),
+                           (action.grad_lam(path, m), helpers.per_cell_grad_lam(path, m))):
+            assert grads.shape == ref.shape == (n_steps + 1, 3, 3)
+            assert linalg.maxabs(grads - ref) <= 1e-13
+
+    @pytest.mark.parametrize("n_steps", STEPS)
+    @pytest.mark.parametrize("make_model", MODELS)
+    def test_report_equals_the_public_functions(self, rng, make_model, n_steps):
+        m = make_model(rng, 3)
+        path = random_path(rng, TimeGrid(0.0, 1.0, n_steps), dim=3)
+        report = action.stationarity_report(path, m)
+        gr, gl, dt = action.grad_rho(path, m), action.grad_lam(path, m), path.grid.dt
+        assert report.action_value == action.evaluate_action(path, m)
+        assert report.grad_rho_residual == linalg.maxabs(gr[1:-1]) / dt
+        assert report.grad_lam_residual == linalg.maxabs(gl[1:-1]) / dt
+        assert report.boundary_rho_term == linalg.maxabs(gr[0] + path.lam[0])
+        assert report.boundary_lam_term == linalg.maxabs(gl[-1] + path.rho[-1])
+
+    @pytest.mark.parametrize("n_steps", STEPS)
+    def test_gauge_shift_equals_the_shifted_action(self, rng, n_steps):
+        # the shift formed block by block against a whole shifted path
+        m = random_channel_model(rng, 3)
+        grid = TimeGrid(0.0, 1.0, n_steps)
+        path = random_path(rng, grid, dim=3)
+        sched = tabulated([0.0, 0.4, 1.0], [0.8, -0.3, 1.4])
+        lam_mid = np.array([sched(grid.midpoint(k)) for k in range(n_steps)])
+        phi = np.append(np.cumsum((grid.dt * lam_mid)[::-1])[::-1], 0.0)
+        shifted = action.DiscretizedPath(
+            grid=grid, rho=path.rho, lam=path.lam + phi[:, None, None] * np.eye(3))
+        tr = np.trace(path.rho, axis1=1, axis2=2).real
+        rhs = np.sum(grid.dt * lam_mid * (0.5 * (tr[:-1] + tr[1:]) - tr[0]))
+        expected = (action.evaluate_action(shifted, m) - action.evaluate_action(path, m)) - rhs
+        assert action.gauge_shift_check(path, m, sched) == pytest.approx(abs(expected),
+                                                                         rel=0, abs=1e-12)
+
+
+class TestStreamedDiagnostics:
+    def test_no_stack_is_allocated(self, rng):
+        # the report and the gauge check keep no (n, d, d) stack of cell
+        # generators, states, gradients or shifted Lam: their traced peak
+        # stays below one such stack (the lattice is the model's, sampled first)
+        n, dim = 3000, 8
+        m = random_driven_model(rng, dim)
+        grid = TimeGrid(0.0, 1.0, n)
+        stacks = [linalg.hermitize(rng.standard_normal((n + 1, dim, dim))
+                                   + 1j * rng.standard_normal((n + 1, dim, dim)))
+                  for _ in range(2)]
+        path = action.DiscretizedPath(grid=grid, rho=stacks[0], lam=stacks[1])
+        m.on_grid(grid)
+        sched = tabulated([0.0, 0.5, 1.0], [0.8, -0.3, 1.4])
+        tracemalloc.start()
+        try:
+            report = action.stationarity_report(path, m)
+            action.gauge_shift_check(path, m, sched, report.action_value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.rho.nbytes
 
 
 class TestAuxiliaryEquivalence:

@@ -440,7 +440,7 @@ class TestComputeOnce:
 
     @pytest.mark.parametrize("command", ["simulate", "invariant", "action-check"])
     def test_hot_loops_skip_the_input_checks(self, tmp_path, monkeypatch, command):
-        # the driven oscillator steps and sums cell by cell through the
+        # the driven oscillator steps and sums block by block through the
         # unchecked K-form kernels
         checks = []
         monkeypatch.setattr(superop, "_check_dim", lambda *a: checks.append(1))
@@ -631,6 +631,38 @@ class TestOutputDirectory:
         out.write_text("")
         assert main(["verify", "--trials", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: --out cannot create {out}: File exists\n"
+
+
+class TestUnwritableOutput:
+    """An output file that cannot be written (here a directory in its place)
+    is one error line and exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("command, name", [("simulate", "state.csv"),
+                                               ("invariant", "invariant_report.json"),
+                                               ("action-check", "action_report.json"),
+                                               ("verify", "verify_report.json")])
+    def test_a_directory_in_place_of_the_file(self, tmp_path, capsys, command, name):
+        cfg = amp_damp_config(tmp_path, n_steps=50, invariant_seed="sz",
+                              lambda_final=SZ_LITERAL)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        argv = ["--trials", "1"] if command == "verify" else ["--config", cfg]
+        assert main([command, *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out / name}: Is a directory\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_streamed_state_csv_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        # blocks of rows went to formatter children before the write failed
+        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", 5 * 9)
+        out = tmp_path / "out"
+        (out / "state.csv").mkdir(parents=True)
+        assert main(["simulate", "amp-damp", "--steps", "40", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out / 'state.csv'}")
+        assert os.listdir(out) == ["state.csv"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def run_module(*args):

@@ -6,6 +6,8 @@ from numpy.testing import assert_allclose
 
 from helpers import SMINUS, SX, SY, SZ, random_hermitian
 from weakinv import linalg
+from weakinv.action import DiscretizedPath
+from weakinv.dynamics import TimeGrid
 from weakinv.errors import NotHermitianError
 
 
@@ -138,6 +140,32 @@ class TestHermitianEigenvalues:
     def test_near_degenerate(self):
         a = np.diag([1.0, 1.0 + 1e-12, 2.0])
         assert_allclose(linalg.hermitian_eigenvalues(a), [1.0, 1.0 + 1e-12, 2.0], rtol=0, atol=1e-14)
+
+
+class TestNonFiniteInput:
+    """A NaN or inf entry fails the Hermiticity gate: it fails every
+    comparison with the tolerance, and eigvalsh would read one triangle."""
+
+    @pytest.mark.parametrize("entry, value", [((0, 1), np.nan), ((0, 1), np.inf),
+                                              ((1, 1), np.inf), ((0, 0), complex(0, np.nan))])
+    def test_one_operator(self, entry, value):
+        a = np.eye(2, dtype=complex)
+        a[entry] = value
+        with pytest.raises(NotHermitianError, match="non-finite entry"):
+            linalg.check_hermitian(a)
+        with pytest.raises(NotHermitianError):
+            linalg.hermitian_eigenvalues(a)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_stack_names_the_node(self, value):
+        stack = np.stack([np.eye(3, dtype=complex)] * 6)
+        stack[4, 2, 0] = value
+        with pytest.raises(NotHermitianError, match=r"lam\[4\] at node 4 .*non-finite"):
+            linalg.check_hermitian(stack, what="lam")
+        with pytest.raises(NotHermitianError, match="node 4"):
+            linalg.hermitian_eigenvalues(stack)
+        with pytest.raises(NotHermitianError, match=r"lam\[4\] at node 4"):
+            DiscretizedPath(grid=TimeGrid(0.0, 1.0, 5), rho=np.ones_like(stack), lam=stack)
 
 
 class TestHermitianBasis:

@@ -103,7 +103,7 @@ class TestBatchedHermiticityGate:
             action.DiscretizedPath(grid=grid, **stacks)
 
     def test_node_named_past_the_first_block(self, rng):
-        # a 64×64 stack is checked 16 nodes at a time
+        # a 64×64 stack is checked 2 nodes at a time
         grid = TimeGrid(0.0, 1.0, 39)
         good = hermitian_stack(rng, 40, 64)
         bad = stack_with_bad_node(rng, 40, 64, 37)
