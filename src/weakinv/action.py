@@ -47,10 +47,14 @@ cell carried across its edge, and the boundary nodes), as does the gauge
 check with Lam shifted block by block. ``grad_rho`` and ``grad_lam``
 collect the same blocks into a stack, so their values equal the report's.
 One block path serves every model: the generator is applied to a whole
-block per call of the unchecked effective-Hamiltonian kernels of
-``superop``, with K built once for a constant model and once per cell
-snapshot, stacked per block, for a driven one, whose time-dependent
-channels are stacked per block too.
+block per call of the unchecked kernels of ``superop``, in the lattice's
+form (Hadamard on D or E where K is diagonal and every jump a weighted
+partial permutation, else K-form on K). Their operator is built once for
+a constant model; for a driven one it is built per block, as
+c[:, None, None] x_M + x_0 from the block's scale vector where every cell
+shares M and K0, and else as H + K0 from the block's stacked channels (H
+per cell only where it is tabulated), bitwise each cell's K in K-form.
+Time-dependent rates are stacked per block as ``(n, 1, 1)`` arrays.
 
 The paths themselves come from the integrators in ``dynamics``, which run
 both flows through one checked loop: a constant model of dimension at most
@@ -64,6 +68,7 @@ process integrates rho forward (``auxiliary_trajectory`` with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -75,8 +80,9 @@ from .dynamics import (
     integrate_invariant,
     integrate_state,
 )
-from .model import ChannelSnapshot, LindbladModel, Schedule
-from .superop import adjoint, liouvillian
+from .model import ChannelSnapshot, LindbladModel, Schedule, dissipative_part
+from .superop import (GeneratorForm, adjoint, hadamard_adjoint, hadamard_liouvillian,
+                      liouvillian)
 
 # Tolerance on the (discarded) imaginary part of the action value.
 ACTION_IMAG_RTOL = 1e-10
@@ -157,25 +163,44 @@ class ActionReport:
         }
 
 
-def _blocks(model: LindbladModel, grid: TimeGrid):
-    """``(k0, k1, K, channels)`` for each block of cells k0..k1-1, at most
-    ``linalg.BLOCK_ENTRIES`` operator entries long, with the model at the
-    cell midpoints of the grid lattice. A constant model's one K and
-    channels serve every block, built once; otherwise K is built once per
-    cell snapshot and stacked per block, and so are the channels where they
-    depend on time."""
+def _blocks(model: LindbladModel, grid: TimeGrid, dual: bool):
+    """``(k0, k1, apply)`` for each block of cells k0..k1-1, at most
+    ``linalg.BLOCK_ENTRIES`` operator entries long, with ``apply(v)`` the
+    generator (L* with ``dual``, else L) of the model at the cell midpoints
+    of the grid lattice, in the lattice's form, applied to a stack v over
+    the block's cells. A constant model's one operator and
+    channels serve every block, built once. Otherwise the block's operator
+    is c x_m + x_0 from its scale vector c where every cell shares M and
+    K0, and else K = H + K0 stacked per block, bitwise each cell's K, with
+    H per cell only where it is tabulated; the channels are stacked too
+    where they depend on time."""
     snaps = model.on_grid(grid)[1::2]
+    first = snaps[0]
+    form = GeneratorForm(first, adjoint=dual)
+    if dual:
+        kernel = hadamard_adjoint if form.hadamard else adjoint
+    else:
+        kernel = hadamard_liouvillian if form.hadamard else liouvillian
     size = max(1, linalg.BLOCK_ENTRIES // model.dim**2)
     shared = model.is_constant  # one snapshot serves every cell
     if shared:
-        k, channels = snaps[0].effective_hamiltonian(), snaps[0].channels
+        x, channels = form.operator(first), first.channels
+    elif first.scale is not None:
+        scales = np.array([s.scale for s in snaps])[:, None, None]
     for k0 in range(0, len(snaps), size):
         part = snaps[k0:k0 + size]
         if not shared:
-            k = np.stack([s.effective_hamiltonian() for s in part])
             # a shared K0 means channels shared by every snapshot
-            channels = part[0].channels if part[0].k0 is not None else _stacked_channels(part)
-        yield k0, k0 + len(part), k, channels
+            channels = first.channels if first.k0 is not None else _stacked_channels(part)
+            if form.x_m is not None:
+                x = scales[k0:k0 + size] * form.x_m + form.x_0
+            else:
+                h = (scales[k0:k0 + size] * first.operator if first.scale is not None
+                     else first.operator if model.hamiltonian.is_constant
+                     else np.stack([s.operator for s in part]))
+                k = dissipative_part(channels, model.dim) if first.k0 is None else first.k0
+                x = form.form(h + k)
+        yield k0, k0 + len(part), partial(kernel, x, channels)
 
 
 def _stacked_channels(snaps) -> tuple:
@@ -191,7 +216,8 @@ def _stacked_channels(snaps) -> tuple:
             l=per_cell([c.l for c in cells]),
             l_dag=per_cell([c.l_dag for c in cells]),
             l_dag_l=per_cell([c.l_dag_l for c in cells]),
-            alpha=np.array([c.alpha for c in cells])[:, None, None]))
+            alpha=np.array([c.alpha for c in cells])[:, None, None],
+            gather=cells[0].gather))
     return tuple(stacked)
 
 
@@ -214,10 +240,10 @@ def _cell_generators(grid: TimeGrid, lam, model: LindbladModel):
     i L*(Λ̄_k) for k0 <= k < k1, with the Lam nodes read block by block
     from ``lam(k0, k1)`` (see ``_lam_nodes``)."""
     dt = grid.dt
-    for k0, k1, k, channels in _blocks(model, grid):
+    for k0, k1, apply in _blocks(model, grid, dual=True):
         nodes = lam(k0, k1 + 1)
         a, b = nodes[:-1], nodes[1:]
-        yield k0, k1, (b - a) / dt - 1j * adjoint(k, channels, 0.5 * (a + b))
+        yield k0, k1, (b - a) / dt - 1j * apply(0.5 * (a + b))
 
 
 def _node_sums(cells, n: int):
@@ -250,8 +276,8 @@ def _grad_lam(path: DiscretizedPath, model: LindbladModel):
     """``(k0, g)`` per block of nodes: the Lam-gradients of S_disc."""
     rho, n = path.rho, path.grid.n_steps
     scale = 0.5j * path.grid.dt
-    states = ((k0, k1, liouvillian(k, channels, 0.5 * (rho[k0:k1] + rho[k0 + 1:k1 + 1])))
-              for k0, k1, k, channels in _blocks(model, path.grid))
+    states = ((k0, k1, apply(0.5 * (rho[k0:k1] + rho[k0 + 1:k1 + 1])))
+              for k0, k1, apply in _blocks(model, path.grid, dual=False))
     for k0, g in _node_sums(states, n):
         g *= scale
         k1 = k0 + len(g)
@@ -397,7 +423,7 @@ def gauge_shift_check(
     grid = path.grid
     n = grid.n_steps
     dt = grid.dt
-    lam_mid = np.array([float(lambda_schedule(grid.midpoint(k))) for k in range(n)])
+    lam_mid = np.array(lambda_schedule.values(grid.midpoints().tolist()), dtype=float)
 
     # phi_k = phi_{k+1} + dt * lambda(t̄_k), accumulated from phi_N = 0
     phi = np.zeros(n + 1)

@@ -12,8 +12,12 @@ needs ρ and Λ on exactly the same nodes, which rules out adaptive stepping.
 Both integrators read the model from ``LindbladModel.on_grid``: it is
 sampled and validated once at every node and cell midpoint, and that one
 lattice serves both flows and the action. The stages call the unchecked
-effective-Hamiltonian kernels of ``superop``, with K = H + K0 built once per
-distinct lattice entry of a step (the lattice keeps no per-time K).
+kernels of ``superop`` in the lattice's form (``superop.GeneratorForm``):
+the Hadamard kernels, elementwise products and index gathers on D (or E),
+where K is diagonal and every jump a weighted partial permutation, else the
+K-form kernels on K = H + K0. That operator is built once per distinct
+lattice entry and kept while the next step needs it; the lattice keeps
+none per time. The stage arithmetic is the same in both forms.
 
 A constant model (``LindbladModel.is_constant``) of dimension at most
 ``STEP_MATRIX_MAX_DIM`` makes both flows linear and autonomous, so one step
@@ -58,7 +62,7 @@ import numpy as np
 from . import linalg
 from .errors import BlowupError, IntegrationError
 from .model import LindbladModel
-from .superop import adjoint, liouvillian
+from .superop import GeneratorForm, adjoint, hadamard_adjoint, hadamard_liouvillian, liouvillian
 
 STATE = "state"
 INVARIANT = "invariant"
@@ -129,6 +133,10 @@ class TimeGrid:
     def midpoint(self, k: int) -> float:
         return self.t_start + self.dt * (k + 0.5)
 
+    def midpoints(self) -> np.ndarray:
+        """Every cell midpoint, bitwise ``midpoint(k)`` for k = 0..n_steps-1."""
+        return self.t_start + self.dt * (np.arange(self.n_steps) + 0.5)
+
     def to_dict(self) -> dict:
         return {"t_start": self.t_start, "t_end": self.t_end, "n_steps": self.n_steps}
 
@@ -182,18 +190,19 @@ class MonitorReport:
         }
 
 
-def _step(lattice, j, sign, y, h, method):
+def _step(lattice, form, j, sign, y, h, method):
     """One step of y' = sign * i * generator(y) from the node at lattice entry
     ``j``, sampling the model at t, t+h/2, t+h (entries j, j±1, j±2 as h > 0
-    or h < 0). The effective Hamiltonian is built once per distinct entry."""
-    ks = {}
+    or h < 0). ``form`` is the flow's ``GeneratorForm``: the stages call
+    the kernel of its form (Hadamard or K-form) on the operator it builds
+    once per distinct entry."""
+    if sign < 0:
+        unit, kernel = -1j, hadamard_liouvillian if form.hadamard else liouvillian
+    else:
+        unit, kernel = 1j, hadamard_adjoint if form.hadamard else adjoint
 
     def rhs(snap, v):
-        if id(snap) not in ks:
-            ks[id(snap)] = snap.effective_hamiltonian()
-        if sign < 0:
-            return -1j * liouvillian(ks[id(snap)], snap.channels, v)
-        return 1j * adjoint(ks[id(snap)], snap.channels, v)
+        return unit * kernel(form.operator(snap), snap.channels, v)
 
     d = 1 if h > 0 else -1
     s0 = lattice[j]
@@ -224,16 +233,17 @@ def _propagate(model, y0, grid, sign, first, method, what, out=None, done=None):
     d = 1 if first == 0 else -1
     h = d * grid.dt
     lattice = model.on_grid(grid)
+    form = GeneratorForm(lattice[0], adjoint=sign > 0)
     if model.is_constant and model.dim <= STEP_MATRIX_MAX_DIM:
         dim2 = model.dim ** 2
         units = np.eye(dim2, dtype=complex).reshape(dim2, model.dim, model.dim)
-        p = _step(lattice, 2 * first, sign, units, h, method).reshape(dim2, dim2)
+        p = _step(lattice, form, 2 * first, sign, units, h, method).reshape(dim2, dim2)
 
         def step(j, y):
             return (y.reshape(-1) @ p).reshape(y.shape)
     else:
         def step(j, y):
-            return _step(lattice, j, sign, y, h, method)
+            return _step(lattice, form, j, sign, y, h, method)
 
     samples = np.empty((n + 1,) + y0.shape, dtype=complex) if out is None else out
     samples[first] = y0

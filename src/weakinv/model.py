@@ -14,6 +14,13 @@ the dissipative part K0 = -i sum_n alpha_n Ln†Ln of the effective
 Hamiltonian K = H + K0 is built once while the channels do not depend on
 time. So a driven model holds no per-time operator for H and none for K.
 
+The same pass over the distinct sampled operators rejects a non-finite H or
+jump operator, naming the schedule and the time, and decides once per
+sampling whether the generators can run in the Hadamard form of
+``superop`` (``ModelSnapshot.hadamard``): every H diagonal, and every jump
+operator time-independent with at most one nonzero per row and per column,
+kept as a ``Gather``. Rates may depend on time.
+
 Schedule kinds are deliberately few: constant, sinusoidal (scalars only),
 tabulated with linear interpolation and no extrapolation, and a scalar
 schedule scaling a fixed operator. Anything fancier belongs in user code
@@ -46,6 +53,10 @@ class Schedule:
 
     def __call__(self, t: float):
         raise NotImplementedError
+
+    def values(self, times) -> list:
+        """The values at ``times``, bitwise those of one call per time."""
+        return [self(t) for t in times]
 
     @property
     def is_constant(self) -> bool:
@@ -111,8 +122,8 @@ class _Tabulated(Schedule):
             raise ValueError(f"{name}: {len(values)} values for {self.times.size} knots")
         first = values[0]
         if isinstance(first, numbers.Real):
-            self.values = np.asarray(values, dtype=float)
-            if self.values.ndim != 1 or not np.all(np.isfinite(self.values)):
+            self.table = np.asarray(values, dtype=float)
+            if self.table.ndim != 1 or not np.all(np.isfinite(self.table)):
                 raise ValueError(f"{name}: scalar table must be finite numbers")
             self._ops = None
         else:
@@ -120,7 +131,7 @@ class _Tabulated(Schedule):
             if any(o.shape != ops[0].shape for o in ops):
                 raise ValueError(f"{name}: tabulated operators differ in dimension")
             self._ops = np.stack(ops)
-            self.values = None
+            self.table = None
         self.name = name
 
     def _clamp(self, t):
@@ -135,11 +146,23 @@ class _Tabulated(Schedule):
     def __call__(self, t):
         t = self._clamp(float(t))
         if self._ops is None:
-            return float(np.interp(t, self.times, self.values))
+            return float(np.interp(t, self.times, self.table))
         k = int(np.searchsorted(self.times, t, side="right")) - 1
         k = min(max(k, 0), self.times.size - 2)
         w = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
         return (1.0 - w) * self._ops[k] + w * self._ops[k + 1]
+
+    def values(self, times) -> list:
+        """One domain check and one ``np.interp`` for a scalar table."""
+        if self._ops is not None:
+            return super().values(times)
+        times = np.asarray(times, dtype=float)
+        t0, t1 = float(self.times[0]), float(self.times[-1])
+        slack = _DOMAIN_RTOL * max(1.0, abs(t0), abs(t1))
+        outside = np.flatnonzero((times < t0 - slack) | (times > t1 + slack))
+        if outside.size:
+            self._clamp(float(times[outside[0]]))  # raises, naming the first such time
+        return np.interp(np.clip(times, t0, t1), self.times, self.table).tolist()
 
     @property
     def is_operator_valued(self):
@@ -193,11 +216,51 @@ def _as_schedule(value, *, name):
 
 
 @dataclass(frozen=True)
+class Gather:
+    """A jump operator L with at most one nonzero per row and per column
+    (row i holds w_i at column sigma(i), w_i = 0 for an empty row, and sigma
+    is completed to a permutation with tau its inverse) as the entrywise
+    factors of its two sandwiches, for one operator X or a stack:
+
+        L X L† = weights ∘ X[sigma, sigma],    L† X L = weights_dag ∘ X[tau, tau]
+
+    ``index`` and ``index_dag`` hold the flat indices sigma(i) d + sigma(j)
+    and tau(i) d + tau(j); the weights are w w† and v v†, v_i = conj(w_tau(i))."""
+
+    index: np.ndarray
+    weights: np.ndarray
+    index_dag: np.ndarray
+    weights_dag: np.ndarray
+
+
+def _gather(l: np.ndarray) -> Gather | None:
+    """``l`` as a ``Gather``, or None if a row or a column holds two nonzeros."""
+    d = len(l)
+    rows, cols = (ix.tolist() for ix in np.nonzero(l))
+    if len(set(rows)) < len(rows) or len(set(cols)) < len(cols):
+        return None
+    # sigma sends each empty row to an empty column, so that it is a permutation
+    empty = iter(sorted(set(range(d)) - set(cols)))
+    at = dict(zip(rows, cols))
+    sigma = np.array([at[i] if i in at else next(empty) for i in range(d)])
+    tau = np.empty_like(sigma)
+    tau[sigma] = np.arange(d)
+    w = l[np.arange(d), sigma]
+    v = w[tau].conj()
+    return Gather(sigma[:, None] * d + sigma, w[:, None] * w.conj(),
+                  tau[:, None] * d + tau, v[:, None] * v.conj())
+
+
+@dataclass(frozen=True)
 class ChannelSnapshot:
+    """One channel at one time. ``gather`` is the operator as a ``Gather``
+    in a sampling that runs in Hadamard form, else None."""
+
     l: np.ndarray
     l_dag: np.ndarray
     l_dag_l: np.ndarray
     alpha: float
+    gather: Gather | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,13 +272,17 @@ class ModelSnapshot:
     H is ``scale * operator`` for a ``scaled`` schedule (the operator is the
     shared M) and ``operator`` itself when ``scale`` is None. ``k0`` is the
     shared dissipative part of the effective Hamiltonian, or None when the
-    channels depend on time and it is built per call.
+    channels depend on time and it is built per call. ``hadamard`` is set
+    on every snapshot of a sampling whose every H is diagonal and whose
+    every channel has a ``gather``: K is then diagonal, and the generators
+    can run in the Hadamard form of ``superop``.
     """
 
     operator: np.ndarray
     scale: float | None
     channels: tuple[ChannelSnapshot, ...]
     k0: np.ndarray | None
+    hadamard: bool = False
 
     @property
     def h(self) -> np.ndarray:
@@ -228,15 +295,17 @@ class ModelSnapshot:
 
     def effective_hamiltonian(self) -> np.ndarray:
         """K = H - i sum_n alpha_n Ln†Ln, built anew on each call."""
-        k0 = _dissipative_part(self.channels, self.dim) if self.k0 is None else self.k0
+        k0 = dissipative_part(self.channels, self.dim) if self.k0 is None else self.k0
         return self.h + k0
 
 
-def _dissipative_part(channels, dim: int) -> np.ndarray:
-    """K0 = -i sum_n alpha_n Ln†Ln, the non-Hermitian part of K."""
+def dissipative_part(channels, dim: int) -> np.ndarray:
+    """K0 = -i sum_n alpha_n Ln†Ln, the non-Hermitian part of K; with the
+    rates (or operators) of ``channels`` stacked over cells, the stack of
+    each cell's K0, bitwise."""
     k0 = np.zeros((dim, dim), dtype=complex)
     for ch in channels:
-        k0 -= (1j * ch.alpha) * ch.l_dag_l
+        k0 = k0 - (1j * ch.alpha) * ch.l_dag_l
     return k0
 
 
@@ -306,19 +375,23 @@ class LindbladModel:
             lattice = self._lattice = (grid, self._sample(times.tolist()))
         return lattice[1]
 
+    @np.errstate(invalid="ignore", over="ignore")  # a non-finite value fails the checks instead
     def _sample(self, times: list[float]) -> list[ModelSnapshot]:
         """Snapshots at ``times``. A time-independent schedule, and the
         products built from it, are evaluated, checked and shared once; a
         ``scaled`` Hamiltonian is its scalar per time and one operator,
-        checked at the first time."""
+        checked at the first time. The one pass over the distinct operators
+        also decides the snapshots' ``hadamard``; a channel's ``gather`` is
+        built only while they may still qualify."""
         ham = self.hamiltonian
         if isinstance(ham, _ScaledOperator):
-            ops = [ham.operator]
+            ops = [self._operator("hamiltonian", ham.operator, times[0])]
             scales = [float(c) for c in self._evaluate("hamiltonian", ham.scalar, times)]
         else:
             ops = [self._operator("hamiltonian", h, t) for t, h in
                    zip(times, self._evaluate("hamiltonian", ham, times))]
             scales = [None]
+        diagonal = True
         for t, h in zip(times, ops):
             defect = linalg.hermiticity_defect(h)
             tol = max(HAMILTONIAN_HERMITICITY_RTOL * linalg.maxabs(h), linalg.TOLERANCE_FLOOR)
@@ -326,19 +399,25 @@ class LindbladModel:
                 raise ModelValidationError(
                     f"hamiltonian not Hermitian at t={t}: defect {defect:.3e}"
                 )
-        chans = [self._sample_channel(i, ch, times) for i, ch in enumerate(self.channels)]
+            diagonal = diagonal and _is_diagonal(h)
+        hadamard, chans = diagonal, []
+        for i, ch in enumerate(self.channels):
+            chans.append(self._sample_channel(i, ch, times, hadamard))
+            hadamard = hadamard and chans[-1][0].gather is not None
         if all(len(c) == 1 for c in chans):  # the channels do not depend on time
             channels = [tuple(c[0] for c in chans)]
-            k0 = _dissipative_part(channels[0], self.dim)
+            k0 = dissipative_part(channels[0], self.dim)
         else:
             channels = [tuple(_at(c, j) for c in chans) for j in range(len(times))]
             k0 = None
         if self.is_constant:
-            return [ModelSnapshot(ops[0], scales[0], channels[0], k0)] * len(times)
-        return [ModelSnapshot(_at(ops, j), _at(scales, j), _at(channels, j), k0)
+            return [ModelSnapshot(ops[0], scales[0], channels[0], k0, hadamard)] * len(times)
+        return [ModelSnapshot(_at(ops, j), _at(scales, j), _at(channels, j), k0, hadamard)
                 for j in range(len(times))]
 
-    def _sample_channel(self, i, ch, times) -> list[ChannelSnapshot]:
+    def _sample_channel(self, i, ch, times, gather: bool) -> list[ChannelSnapshot]:
+        """The channel's snapshots at ``times``, with its ``gather`` if
+        asked for and the operator is time-independent."""
         label = f"channels[{i}]"
         alphas = [float(a) for a in self._evaluate(f"{label}.alpha", ch.alpha, times)]
         for t, alpha in zip(times, alphas):
@@ -349,8 +428,9 @@ class LindbladModel:
             l = self._operator(f"{label}.op", l, t)
             l_dag = linalg.dagger(l)
             products.append((l, l_dag, l_dag @ l))
+        gather = _gather(products[0][0]) if gather and ch.op.is_constant else None
         return [
-            ChannelSnapshot(*_at(products, j), alpha=_at(alphas, j))
+            ChannelSnapshot(*_at(products, j), alpha=_at(alphas, j), gather=gather)
             for j in range(max(len(products), len(alphas)))
         ]
 
@@ -358,17 +438,26 @@ class LindbladModel:
     def _evaluate(label, sched, times) -> list:
         """Values of ``sched`` at ``times``, or its one value if constant."""
         try:
-            return [sched(t) for t in (times[:1] if sched.is_constant else times)]
+            return sched.values(times[:1] if sched.is_constant else times)
         except ScheduleDomainError as e:
             raise ScheduleDomainError(f"{label}: {e}") from None
 
     def _operator(self, label, value, t) -> np.ndarray:
+        """``value`` as an operator of the model's dimension with finite entries."""
         op = linalg.as_operator(value)
         if op.shape != (self.dim, self.dim):
             raise ModelValidationError(
                 f"{label}: dimension {op.shape[0]} != model dim {self.dim} at t={t}"
             )
+        if not np.isfinite(op).all():
+            raise ModelValidationError(f"{label}: non-finite entry at t={t}")
         return op
+
+
+def _is_diagonal(op: np.ndarray) -> bool:
+    # the entries after each diagonal one, up to the next: all the off-diagonal ones
+    d = len(op)
+    return not op.reshape(-1)[:-1].reshape(d - 1, d + 1)[:, 1:].any()
 
 
 def _at(values: list, j: int):

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from weakinv.model import LindbladModel
+from weakinv.model import LindbladModel, scaled, sinusoidal
 from weakinv.superop import apply_adjoint, apply_liouvillian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -36,6 +36,33 @@ def random_constant_model(rng, dim):
         l = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         channels.append((l / np.max(np.abs(l)), rate))
     return LindbladModel(dim, random_hermitian(rng, dim), channels)
+
+
+def partial_permutation(rng, dim, empty=0):
+    """A jump operator with complex weights on a random permutation, with
+    ``empty`` rows (so as many columns) left empty: at most one nonzero per
+    row and per column."""
+    weights = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    weights[rng.choice(dim, size=empty, replace=False)] = 0.0
+    l = np.zeros((dim, dim), dtype=complex)
+    l[np.arange(dim), rng.permutation(dim)] = weights
+    return l
+
+
+def random_hadamard_model(rng, dim, n_channels=2, driven=True):
+    """A model whose generators run in Hadamard form: a real diagonal H and
+    ``n_channels`` jumps on partial permutations with empty rows, the last
+    of several a diagonal jump. ``driven``: H is scaled by a sinusoid and
+    the rates are sinusoids, so every cell midpoint differs."""
+    h = np.diag(rng.standard_normal(dim)).astype(complex)
+    jumps = [partial_permutation(rng, dim, empty=dim // 3) for _ in range(n_channels)]
+    if n_channels > 1:
+        jumps[-1] = np.diag(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    rates = rng.uniform(0.1, 0.6, size=n_channels)
+    if driven:
+        channels = [(l, sinusoidal(rate, 0.5 * rate, 3.0)) for l, rate in zip(jumps, rates)]
+        return LindbladModel(dim, scaled(sinusoidal(1.0, 0.5, 2.0), h), channels)
+    return LindbladModel(dim, h, list(zip(jumps, rates)))
 
 
 def random_density(rng, dim):

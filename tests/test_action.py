@@ -290,7 +290,8 @@ class TestBlockEdges:
 
     MODELS = [pytest.param(helpers.random_constant_model, id="constant"),
               pytest.param(random_driven_model, id="driven"),
-              pytest.param(random_channel_model, id="driven-channels")]
+              pytest.param(random_channel_model, id="driven-channels"),
+              pytest.param(helpers.random_hadamard_model, id="hadamard")]
     STEPS = [1, BLOCK_CELLS - 1, BLOCK_CELLS, BLOCK_CELLS + 1, 3 * BLOCK_CELLS + 2]
 
     @pytest.fixture(autouse=True)

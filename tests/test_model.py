@@ -323,3 +323,71 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             model.model_from_config(cfg)
         assert err.value.field == field
+
+
+class TestNonFiniteOperators:
+    """A sampled H or jump operator with a NaN or infinite entry is a model
+    error naming the schedule and the time, not a failed integration."""
+
+    def test_scaled_hamiltonian(self):
+        h = np.array([[1.0, math.nan], [math.nan, 0.0]])
+        m = model.LindbladModel(2, model.scaled(model.constant(1.0), h))
+        with pytest.raises(ModelValidationError,
+                           match=r"^hamiltonian: non-finite entry at t=0\.0$"):
+            m.on_grid(TimeGrid(0.0, 1.0, 4))
+
+    def test_tabulated_channel(self):
+        # the knot at t=1 is infinite, and 0 * inf is NaN: every sample reads it
+        bad = SMINUS.copy()
+        bad[0, 1] = math.inf
+        m = model.LindbladModel(2, SZ, [(model.tabulated([0.0, 1.0], [SMINUS, bad]), 0.5)])
+        with pytest.raises(ModelValidationError,
+                           match=r"^channels\[0\]\.op: non-finite entry at t=0\.0$"):
+            m.on_grid(TimeGrid(0.0, 1.0, 4))
+
+    def test_tabulated_hamiltonian(self):
+        bad = np.diag([0.0, math.nan])
+        m = model.LindbladModel(2, model.tabulated([0.0, 1.0], [SZ, bad]))
+        with pytest.raises(ModelValidationError, match=r"^hamiltonian: non-finite entry"):
+            m.snapshot(0.5)
+
+    def test_cli_exits_1(self, tmp_path, monkeypatch, capsys):
+        from weakinv import cli
+        h = np.array([[1.0, math.nan], [math.nan, 0.0]])
+        spec = scenarios.amplitude_damping_qubit()
+        bad = model.LindbladModel(2, model.scaled(model.constant(1.0), h), [(SMINUS, 0.5)])
+        monkeypatch.setattr(cli, "build_scenario",
+                            lambda name, **kw: scenarios.ScenarioSpec(
+                                name, bad, spec.default_rho0, spec.default_invariant_seed,
+                                spec.default_grid))
+        assert cli.main(["simulate", "amp-damp", "--steps", "20", "--out", str(tmp_path)]) == 1
+        assert "hamiltonian: non-finite entry at t=0.0" in capsys.readouterr().err
+
+
+class TestScheduleValues:
+    """``values`` equals one call per time, bitwise."""
+
+    TIMES = (np.linspace(0.0, 3.0, 301) + 1e-3 * np.sin(np.arange(301))).clip(0.0, 3.0)
+
+    @pytest.mark.parametrize("sched", [
+        model.tabulated([0.0, 0.7, 1.9, 3.0], [0.2, -1.3, 0.45, 2.0]),
+        model.sinusoidal(0.4, 0.2, 3.0, 0.1),
+        model.constant(0.3),
+    ], ids=["tabulated", "sinusoidal", "constant"])
+    def test_bitwise_per_call(self, sched):
+        times = self.TIMES.tolist()
+        assert np.array(sched.values(times)).tobytes() == \
+            np.array([sched(t) for t in times], dtype=float).tobytes()
+
+    def test_operator_table_per_call(self):
+        sched = model.tabulated([0.0, 3.0], [SZ, SMINUS])
+        for got, t in zip(sched.values([0.0, 1.3, 3.0]), [0.0, 1.3, 3.0]):
+            assert np.array_equal(got, sched(t))
+
+    def test_domain_error_names_the_first_time_outside(self):
+        sched = model.tabulated([0.0, 1.0], [0.1, 0.2], name="lambda")
+        with pytest.raises(ScheduleDomainError,
+                           match=r"^lambda: t=1\.5 outside tabulated range \[0\.0, 1\.0\]$"):
+            sched.values([0.5, 1.5, -2.0, 3.0])
+        # the table's edges, up to roundoff, are inside
+        assert sched.values([-1e-13, 1.0 + 1e-13]) == [0.1, 0.2]
