@@ -35,15 +35,19 @@ flow): after the seed is checked and the lattice sampled, the invariant
 flow runs in a forked child, on a second core, writing its samples into an
 anonymous shared mapping, while this process calls ``alongside``. The
 results are bitwise those of the two calls in turn; where ``os.fork`` is
-missing they are made in turn. Plain ``integrate_state`` and
-``integrate_invariant`` calls run in-process.
+missing, or the process may run on fewer than two CPUs, they are made in
+turn. Plain ``integrate_state`` and ``integrate_invariant`` calls run
+in-process.
 
 CSV text is formatted by one row formatter, in blocks of at most
-``CSV_BLOCK_VALUES`` values. A ``CsvStream`` given to ``integrate_state`` as
-its per-node ``done`` hook hands each finished block of state rows but the
-last to a forked child, so ``simulate`` formats ``state.csv`` while the flow
-keeps stepping; ``write_trajectory_csv`` then writes the same bytes as
-without a stream. Both uses of ``fork`` share one helper, ``_Child``.
+``CSV_BLOCK_VALUES`` values; a column that is bitwise constant over a block
+is formatted once for the block, so only what varies costs a ``%`` per row.
+A ``CsvStream`` given to ``integrate_state`` as its per-node ``done`` hook
+hands each finished block of state rows but the last to a forked child, so
+``simulate`` formats ``state.csv`` while the flow keeps stepping;
+``write_trajectory_csv`` then writes the same bytes as without a stream.
+Both uses of ``fork`` share one helper, ``_Child``, which runs in-process
+where the process may run on fewer than two CPUs.
 """
 
 from __future__ import annotations
@@ -85,7 +89,9 @@ STEP_MATRIX_MAX_DIM = 16
 # CSV text is formatted in blocks of rows of at most this many values (at
 # least one row); a ``CsvStream`` hands each finished block but the last to a
 # forked child. At d=20 a block is 654 rows, ~0.1 s of %.17g formatting on
-# one core, and a table of one block (amp-damp's 5001 rows) forks nothing.
+# one core where every column varies (a damped-ho block formats 29 of its 801
+# columns; the rest are constant), and a table of one block (amp-damp's 5001
+# rows) forks nothing.
 CSV_BLOCK_VALUES = 1 << 19
 # Most formatter children running at a time: where formatting a block takes
 # longer than stepping one, the oldest is joined before the next fork, so
@@ -281,14 +287,17 @@ def _check_method(method):
 
 class _Child:
     """``run()`` in a forked child process, which reports back through a pipe
-    its exception (pickled) or ``None``; where ``os.fork`` is missing,
-    ``join`` calls ``run()`` here instead. ``join`` raises the child's
-    exception, or ``IntegrationError`` naming ``what`` and the exit status
-    if the child ended without a report (killed, say)."""
+    its exception (pickled) or ``None``; where ``os.fork`` is missing, or
+    ``os.sched_getaffinity`` gives this process fewer than two CPUs (where
+    a child could only take turns with it), ``join`` calls ``run()`` here
+    instead. ``join`` raises the child's exception, or ``IntegrationError``
+    naming ``what`` and the exit status if the child ended without a report
+    (killed, say)."""
 
     def __init__(self, run, what):
         self.run, self.what, self.pid = run, what, None
-        if not hasattr(os, "fork"):
+        if not hasattr(os, "fork") or (hasattr(os, "sched_getaffinity")
+                                       and len(os.sched_getaffinity(0)) < 2):
             return
         r, w = os.pipe()
         self.pid = os.fork()
@@ -411,9 +420,10 @@ def integrate_invariant(
     model lattice sampled, the flow runs in a forked child process, on
     another core, while this process calls ``alongside()``, and the result
     is ``(trajectory, alongside())``, bitwise the same as the two calls in
-    turn, which is how they run where ``os.fork`` is missing. An error of
-    ``alongside`` takes precedence over one of the flow, whose child is then
-    killed and reaped. A fork copies only the calling thread, so pass ``alongside`` only from a
+    turn, which is how they run where ``os.fork`` is missing or the process
+    may run on fewer than two CPUs. An error of ``alongside`` takes
+    precedence over one of the flow, whose child is then killed and reaped.
+    A fork copies only the calling thread, so pass ``alongside`` only from a
     process that runs no other Python threads.
     """
     _check_method(method)
@@ -464,12 +474,20 @@ def conservation_series(inv: Trajectory, state: Trajectory) -> np.ndarray:
 def _csv_text(nodes, values):
     """The CSV rows of ``values``, each led by its node's t, every number
     with 17 significant digits (lossless), as bytes, one block of at most
-    ``CSV_BLOCK_VALUES`` values (at least one row) at a time."""
-    fmt = ",".join(["%.17g"] * (1 + values.shape[1])) + "\n"
+    ``CSV_BLOCK_VALUES`` values (at least one row) at a time.
+
+    A column whose float64 bits are the same in every row of a block (the
+    entries a state never reaches, say) is formatted once, as a literal of
+    that block's row format; only the other columns go through ``%`` per
+    row. Comparing bits keeps -0.0 apart from +0.0, and NaN payloads apart."""
     rows = max(1, CSV_BLOCK_VALUES // (1 + values.shape[1]))
     for a in range(0, len(nodes), rows):
-        table = np.column_stack([nodes[a:a + rows], values[a:a + rows]]).tolist()
-        yield "".join([fmt % tuple(row) for row in table]).encode()
+        table = np.column_stack([nodes[a:a + rows], values[a:a + rows]])
+        bits = table.view(np.uint64)
+        same = (bits == bits[0]).all(axis=0)
+        fmt = ",".join(["%.17g" % v if s else "%.17g"
+                        for v, s in zip(table[0].tolist(), same.tolist())]) + "\n"
+        yield "".join([fmt % tuple(row) for row in table[:, ~same].tolist()]).encode()
 
 
 def write_csv(path, header: list[str], nodes, values) -> None:

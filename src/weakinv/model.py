@@ -131,6 +131,11 @@ class _Tabulated(Schedule):
             if any(o.shape != ops[0].shape for o in ops):
                 raise ValueError(f"{name}: tabulated operators differ in dimension")
             self._ops = np.stack(ops)
+            bad = np.flatnonzero(~np.isfinite(self._ops).all(axis=(1, 2)))
+            if bad.size:
+                k = int(bad[0])
+                raise ValueError(f"{name}: operator knot {k} at t={float(self.times[k])} "
+                                 "has non-finite entries")
             self.table = None
         self.name = name
 

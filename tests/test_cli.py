@@ -605,6 +605,33 @@ class TestStreamedStateCsv:
         assert len(forks) == n_forks
 
 
+class TestForkFloor:
+    """Where ``os.sched_getaffinity`` gives the process fewer than two CPUs,
+    no command forks: the flows run in turn and ``state.csv`` is formatted
+    in this process, with the bytes of the forked run."""
+
+    @pytest.mark.parametrize("command, n_forks", [
+        ("simulate", 10),  # 201 rows in blocks of 20: ten blocks go to children
+        ("invariant", 1),
+        ("action-check", 1),
+    ])
+    def test_one_cpu_forks_nothing(self, tmp_path, monkeypatch, command, n_forks):
+        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", 20 * (1 + 2 * 6 * 6))
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        cfg = driven_ho_config(tmp_path)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "forked")]) == 0
+        assert len(forks) == n_forks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "one-cpu")]) == 0
+        assert len(forks) == n_forks
+        names = sorted(p.name for p in (tmp_path / "forked").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "one-cpu").iterdir())
+        for name in names:
+            assert ((tmp_path / "forked" / name).read_bytes()
+                    == (tmp_path / "one-cpu" / name).read_bytes())
+
+
 class TestOutputDirectory:
     """An output directory that cannot be made is a config error, found
     before the first step."""

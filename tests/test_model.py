@@ -327,7 +327,8 @@ class TestConfigParsing:
 
 class TestNonFiniteOperators:
     """A sampled H or jump operator with a NaN or infinite entry is a model
-    error naming the schedule and the time, not a failed integration."""
+    error naming the schedule and the time, not a failed integration; a
+    table refuses such an operator knot when it is built."""
 
     def test_scaled_hamiltonian(self):
         h = np.array([[1.0, math.nan], [math.nan, 0.0]])
@@ -337,19 +338,19 @@ class TestNonFiniteOperators:
             m.on_grid(TimeGrid(0.0, 1.0, 4))
 
     def test_tabulated_channel(self):
-        # the knot at t=1 is infinite, and 0 * inf is NaN: every sample reads it
+        # a table refuses a non-finite operator knot when it is built, naming
+        # the knot, so no 0 * inf can reach a sample next to it
         bad = SMINUS.copy()
         bad[0, 1] = math.inf
-        m = model.LindbladModel(2, SZ, [(model.tabulated([0.0, 1.0], [SMINUS, bad]), 0.5)])
-        with pytest.raises(ModelValidationError,
-                           match=r"^channels\[0\]\.op: non-finite entry at t=0\.0$"):
-            m.on_grid(TimeGrid(0.0, 1.0, 4))
+        with pytest.raises(ValueError, match=r"^channel op: operator knot 2 at t=1\.5 "
+                                             r"has non-finite entries$"):
+            model.tabulated([0.0, 1.0, 1.5], [SMINUS, SMINUS, bad], name="channel op")
 
     def test_tabulated_hamiltonian(self):
         bad = np.diag([0.0, math.nan])
-        m = model.LindbladModel(2, model.tabulated([0.0, 1.0], [SZ, bad]))
-        with pytest.raises(ModelValidationError, match=r"^hamiltonian: non-finite entry"):
-            m.snapshot(0.5)
+        with pytest.raises(ValueError, match=r"^tabulated: operator knot 1 at t=1\.0 "
+                                             r"has non-finite entries$"):
+            model.tabulated([0.0, 1.0], [SZ, bad])
 
     def test_cli_exits_1(self, tmp_path, monkeypatch, capsys):
         from weakinv import cli

@@ -3,11 +3,14 @@ batched spectra against an independent oracle, and the CSV export, whole
 and streamed from forked children, against a per-cell formatter."""
 
 import os
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from helpers import PLUS_STATE, SMINUS, SX, SZ, random_density, random_hermitian
@@ -229,6 +232,100 @@ class TestCsvGoldenBytes:
         path = tmp_path / "s.csv"
         dynamics.write_trajectory_csv(traj, path)
         assert path.read_bytes() == per_cell_csv(traj)
+
+
+def per_value_csv(header, nodes, values):
+    """``write_csv``'s bytes, formatting every value on its own."""
+    lines = [",".join(header)]
+    for t, row in zip(np.asarray(nodes).tolist(), np.asarray(values).tolist()):
+        lines.append(",".join("%.17g" % v for v in [t, *row]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@st.composite
+def tables(draw):
+    """A float64 table of t and one ``dim``×``dim`` complex operator per row,
+    some columns forced constant, and a block size in rows."""
+    n, dim = draw(st.integers(1, 12)), draw(st.integers(1, 2))
+    table = draw(hnp.arrays(np.float64, (n, 1 + 2 * dim * dim), elements=st.floats(width=64)))
+    for j in draw(st.sets(st.integers(0, 2 * dim * dim))):
+        table[:, j] = draw(st.floats(width=64))
+    return table, dim, draw(st.integers(1, 5))
+
+
+class TestCsvConstantColumns:
+    """A column that is bitwise constant over a block of rows is formatted
+    once for the block; the bytes must be those of formatting every value."""
+
+    def rows(self, tmp_path, nodes, values):
+        """``write_csv``'s data rows, checked against the per-value oracle."""
+        header = ["t"] + [f"c{j}" for j in range(np.shape(values)[1])]
+        path = tmp_path / "table.csv"
+        dynamics.write_csv(path, header, nodes, values)
+        assert path.read_bytes() == per_value_csv(header, nodes, values)
+        return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+    @pytest.mark.parametrize("value, text", [
+        (0.0, "0"), (-0.0, "-0"), (0.1, "0.10000000000000001"), (NAN, "nan"), (INF, "inf"),
+        (-INF, "-inf")])
+    def test_constant_column(self, tmp_path, value, text):
+        values = np.column_stack([np.full(5, value), np.arange(5.0) / 3.0])
+        rows = self.rows(tmp_path, np.linspace(0.0, 1.0, 5), values)
+        assert [row[1] for row in rows] == [text] * 5
+
+    def test_signed_zeros_are_not_one_constant(self, tmp_path):
+        rows = self.rows(tmp_path, [0.0, 0.5, 1.0], np.array([[0.0], [-0.0], [0.0]]))
+        assert [row[1] for row in rows] == ["0", "-0", "0"]
+
+    def test_constant_in_the_first_block_only(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", 9)  # 3 rows of t and two values
+        first = [1.5, 1.5, 1.5, 1.5, 2.5, 1.5, -0.0, 0.0]
+        values = np.column_stack([first, np.full(8, 7.0)])
+        rows = self.rows(tmp_path, np.arange(8.0), values)
+        assert [row[1] for row in rows] == ["1.5"] * 4 + ["2.5", "1.5", "-0", "0"]
+
+    @pytest.mark.parametrize("block_values", [1, dynamics.CSV_BLOCK_VALUES])
+    @pytest.mark.parametrize("n_rows", [1, 4])
+    def test_one_row_tables_and_blocks(self, tmp_path, monkeypatch, rng, block_values, n_rows):
+        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", block_values)
+        values = rng.standard_normal((n_rows, 3))
+        values[:, 1] = NAN
+        self.rows(tmp_path, rng.standard_normal(n_rows), values)
+
+    def test_dense_table(self, tmp_path, monkeypatch, rng):
+        monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", 7 * 31)
+        self.rows(tmp_path, np.linspace(-1.0, 1.0, 50), rng.standard_normal((50, 30)) * 1e5)
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=tables())
+    def test_matches_the_per_value_oracle(self, table):
+        table, dim, block_rows = table
+        n = len(table)
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            mp.setattr(dynamics, "CSV_BLOCK_VALUES", block_rows * table.shape[1])
+            header = ["t"] + [f"c{j}" for j in range(table.shape[1] - 1)]
+            path = os.path.join(tmp, "table.csv")
+            dynamics.write_csv(path, header, table[:, 0], table[:, 1:])
+            with open(path, "rb") as f:
+                assert f.read() == per_value_csv(header, table[:, 0], table[:, 1:])
+            if n < 2:  # a grid has at least two nodes
+                return
+            grid = TimeGrid(0.0, 1.0, n - 1)
+            samples = np.ascontiguousarray(table[:, 1:]).view(complex).reshape(n, dim, dim)
+            traj = Trajectory(grid=grid, samples=samples, kind="state")
+            dynamics.write_trajectory_csv(traj, path)
+            with open(path, "rb") as f:
+                assert f.read() == per_cell_csv(traj)
+            with dynamics.CsvStream(grid, tmp) as stream:
+                for k in range(n):
+                    stream.done(traj.samples, k)
+                dynamics.write_trajectory_csv(traj, path, stream=stream)
+            with open(path, "rb") as f:
+                assert f.read() == per_cell_csv(traj)
 
 
 BLOCK_ROWS = 5
