@@ -28,11 +28,6 @@ from .scenarios import (
     damped_oscillator,
     dephasing_qubit,
 )
-from .superop import (
-    VectorizedLiouvillian,
-    apply_adjoint,
-    apply_liouvillian,
-    build_liouvillian_matrix,
-)
+from .superop import apply_adjoint, apply_liouvillian, build_liouvillian_matrix
 
 __version__ = "0.1.0"

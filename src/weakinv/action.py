@@ -47,14 +47,7 @@ cell carried across its edge, and the boundary nodes), as does the gauge
 check with Lam shifted block by block. ``grad_rho`` and ``grad_lam``
 collect the same blocks into a stack, so their values equal the report's.
 One block path serves every model: the generator is applied to a whole
-block per call of the unchecked kernels of ``superop``, in the lattice's
-form (Hadamard on D or E where K is diagonal and every jump a weighted
-partial permutation, else K-form on K). Their operator is built once for
-a constant model; for a driven one it is built per block, as
-c[:, None, None] x_M + x_0 from the block's scale vector where every cell
-shares M and K0, and else as H + K0 from the block's stacked channels (H
-per cell only where it is tabulated), bitwise each cell's K in K-form.
-Time-dependent rates are stacked per block as ``(n, 1, 1)`` arrays.
+block per call, bound by the lattice's ``superop.Generator``.
 
 The paths themselves come from the integrators in ``dynamics``, which run
 both flows through one checked loop: a constant model of dimension at most
@@ -68,7 +61,6 @@ process integrates rho forward (``auxiliary_trajectory`` with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -80,9 +72,8 @@ from .dynamics import (
     integrate_invariant,
     integrate_state,
 )
-from .model import ChannelSnapshot, LindbladModel, Schedule, dissipative_part
-from .superop import (GeneratorForm, adjoint, hadamard_adjoint, hadamard_liouvillian,
-                      liouvillian)
+from .model import LindbladModel, Schedule
+from .superop import Generator
 
 # Tolerance on the (discarded) imaginary part of the action value.
 ACTION_IMAG_RTOL = 1e-10
@@ -166,59 +157,13 @@ class ActionReport:
 def _blocks(model: LindbladModel, grid: TimeGrid, dual: bool):
     """``(k0, k1, apply)`` for each block of cells k0..k1-1, at most
     ``linalg.BLOCK_ENTRIES`` operator entries long, with ``apply(v)`` the
-    generator (L* with ``dual``, else L) of the model at the cell midpoints
-    of the grid lattice, in the lattice's form, applied to a stack v over
-    the block's cells. A constant model's one operator and
-    channels serve every block, built once. Otherwise the block's operator
-    is c x_m + x_0 from its scale vector c where every cell shares M and
-    K0, and else K = H + K0 stacked per block, bitwise each cell's K, with
-    H per cell only where it is tabulated; the channels are stacked too
-    where they depend on time."""
-    snaps = model.on_grid(grid)[1::2]
-    first = snaps[0]
-    form = GeneratorForm(first, adjoint=dual)
-    if dual:
-        kernel = hadamard_adjoint if form.hadamard else adjoint
-    else:
-        kernel = hadamard_liouvillian if form.hadamard else liouvillian
+    generator (L* with ``dual``, else L) at the cell midpoints, applied to
+    a stack v over the block's cells (``superop.Generator.cells``)."""
+    gen = Generator(model.on_grid(grid), dual)
     size = max(1, linalg.BLOCK_ENTRIES // model.dim**2)
-    shared = model.is_constant  # one snapshot serves every cell
-    if shared:
-        x, channels = form.operator(first), first.channels
-    elif first.scale is not None:
-        scales = np.array([s.scale for s in snaps])[:, None, None]
-    for k0 in range(0, len(snaps), size):
-        part = snaps[k0:k0 + size]
-        if not shared:
-            # a shared K0 means channels shared by every snapshot
-            channels = first.channels if first.k0 is not None else _stacked_channels(part)
-            if form.x_m is not None:
-                x = scales[k0:k0 + size] * form.x_m + form.x_0
-            else:
-                h = (scales[k0:k0 + size] * first.operator if first.scale is not None
-                     else first.operator if model.hamiltonian.is_constant
-                     else np.stack([s.operator for s in part]))
-                k = dissipative_part(channels, model.dim) if first.k0 is None else first.k0
-                x = form.form(h + k)
-        yield k0, k0 + len(part), partial(kernel, x, channels)
-
-
-def _stacked_channels(snaps) -> tuple:
-    """The channels of a block of cell snapshots, each rate stacked per
-    cell as an ``(n, 1, 1)`` array and each operator too where it varies."""
-    def per_cell(values):
-        return values[0] if all(v is values[0] for v in values) else np.stack(values)
-
-    stacked = []
-    for i in range(len(snaps[0].channels)):
-        cells = [s.channels[i] for s in snaps]
-        stacked.append(ChannelSnapshot(
-            l=per_cell([c.l for c in cells]),
-            l_dag=per_cell([c.l_dag for c in cells]),
-            l_dag_l=per_cell([c.l_dag_l for c in cells]),
-            alpha=np.array([c.alpha for c in cells])[:, None, None],
-            gather=cells[0].gather))
-    return tuple(stacked)
+    for k0 in range(0, grid.n_steps, size):
+        k1 = min(k0 + size, grid.n_steps)
+        yield k0, k1, gen.cells(k0, k1)
 
 
 def _lam_nodes(path: DiscretizedPath, phi: np.ndarray | None = None):

@@ -11,13 +11,8 @@ midpoint, both sampling schedules at step midpoints); the action module
 needs ρ and Λ on exactly the same nodes, which rules out adaptive stepping.
 Both integrators read the model from ``LindbladModel.on_grid``: it is
 sampled and validated once at every node and cell midpoint, and that one
-lattice serves both flows and the action. The stages call the unchecked
-kernels of ``superop`` in the lattice's form (``superop.GeneratorForm``):
-the Hadamard kernels, elementwise products and index gathers on D (or E),
-where K is diagonal and every jump a weighted partial permutation, else the
-K-form kernels on K = H + K0. That operator is built once per distinct
-lattice entry and kept while the next step needs it; the lattice keeps
-none per time. The stage arithmetic is the same in both forms.
+lattice serves both flows and the action. The stages call the lattice's
+``superop.Generator``, which owns the form, the kernel and the operator.
 
 A constant model (``LindbladModel.is_constant``) of dimension at most
 ``STEP_MATRIX_MAX_DIM`` makes both flows linear and autonomous, so one step
@@ -66,7 +61,7 @@ import numpy as np
 from . import linalg
 from .errors import BlowupError, IntegrationError
 from .model import LindbladModel
-from .superop import GeneratorForm, adjoint, hadamard_adjoint, hadamard_liouvillian, liouvillian
+from .superop import Generator
 
 STATE = "state"
 INVARIANT = "invariant"
@@ -196,38 +191,29 @@ class MonitorReport:
         }
 
 
-def _step(lattice, form, j, sign, y, h, method):
-    """One step of y' = sign * i * generator(y) from the node at lattice entry
-    ``j``, sampling the model at t, t+h/2, t+h (entries j, j±1, j±2 as h > 0
-    or h < 0). ``form`` is the flow's ``GeneratorForm``: the stages call
-    the kernel of its form (Hadamard or K-form) on the operator it builds
-    once per distinct entry."""
-    if sign < 0:
-        unit, kernel = -1j, hadamard_liouvillian if form.hadamard else liouvillian
-    else:
-        unit, kernel = 1j, hadamard_adjoint if form.hadamard else adjoint
-
-    def rhs(snap, v):
-        return unit * kernel(form.operator(snap), snap.channels, v)
-
+def _step(gen, j, y, h, method):
+    """One step of y' = ±i generator(y) (+ for ``gen.dual``) from the node
+    at lattice entry ``j`` of the ``superop.Generator`` ``gen``, sampling
+    the model at t, t+h/2, t+h (entries j, j±1, j±2 as h > 0 or h < 0)."""
+    unit = 1j if gen.dual else -1j
     d = 1 if h > 0 else -1
-    s0 = lattice[j]
-    sm = lattice[j + d]
+    f0, fm = gen.at(j), gen.at(j + d)
     if method == "rk4":
-        s1 = lattice[j + 2 * d]
-        k1 = rhs(s0, y)
-        k2 = rhs(sm, y + (0.5 * h) * k1)
-        k3 = rhs(sm, y + (0.5 * h) * k2)
-        k4 = rhs(s1, y + h * k3)
+        f1 = gen.at(j + 2 * d)
+        k1 = unit * f0(y)
+        k2 = unit * fm(y + (0.5 * h) * k1)
+        k3 = unit * fm(y + (0.5 * h) * k2)
+        k4 = unit * f1(y + h * k3)
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    k1 = rhs(s0, y)
-    return y + h * rhs(sm, y + (0.5 * h) * k1)
+    k1 = unit * f0(y)
+    return y + h * (unit * fm(y + (0.5 * h) * k1))
 
 
-def _propagate(model, y0, grid, sign, first, method, what, out=None, done=None):
-    """The flow y' = sign * i * generator(y) from ``y0`` at node ``first``
-    (0: forward, n_steps: backward), as the stack of every node (written to
-    ``out`` if given) and the largest Hermiticity defect of a raw step.
+def _propagate(model, y0, grid, dual, first, method, what, out=None, done=None):
+    """The flow y' = ±i generator(y) (+i L* with ``dual``, else -i L) from
+    ``y0`` at node ``first`` (0: forward, n_steps: backward), as the stack
+    of every node (written to ``out`` if given) and the largest Hermiticity
+    defect of a raw step.
     ``done(samples, k)``, if given, is called as each node k is written.
 
     A step is linear in y, so a constant model's step matrix is the step of
@@ -238,18 +224,17 @@ def _propagate(model, y0, grid, sign, first, method, what, out=None, done=None):
     n = grid.n_steps
     d = 1 if first == 0 else -1
     h = d * grid.dt
-    lattice = model.on_grid(grid)
-    form = GeneratorForm(lattice[0], adjoint=sign > 0)
+    gen = Generator(model.on_grid(grid), dual)
     if model.is_constant and model.dim <= STEP_MATRIX_MAX_DIM:
         dim2 = model.dim ** 2
         units = np.eye(dim2, dtype=complex).reshape(dim2, model.dim, model.dim)
-        p = _step(lattice, form, 2 * first, sign, units, h, method).reshape(dim2, dim2)
+        p = _step(gen, 2 * first, units, h, method).reshape(dim2, dim2)
 
         def step(j, y):
             return (y.reshape(-1) @ p).reshape(y.shape)
     else:
         def step(j, y):
-            return _step(lattice, form, j, sign, y, h, method)
+            return _step(gen, j, y, h, method)
 
     samples = np.empty((n + 1,) + y0.shape, dtype=complex) if out is None else out
     samples[first] = y0
@@ -380,7 +365,7 @@ def integrate_state(
     """
     rho0 = check_state_inputs(model, rho0, grid, method)
     tr0 = linalg.trace(rho0)
-    samples, max_herm = _propagate(model, rho0, grid, -1, 0, method, STATE, None, done)
+    samples, max_herm = _propagate(model, rho0, grid, False, 0, method, STATE, None, done)
     traj = Trajectory(grid=grid, samples=samples, kind=STATE)
     drift = np.max(np.abs(np.trace(samples, axis1=1, axis2=2).real - tr0.real))
     min_eig = np.min(linalg.hermitian_eigenvalues(samples)[:, 0])
@@ -434,13 +419,13 @@ def integrate_invariant(
         raise ValueError(f"{what} dimension {seed.shape[0]} != model dim {model.dim}")
     first = 0 if seed_time == "start" else grid.n_steps
     if alongside is None:
-        samples, _ = _propagate(model, seed, grid, +1, first, method, INVARIANT)
+        samples, _ = _propagate(model, seed, grid, True, first, method, INVARIANT)
         return Trajectory(grid=grid, samples=samples, kind=INVARIANT)
     model.on_grid(grid)  # sampled before the fork, so that both processes share it
     # an anonymous shared mapping, so that the child's samples arrive without a copy
     shape = (grid.n_steps + 1,) + seed.shape
     out = np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)), dtype=complex).reshape(shape)
-    child = _Child(lambda: _propagate(model, seed, grid, +1, first, method, INVARIANT, out),
+    child = _Child(lambda: _propagate(model, seed, grid, True, first, method, INVARIANT, out),
                    "invariant flow")
     try:
         result = alongside()

@@ -184,6 +184,8 @@ class _ScaledOperator(Schedule):
             raise ValueError(f"{name}: scaling schedule must be scalar-valued")
         self.scalar = scalar
         self.operator = linalg.as_operator(operator)
+        if not np.all(np.isfinite(self.operator)):
+            raise ValueError(f"{name}: operator has non-finite entries")
         self.name = name
 
     def __call__(self, t):

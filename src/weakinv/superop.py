@@ -49,22 +49,25 @@ conventions of the K-form kernels (D and E stacked like K, each channel's
 ``LindbladModel`` decides per sampled lattice whether they apply
 (``ModelSnapshot.hadamard``: every H diagonal, every jump operator
 time-independent with at most one nonzero per row and per column; rates may
-vary), and ``GeneratorForm`` builds the operator they take. Every other
-lattice runs in K-form. ``apply_liouvillian``, ``apply_adjoint`` and
-``build_liouvillian_matrix`` are always K-form, the reference the Hadamard
-kernels are checked against.
+vary). Every other lattice runs in K-form. ``apply_liouvillian``,
+``apply_adjoint`` and ``build_liouvillian_matrix`` are always K-form, the
+reference the Hadamard kernels are checked against.
+
+``Generator(lattice, dual)`` is the one place that picks a lattice's form
+and kernel and builds the operator it takes: the flows bind it per lattice
+entry (``at``), the action per block of cell midpoints (``cells``).
 
 Vectorization is column-stacking: vec(A X B) = (B^T kron A) vec(X).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import linalg
-from .model import ModelSnapshot
+from .model import ChannelSnapshot, ModelSnapshot, dissipative_part
 
 __all__ = [
     "apply_liouvillian",
@@ -74,10 +77,9 @@ __all__ = [
     "hadamard_liouvillian",
     "hadamard_adjoint",
     "difference",
-    "GeneratorForm",
+    "Generator",
     "vec",
     "unvec",
-    "VectorizedLiouvillian",
     "build_liouvillian_matrix",
 ]
 
@@ -149,43 +151,90 @@ def difference(k: np.ndarray, adjoint: bool = False) -> np.ndarray:
     return kd[..., :, None] - kd.conj()[..., None, :]
 
 
-class GeneratorForm:
-    """The form in which one side's generator (``adjoint``: L*, else L) of
-    one sampled lattice runs, decided from any of its entries ``snap``:
-    Hadamard (``hadamard``, on D or E) or K-form (on K). ``form(k)`` maps K
-    (or a stack) to the operator the side's kernel takes, and
-    ``operator(s)`` builds it for an entry ``s``. Where every entry shares
-    one M and one K0 (a ``scaled`` H and time-independent channels) that
-    operator is c(t) x_m + x_0, with ``x_m`` and ``x_0`` built once,
-    bitwise K = c M + K0 in K-form; otherwise they are None and it is built
-    from the entry's K. The operators of the last ``KEPT`` entries are
-    kept, so that a step of a flow finds its first node's operator built
-    by the step before, and a constant model's one operator is built once."""
+class Generator:
+    """One side's generator (``dual``: L*, else L) of one sampled lattice
+    (``LindbladModel.on_grid``), bound to its operator and channels, with
+    the kernel chosen once from the lattice's form: Hadamard on D (or E)
+    where ``ModelSnapshot.hadamard``, else K-form on K.
+
+    ``at(j)`` is the kernel bound to lattice entry ``j``; the last ``KEPT``
+    are kept, so that a step of a flow finds its first node's kernel bound
+    by the step before, and a constant model's one kernel is bound once.
+    ``cells(k0, k1)`` is the kernel bound to the midpoints of cells
+    k0..k1-1 as one stack (a constant model's one entry serves them all).
+    Where every entry shares one M and one K0 (a ``scaled`` H and
+    time-independent channels) the operator is c(t) x_m + x_0, with x_m and
+    x_0 the form of M and K0, built once (bitwise K = c M + K0 in K-form);
+    otherwise it is the form of K = H + K0, with H and the channels stacked
+    per cell only where they vary."""
 
     KEPT = 3
 
-    def __init__(self, snap: ModelSnapshot, adjoint: bool):
-        self.hadamard, self.adjoint = snap.hadamard, adjoint
-        if snap.scale is not None and snap.k0 is not None:
-            self.x_m, self.x_0 = self.form(snap.operator), self.form(snap.k0)
+    def __init__(self, lattice, dual: bool):
+        first = lattice[0]
+        self.lattice, self.dual, self.hadamard = lattice, dual, first.hadamard
+        if dual:
+            self.kernel = hadamard_adjoint if self.hadamard else adjoint
         else:
-            self.x_m = self.x_0 = None
-        self._kept = {}  # id of a lattice entry (the lattice outlives the form) -> operator
+            self.kernel = hadamard_liouvillian if self.hadamard else liouvillian
+        if first.scale is not None and first.k0 is not None:
+            self._x_m, self._x_0 = self._form(first.operator), self._form(first.k0)
+        else:
+            self._x_m = self._x_0 = None
+        self._kept = {}  # id of a lattice entry (held alive by self.lattice) -> kernel
 
-    def form(self, k: np.ndarray) -> np.ndarray:
-        return difference(k, self.adjoint) if self.hadamard else k
+    def _form(self, k: np.ndarray) -> np.ndarray:
+        return difference(k, self.dual) if self.hadamard else k
 
-    def operator(self, s: ModelSnapshot) -> np.ndarray:
-        x = self._kept.get(id(s))
-        if x is None:
-            if self.x_m is None:
-                x = self.form(s.effective_hamiltonian())
-            else:
-                x = s.scale * self.x_m + self.x_0
+    def at(self, j: int):
+        s = self.lattice[j]
+        bound = self._kept.get(id(s))
+        if bound is None:
+            bound = self._bind(s, s.scale, s.operator, s.channels)
             if len(self._kept) == self.KEPT:
                 del self._kept[next(iter(self._kept))]
-            self._kept[id(s)] = x
-        return x
+            self._kept[id(s)] = bound
+        return bound
+
+    def cells(self, k0: int, k1: int):
+        if self.lattice[0] is self.lattice[-1]:  # a constant model's lattice is one entry
+            return self.at(1)
+        part = self.lattice[2 * k0 + 1:2 * k1 + 1:2]
+        s = part[0]
+        scale = None if s.scale is None else np.array([c.scale for c in part])[:, None, None]
+        channels = s.channels if s.k0 is not None else _stacked_channels(part)
+        shared = s.operator is self.lattice[-1].operator  # else H is tabulated per entry
+        h = s.operator if shared else np.stack([c.operator for c in part])
+        return self._bind(s, scale, h, channels)
+
+    def _bind(self, s: ModelSnapshot, scale, operator, channels):
+        """The kernel bound to H = ``scale`` ``operator`` (``operator`` where
+        ``scale`` is None) and ``channels``, of one entry or stacked per
+        cell, with the lattice's shared K0 read from entry ``s``."""
+        if self._x_m is not None:
+            x = scale * self._x_m + self._x_0
+        else:
+            h = operator if scale is None else scale * operator
+            x = self._form(h + (dissipative_part(channels, s.dim) if s.k0 is None else s.k0))
+        return partial(self.kernel, x, channels)
+
+
+def _stacked_channels(snaps) -> tuple:
+    """The channels of cell snapshots, each rate stacked per cell as an
+    ``(n, 1, 1)`` array and each operator too where it varies."""
+    def per_cell(values):
+        return values[0] if all(v is values[0] for v in values) else np.stack(values)
+
+    stacked = []
+    for i in range(len(snaps[0].channels)):
+        cells = [s.channels[i] for s in snaps]
+        stacked.append(ChannelSnapshot(
+            l=per_cell([c.l for c in cells]),
+            l_dag=per_cell([c.l_dag for c in cells]),
+            l_dag_l=per_cell([c.l_dag_l for c in cells]),
+            alpha=np.array([c.alpha for c in cells])[:, None, None],
+            gather=cells[0].gather))
+    return tuple(stacked)
 
 
 def apply_liouvillian(s: ModelSnapshot, rho) -> np.ndarray:
@@ -207,26 +256,13 @@ def unvec(v, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(dim, dim, order="F")
 
 
-@dataclass(frozen=True)
-class VectorizedLiouvillian:
-    """dim² x dim² matrix M with M @ vec(rho) = vec(L(rho))."""
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return int(round(self.matrix.shape[0] ** 0.5))
-
-    def apply(self, rho) -> np.ndarray:
-        return unvec(self.matrix @ vec(rho), self.dim)
-
-
-def build_liouvillian_matrix(s: ModelSnapshot) -> VectorizedLiouvillian:
-    """M = I kron K - conj(K) kron I + 2i sum alpha conj(L) kron L."""
+def build_liouvillian_matrix(s: ModelSnapshot) -> np.ndarray:
+    """The d² x d² matrix M = I kron K - conj(K) kron I + 2i sum alpha
+    conj(L) kron L, with M @ vec(rho) = vec(L(rho))."""
     d = s.dim
     eye = np.eye(d, dtype=complex)
     k = s.effective_hamiltonian()
     m = np.kron(eye, k) - np.kron(np.conj(k), eye)
     for ch in s.channels:
         m += (2j * ch.alpha) * np.kron(np.conj(ch.l), ch.l)
-    return VectorizedLiouvillian(matrix=m)
+    return m

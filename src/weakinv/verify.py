@@ -189,10 +189,11 @@ def check_liouvillian_matrix(rng, trials: int) -> PropertyResult:
         dim = DIMS[i % len(DIMS)]
         s = random_model(rng, dim).snapshot(0.0)
         rho = random_density(rng, dim)
-        vm = superop.build_liouvillian_matrix(s)
+        m = superop.build_liouvillian_matrix(s)
         direct = superop.apply_liouvillian(s, rho)
         scale = max(1.0, linalg.maxabs(direct))
-        worst = max(worst, linalg.maxabs(vm.apply(rho) - direct) / scale)
+        vectorized = superop.unvec(m @ superop.vec(rho), dim)
+        worst = max(worst, linalg.maxabs(vectorized - direct) / scale)
     tol = 1e-12
     return PropertyResult("liouvillian_matrix", worst <= tol, worst, tol, trials)
 

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import helpers
 from helpers import PLUS_STATE, SMINUS, SX, SZ, random_hermitian
-from weakinv import action, linalg
+from weakinv import action, linalg, superop
 from weakinv.dynamics import TimeGrid, conservation_series, integrate_invariant, integrate_state
 from weakinv.model import LindbladModel, constant, scaled, sinusoidal, tabulated
 
@@ -263,7 +263,7 @@ class TestStackedGeneratorCalls:
         counts = {"adjoint": 0, "liouvillian": 0}
 
         def counted(name):
-            fn = getattr(action, name)
+            fn = getattr(superop, name)
 
             def wrapper(k, channels, a):
                 counts[name] += 1
@@ -271,7 +271,7 @@ class TestStackedGeneratorCalls:
             return wrapper
 
         for name in counts:
-            monkeypatch.setattr(action, name, counted(name))
+            monkeypatch.setattr(superop, name, counted(name))
         m = make_model(rng, dim)
         path = random_path(rng, TimeGrid(0.0, 1.0, 40), dim=dim)
         action.evaluate_action(path, m)

@@ -54,12 +54,11 @@ def tabulated_jump():
 def counting_kernels(monkeypatch):
     """Count the generator-kernel calls of the flows and the action, by form."""
     counts = collections.Counter()
-    for module in (dynamics, action):
-        for name in ("liouvillian", "adjoint", "hadamard_liouvillian", "hadamard_adjoint"):
-            def counted(*args, _fn=getattr(module, name), _form=name.split("_")[0]):
-                counts["hadamard" if _form == "hadamard" else "dense"] += 1
-                return _fn(*args)
-            monkeypatch.setattr(module, name, counted)
+    for name in ("liouvillian", "adjoint", "hadamard_liouvillian", "hadamard_adjoint"):
+        def counted(*args, _fn=getattr(superop, name), _form=name.split("_")[0]):
+            counts["hadamard" if _form == "hadamard" else "dense"] += 1
+            return _fn(*args)
+        monkeypatch.setattr(superop, name, counted)
     return counts
 
 
@@ -129,7 +128,7 @@ class TestKernels:
         m = random_hadamard_model(rng, dim, 3)
         snaps = m.on_grid(TimeGrid(0.0, 1.0, 3))
         k = np.stack([s.effective_hamiltonian() for s in snaps])
-        channels = action._stacked_channels(snaps)
+        channels = superop._stacked_channels(snaps)
         assert all(np.shape(ch.alpha) == (len(snaps), 1, 1) for ch in channels)
         x = random_operator(rng, dim, len(snaps))
         for kernel, reference, adjoint in KERNELS:
@@ -146,17 +145,55 @@ class TestKernels:
         for kernel, reference, adjoint in KERNELS:
             assert_close(kernel(superop.difference(k, adjoint), s.channels, x), reference(s, x))
 
-    def test_generator_form_builds_d_and_e(self, rng):
-        snaps = random_hadamard_model(rng, 4, 2).on_grid(TimeGrid(0.0, 1.0, 2))
-        for adjoint in (False, True):
-            form = superop.GeneratorForm(snaps[0], adjoint)
-            for s in snaps:
-                assert_close(form.operator(s),
-                             superop.difference(s.effective_hamiltonian(), adjoint))
+    def test_e_is_the_transpose_of_d(self, rng):
         # E = -conj(D) = D^T
-        d = superop.difference(snaps[1].effective_hamiltonian())
-        e = superop.difference(snaps[1].effective_hamiltonian(), adjoint=True)
+        k = random_hadamard_model(rng, 4, 2).snapshot(0.3).effective_hamiltonian()
+        d, e = superop.difference(k), superop.difference(k, adjoint=True)
         assert np.array_equal(e, -d.conj()) and np.array_equal(e, d.T)
+
+
+def tabulated_h(rng):
+    h = [helpers.random_hermitian(rng, 4) for _ in range(2)]
+    return LindbladModel(4, tabulated([0.0, 1.0], h), [(scenarios.lowering_operator(4), 0.3)])
+
+
+class TestGenerator:
+    """``superop.Generator`` on each kind of lattice, both sides: ``cells``
+    binds bitwise the stack of what ``at`` binds at the cell midpoints, and
+    ``at`` applies its entry's generator."""
+
+    KINDS = [
+        pytest.param(lambda rng: helpers.random_constant_model(rng, 18), False,
+                     id="constant-k-form-d18"),
+        pytest.param(lambda rng: random_hadamard_model(rng, 4, driven=False), True,
+                     id="constant-hadamard"),
+        pytest.param(lambda rng: scenarios.build_scenario("damped-ho", n_trunc=6).model, True,
+                     id="affine-hadamard"),
+        pytest.param(lambda rng: dense_driven(rng, 4), False, id="driven-h-and-rate-k-form"),
+        pytest.param(tabulated_h, False, id="tabulated-h"),
+        pytest.param(lambda rng: tabulated_jump(), False, id="tabulated-jump"),
+    ]
+
+    @pytest.mark.parametrize("dual", [False, True], ids=["L", "adjoint"])
+    @pytest.mark.parametrize("make_model, hadamard", KINDS)
+    def test_cells_stack_at_and_at_applies_the_entry(self, rng, make_model, hadamard, dual):
+        m = make_model(rng)
+        lattice = m.on_grid(TimeGrid(0.0, 1.0, 7))
+        gen = superop.Generator(lattice, dual)
+        assert gen.hadamard == hadamard
+        reference = superop.apply_adjoint if dual else superop.apply_liouvillian
+        for j, s in enumerate(lattice):
+            x = random_operator(rng, m.dim)
+            assert_close(gen.at(j)(x), reference(s, x))
+        for k0, k1 in ((0, 7), (2, 5), (6, 7)):
+            want = np.stack([gen.at(2 * k + 1).args[0] for k in range(k0, k1)])
+            got = gen.cells(k0, k1).args[0]
+            if m.is_constant:
+                got = np.broadcast_to(got, want.shape)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            x = random_operator(rng, m.dim, k1 - k0)
+            per_cell = np.stack([gen.at(2 * k + 1)(x[k - k0]) for k in range(k0, k1)])
+            assert_close(gen.cells(k0, k1)(x), per_cell)
 
 
 class TestPredicate:

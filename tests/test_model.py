@@ -328,14 +328,14 @@ class TestConfigParsing:
 class TestNonFiniteOperators:
     """A sampled H or jump operator with a NaN or infinite entry is a model
     error naming the schedule and the time, not a failed integration; a
-    table refuses such an operator knot when it is built."""
+    table refuses such an operator knot, and a scaled schedule such an
+    operator, when it is built."""
 
     def test_scaled_hamiltonian(self):
+        # the scaled operator M is refused when the schedule is built, naming it
         h = np.array([[1.0, math.nan], [math.nan, 0.0]])
-        m = model.LindbladModel(2, model.scaled(model.constant(1.0), h))
-        with pytest.raises(ModelValidationError,
-                           match=r"^hamiltonian: non-finite entry at t=0\.0$"):
-            m.on_grid(TimeGrid(0.0, 1.0, 4))
+        with pytest.raises(ValueError, match=r"^scaled: operator has non-finite entries$"):
+            model.scaled(model.constant(1.0), h)
 
     def test_tabulated_channel(self):
         # a table refuses a non-finite operator knot when it is built, naming
@@ -356,13 +356,16 @@ class TestNonFiniteOperators:
         from weakinv import cli
         h = np.array([[1.0, math.nan], [math.nan, 0.0]])
         spec = scenarios.amplitude_damping_qubit()
-        bad = model.LindbladModel(2, model.scaled(model.constant(1.0), h), [(SMINUS, 0.5)])
-        monkeypatch.setattr(cli, "build_scenario",
-                            lambda name, **kw: scenarios.ScenarioSpec(
-                                name, bad, spec.default_rho0, spec.default_invariant_seed,
-                                spec.default_grid))
+
+        def bad_scenario(name, **kw):
+            bad = model.LindbladModel(
+                2, model.scaled(model.constant(1.0), h, name="hamiltonian"), [(SMINUS, 0.5)])
+            return scenarios.ScenarioSpec(name, bad, spec.default_rho0,
+                                          spec.default_invariant_seed, spec.default_grid)
+
+        monkeypatch.setattr(cli, "build_scenario", bad_scenario)
         assert cli.main(["simulate", "amp-damp", "--steps", "20", "--out", str(tmp_path)]) == 1
-        assert "hamiltonian: non-finite entry at t=0.0" in capsys.readouterr().err
+        assert "hamiltonian: operator has non-finite entries" in capsys.readouterr().err
 
 
 class TestScheduleValues:

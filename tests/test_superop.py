@@ -177,28 +177,29 @@ class TestGeneratorProperties:
 class TestVectorizedLiouvillian:
     def test_empty_model_is_zero(self):
         s = LindbladModel(2, np.zeros((2, 2))).snapshot(0.0)
-        vm = superop.build_liouvillian_matrix(s)
-        assert_allclose(vm.matrix, np.zeros((4, 4)))
+        m = superop.build_liouvillian_matrix(s)
+        assert_allclose(m, np.zeros((4, 4)))
 
     def test_amplitude_damping_vector(self):
-        vm = superop.build_liouvillian_matrix(amp_damp_snapshot(0.5))
-        out = vm.matrix @ superop.vec(EXCITED)
+        m = superop.build_liouvillian_matrix(amp_damp_snapshot(0.5))
+        out = m @ superop.vec(EXCITED)
         assert_allclose(out, superop.vec(np.diag([1j, -1j])), atol=1e-15)
 
     def test_matches_direct_application(self, rng):
         for dim in (2, 3, 5):
             s = random_model(rng, dim).snapshot(0.0)
-            vm = superop.build_liouvillian_matrix(s)
+            m = superop.build_liouvillian_matrix(s)
             for _ in range(5):
                 rho = random_density(rng, dim)
                 direct = superop.apply_liouvillian(s, rho)
-                assert linalg.maxabs(vm.apply(rho) - direct) <= 1e-12 * max(1.0, linalg.maxabs(direct))
+                vectorized = superop.unvec(m @ superop.vec(rho), dim)
+                assert linalg.maxabs(vectorized - direct) <= 1e-12 * max(1.0, linalg.maxabs(direct))
 
     def test_trace_preservation_rows(self, rng):
-        vm = superop.build_liouvillian_matrix(amp_damp_snapshot(0.5))
+        m = superop.build_liouvillian_matrix(amp_damp_snapshot(0.5))
         for _ in range(20):
             rho = random_density(rng, 2)
-            assert abs(np.trace(superop.unvec(vm.matrix @ superop.vec(rho), 2))) <= 1e-13
+            assert abs(np.trace(superop.unvec(m @ superop.vec(rho), 2))) <= 1e-13
 
     def test_vec_unvec_round_trip(self, rng):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
