@@ -20,7 +20,7 @@ from .dynamics import (
     integrate_invariant,
     integrate_state,
 )
-from .invariant import InvariantReport, SpectrumSeries, analyze, shift_check, spectrum_series
+from .invariant import InvariantReport, SpectrumSeries, analyze, spectrum_series
 from .model import Channel, LindbladModel, ModelSnapshot, Schedule
 from .scenarios import (
     ScenarioSpec,

@@ -35,8 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import config, linalg, verify
 from . import invariant as invariant_mod
-from . import linalg, verify
 from .action import DiscretizedPath, auxiliary_trajectory, gauge_shift_check, stationarity_report
 from .dynamics import (
     CsvStream,
@@ -54,19 +54,12 @@ from .errors import (
     NotHermitianError,
     ScheduleDomainError,
 )
-from .model import model_from_config, reject_unknown_keys, tabulated
+from .model import tabulated
 from .scenarios import LEAKAGE_THRESHOLD, SCENARIOS, build_scenario
 
 TRACE_DRIFT_THRESHOLD = 1e-8
 MIN_EIGENVALUE_THRESHOLD = -1e-8
-DEFAULT_DRIFT_BOUND = 1e-6
-DEFAULT_RESIDUAL_BOUND = 1e-4
 GAUGE_DEFECT_BOUND = 1e-10
-
-# Every key a run config may hold; any other key is a typo and an error.
-CONFIG_KEYS = ("scenario", "scenario_args", "grid", "method", "rho0", "invariant_seed",
-               "lambda_final", "output_dir", "seed", "drift_bound", "residual_bound")
-GRID_KEYS = ("t_start", "t_end", "n_steps")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,38 +102,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> dict:
-    if getattr(args, "config", None) is None:
-        return {}
-    try:
-        with open(args.config) as f:
-            cfg = json.load(f)
-    except OSError as e:
-        raise ConfigError("config", f"cannot read {args.config}: {e.strerror}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError("config", f"invalid JSON: {e}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config", "must be a JSON object")
-    reject_unknown_keys(cfg, CONFIG_KEYS, "")
-    return cfg
-
-
-def _real(value, field: str, *, positive: bool = False) -> float:
-    """``value`` as a float if it is a finite (and, with ``positive``, a
-    positive) JSON number; a bool, a string or an integer beyond float range
-    is not one."""
-    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (numeric and abs(value) <= sys.float_info.max and (value > 0 or not positive)):
-        kind = "finite positive number" if positive else "finite number"
-        raise ConfigError(field, f"must be a {kind}, got {value!r}")
-    return float(value)
-
-
-def _integer(value, field: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(field, f"must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(field, f"must be ≥ {minimum}")
-    return value
+    """The run config, every key read by ``config.RUN`` and the defaults
+    filled in; no ``--config`` reads as an empty object."""
+    cfg = {}
+    if args.config is not None:
+        try:
+            with open(args.config) as f:
+                cfg = json.load(f)
+        except OSError as e:
+            raise ConfigError("config", f"cannot read {args.config}: {e.strerror}") from None
+        except ValueError as e:  # a JSONDecodeError, or an integer of too many digits
+            raise ConfigError("config", f"invalid JSON: {e}") from None
+        if not isinstance(cfg, dict):
+            raise ConfigError("config", "must be a JSON object")
+    return config.read(cfg, config.RUN, "")
 
 
 def _make_dir(path: Path, field: str) -> None:
@@ -167,71 +142,44 @@ def _write_json(path: Path, payload: dict) -> None:
         path.write_text(text + "\n")
 
 
-def _parse_literal(value, field):
-    try:
-        return linalg.parse_matrix_literal(value)
-    except ValueError as e:
-        raise ConfigError(field, str(e)) from None
-
-
 class RunSetup:
     """Resolved model, grid, method, defaults, and output directory."""
 
     def __init__(self, args):
-        cfg = _load_config(args)
-        self.cfg = cfg
-        self.seed = _integer(args.seed if args.seed is not None else cfg.get("seed", 0), "seed", 0)
+        cfg = self.cfg = _load_config(args)
+        self.seed = cfg["seed"] if args.seed is None else config.integer(args.seed, "seed")
 
         scenario = args.scenario if args.scenario is not None else cfg.get("scenario")
         if scenario is None:
             raise ConfigError("scenario", "is required (positional argument or config)")
+        self.spec = None
         if isinstance(scenario, str):
-            scenario_args = cfg.get("scenario_args", {})
-            if not isinstance(scenario_args, dict):
-                raise ConfigError("scenario_args", "must be an object")
-            self.spec = build_scenario(scenario, **scenario_args)
-            self.model = self.spec.model
-        elif isinstance(scenario, dict):
-            self.spec = None
-            self.model = model_from_config(scenario, field="scenario")
-        else:
-            raise ConfigError("scenario", "must be a name or an inline model object")
+            table = config.SCENARIO_ARGS.get(scenario)  # None: build_scenario names it unknown
+            kwargs = config.read(cfg["scenario_args"], table, "scenario_args") if table else {}
+            self.spec = build_scenario(scenario, **kwargs)
+            scenario = self.spec.model
+        self.model = scenario
 
-        grid_cfg = cfg.get("grid")
-        if grid_cfg is None:
+        grid = cfg.get("grid")
+        if grid is None:
             if self.spec is None:
                 raise ConfigError("grid", "is required for inline models")
-            grid = self.spec.default_grid
-            t_start, t_end, n_steps = grid.t_start, grid.t_end, grid.n_steps
-        else:
-            if not isinstance(grid_cfg, dict):
-                raise ConfigError("grid", "must be an object")
-            reject_unknown_keys(grid_cfg, GRID_KEYS, "grid.")
-            t_start = _real(grid_cfg.get("t_start"), "grid.t_start")
-            t_end = _real(grid_cfg.get("t_end"), "grid.t_end")
-            n_steps = grid_cfg.get("n_steps")
-        if args.steps is not None:
-            n_steps = args.steps
-        n_steps = _integer(n_steps, "grid.n_steps", 1)
-        if not t_end > t_start:
+            grid = self.spec.default_grid.to_dict()
+        n_steps = args.steps if args.steps is not None else grid.get("n_steps")
+        n_steps = config.integer(n_steps, "grid.n_steps", minimum=1)
+        if not grid["t_end"] > grid["t_start"]:
             raise ConfigError("grid.t_end", "must exceed grid.t_start")
-        self.grid = TimeGrid(t_start, t_end, n_steps)
-
-        self.method = args.method or cfg.get("method", "rk4")
-        if self.method not in ("rk4", "midpoint"):
-            raise ConfigError("method", "must be rk4 or midpoint")
+        self.grid = TimeGrid(grid["t_start"], grid["t_end"], n_steps)
+        self.method = args.method or cfg["method"]
 
         if "rho0" in cfg:
-            self.rho0 = _parse_literal(cfg["rho0"], "rho0")
+            self.rho0 = cfg["rho0"]
         elif self.spec is not None:
             self.rho0 = self.spec.default_rho0
         else:
             self.rho0 = linalg.identity(self.model.dim) / self.model.dim
 
-        out_dir = cfg.get("output_dir", ".")
-        if not isinstance(out_dir, str):
-            raise ConfigError("output_dir", f"must be a path string, got {out_dir!r}")
-        self.out_dir = Path(args.out if args.out is not None else out_dir)
+        self.out_dir = Path(args.out if args.out is not None else cfg["output_dir"])
         self.out_field = "--out" if args.out is not None else "output_dir"
         self.leakage_index = (
             self.spec.truncation_dim - 1
@@ -240,29 +188,25 @@ class RunSetup:
         )
 
     def invariant_seed(self) -> np.ndarray:
-        raw = self.cfg.get("invariant_seed")
-        if raw is None:
+        seed = self.cfg.get("invariant_seed")
+        if seed is None:
             if self.spec is not None:
                 return self.spec.default_invariant_seed
             raise ConfigError("invariant_seed", "is required for inline models")
-        if isinstance(raw, str):
-            if raw == "identity":
-                return linalg.identity(self.model.dim)
-            if raw == "hamiltonian":
-                return self.model.snapshot(self.grid.t_start).h
-            if raw == "sz":
-                if self.model.dim != 2:
-                    raise ConfigError("invariant_seed", '"sz" needs a dim-2 model')
-                return np.diag([1.0, -1.0]).astype(complex)
-            raise ConfigError("invariant_seed", f"unknown name {raw!r}; "
-                              'expected "sz", "hamiltonian", "identity", or a matrix literal')
-        return _parse_literal(raw, "invariant_seed")
+        if not isinstance(seed, str):
+            return seed
+        if seed == "identity":
+            return linalg.identity(self.model.dim)
+        if seed == "hamiltonian":
+            return self.model.snapshot(self.grid.t_start).h
+        if self.model.dim != 2:
+            raise ConfigError("invariant_seed", '"sz" needs a dim-2 model')
+        return np.diag([1.0, -1.0]).astype(complex)
 
     def lambda_final(self) -> np.ndarray:
-        raw = self.cfg.get("lambda_final")
-        if raw is None:
+        if "lambda_final" not in self.cfg:
             raise ConfigError("lambda_final", "is required for action-check")
-        return _parse_literal(raw, "lambda_final")
+        return self.cfg["lambda_final"]
 
     def make_out_dir(self) -> None:
         """Create the output directory: once the config is checked, before
@@ -314,8 +258,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_invariant(args) -> int:
     setup = RunSetup(args)
-    drift_bound = _real(setup.cfg.get("drift_bound", DEFAULT_DRIFT_BOUND), "drift_bound",
-                        positive=True)
+    drift_bound = setup.cfg["drift_bound"]
     # ρ0 and the lattice fail before the seed, as when the flows ran in turn
     check_state_inputs(setup.model, setup.rho0, setup.grid, setup.method)
     seed = setup.invariant_seed()
@@ -341,8 +284,7 @@ def cmd_invariant(args) -> int:
 
 def cmd_action_check(args) -> int:
     setup = RunSetup(args)
-    residual_bound = _real(setup.cfg.get("residual_bound", DEFAULT_RESIDUAL_BOUND),
-                           "residual_bound", positive=True)
+    residual_bound = setup.cfg["residual_bound"]
     lam_final = setup.lambda_final()
     # ρ0 and the lattice fail before lambda_final's checks, as when the flows ran in turn
     check_state_inputs(setup.model, setup.rho0, setup.grid, setup.method)
@@ -376,9 +318,8 @@ def cmd_action_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = _integer(args.seed, "seed", 0)
-    if args.trials < 1:
-        raise ConfigError("trials", "must be ≥ 1")
+    seed = config.integer(args.seed, "seed")
+    config.integer(args.trials, "trials", minimum=1)
     out_dir = Path(args.out) if args.out is not None else Path(".")
     _make_dir(out_dir, "--out")
     results = verify.run_all(seed, args.trials, break_adjoint=args.break_adjoint)

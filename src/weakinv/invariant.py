@@ -23,10 +23,8 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     conservation_series,
-    integrate_invariant,
     write_csv,
 )
-from .model import LindbladModel
 
 # Classification threshold, relative to maxabs of the seed sample.
 STRONG_THRESHOLD = 1e-6
@@ -36,7 +34,6 @@ __all__ = [
     "InvariantReport",
     "spectrum_series",
     "analyze",
-    "shift_check",
     "write_spectrum_csv",
     "write_expectation_csv",
 ]
@@ -100,20 +97,6 @@ def analyze(
         expectation=series,
         spectrum=spec,
     )
-
-
-def shift_check(model: LindbladModel, inv: Trajectory, c: float, method: str = "rk4") -> float:
-    """Propagate the shifted seed I(t_0) + c*identity and measure the defect
-    max_k ||I_shifted(t_k) - (I(t_k) + c*identity)||_max.
-
-    The identity component of the flow is stationary (the adjoint generator
-    annihilates the identity), so the defect is roundoff-level.
-    """
-    c = float(c)
-    eye = linalg.identity(inv.dim)
-    shifted_seed = inv.samples[0] + c * eye
-    shifted = integrate_invariant(model, shifted_seed, "start", inv.grid, method)
-    return linalg.maxabs(shifted.samples - (inv.samples + c * eye))
 
 
 def write_spectrum_csv(series: SpectrumSeries, path) -> None:

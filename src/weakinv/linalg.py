@@ -11,8 +11,6 @@ whole stack; the eigenvalues come from LAPACK through ``np.linalg.eigvalsh``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import NotHermitianError
@@ -39,7 +37,6 @@ __all__ = [
     "require_hermitian",
     "hermitian_eigenvalues",
     "hermitian_basis",
-    "parse_matrix_literal",
 ]
 
 
@@ -168,28 +165,3 @@ def hermitian_basis(dim: int) -> list[np.ndarray]:
             e[k, j] = -1.0j
             basis.append(e)
     return basis
-
-
-def parse_matrix_literal(obj) -> np.ndarray:
-    """Parse the matrix literal format: a row-major list of ``[re, im]`` pairs.
-
-    The dimension is inferred from the length, which must be a perfect square.
-    """
-    if not isinstance(obj, (list, tuple)):
-        raise ValueError("matrix literal must be a list of [re, im] pairs")
-    n2 = len(obj)
-    dim = math.isqrt(n2)
-    if dim * dim != n2 or dim < 1:
-        raise ValueError(f"matrix literal length {n2} is not a perfect square")
-    flat = np.empty(n2, dtype=complex)
-    for i, entry in enumerate(obj):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValueError(f"matrix literal entry {i} is not an [re, im] pair")
-        re, im = entry
-        if not (isinstance(re, (int, float)) and isinstance(im, (int, float))):
-            raise ValueError(f"matrix literal entry {i} has non-numeric parts")
-        flat[i] = complex(re, im)
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("matrix literal contains non-finite values")
-    return flat.reshape(dim, dim)
-

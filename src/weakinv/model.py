@@ -36,7 +36,7 @@ import numbers
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, ModelValidationError, ScheduleDomainError
+from .errors import ModelValidationError, ScheduleDomainError
 
 # Hermiticity tolerance for H(t), relative to its maxabs (floor 1e-14).
 HAMILTONIAN_HERMITICITY_RTOL = 1e-10
@@ -480,111 +480,3 @@ def _schedule_operator_values(sched):
         yield from sched._ops
     elif isinstance(sched, _ScaledOperator):
         yield sched.operator
-
-
-# ---------------------------------------------------------------------------
-# JSON config parsing
-#
-#   { "dim": n, "hamiltonian": <schedule>, "channels": [ {"op": <schedule>,
-#     "alpha": <schedule>} ] }
-#
-# Schedule objects carry a "kind" of constant | sinusoidal | tabulated
-# (plus "scaled" for scalar-times-fixed-operator); matrices use the
-# row-major [re, im] literal format from linalg. A key that the model, a
-# channel or a schedule of that kind does not read is rejected, naming its
-# field (e.g. "scenario.channels[0].alpha.valu").
-# ---------------------------------------------------------------------------
-
-
-# The keys each schedule kind reads; any other key is a typo and an error.
-SCHEDULE_KEYS = {
-    "constant": ("kind", "value"),
-    "sinusoidal": ("kind", "offset", "amplitude", "omega", "phase"),
-    "tabulated": ("kind", "times", "values"),
-    "scaled": ("kind", "scalar", "matrix"),
-}
-MODEL_KEYS = ("dim", "hamiltonian", "channels")
-CHANNEL_KEYS = ("op", "alpha")
-
-
-def reject_unknown_keys(obj: dict, known, prefix: str) -> None:
-    """Raise :class:`ConfigError` naming ``prefix`` + the first key of ``obj``
-    that is not in ``known``."""
-    unknown = sorted(set(obj) - set(known))
-    if unknown:
-        raise ConfigError(prefix + unknown[0], f"is not a config key; expected one of {list(known)}")
-
-
-def _literal_or_scalar(value, field):
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, (list, tuple)):
-        try:
-            return linalg.parse_matrix_literal(value)
-        except ValueError as e:
-            raise ConfigError(field, str(e)) from None
-    raise ConfigError(field, "must be a number or a matrix literal")
-
-
-def schedule_from_config(obj, field) -> Schedule:
-    if not isinstance(obj, dict):
-        raise ConfigError(field, "must be a schedule object")
-    kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in SCHEDULE_KEYS:
-        raise ConfigError(f"{field}.kind", "must be constant, sinusoidal, tabulated, or scaled")
-    reject_unknown_keys(obj, SCHEDULE_KEYS[kind], f"{field}.")
-    try:
-        if kind == "constant":
-            if "value" not in obj:
-                raise ConfigError(f"{field}.value", "is required")
-            return constant(_literal_or_scalar(obj["value"], f"{field}.value"), name=field)
-        if kind == "sinusoidal":
-            for key in ("offset", "amplitude", "omega"):
-                if not isinstance(obj.get(key), numbers.Real):
-                    raise ConfigError(f"{field}.{key}", "must be a number")
-            return sinusoidal(obj["offset"], obj["amplitude"], obj["omega"],
-                              obj.get("phase", 0.0), name=field)
-        if kind == "tabulated":
-            times = obj.get("times")
-            values = obj.get("values")
-            if not isinstance(times, list) or not isinstance(values, list):
-                raise ConfigError(f"{field}.times", "and .values must be lists")
-            parsed = [_literal_or_scalar(v, f"{field}.values[{i}]") for i, v in enumerate(values)]
-            return tabulated(times, parsed, name=field)
-        if kind == "scaled":
-            scalar = schedule_from_config(obj.get("scalar"), f"{field}.scalar")
-            if "matrix" not in obj:
-                raise ConfigError(f"{field}.matrix", "is required")
-            op = _literal_or_scalar(obj["matrix"], f"{field}.matrix")
-            if not isinstance(op, np.ndarray):
-                raise ConfigError(f"{field}.matrix", "must be a matrix literal")
-            return scaled(scalar, op, name=field)
-    except ValueError as e:
-        if isinstance(e, ConfigError):
-            raise
-        raise ConfigError(field, str(e)) from None
-
-
-def model_from_config(cfg, field="model") -> LindbladModel:
-    if not isinstance(cfg, dict):
-        raise ConfigError(field, "must be an object")
-    reject_unknown_keys(cfg, MODEL_KEYS, f"{field}.")
-    dim = cfg.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ConfigError(f"{field}.dim", "must be a positive integer")
-    ham = schedule_from_config(cfg.get("hamiltonian"), f"{field}.hamiltonian")
-    channels = []
-    raw_channels = cfg.get("channels", [])
-    if not isinstance(raw_channels, list):
-        raise ConfigError(f"{field}.channels", "must be a list")
-    for i, ch in enumerate(raw_channels):
-        if not isinstance(ch, dict):
-            raise ConfigError(f"{field}.channels[{i}]", "must be an object")
-        reject_unknown_keys(ch, CHANNEL_KEYS, f"{field}.channels[{i}].")
-        op = schedule_from_config(ch.get("op"), f"{field}.channels[{i}].op")
-        alpha = schedule_from_config(ch.get("alpha"), f"{field}.channels[{i}].alpha")
-        channels.append((op, alpha))
-    try:
-        return LindbladModel(dim, ham, channels)
-    except ValueError as e:
-        raise ConfigError(field, str(e)) from None

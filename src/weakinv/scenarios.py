@@ -159,7 +159,5 @@ def build_scenario(name: str, **kwargs) -> ScenarioSpec:
                           f"expected one of {sorted(SCENARIOS)}")
     try:
         return builder(**kwargs)
-    except TypeError as e:
-        raise ConfigError("scenario_args", str(e)) from None
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError("scenario_args", str(e)) from None

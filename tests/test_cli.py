@@ -1,14 +1,19 @@
+import contextlib
+import copy
 import dataclasses
+import io
 import json
 import math
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import weakinv
 from weakinv import action, cli, dynamics, scenarios, superop
@@ -292,6 +297,8 @@ class TestBounds:
         assert not path.exists()
 
 
+HUGE = 10**400  # 401 digits: an integer beyond float range
+
 # (id, config change, the field the error must name); 1e999 in JSON parses to inf
 BAD_CONFIG_VALUES = [
     ("n_steps-str", {"grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": "300"}}, "grid.n_steps"),
@@ -311,6 +318,16 @@ BAD_CONFIG_VALUES = [
     ("seed-negative", {"seed": -1}, "seed"),
     ("output_dir-int", {"output_dir": 5}, "output_dir"),
     ("unknown-key", {"drift_bnd": 1e-6}, "drift_bnd"),
+    ("rho0-huge-int", {"rho0": [[HUGE, 0], [0, 0], [0, 0], [0, 0]]}, "rho0[0][0]"),
+    ("omega-huge-int", {"scenario_args": {"omega": HUGE}}, "scenario_args.omega"),
+    ("omega-bool", {"scenario_args": {"omega": True}}, "scenario_args.omega"),
+    ("omega_schedule-huge-int", {"scenario": "damped-ho",
+                                 "scenario_args": {"n_trunc": 4, "omega_schedule": HUGE}},
+     "scenario_args.omega_schedule"),
+    ("n_trunc-float", {"scenario": "damped-ho", "scenario_args": {"n_trunc": 4.7}},
+     "scenario_args.n_trunc"),
+    ("lambda_final-str", {"lambda_final": "junk"}, "lambda_final"),
+    ("drift_bound-str", {"drift_bound": "junk"}, "drift_bound"),
 ]
 
 
@@ -327,6 +344,16 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} ")
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_integer_of_too_many_digits(self, tmp_path, capsys):
+        # the JSON parser refuses an integer of more than 4300 digits where
+        # Python limits int-to-text conversion; elsewhere the number rule does
+        path = tmp_path / "cfg.json"
+        path.write_text('{"scenario": "amp-damp", "seed": ' + "9" * 5000 + "}")
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(("error: config invalid JSON: ", "error: seed ")), err
+        assert err.count("\n") == 1
 
 
 def inline_amp_damp():
@@ -355,6 +382,37 @@ INLINE_MODEL_TYPOS = [
 ]
 
 
+# (id, change to the inline model, the field the error must name): each value
+# is refused as a number, whichever command runs
+INLINE_MODEL_VALUES = [
+    ("constant-huge-int", lambda m: m["channels"][0]["alpha"].update(value=HUGE),
+     "scenario.channels[0].alpha.value"),
+    ("offset-huge-int", lambda m: m["hamiltonian"]["scalar"].update(offset=HUGE),
+     "scenario.hamiltonian.scalar.offset"),
+    ("offset-bool", lambda m: m["hamiltonian"]["scalar"].update(offset=True),
+     "scenario.hamiltonian.scalar.offset"),
+    ("phase-huge-int", lambda m: m["hamiltonian"]["scalar"].update(phase=HUGE),
+     "scenario.hamiltonian.scalar.phase"),
+    ("phase-bool", lambda m: m["hamiltonian"]["scalar"].update(phase=True),
+     "scenario.hamiltonian.scalar.phase"),
+    ("phase-str", lambda m: m["hamiltonian"]["scalar"].update(phase="1.5"),
+     "scenario.hamiltonian.scalar.phase"),
+    ("times-huge-int", lambda m: m["channels"][0].update(
+        alpha={"kind": "tabulated", "times": [0.0, HUGE], "values": [0.5, 0.5]}),
+     "scenario.channels[0].alpha.times[1]"),
+    ("times-bool", lambda m: m["channels"][0].update(
+        alpha={"kind": "tabulated", "times": [False, True], "values": [0.5, 0.5]}),
+     "scenario.channels[0].alpha.times[0]"),
+    ("times-str", lambda m: m["channels"][0].update(
+        alpha={"kind": "tabulated", "times": ["0", "1"], "values": [0.5, 0.5]}),
+     "scenario.channels[0].alpha.times[0]"),
+    ("literal-huge-int", lambda m: m["channels"][0]["op"].update(
+        value=[[0, 0], [HUGE, 0], [0, 0], [0, 0]]), "scenario.channels[0].op.value[1][0]"),
+    ("literal-bool", lambda m: m["channels"][0]["op"].update(
+        value=[[0, 0], [True, 0], [0, 0], [0, 0]]), "scenario.channels[0].op.value[1][0]"),
+]
+
+
 class TestInlineModelKeys:
     def _config(self, tmp_path, mutate=None):
         scenario = inline_amp_damp()
@@ -376,6 +434,122 @@ class TestInlineModelKeys:
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {field} is not a config key")
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["simulate", "invariant", "action-check"])
+    @pytest.mark.parametrize("mutate, field", [pytest.param(m, f, id=i)
+                                               for i, m, f in INLINE_MODEL_VALUES])
+    def test_bad_number_exits_1(self, tmp_path, capsys, command, mutate, field):
+        cfg = self._config(tmp_path, mutate)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} must be a finite number")
+        assert not list(tmp_path.glob("*.csv"))
+
+
+def identity_literal(d, scale=1.0):
+    return [[scale * float(j == k), 0] for j in range(d) for k in range(d)]
+
+
+NUMBERS = st.sampled_from([0, 0.5, 1, -0.3, 2.0])
+SCALAR_SCHEDULES = st.one_of(
+    st.builds(lambda v: {"kind": "constant", "value": v}, NUMBERS),
+    st.builds(lambda o, a, w, ph: {"kind": "sinusoidal", "offset": o, "amplitude": a,
+                                   "omega": w, "phase": ph}, NUMBERS, NUMBERS, NUMBERS, NUMBERS),
+    st.builds(lambda v: {"kind": "tabulated", "times": [0.0, 1.0, 2.0], "values": v},
+              st.lists(NUMBERS, min_size=3, max_size=3)),
+)
+LITERALS2 = st.sampled_from([SZ_LITERAL, EXCITED_LITERAL, SMINUS_LITERAL, ZERO2_LITERAL])
+OPERATOR_SCHEDULES = st.one_of(
+    st.builds(lambda v: {"kind": "constant", "value": v}, LITERALS2),
+    st.builds(lambda s, m: {"kind": "scaled", "scalar": s, "matrix": m}, SCALAR_SCHEDULES,
+              LITERALS2),
+    st.builds(lambda v: {"kind": "tabulated", "times": [0.0, 2.0], "values": v},
+              st.lists(LITERALS2, min_size=2, max_size=2)),
+)
+INLINE_MODELS = st.builds(
+    lambda h, channels: {"dim": 2, "hamiltonian": h, "channels": channels},
+    OPERATOR_SCHEDULES,
+    st.lists(st.builds(lambda op, alpha: {"op": op, "alpha": alpha}, OPERATOR_SCHEDULES,
+                       SCALAR_SCHEDULES), max_size=2))
+
+
+@st.composite
+def scenarios_and_dims(draw):
+    """A scenario (its name and args, or an inline model) and its dimension."""
+    kind = draw(st.sampled_from(["amp-damp", "dephase", "damped-ho", "inline"]))
+    if kind == "inline":
+        return {"scenario": draw(INLINE_MODELS)}, 2
+    if kind == "damped-ho":
+        d = draw(st.integers(4, 6))
+        args = {"n_trunc": d, "omega_schedule": draw(NUMBERS), "gamma_schedule": 0.1}
+        return {"scenario": kind, "scenario_args": args}, d
+    return {"scenario": kind, "scenario_args": {"omega": draw(NUMBERS), "gamma": 0.5}}, 2
+
+
+# Scalars that no number field takes, and values that most fields refuse
+BAD_SCALARS = [HUGE, -HUGE, True, "1.5", float("nan"), float("inf"), None]
+BAD_VALUES = BAD_SCALARS + ["junk", -1, 0, 4.7, [], {}, [[1, 0]], {"kind": "constant"}]
+
+
+@st.composite
+def slots(draw, node, leaf):
+    """A (container, key) of the JSON value ``node``: a key drawn at each
+    level, so that every top-level key is as likely as every other, going
+    one level deeper while the value is a container and, unless ``leaf``
+    asks for a scalar, a coin says so."""
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        value = node[key]
+        if not (isinstance(value, (dict, list)) and value and (leaf or draw(st.booleans()))):
+            return node, key
+        node = value
+
+
+@st.composite
+def run_configs(draw):
+    """A valid run config of dimension d ≤ 6 and at most 50 steps, with up to
+    two of its slots replaced by a malformed value, dropped or renamed."""
+    cfg, d = draw(scenarios_and_dims())
+    cfg.update(
+        grid={"t_start": 0.0, "t_end": draw(st.sampled_from([0.5, 1.0, 2.0])),
+              "n_steps": draw(st.integers(1, 50))},
+        method=draw(st.sampled_from(["rk4", "midpoint"])),
+        rho0=identity_literal(d, 1.0 / d),
+        invariant_seed=draw(st.sampled_from(["sz", "hamiltonian", "identity",
+                                             identity_literal(d)])),
+        lambda_final=identity_literal(d), output_dir="unused", seed=draw(st.integers(0, 3)),
+        drift_bound=1e-6, residual_bound=1e-4)
+    cfg = copy.deepcopy(cfg)
+    for _ in range(draw(st.integers(0, 2))):
+        change = draw(st.sampled_from(["scalar", "replace", "drop", "rename"]))
+        node, key = draw(slots(cfg, leaf=change == "scalar"))
+        if change == "scalar":
+            node[key] = draw(st.sampled_from(BAD_SCALARS))
+        elif change == "replace" or isinstance(node, list):
+            node[key] = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)))
+        elif change == "drop":
+            del node[key]
+        else:
+            node[key + "x"] = node.pop(key)
+    return cfg
+
+
+class TestFuzzMain:
+    """Generated configs, valid and malformed at every field of the tables:
+    ``main`` exits 0, 1 or 2 and never raises, and exit 1 is one error line."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(cfg=run_configs(), command=st.sampled_from(["simulate", "invariant",
+                                                       "action-check"]))
+    def test_exit_code_and_one_error_line(self, cfg, command):
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            path = write_config(Path(tmp) / "cfg.json", cfg)
+            code = main([command, "--config", path, "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class CountingRate(Schedule):

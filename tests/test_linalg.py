@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from helpers import SMINUS, SX, SY, SZ, random_hermitian
-from weakinv import linalg
+from weakinv import config, linalg
 from weakinv.action import DiscretizedPath
 from weakinv.dynamics import TimeGrid
 from weakinv.errors import NotHermitianError
@@ -183,18 +183,18 @@ class TestMatrixLiteral:
     def test_round_trip(self, rng):
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         literal = [[v.real, v.imag] for v in a.reshape(-1)]
-        assert_allclose(linalg.parse_matrix_literal(literal), a)
+        assert_allclose(config.matrix(literal, "m"), a)
 
     def test_dimension_inference(self):
-        m = linalg.parse_matrix_literal([[1, 0], [0, 0], [0, 0], [-1, 0]])
+        m = config.matrix([[1, 0], [0, 0], [0, 0], [-1, 0]], "m")
         assert_allclose(m, SZ)
 
     def test_rejects_non_square_length(self):
         with pytest.raises(ValueError, match="perfect square"):
-            linalg.parse_matrix_literal([[1, 0], [0, 0], [0, 0]])
+            config.matrix([[1, 0], [0, 0], [0, 0]], "m")
 
     def test_rejects_bad_entries(self):
         with pytest.raises(ValueError, match="pair"):
-            linalg.parse_matrix_literal([[1, 0], [0, 0], [0, 0], [1]])
-        with pytest.raises(ValueError, match="non-numeric"):
-            linalg.parse_matrix_literal([[1, 0], [0, 0], [0, 0], ["x", 0]])
+            config.matrix([[1, 0], [0, 0], [0, 0], [1]], "m")
+        with pytest.raises(ValueError, match=r"^m\[3\]\[0\] must be a finite number, got 'x'$"):
+            config.matrix([[1, 0], [0, 0], [0, 0], ["x", 0]], "m")

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import SMINUS, SZ
-from weakinv import model, scenarios
+from weakinv import config, model, scenarios
 from weakinv.dynamics import TimeGrid
 from weakinv.errors import ConfigError, ModelValidationError, ScheduleDomainError
 
@@ -271,7 +271,7 @@ class TestConfigParsing:
                 }
             ],
         }
-        m = model.model_from_config(cfg)
+        m = config.model_from_config(cfg)
         assert m.dim == 2
         s = m.snapshot(0.0)
         assert_allclose(s.h, np.diag([0.0, 1.0]))
@@ -292,7 +292,7 @@ class TestConfigParsing:
                 }
             ],
         }
-        m = model.model_from_config(cfg)
+        m = config.model_from_config(cfg)
         assert m.snapshot(0.5).channels[0].alpha == pytest.approx(0.25)
 
     @pytest.mark.parametrize(
@@ -321,7 +321,7 @@ class TestConfigParsing:
         }
         mutate(cfg)
         with pytest.raises(ConfigError) as err:
-            model.model_from_config(cfg)
+            config.model_from_config(cfg)
         assert err.value.field == field
 
 
