@@ -373,8 +373,6 @@ def gauge_shift_check(
     # phi_k = phi_{k+1} + dt * lambda(t̄_k), accumulated from phi_N = 0
     phi = np.zeros(n + 1)
     phi[:n] = np.cumsum((dt * lam_mid)[::-1])[::-1]
-    if phi[n] != 0.0:
-        raise AssertionError("gauge shift moved the final auxiliary node")
 
     # a real multiple of the identity keeps the checked path Hermitian, so the
     # shifted action is evaluated on Lam shifted block by block, without a path

@@ -54,7 +54,7 @@ import pickle
 import shutil
 import signal
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -139,7 +139,7 @@ class TimeGrid:
         return self.t_start + self.dt * (np.arange(self.n_steps) + 0.5)
 
     def to_dict(self) -> dict:
-        return {"t_start": self.t_start, "t_end": self.t_end, "n_steps": self.n_steps}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -183,12 +183,7 @@ class MonitorReport:
     max_leakage: float
 
     def to_dict(self) -> dict:
-        return {
-            "max_trace_drift": self.max_trace_drift,
-            "max_hermiticity_defect": self.max_hermiticity_defect,
-            "min_eigenvalue": self.min_eigenvalue,
-            "max_leakage": self.max_leakage,
-        }
+        return asdict(self)
 
 
 def _step(gen, j, y, h, method):

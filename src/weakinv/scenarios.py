@@ -109,11 +109,12 @@ def damped_oscillator(
 
     Defaults: omega(t) = 1 + 0.1 sin(t), gamma = 0.1. The truncation is hard
     (no renormalization of leaked probability); the leakage monitor watches
-    the population of the top retained level.
+    the population of the top retained level. ``n_trunc`` must be at least 4,
+    because the default initial state fills the four lowest levels.
     """
     n_trunc = int(n_trunc)
-    if n_trunc < 2:
-        raise ValueError("n_trunc must be >= 2")
+    if n_trunc < 4:
+        raise ValueError("n_trunc must be >= 4")
     if omega_schedule is None:
         omega_schedule = model.sinusoidal(1.0, 0.1, 1.0, name="omega")
     elif isinstance(omega_schedule, numbers.Real):

@@ -244,6 +244,18 @@ class TestVerify:
         failed = {p["name"] for p in report["properties"] if not p["pass"]}
         assert "adjoint_pairing" in failed
 
+    def test_nan_defect_fails_and_is_written_as_null(self, tmp_path, capsys, monkeypatch):
+        # a NaN generator must fail every suite that applies it, never pass as 0
+        monkeypatch.setattr(superop, "apply_liouvillian", lambda s, x: np.full_like(x, np.nan))
+        assert main(["verify", "--trials", "10", "--out", str(tmp_path)]) == 2
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["all_pass"] is False
+        nulls = {p["name"] for p in report["properties"] if p["worst_defect"] is None}
+        assert nulls == {"adjoint_pairing", "trace_preservation", "hermiticity_propagation",
+                         "unitary_limit", "liouvillian_matrix"}
+        assert not any(p["pass"] for p in report["properties"] if p["name"] in nulls)
+        assert "FAIL  adjoint_pairing: worst defect nan" in capsys.readouterr().out
+
     def test_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["verify", "--seed", "7", "--trials", "10", "--out", str(out1)])

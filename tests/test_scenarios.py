@@ -147,8 +147,9 @@ class TestDampedOscillator:
         assert_allclose(diag[4:], 0.0)
 
     def test_validation_errors(self):
-        with pytest.raises(ValueError, match="n_trunc"):
-            scenarios.damped_oscillator(1)
+        for n_trunc in (1, 2, 3):
+            with pytest.raises(ValueError, match="n_trunc"):
+                scenarios.damped_oscillator(n_trunc)
         with pytest.raises(ValueError, match="negative"):
             scenarios.damped_oscillator(8, 1.0, sinusoidal(0.0, 0.2, 1.0))
 
