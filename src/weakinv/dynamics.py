@@ -12,17 +12,19 @@ needs ρ and Λ on exactly the same nodes, which rules out adaptive stepping.
 Both integrators read the model from ``LindbladModel.on_grid``: it is
 sampled and validated once at every node and cell midpoint, and that one
 lattice serves both flows and the action. The stages call the lattice's
-``superop.Generator``, which owns the form, the kernel and the operator.
+``superop.Generator``, which owns the form, the kernel and the operators,
+bound a block of steps at a time.
 
 A constant model (``LindbladModel.is_constant``) of dimension at most
 ``STEP_MATRIX_MAX_DIM`` makes both flows linear and autonomous, so one step
 of either method is one fixed d²×d² matrix: the method's own stages applied
 once, as a stack, to the d² unit operators, then one matrix-vector product
 per step. Driven models, and larger constant ones, evaluate the stages at
-every step. Both flows run through one loop, which checks each step against
-``BLOWUP_CAP`` (non-finite values and finite magnitudes beyond the cap both
-abort, naming the node) and re-symmetrizes it to (A + A†)/2, which
-suppresses Hermiticity drift without touching the order of accuracy.
+every step. Both flows run through one loop, a block of steps at a time:
+each step is re-symmetrized to (A + A†)/2, which suppresses Hermiticity
+drift without touching the order of accuracy, and each block's raw steps
+are checked once against ``BLOWUP_CAP`` (non-finite values and finite
+magnitudes beyond the cap both abort, naming the first such node).
 
 Given the lattice the two flows are independent, so ``integrate_invariant``
 can take an ``alongside`` callable (the CLI and ``action`` pass the state
@@ -186,22 +188,18 @@ class MonitorReport:
         return asdict(self)
 
 
-def _step(gen, j, y, h, method):
-    """One step of y' = ±i generator(y) (+ for ``gen.dual``) from the node
-    at lattice entry ``j`` of the ``superop.Generator`` ``gen``, sampling
-    the model at t, t+h/2, t+h (entries j, j±1, j±2 as h > 0 or h < 0)."""
-    unit = 1j if gen.dual else -1j
+def _step(f, i, y, h, method):
+    """One step of y' = f(i, y) from the node at entry ``i`` of ``f``, a
+    ``superop.Generator.span`` with the ±i folded in, sampling the model at
+    t, t+h/2, t+h (entries i, i±1, i±2 as h > 0 or h < 0)."""
     d = 1 if h > 0 else -1
-    f0, fm = gen.at(j), gen.at(j + d)
     if method == "rk4":
-        f1 = gen.at(j + 2 * d)
-        k1 = unit * f0(y)
-        k2 = unit * fm(y + (0.5 * h) * k1)
-        k3 = unit * fm(y + (0.5 * h) * k2)
-        k4 = unit * f1(y + h * k3)
+        k1 = f(i, y)
+        k2 = f(i + d, y + (0.5 * h) * k1)
+        k3 = f(i + d, y + (0.5 * h) * k2)
+        k4 = f(i + 2 * d, y + h * k3)
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    k1 = unit * f0(y)
-    return y + h * (unit * fm(y + (0.5 * h) * k1))
+    return y + h * f(i + d, y + (0.5 * h) * f(i, y))
 
 
 def _propagate(model, y0, grid, dual, first, method, what, out=None, done=None):
@@ -209,27 +207,31 @@ def _propagate(model, y0, grid, dual, first, method, what, out=None, done=None):
     ``y0`` at node ``first`` (0: forward, n_steps: backward), as the stack
     of every node (written to ``out`` if given) and the largest Hermiticity
     defect of a raw step.
-    ``done(samples, k)``, if given, is called as each node k is written.
+    ``done(samples, k)``, if given, is called as each node k passes the guard.
 
-    A step is linear in y, so a constant model's step matrix is the step of
-    the d² unit operators. A step whose magnitude is not finite raises
-    ``IntegrationError``, one beyond ``BLOWUP_CAP`` ``BlowupError``; both
-    name ``what`` and the node.
+    Blocks of B = ``linalg.BLOCK_ENTRIES`` // (4 d²) steps keep a block's raw
+    steps, its 2B + 1 lattice entries (one ``Generator.span``) and the
+    guard's temporaries within one block of entries. Each node is written as
+    (y + y†)/2 of its raw step, the next step's input; after each block one
+    pass over the raw steps takes their defect and raises ``IntegrationError``
+    (not finite) or ``BlowupError`` (beyond ``BLOWUP_CAP``) naming ``what``
+    and the first such node. A step is linear in y, so a constant model's
+    step matrix is the step of the d² unit operators.
     """
     n = grid.n_steps
     d = 1 if first == 0 else -1
     h = d * grid.dt
-    gen = Generator(model.on_grid(grid), dual)
+    gen = Generator(model.on_grid(grid), dual, 1j if dual else -1j)
     if model.is_constant and model.dim <= STEP_MATRIX_MAX_DIM:
         dim2 = model.dim ** 2
         units = np.eye(dim2, dtype=complex).reshape(dim2, model.dim, model.dim)
-        p = _step(gen, 2 * first, units, h, method).reshape(dim2, dim2)
+        p = _step(gen.span(0, 3), 1 - d, units, h, method).reshape(dim2, dim2)
 
-        def step(j, y):
+        def step(f, i, y):
             return (y.reshape(-1) @ p).reshape(y.shape)
     else:
-        def step(j, y):
-            return _step(gen, j, y, h, method)
+        def step(f, i, y):
+            return _step(f, i, y, h, method)
 
     samples = np.empty((n + 1,) + y0.shape, dtype=complex) if out is None else out
     samples[first] = y0
@@ -237,26 +239,36 @@ def _propagate(model, y0, grid, dual, first, method, what, out=None, done=None):
         done(samples, first)
     y = y0
     max_defect = 0.0
+    block = max(1, linalg.BLOCK_ENTRIES // (4 * y0.size))
+    raw = np.empty((block,) + y0.shape, dtype=complex)  # a block's raw steps, in stepping order
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(first, n - first, d):  # computes node k + d from node k
-            dst = k + d
-            y = step(2 * k, y)
-            mag = np.abs(y).max()
-            if not mag <= BLOWUP_CAP:  # NaN fails the comparison too
-                if not np.isfinite(mag):
-                    raise IntegrationError(f"non-finite {what} at node {dst}", step=dst)
-                raise BlowupError(
-                    f"{what} magnitude {mag:.3e} exceeded cap {BLOWUP_CAP:.1e} at node {dst}",
-                    step=dst,
-                    magnitude=float(mag),
-                )
-            y_dag = y.conj().T
-            max_defect = max(max_defect, np.abs(y - y_dag).max())
-            y = y + y_dag  # (y + y†) / 2, bitwise linalg.hermitize
-            y /= 2.0
-            samples[dst] = y
+        for k0 in range(first, n - first, d * block):  # the steps from nodes k0..k1-d
+            k1 = k0 + d * min(block, abs(n - first - k0))
+            lo = min(k0, k1)
+            f = gen.span(2 * lo, 2 * max(k0, k1) + 1)
+            for i, k in enumerate(range(k0, k1, d)):  # computes node k + d from node k
+                raw[i] = y = step(f, 2 * (k - lo), y)
+                y = np.add(y, y.conj().T, out=samples[k + d])  # (y + y†) / 2, bitwise
+                y /= 2.0  # linalg.hermitize
+            del f  # before the next block binds its span
+            steps = raw[:abs(k1 - k0)]
+            # |z| <= 2 max(|Re z|, |Im z|): only a block beyond half the cap needs |z|
+            if not np.abs(steps.view(float)).max() <= BLOWUP_CAP / 2:
+                mag = np.abs(steps).max(axis=(1, 2))
+                bad = np.flatnonzero(~(mag <= BLOWUP_CAP))  # NaN fails the comparison too
+                if bad.size:
+                    dst, m = k0 + d * (bad[0] + 1), float(mag[bad[0]])
+                    if not math.isfinite(m):
+                        raise IntegrationError(f"non-finite {what} at node {dst}", step=dst)
+                    raise BlowupError(
+                        f"{what} magnitude {m:.3e} exceeded cap {BLOWUP_CAP:.1e} at node {dst}",
+                        step=dst,
+                        magnitude=m,
+                    )
+            max_defect = max(max_defect, np.abs(steps - steps.conj().swapaxes(1, 2)).max())
             if done:
-                done(samples, dst)
+                for k in range(k0 + d, k1 + d, d):
+                    done(samples, k)
     return samples, float(max_defect)
 
 
@@ -363,7 +375,7 @@ def integrate_state(
     samples, max_herm = _propagate(model, rho0, grid, False, 0, method, STATE, None, done)
     traj = Trajectory(grid=grid, samples=samples, kind=STATE)
     drift = np.max(np.abs(np.trace(samples, axis1=1, axis2=2).real - tr0.real))
-    min_eig = np.min(linalg.hermitian_eigenvalues(samples)[:, 0])
+    min_eig = np.min(np.linalg.eigvalsh(samples)[:, 0])  # the flow made every node Hermitian
     if leakage_index is not None:
         leak = np.max(samples[:, leakage_index, leakage_index].real)
     else:

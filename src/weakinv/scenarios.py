@@ -29,7 +29,6 @@ __all__ = [
 ]
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 

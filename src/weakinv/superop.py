@@ -43,9 +43,10 @@ product ∘ and D_ij = k_i - conj(k_j):
 
 with E = -D̄ = D^T, built as its own contiguous array. These identities
 hold exactly for any input, Hermitian or not, one operator or a stack, so
-``hadamard_liouvillian`` (on D) and ``hadamard_adjoint`` (on E) follow the
-conventions of the K-form kernels (D and E stacked like K, each channel's
-``gather`` a ``model.Gather``).
+the one kernel ``hadamard`` (on D for L, on E for L*) follows the
+conventions of the K-form kernels (D and E stacked like K), each channel's
+``model.Gather`` a term with its weights and 2i alpha (and a flow's ±i)
+folded in (``hadamard_terms``).
 ``LindbladModel`` decides per sampled lattice whether they apply
 (``ModelSnapshot.hadamard``: every H diagonal, every jump operator
 time-independent with at most one nonzero per row and per column; rates may
@@ -53,9 +54,9 @@ vary). Every other lattice runs in K-form. ``apply_liouvillian``,
 ``apply_adjoint`` and ``build_liouvillian_matrix`` are always K-form, the
 reference the Hadamard kernels are checked against.
 
-``Generator(lattice, dual)`` is the one place that picks a lattice's form
-and kernel and builds the operator it takes: the flows bind it per lattice
-entry (``at``), the action per block of cell midpoints (``cells``).
+``Generator(lattice, dual, unit)`` is the one place that picks a lattice's
+form and kernel and binds the operators it takes, a span of entries at a
+time: per block of steps for the flows, per block of cells for the action.
 
 Vectorization is column-stacking: vec(A X B) = (B^T kron A) vec(X).
 """
@@ -74,8 +75,8 @@ __all__ = [
     "apply_adjoint",
     "liouvillian",
     "adjoint",
-    "hadamard_liouvillian",
-    "hadamard_adjoint",
+    "hadamard",
+    "hadamard_terms",
     "difference",
     "Generator",
     "vec",
@@ -113,38 +114,32 @@ def adjoint(k: np.ndarray, channels, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def hadamard_liouvillian(dk: np.ndarray, channels, rho: np.ndarray) -> np.ndarray:
-    """D ∘ rho + 2i sum alpha (w w†) ∘ rho[sigma, sigma] for ``dk`` = D of a
-    Hadamard-form snapshot whose ``channels`` are given, each rate one
-    number or a stack over the nodes of ``rho``; no input checks."""
-    out = dk * rho
-    flat = rho.reshape(*rho.shape[:-2], -1)
-    for ch in channels:
-        g = flat.take(ch.gather.index, axis=-1)
-        g *= ch.gather.weights
-        g *= 2j * ch.alpha
+def hadamard(x: np.ndarray, terms, y: np.ndarray) -> np.ndarray:
+    """x ∘ y + sum c ∘ y.flat[index] over the ``(index, c)`` of ``terms``
+    (``hadamard_terms``), for one operator y or a stack, with x and each c
+    one operator or stacked like y; no input checks."""
+    out = x * y
+    stack = y.ndim > 2  # a stack gathers per node, one operator from its flat entries
+    flat = y.reshape(y.shape[:-2] + (-1,)) if stack else y
+    for index, c in terms:
+        g = flat.take(index, axis=-1 if stack else None)
+        g *= c
         out += g
     return out
 
 
-def hadamard_adjoint(ek: np.ndarray, channels, a: np.ndarray) -> np.ndarray:
-    """E ∘ a + 2i sum alpha (v v†) ∘ a[tau, tau] for ``ek`` = E = -D̄ of a
-    Hadamard-form snapshot whose ``channels`` are given, each rate one
-    number or a stack over the nodes of ``a``; no input checks."""
-    out = ek * a
-    flat = a.reshape(*a.shape[:-2], -1)
-    for ch in channels:
-        g = flat.take(ch.gather.index_dag, axis=-1)
-        g *= ch.gather.weights_dag
-        g *= 2j * ch.alpha
-        out += g
-    return out
+def hadamard_terms(channels, dual: bool, unit=1) -> tuple:
+    """Each channel's ``gather`` as an ``(index, c)`` term of ``hadamard``:
+    c = unit 2i alpha (w w†) (v v† with ``dual``), stacked like the rate."""
+    return tuple((ch.gather.index_dag, (unit * 2j * ch.alpha) * ch.gather.weights_dag) if dual
+                 else (ch.gather.index, (unit * 2j * ch.alpha) * ch.gather.weights)
+                 for ch in channels)
 
 
 def difference(k: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """D_ij = k_i - conj(k_j) for the diagonal k of ``k`` (of each node of
-    a stack), the operator ``hadamard_liouvillian`` takes for K = ``k``;
-    with ``adjoint``, E = -D̄ = D^T, the one ``hadamard_adjoint`` takes."""
+    a stack), the x of ``hadamard`` for L with K = ``k``; with ``adjoint``,
+    E = -D̄ = D^T, the one for L*."""
     kd = np.diagonal(k, axis1=-2, axis2=-1)
     if adjoint:
         return kd[..., None, :] - kd.conj()[..., :, None]
@@ -153,70 +148,83 @@ def difference(k: np.ndarray, adjoint: bool = False) -> np.ndarray:
 
 class Generator:
     """One side's generator (``dual``: L*, else L) of one sampled lattice
-    (``LindbladModel.on_grid``), bound to its operator and channels, with
-    the kernel chosen once from the lattice's form: Hadamard on D (or E)
-    where ``ModelSnapshot.hadamard``, else K-form on K.
+    (``LindbladModel.on_grid``) times ``unit``: ``hadamard`` on unit D (or
+    unit E), each rate and ``unit`` folded into its channel's term, where
+    ``ModelSnapshot.hadamard``, else ``unit`` times the K-form kernel on K.
 
-    ``at(j)`` is the kernel bound to lattice entry ``j``; the last ``KEPT``
-    are kept, so that a step of a flow finds its first node's kernel bound
-    by the step before, and a constant model's one kernel is bound once.
-    ``cells(k0, k1)`` is the kernel bound to the midpoints of cells
-    k0..k1-1 as one stack (a constant model's one entry serves them all).
-    Where every entry shares one M and one K0 (a ``scaled`` H and
-    time-independent channels) the operator is c(t) x_m + x_0, with x_m and
-    x_0 the form of M and K0, built once (bitwise K = c M + K0 in K-form);
-    otherwise it is the form of K = H + K0, with H and the channels stacked
-    per cell only where they vary."""
+    ``span(j0, j1)`` is ``f(i, y)``, the generator at entry j0 + i applied
+    to y, with entries j0..j1-1 bound in one ``_bind``; ``cells(k0, k1)``
+    is the generator at the midpoints of cells k0..k1-1 applied to a stack
+    over them, bound with stride 2. A constant lattice's one entry is bound
+    once. Where every entry shares one M and one K0 (a ``scaled`` H and
+    time-independent channels) x is one broadcast c(t) x_m + x_0 over the
+    lattice's scales, as real arrays (in K-form K = c M + K0 bitwise but for
+    the sign of a zero); else the form of K = H + K0, with H and the
+    channels stacked per entry only where they vary."""
 
-    KEPT = 3
-
-    def __init__(self, lattice, dual: bool):
+    def __init__(self, lattice, dual: bool, unit=1):
         first = lattice[0]
-        self.lattice, self.dual, self.hadamard = lattice, dual, first.hadamard
-        if dual:
-            self.kernel = hadamard_adjoint if self.hadamard else adjoint
+        self.lattice, self.dual, self.unit, self.hadamard = lattice, dual, unit, first.hadamard
+        self.constant = first is lattice[-1]  # a constant model's lattice is one entry
+        if self.hadamard:
+            self._stage = hadamard
         else:
-            self.kernel = hadamard_liouvillian if self.hadamard else liouvillian
+            kernel = adjoint if dual else liouvillian
+            self._stage = kernel if unit == 1 else lambda k, chs, y: unit * kernel(k, chs, y)
+        fold = self.hadamard and first.k0 is not None  # time-independent channels fold once
+        self._terms = hadamard_terms(first.channels, dual, unit) if fold else None
+        self._scale = self._x_m = self._x_0 = None
         if first.scale is not None and first.k0 is not None:
-            self._x_m, self._x_0 = self._form(first.operator), self._form(first.k0)
-        else:
-            self._x_m = self._x_0 = None
-        self._kept = {}  # id of a lattice entry (held alive by self.lattice) -> kernel
+            self._x_m, self._x_0 = (np.ascontiguousarray(self._form(k)).view(float)
+                                    for k in (first.operator, first.k0))
+            if not self.constant:
+                self._scale = np.array([s.scale for s in lattice])[:, None, None]
+        if self.constant:
+            self._one = partial(self._stage, *self._bind(0, 1, 1))
 
     def _form(self, k: np.ndarray) -> np.ndarray:
-        return difference(k, self.dual) if self.hadamard else k
+        return self.unit * difference(k, self.dual) if self.hadamard else k
 
-    def at(self, j: int):
-        s = self.lattice[j]
-        bound = self._kept.get(id(s))
-        if bound is None:
-            bound = self._bind(s, s.scale, s.operator, s.channels)
-            if len(self._kept) == self.KEPT:
-                del self._kept[next(iter(self._kept))]
-            self._kept[id(s)] = bound
-        return bound
+    def span(self, j0: int, j1: int):
+        if self.constant:
+            return lambda i, y: self._one(y)
+        x, channels = self._bind(j0, j1, 1)
+        stage, lattice = self._stage, self.lattice
+        if not self.hadamard:
+            return lambda i, y: stage(x[i], lattice[j0 + i].channels, y)
+        if self._terms is None:  # the rates vary: each term's c is stacked
+            return lambda i, y: stage(x[i], [(index, c[i]) for index, c in channels], y)
+        return lambda i, y: stage(x[i], channels, y)
 
     def cells(self, k0: int, k1: int):
-        if self.lattice[0] is self.lattice[-1]:  # a constant model's lattice is one entry
-            return self.at(1)
-        part = self.lattice[2 * k0 + 1:2 * k1 + 1:2]
-        s = part[0]
-        scale = None if s.scale is None else np.array([c.scale for c in part])[:, None, None]
-        channels = s.channels if s.k0 is not None else _stacked_channels(part)
-        shared = s.operator is self.lattice[-1].operator  # else H is tabulated per entry
-        h = s.operator if shared else np.stack([c.operator for c in part])
-        return self._bind(s, scale, h, channels)
+        if self.constant:
+            return self._one
+        return partial(self._stage, *self._bind(2 * k0 + 1, 2 * k1 + 1, 2))
 
-    def _bind(self, s: ModelSnapshot, scale, operator, channels):
-        """The kernel bound to H = ``scale`` ``operator`` (``operator`` where
-        ``scale`` is None) and ``channels``, of one entry or stacked per
-        cell, with the lattice's shared K0 read from entry ``s``."""
+    def _bind(self, j0: int, j1: int, stride: int):
+        """The operator x and the channels (terms in Hadamard form) of
+        lattice entries j0, j0 + stride, ... below j1, each stacked per entry
+        where it varies; of the one entry, for a constant lattice."""
+        s = self.lattice[j0]
+        channels = s.channels
         if self._x_m is not None:
-            x = scale * self._x_m + self._x_0
+            x = (s.scale if self.constant else self._scale[j0:j1:stride]) * self._x_m
+            x += self._x_0
+            x = x.view(complex)
         else:
-            h = operator if scale is None else scale * operator
+            h = s.h
+            if not self.constant:
+                part = self.lattice[j0:j1:stride]
+                if s.k0 is None:
+                    channels = _stacked_channels(part)
+                if s.operator is not self.lattice[-1].operator:  # H is tabulated per entry
+                    h = np.stack([c.operator for c in part])
+                elif s.scale is not None:
+                    h = np.array([c.scale for c in part])[:, None, None] * s.operator
             x = self._form(h + (dissipative_part(channels, s.dim) if s.k0 is None else s.k0))
-        return partial(self.kernel, x, channels)
+        if self.hadamard:
+            channels = self._terms or hadamard_terms(channels, self.dual, self.unit)
+        return x, channels
 
 
 def _stacked_channels(snaps) -> tuple:

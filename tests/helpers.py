@@ -179,3 +179,41 @@ def per_cell_grad_lam(path, model):
               for k in range(1, n)]
     grads.append(-0.5 * (rho[n] + rho[n - 1]) + (0.5j * dt) * b[n - 1])
     return np.array(grads)
+
+
+def per_step_flow(model, y0, grid, dual, first, method="rk4", cap=1e12):
+    """The flow y' = ±i generator(y) (+i L* with ``dual``, else -i L) from
+    ``y0`` at node ``first``, one step at a time on ``apply_liouvillian`` /
+    ``apply_adjoint`` with the model read from its lattice: each raw step
+    is checked against ``cap`` and re-symmetrized to (y + y†)/2 before the
+    next. Returns the stack of nodes and the largest raw-step Hermiticity
+    defect, or ``(node, magnitude)`` of the first step not within the cap."""
+    lattice = model.on_grid(grid)
+    apply = apply_adjoint if dual else apply_liouvillian
+    unit = 1j if dual else -1j
+    n = grid.n_steps
+    d = 1 if first == 0 else -1
+    h = d * grid.dt
+    samples = np.empty((n + 1,) + y0.shape, dtype=complex)
+    samples[first] = y = y0
+    defect = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(first, n - first, d):
+            def f(j, x):
+                return unit * apply(lattice[2 * k + j * d], x)
+            if method == "rk4":
+                k1 = f(0, y)
+                k2 = f(1, y + (0.5 * h) * k1)
+                k3 = f(1, y + (0.5 * h) * k2)
+                k4 = f(2, y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            else:
+                y = y + h * f(1, y + (0.5 * h) * f(0, y))
+            mag = np.abs(y).max()
+            if not mag <= cap:
+                return k + d, mag
+            defect = max(defect, np.abs(y - y.conj().T).max())
+            y = y + y.conj().T
+            y /= 2.0
+            samples[k + d] = y
+    return samples, defect

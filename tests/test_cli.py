@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import weakinv
-from weakinv import action, cli, dynamics, scenarios, superop
+from weakinv import action, cli, dynamics, linalg, scenarios, superop
 from weakinv.cli import _write_json, main
 from weakinv.model import LindbladModel, Schedule
 
@@ -714,8 +714,10 @@ class TestStreamedStateCsv:
 
     @pytest.fixture
     def small_blocks(self, monkeypatch):
-        # two amp-damp rows (9 values each) per block
+        # two amp-damp rows (9 values each) per CSV block, four steps per guarded block
+        # (BLOCK_ENTRIES // (4 d²))
         monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", 18)
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 4 * 4 * 4)
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -724,7 +726,8 @@ class TestStreamedStateCsv:
         return forks
 
     def blowup(self, tmp_path, capsys):
-        # the state flow blows up at node 18, after nine blocks were handed off
+        # the state flow blows up at node 18, in the guarded block of nodes 17..20:
+        # the eight CSV blocks of nodes 0..15 were handed off
         cfg = amp_damp_config(tmp_path, t_end=400.0, n_steps=100)
         out = tmp_path / "blowup"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
@@ -751,7 +754,7 @@ class TestStreamedStateCsv:
     def test_state_blowup_after_blocks_were_handed_off(self, tmp_path, capsys, small_blocks,
                                                        forks):
         self.blowup(tmp_path, capsys)
-        assert len(forks) == 9
+        assert len(forks) == 8
 
     def test_formatter_killed_by_a_signal_exits_2(self, tmp_path, monkeypatch, capsys,
                                                   small_blocks):

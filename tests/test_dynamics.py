@@ -11,7 +11,7 @@ from helpers import (PLUS_STATE, SMINUS, SX, SZ, random_constant_model, random_d
 from weakinv import dynamics, linalg, scenarios
 from weakinv.dynamics import TimeGrid, Trajectory, conservation_series, integrate_invariant, integrate_state
 from weakinv.errors import BlowupError, IntegrationError, ModelValidationError, NotHermitianError
-from weakinv.model import LindbladModel, scaled, sinusoidal
+from weakinv.model import LindbladModel, scaled, sinusoidal, tabulated
 
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
 
@@ -340,6 +340,100 @@ class TestStepGuard:
         assert err.value.step == node
         kind = "state" if flow == "state" else "invariant"
         assert str(err.value) == f"non-finite {kind} at node {node}"
+
+
+def dense_driven(rng, dim, rate=None):
+    """A K-form model: a driven dense H and a dense jump, at a sinusoidal
+    rate unless ``rate`` is given."""
+    l = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return LindbladModel(dim, scaled(sinusoidal(1.0, 0.5, 2.0), random_hermitian(rng, dim)),
+                         [(l / linalg.maxabs(l), rate or sinusoidal(0.4, 0.2, 3.0))])
+
+
+def tabulated_h(rng, dim):
+    """A K-form model whose H is tabulated, so stacked per lattice entry."""
+    h = [random_hermitian(rng, dim) for _ in range(2)]
+    return LindbladModel(dim, tabulated([0.0, 1.0], h), [(scenarios.lowering_operator(dim), 0.3)])
+
+
+def flows(m, rho0, seed, grid, method):
+    """Both flows, each direction of the invariant's: (samples, defect) each."""
+    state, mon = integrate_state(m, rho0, grid, method)
+    out = [(state.samples, mon.max_hermiticity_defect)]
+    for at in ("start", "end"):
+        out.append((integrate_invariant(m, seed, at, grid, method).samples, None))
+    return out
+
+
+def per_step_flows(m, rho0, seed, grid, method):
+    return [helpers.per_step_flow(m, rho0, grid, False, 0, method),
+            (helpers.per_step_flow(m, seed, grid, True, 0, method)[0], None),
+            (helpers.per_step_flow(m, seed, grid, True, grid.n_steps, method)[0], None)]
+
+
+class TestBlockedLoop:
+    """The flows step a block of steps at a time and guard each block once;
+    they must equal a per-step RK4 (or midpoint) on ``apply_liouvillian`` /
+    ``apply_adjoint`` that guards and re-symmetrizes every step: bitwise on
+    a K-form lattice stepped directly, to roundoff where a step matrix or the
+    Hadamard form (with its folded constants) runs. Blocks of 7 steps over 50
+    leave a last block of one step."""
+
+    LATTICES = [
+        pytest.param(lambda rng: random_constant_model(rng, 3), False, id="step-matrix"),
+        pytest.param(lambda rng: helpers.random_hadamard_model(rng, 18, driven=False), False,
+                     id="hadamard-constant"),
+        pytest.param(lambda rng: scenarios.damped_oscillator(n_trunc=6).model, False,
+                     id="hadamard-affine"),
+        pytest.param(lambda rng: helpers.random_hadamard_model(rng, 4), False,
+                     id="hadamard-sinusoidal-rate"),
+        pytest.param(lambda rng: dense_driven(rng, 4), True, id="k-form"),
+        pytest.param(lambda rng: dense_driven(rng, 4, rate=0.3), True, id="k-form-affine"),
+        pytest.param(lambda rng: tabulated_h(rng, 4), True, id="k-form-tabulated-h"),
+    ]
+
+    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
+    @pytest.mark.parametrize("make_model, bitwise", LATTICES)
+    def test_equals_the_per_step_flow(self, rng, monkeypatch, make_model, bitwise, method):
+        m = make_model(rng)
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 4 * 7 * m.dim ** 2)  # 7 steps a block
+        grid = TimeGrid(0.0, 1.0, 50)
+        rho0, seed = random_density(rng, m.dim), random_hermitian(rng, m.dim)
+        got, want = flows(m, rho0, seed, grid, method), per_step_flows(m, rho0, seed, grid, method)
+        for (a, a_defect), (b, b_defect) in zip(got, want):
+            assert np.array_equal(a, linalg.dagger(a))
+            if bitwise:
+                assert a.tobytes() == b.tobytes() and a_defect == b_defect
+            else:
+                assert linalg.maxabs(a - b) <= 1e-12 * linalg.maxabs(b)
+                if a_defect is not None:
+                    assert a_defect <= 1e-14 * linalg.maxabs(b)
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize("flow", ["state", "start", "end"])
+    @pytest.mark.parametrize("constant", [False, True], ids=["hadamard-affine", "step-matrix"])
+    def test_blowup_names_the_per_step_node(self, monkeypatch, constant, flow, position):
+        # gamma = 1.75 and dt = 1 put the decaying modes outside RK4's stability
+        # region: the state blows up forward at node 28, the invariant forward at
+        # node 9 and backward at node 73
+        h = EXCITED if constant else scaled(sinusoidal(1.0, 0.5, 2.0), EXCITED)
+        m, grid = LindbladModel(2, h, [(SMINUS, 1.75)]), TimeGrid(0.0, 100.0, 100)
+        first = grid.n_steps if flow == "end" else 0
+        y0 = EXCITED if flow == "state" else SZ
+        node, magnitude = helpers.per_step_flow(m, y0, grid, flow != "state", first)
+        steps = abs(node - first)  # the blow-up is this many steps from the start
+        block = {"first": steps - 1, "middle": 2 * steps - 1, "last": steps}[position]
+        monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 4 * block * m.dim ** 2)  # block steps
+        with pytest.raises(BlowupError) as err:
+            if flow == "state":
+                integrate_state(m, y0, grid)
+            else:
+                integrate_invariant(m, y0, flow, grid)
+        assert err.value.step == node
+        assert err.value.magnitude == pytest.approx(magnitude, rel=1e-12)
+        kind = "state" if flow == "state" else "invariant"
+        assert str(err.value) == (f"{kind} magnitude {magnitude:.3e} exceeded cap 1.0e+12 "
+                                  f"at node {node}")
 
 
 def open_fds():

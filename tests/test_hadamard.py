@@ -14,8 +14,15 @@ from weakinv.dynamics import TimeGrid, integrate_invariant, integrate_state
 from weakinv.model import LindbladModel, constant, scaled, sinusoidal, tabulated
 
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
-KERNELS = ((superop.hadamard_liouvillian, superop.apply_liouvillian, False),
-           (superop.hadamard_adjoint, superop.apply_adjoint, True))
+
+
+def hadamard_kernel(adjoint):
+    """The Hadamard kernel of L (L* with ``adjoint``) on D (E) and the channels."""
+    return lambda x, channels, y: superop.hadamard(x, superop.hadamard_terms(channels, adjoint), y)
+
+
+KERNELS = ((hadamard_kernel(False), superop.apply_liouvillian, False),
+           (hadamard_kernel(True), superop.apply_adjoint, True))
 
 
 def random_operator(rng, dim, *shape):
@@ -54,7 +61,7 @@ def tabulated_jump():
 def counting_kernels(monkeypatch):
     """Count the generator-kernel calls of the flows and the action, by form."""
     counts = collections.Counter()
-    for name in ("liouvillian", "adjoint", "hadamard_liouvillian", "hadamard_adjoint"):
+    for name in ("liouvillian", "adjoint", "hadamard"):
         def counted(*args, _fn=getattr(superop, name), _form=name.split("_")[0]):
             counts["hadamard" if _form == "hadamard" else "dense"] += 1
             return _fn(*args)
@@ -159,8 +166,8 @@ def tabulated_h(rng):
 
 class TestGenerator:
     """``superop.Generator`` on each kind of lattice, both sides: ``cells``
-    binds bitwise the stack of what ``at`` binds at the cell midpoints, and
-    ``at`` applies its entry's generator."""
+    binds bitwise the stack of what ``span`` binds at the cell midpoints, and
+    ``span`` applies each entry's generator."""
 
     KINDS = [
         pytest.param(lambda rng: helpers.random_constant_model(rng, 18), False,
@@ -182,17 +189,19 @@ class TestGenerator:
         gen = superop.Generator(lattice, dual)
         assert gen.hadamard == hadamard
         reference = superop.apply_adjoint if dual else superop.apply_liouvillian
+        at = gen.span(0, len(lattice))
         for j, s in enumerate(lattice):
             x = random_operator(rng, m.dim)
-            assert_close(gen.at(j)(x), reference(s, x))
+            assert_close(at(j, x), reference(s, x))
+        bound = gen._bind(0, len(lattice), 1)[0]
         for k0, k1 in ((0, 7), (2, 5), (6, 7)):
-            want = np.stack([gen.at(2 * k + 1).args[0] for k in range(k0, k1)])
+            want = np.stack([bound if m.is_constant else bound[2 * k + 1] for k in range(k0, k1)])
             got = gen.cells(k0, k1).args[0]
             if m.is_constant:
                 got = np.broadcast_to(got, want.shape)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             x = random_operator(rng, m.dim, k1 - k0)
-            per_cell = np.stack([gen.at(2 * k + 1)(x[k - k0]) for k in range(k0, k1)])
+            per_cell = np.stack([at(2 * k + 1, x[k - k0]) for k in range(k0, k1)])
             assert_close(gen.cells(k0, k1)(x), per_cell)
 
 

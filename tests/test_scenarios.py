@@ -118,6 +118,21 @@ class TestDampedOscillator:
                 math.exp(-0.2 * t), abs=1e-7
             )
 
+    @pytest.mark.parametrize("omega", [None, 1.0], ids=["driven-omega", "constant-omega"])
+    def test_default_invariant_spectrum_closed_form(self, omega):
+        # with omega(0) = 1 and constant gamma the default seed evolves to
+        # I(t) = N e^{2 gamma t} + 1/2 exactly, whatever omega(t) is, so
+        # lambda_{n+1}(t) = n e^{2 gamma t} + 1/2. On the default grid the
+        # lowest five levels read <= 6.1e-13 off; the bound is 2.5x that. The
+        # top levels carry amplified roundoff (~8e-3 at lambda_20) and are
+        # not checked.
+        spec = scenarios.damped_oscillator(omega_schedule=omega)
+        grid = spec.default_grid
+        inv = integrate_invariant(spec.model, spec.default_invariant_seed, "start", grid)
+        low = linalg.hermitian_eigenvalues(inv.samples)[:, :5]
+        exact = np.arange(5) * np.exp(0.2 * grid.nodes())[:, None] + 0.5
+        assert np.max(np.abs(low - exact)) <= 1.5e-12
+
     def test_truncation_stress_flagged(self):
         # population parked on the top retained level: leakage monitor trips
         spec = scenarios.damped_oscillator(6)

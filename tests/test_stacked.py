@@ -20,6 +20,9 @@ from weakinv.errors import NotHermitianError
 from weakinv.model import LindbladModel, constant
 
 
+SMINUS3 = scenarios.lowering_operator(3)
+
+
 def hermitian_stack(rng, n, dim):
     return np.stack([random_hermitian(rng, dim, amp=float(rng.uniform(0.1, 50.0)))
                      for _ in range(n)])
@@ -70,6 +73,18 @@ class TestBatchedHermiticityGate:
     def test_hermitian_eigenvalues_names_node(self, rng):
         stack = stack_with_bad_node(rng, 7, 3, 4)
         with pytest.raises(NotHermitianError, match="node 4"):
+            linalg.hermitian_eigenvalues(stack)
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan], ids=["non-hermitian", "nan"])
+    def test_gate_on_a_flow_stack(self, rng, bad):
+        # the state monitor reads eigvalsh directly off the flow's bitwise
+        # Hermitian stack; the gate itself must still refuse a broken one
+        traj, _ = integrate_state(LindbladModel(3, random_hermitian(rng, 3), [(SMINUS3, 0.4)]),
+                                  random_density(rng, 3), TimeGrid(0.0, 1.0, 30))
+        stack = traj.samples.copy()
+        assert np.array_equal(stack, linalg.dagger(stack))
+        stack[17, 0, 2] += bad
+        with pytest.raises(NotHermitianError, match="node 17"):
             linalg.hermitian_eigenvalues(stack)
 
     def test_first_failing_node_is_named(self, rng):
