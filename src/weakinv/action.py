@@ -49,18 +49,18 @@ collect the same blocks into a stack, so their values equal the report's.
 One block path serves every model: the generator is applied to a whole
 block per call, bound by the lattice's ``superop.Generator``.
 
-The paths themselves come from the integrators in ``dynamics``, which run
-both flows through one checked loop: a constant model of dimension at most
-``dynamics.STEP_MATRIX_MAX_DIM`` steps by a matrix built from the RK4 or
-midpoint stages, a driven model by the stages themselves.
-``stationarity_check`` integrates Lam backward in a forked child while this
-process integrates rho forward (``auxiliary_trajectory`` with
-``alongside``); the action and its gradients are evaluated in-process.
+The paths themselves come from the flows in ``dynamics``, whose nodes are
+bitwise Hermitian, so a path of two flow trajectories (``_flow_path``) is
+not checked again. ``stationarity_check`` integrates Lam backward in a
+forked child while this process integrates rho forward
+(``auxiliary_trajectory`` with ``alongside``), then makes the report here.
+``action-check`` takes the gauge check's passes (``_gauge_terms``) in a
+forked child while it makes the report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -105,8 +105,9 @@ class DiscretizedPath:
     grid: TimeGrid
     rho: np.ndarray
     lam: np.ndarray
+    _hermitian: InitVar[bool] = False  # set by ``_flow_path`` alone: skips the Hermiticity check
 
-    def __post_init__(self):
+    def __post_init__(self, _hermitian):
         n_nodes = self.grid.n_steps + 1
         if len(self.rho) != n_nodes or len(self.lam) != n_nodes:
             raise ValueError(
@@ -116,14 +117,21 @@ class DiscretizedPath:
         lam = linalg.as_operator(self.lam, stack=True)
         if rho.ndim != 3 or rho.shape != lam.shape:
             raise ValueError(f"dimension mismatch: rho {rho.shape} vs lam {lam.shape}")
-        linalg.check_hermitian(rho, rtol=1e-10, what="rho")
-        linalg.check_hermitian(lam, rtol=1e-10, what="lam")
+        if not _hermitian:
+            linalg.check_hermitian(rho, rtol=1e-10, what="rho")
+            linalg.check_hermitian(lam, rtol=1e-10, what="lam")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "lam", lam)
 
     @property
     def dim(self) -> int:
         return self.rho.shape[1]
+
+
+def _flow_path(state: Trajectory, lam: Trajectory) -> DiscretizedPath:
+    """The path of two trajectories, not checked again if both are a flow's."""
+    return DiscretizedPath(state.grid, state.samples, lam.samples,
+                           state._hermitian and lam._hermitian)
 
 
 @dataclass(frozen=True)
@@ -323,8 +331,7 @@ def stationarity_check(
     lam, (state, _) = auxiliary_trajectory(
         model, lam_final, grid, method,
         alongside=lambda: integrate_state(model, rho0, grid, method))
-    return stationarity_report(DiscretizedPath(grid=grid, rho=state.samples, lam=lam.samples),
-                               model)
+    return stationarity_report(_flow_path(state, lam), model)
 
 
 def stationarity_report(path: DiscretizedPath, model: LindbladModel) -> ActionReport:
@@ -347,22 +354,9 @@ def stationarity_report(path: DiscretizedPath, model: LindbladModel) -> ActionRe
     )
 
 
-def gauge_shift_check(
-    path: DiscretizedPath,
-    model: LindbladModel,
-    lambda_schedule: Schedule,
-    unshifted_action: float | None = None,
-) -> float:
-    """Lagrange-multiplier identity defect for a scalar rate schedule.
-
-    Shifts Lam_k by phi_k * identity with phi_k the suffix midpoint
-    quadrature of lambda (phi at the final node is exactly zero, so the
-    final condition is untouched), re-evaluates the action, and compares the
-    change against the same quadrature of lambda(t) (tr rho(t) - tr rho(t_0)).
-    Returns the absolute difference, which is roundoff-level by construction.
-    ``unshifted_action`` is the action of ``path`` if already known (the
-    ``action_value`` of its ``stationarity_report``); it is evaluated otherwise.
-    """
+def _gauge_terms(path: DiscretizedPath, model: LindbladModel, lambda_schedule: Schedule):
+    """``(shifted action, quadrature)``: all of ``gauge_shift_check`` but the
+    unshifted action S; its defect is abs((shifted - S) - quadrature)."""
     if lambda_schedule.is_operator_valued:
         raise ValueError("gauge shift needs a scalar rate schedule")
     grid = path.grid
@@ -379,11 +373,25 @@ def gauge_shift_check(
     shifted = _lam_nodes(path, phi)
     shifted_s = _action(_reduce(_grad_rho(grid, shifted, model), n, path.rho)[0],
                         shifted(0, 1)[0], path.rho[0])
-    if unshifted_action is None:
-        unshifted_action = evaluate_action(path, model)
-    delta_s = shifted_s - unshifted_action
 
     tr = np.trace(path.rho, axis1=1, axis2=2).real
     tr_mid = 0.5 * (tr[:-1] + tr[1:])
-    rhs = float(np.sum(dt * lam_mid * (tr_mid - tr[0])))
-    return abs(delta_s - rhs)
+    return shifted_s, float(np.sum(dt * lam_mid * (tr_mid - tr[0])))
+
+
+def gauge_shift_check(path: DiscretizedPath, model: LindbladModel, lambda_schedule: Schedule,
+                      unshifted_action: float | None = None) -> float:
+    """Lagrange-multiplier identity defect for a scalar rate schedule.
+
+    Shifts Lam_k by phi_k * identity with phi_k the suffix midpoint
+    quadrature of lambda (phi at the final node is exactly zero, so the
+    final condition is untouched), re-evaluates the action, and compares the
+    change against the same quadrature of lambda(t) (tr rho(t) - tr rho(t_0)).
+    Returns the absolute difference, which is roundoff-level by construction.
+    ``unshifted_action`` is the action of ``path`` if already known (the
+    ``action_value`` of its ``stationarity_report``); it is evaluated otherwise.
+    """
+    shifted_s, rhs = _gauge_terms(path, model, lambda_schedule)
+    if unshifted_action is None:
+        unshifted_action = evaluate_action(path, model)
+    return abs((shifted_s - unshifted_action) - rhs)

@@ -11,7 +11,9 @@ Commands:
 lattice, then the invariant seed or lambda_final), then step the invariant
 flow in a forked child process while this process steps the state flow and
 its monitors; outputs are byte-identical to running the flows in turn, and
-a state-flow error is reported before an invariant-flow error. `simulate`
+a state-flow error is reported before an invariant-flow error. Then
+`action-check` takes the gauge check's passes in a forked child while this
+process makes the stationarity report, whose error comes first. `simulate`
 hands each finished block of state.csv rows but the last to a forked child
 that formats it while the state flow keeps stepping; state.csv is written
 whole, byte-identical to formatting it in one process, or not at all.
@@ -37,10 +39,11 @@ import numpy as np
 
 from . import config, linalg, verify
 from . import invariant as invariant_mod
-from .action import DiscretizedPath, auxiliary_trajectory, gauge_shift_check, stationarity_report
+from .action import _flow_path, _gauge_terms, auxiliary_trajectory, stationarity_report
 from .dynamics import (
     CsvStream,
     TimeGrid,
+    _Child,
     check_state_inputs,
     integrate_invariant,
     integrate_state,
@@ -291,16 +294,15 @@ def cmd_action_check(args) -> int:
     setup.make_out_dir()
     lam, (state, monitors) = auxiliary_trajectory(setup.model, lam_final, setup.grid,
                                                   setup.method, alongside=setup.integrate_state)
-    path = DiscretizedPath(grid=setup.grid, rho=state.samples, lam=lam.samples)
-    report = stationarity_report(path, setup.model)
+    path = _flow_path(state, lam)
 
-    # gauge check on the same solution path, with a seeded random rate table
+    # gauge check on the same solution path, with a seeded random rate table, beside the report
     rng = np.random.default_rng(setup.seed)
     knots = np.linspace(setup.grid.t_start, setup.grid.t_end, 9)
-    values = rng.uniform(-1.0, 1.0, size=9)
-    gauge_defect = gauge_shift_check(path, setup.model,
-                                     tabulated(knots, list(values), name="lambda"),
-                                     report.action_value)
+    rate = tabulated(knots, list(rng.uniform(-1.0, 1.0, size=9)), name="lambda")
+    gauge = _Child(lambda: _gauge_terms(path, setup.model, rate), "gauge check")
+    (shifted, rhs), report = gauge.beside(lambda: stationarity_report(path, setup.model))
+    gauge_defect = abs((shifted - report.action_value) - rhs)  # as gauge_shift_check
 
     payload = report.to_dict()
     payload["gauge_defect"] = gauge_defect

@@ -24,27 +24,24 @@ every step. Both flows run through one loop, a block of steps at a time:
 each step is re-symmetrized to (A + A†)/2, which suppresses Hermiticity
 drift without touching the order of accuracy, and each block's raw steps
 are checked once against ``BLOWUP_CAP`` (non-finite values and finite
-magnitudes beyond the cap both abort, naming the first such node).
+magnitudes beyond the cap both abort, naming the first such node). A
+flow's nodes are thus bitwise Hermitian, and its ``Trajectory`` says so.
 
 Given the lattice the two flows are independent, so ``integrate_invariant``
 can take an ``alongside`` callable (the CLI and ``action`` pass the state
-flow): after the seed is checked and the lattice sampled, the invariant
-flow runs in a forked child, on a second core, writing its samples into an
-anonymous shared mapping, while this process calls ``alongside``. The
-results are bitwise those of the two calls in turn; where ``os.fork`` is
-missing, or the process may run on fewer than two CPUs, they are made in
-turn. Plain ``integrate_state`` and ``integrate_invariant`` calls run
-in-process.
+flow): the invariant flow then runs in a forked child, on a second core,
+writing its samples into an anonymous shared mapping, while this process
+calls ``alongside``. A ``CsvStream`` given to ``integrate_state`` as its
+per-node ``done`` hook hands each finished block of state rows but the last
+to a forked child that formats it while the flow keeps stepping. Every fork
+(the CLI's gauge check's too) goes through ``_Child``, whose ``join``
+returns what its call returned; where ``os.fork`` is missing, or the
+process may run on fewer than two CPUs, the call is made in-process, with
+bitwise the same results. Plain calls run in-process.
 
 CSV text is formatted by one row formatter, in blocks of at most
 ``CSV_BLOCK_VALUES`` values; a column that is bitwise constant over a block
 is formatted once for the block, so only what varies costs a ``%`` per row.
-A ``CsvStream`` given to ``integrate_state`` as its per-node ``done`` hook
-hands each finished block of state rows but the last to a forked child, so
-``simulate`` formats ``state.csv`` while the flow keeps stepping;
-``write_trajectory_csv`` then writes the same bytes as without a stream.
-Both uses of ``fork`` share one helper, ``_Child``, which runs in-process
-where the process may run on fewer than two CPUs.
 """
 
 from __future__ import annotations
@@ -155,6 +152,7 @@ class Trajectory:
     grid: TimeGrid
     samples: np.ndarray
     kind: str
+    _hermitian = False  # True on a flow's: every node is (y + y†)/2, bitwise Hermitian
 
     def __post_init__(self):
         samples = linalg.as_operator(self.samples, stack=True)
@@ -202,21 +200,21 @@ def _step(f, i, y, h, method):
     return y + h * f(i + d, y + (0.5 * h) * f(i, y))
 
 
-def _propagate(model, y0, grid, dual, first, method, what, out=None, done=None):
+def _propagate(model, y0, grid, dual, first, method, what, samples, done=None):
     """The flow y' = ±i generator(y) (+i L* with ``dual``, else -i L) from
-    ``y0`` at node ``first`` (0: forward, n_steps: backward), as the stack
-    of every node (written to ``out`` if given) and the largest Hermiticity
-    defect of a raw step.
+    ``y0`` at node ``first`` (0: forward, n_steps: backward) into the stack
+    ``samples``, and the largest Hermiticity defect of a raw step (None with
+    ``dual``: only the state monitor reports it).
     ``done(samples, k)``, if given, is called as each node k passes the guard.
 
     Blocks of B = ``linalg.BLOCK_ENTRIES`` // (4 d²) steps keep a block's raw
     steps, its 2B + 1 lattice entries (one ``Generator.span``) and the
     guard's temporaries within one block of entries. Each node is written as
     (y + y†)/2 of its raw step, the next step's input; after each block one
-    pass over the raw steps takes their defect and raises ``IntegrationError``
-    (not finite) or ``BlowupError`` (beyond ``BLOWUP_CAP``) naming ``what``
-    and the first such node. A step is linear in y, so a constant model's
-    step matrix is the step of the d² unit operators.
+    pass over the raw steps raises ``IntegrationError`` (not finite) or
+    ``BlowupError`` (beyond ``BLOWUP_CAP``) naming ``what`` and the first
+    such node. A step is linear in y, so a constant model's step matrix is
+    the step of the d² unit operators.
     """
     n = grid.n_steps
     d = 1 if first == 0 else -1
@@ -233,7 +231,6 @@ def _propagate(model, y0, grid, dual, first, method, what, out=None, done=None):
         def step(f, i, y):
             return _step(f, i, y, h, method)
 
-    samples = np.empty((n + 1,) + y0.shape, dtype=complex) if out is None else out
     samples[first] = y0
     if done:
         done(samples, first)
@@ -265,11 +262,12 @@ def _propagate(model, y0, grid, dual, first, method, what, out=None, done=None):
                         step=dst,
                         magnitude=m,
                     )
-            max_defect = max(max_defect, np.abs(steps - steps.conj().swapaxes(1, 2)).max())
+            if not dual:
+                max_defect = max(max_defect, np.abs(steps - steps.conj().swapaxes(1, 2)).max())
             if done:
                 for k in range(k0 + d, k1 + d, d):
                     done(samples, k)
-    return samples, float(max_defect)
+    return None if dual else float(max_defect)
 
 
 def _check_method(method):
@@ -279,12 +277,12 @@ def _check_method(method):
 
 class _Child:
     """``run()`` in a forked child process, which reports back through a pipe
-    its exception (pickled) or ``None``; where ``os.fork`` is missing, or
+    its exception or its value (pickled); where ``os.fork`` is missing, or
     ``os.sched_getaffinity`` gives this process fewer than two CPUs (where
     a child could only take turns with it), ``join`` calls ``run()`` here
-    instead. ``join`` raises the child's exception, or ``IntegrationError``
-    naming ``what`` and the exit status if the child ended without a report
-    (killed, say)."""
+    instead. ``join`` returns the value or raises the child's exception, or
+    ``IntegrationError`` naming ``what`` and the exit status if the child
+    ended without a report (killed, say)."""
 
     def __init__(self, run, what):
         self.run, self.what, self.pid = run, what, None
@@ -298,12 +296,11 @@ class _Child:
             try:
                 os.close(r)
                 try:
-                    run()
-                    error = None
+                    report = None, run()
                 except Exception as e:
-                    error = e
+                    report = e, None
                 with os.fdopen(w, "wb") as pipe:
-                    pipe.write(pickle.dumps(error))
+                    pipe.write(pickle.dumps(report))
                 status = 0
             finally:
                 os._exit(status)
@@ -312,7 +309,7 @@ class _Child:
 
     def join(self, kill=False):
         """Wait for ``run()`` (killing the child first with ``kill``, which
-        drops its result) and raise its exception, if any."""
+        drops its result) and return its value or raise its exception."""
         if self.pid is None:
             return None if kill else self.run()
         if kill:
@@ -327,9 +324,20 @@ class _Child:
         if not report:
             raise IntegrationError(f"{self.what} ended without a result (exit status {status})",
                                    step=None)
-        error = pickle.loads(report)
+        error, value = pickle.loads(report)
         if error is not None:
             raise error
+        return value
+
+    def beside(self, alongside):
+        """``(join(), alongside())``, calling ``alongside`` here meanwhile; its
+        error comes first, and the child is then killed and reaped."""
+        try:
+            result = alongside()
+        except BaseException:
+            self.join(kill=True)
+            raise
+        return self.join(), result
 
 
 def check_state_inputs(model: LindbladModel, rho0, grid: TimeGrid, method: str = "rk4"):
@@ -372,8 +380,10 @@ def integrate_state(
     """
     rho0 = check_state_inputs(model, rho0, grid, method)
     tr0 = linalg.trace(rho0)
-    samples, max_herm = _propagate(model, rho0, grid, False, 0, method, STATE, None, done)
+    samples = np.empty((grid.n_steps + 1,) + rho0.shape, dtype=complex)
+    max_herm = _propagate(model, rho0, grid, False, 0, method, STATE, samples, done)
     traj = Trajectory(grid=grid, samples=samples, kind=STATE)
+    object.__setattr__(traj, "_hermitian", True)
     drift = np.max(np.abs(np.trace(samples, axis1=1, axis2=2).real - tr0.real))
     min_eig = np.min(np.linalg.eigvalsh(samples)[:, 0])  # the flow made every node Hermitian
     if leakage_index is not None:
@@ -409,13 +419,11 @@ def integrate_invariant(
 
     ``alongside``, a callable without arguments (typically the state flow),
     overlaps this flow with other work: once the seed is checked and the
-    model lattice sampled, the flow runs in a forked child process, on
-    another core, while this process calls ``alongside()``, and the result
-    is ``(trajectory, alongside())``, bitwise the same as the two calls in
-    turn, which is how they run where ``os.fork`` is missing or the process
-    may run on fewer than two CPUs. An error of ``alongside`` takes
-    precedence over one of the flow, whose child is then killed and reaped.
-    A fork copies only the calling thread, so pass ``alongside`` only from a
+    model lattice sampled, the flow runs in a forked child (``_Child``)
+    while this process calls ``alongside()``, and the result is
+    ``(trajectory, alongside())``, bitwise the same as the two calls in turn.
+    An error of ``alongside`` takes precedence over one of the flow. A fork
+    copies only the calling thread, so pass ``alongside`` only from a
     process that runs no other Python threads.
     """
     _check_method(method)
@@ -425,22 +433,19 @@ def integrate_invariant(
     if seed.shape != (model.dim, model.dim):
         raise ValueError(f"{what} dimension {seed.shape[0]} != model dim {model.dim}")
     first = 0 if seed_time == "start" else grid.n_steps
-    if alongside is None:
-        samples, _ = _propagate(model, seed, grid, True, first, method, INVARIANT)
-        return Trajectory(grid=grid, samples=samples, kind=INVARIANT)
-    model.on_grid(grid)  # sampled before the fork, so that both processes share it
-    # an anonymous shared mapping, so that the child's samples arrive without a copy
     shape = (grid.n_steps + 1,) + seed.shape
-    out = np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)), dtype=complex).reshape(shape)
-    child = _Child(lambda: _propagate(model, seed, grid, True, first, method, INVARIANT, out),
-                   "invariant flow")
-    try:
-        result = alongside()
-    except BaseException:
-        child.join(kill=True)
-        raise
-    child.join()
-    return Trajectory(grid=grid, samples=out, kind=INVARIANT), result
+    if alongside is None:
+        out = np.empty(shape, dtype=complex)
+        _propagate(model, seed, grid, True, first, method, INVARIANT, out)
+    else:
+        model.on_grid(grid)  # sampled before the fork, so that both processes share it
+        # an anonymous shared mapping, so that the child's samples arrive without a copy
+        out = np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)), dtype=complex).reshape(shape)
+        _, result = _Child(lambda: _propagate(model, seed, grid, True, first, method, INVARIANT,
+                                              out), "invariant flow").beside(alongside)
+    traj = Trajectory(grid=grid, samples=out, kind=INVARIANT)
+    object.__setattr__(traj, "_hermitian", True)
+    return traj if alongside is None else (traj, result)
 
 
 def conservation_series(inv: Trajectory, state: Trajectory) -> np.ndarray:

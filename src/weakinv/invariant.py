@@ -69,7 +69,7 @@ def spectrum_series(inv: Trajectory) -> SpectrumSeries:
     """Sorted eigenvalues per node plus per-index total variation."""
     if inv.kind != INVARIANT:
         raise ValueError("expected an invariant trajectory")
-    eig = linalg.hermitian_eigenvalues(inv.samples)
+    eig = (np.linalg.eigvalsh if inv._hermitian else linalg.hermitian_eigenvalues)(inv.samples)
     tv = np.sum(np.abs(np.diff(eig, axis=0)), axis=0)
     return SpectrumSeries(grid=inv.grid, eigenvalues=eig, total_variation=tv)
 

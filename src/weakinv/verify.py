@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, superop
-from .action import DiscretizedPath, gauge_shift_check
+from .action import _flow_path, gauge_shift_check
 from .dynamics import TimeGrid, conservation_series, integrate_invariant, integrate_state
 from .model import LindbladModel, sinusoidal, tabulated
 
@@ -226,7 +226,7 @@ def check_gauge_exactness(rng, trials: int, *, n_steps: int = 200) -> PropertyRe
         lam_f = random_hermitian(rng, dim)
         state, _ = integrate_state(m, rho0, grid)
         lam = integrate_invariant(m, lam_f, "end", grid)
-        path = DiscretizedPath(grid=grid, rho=state.samples, lam=lam.samples)
+        path = _flow_path(state, lam)
         knots = np.linspace(grid.t_start, grid.t_end, 7)
         values = rng.uniform(-2.0, 2.0, size=7)
         sched = tabulated(knots, list(values), name="lambda")

@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import weakinv
 from weakinv import action, cli, dynamics, linalg, scenarios, superop
 from weakinv.cli import _write_json, main
-from weakinv.model import LindbladModel, Schedule
+from weakinv.model import LindbladModel, Schedule, tabulated
 
 SZ_LITERAL = [[1, 0], [0, 0], [0, 0], [-1, 0]]
 SMINUS = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -611,7 +612,10 @@ class TestComputeOnce:
 
     def test_action_check_builds_the_cell_generators_twice(self, tmp_path, monkeypatch):
         # once for the stationarity report, once for the shifted action; the
-        # unshifted action comes from the report
+        # unshifted action comes from the report. The shifted action runs in a
+        # forked child, which an appending counter cannot see, but on one CPU
+        # it runs in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         calls = []
         cell_generators = action._cell_generators
 
@@ -701,6 +705,99 @@ class TestForkedInvariantFlow:
         monkeypatch.setattr(superop, "_check_dim", check_dim)
         assert main([command, "--config", driven_ho_config(tmp_path),
                      "--out", str(tmp_path)]) == 0
+
+
+class TestForkedGaugeCheck:
+    """``action-check`` takes the gauge check's shifted action and quadrature
+    in a forked child while it makes the stationarity report; errors are
+    reported as when the two ran in turn, and every child is reaped."""
+
+    def in_the_child(self, monkeypatch, then):
+        parent, gauge_terms = os.getpid(), cli._gauge_terms
+
+        def terms(*args):
+            if os.getpid() != parent:
+                then()
+            return gauge_terms(*args)
+
+        monkeypatch.setattr(cli, "_gauge_terms", terms)
+
+    def run(self, tmp_path):
+        cfg = amp_damp_config(tmp_path, n_steps=200, lambda_final=SZ_LITERAL)
+        return main(["action-check", "--config", cfg, "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("make_cfg", [
+        lambda tmp_path: amp_damp_config(tmp_path, n_steps=200, lambda_final=SZ_LITERAL),
+        driven_ho_config,
+    ], ids=["amp-damp", "damped-ho"])
+    def test_defect_is_gauge_shift_checks(self, tmp_path, make_cfg):
+        # the parent forms the defect from the child's terms and the report's
+        # action bitwise as gauge_shift_check does
+        cfg = make_cfg(tmp_path)
+        assert main(["action-check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        setup = cli.RunSetup(cli.build_parser().parse_args(["action-check", "--config", cfg]))
+        lam, (state, _) = action.auxiliary_trajectory(setup.model, setup.lambda_final(),
+                                                      setup.grid, alongside=setup.integrate_state)
+        path = action.DiscretizedPath(grid=setup.grid, rho=state.samples, lam=lam.samples)
+        rng = np.random.default_rng(setup.seed)
+        rate = tabulated(np.linspace(setup.grid.t_start, setup.grid.t_end, 9),
+                         list(rng.uniform(-1.0, 1.0, size=9)), name="lambda")
+        want = action.gauge_shift_check(path, setup.model, rate,
+                                        action.stationarity_report(path, setup.model).action_value)
+        assert json.loads((tmp_path / "action_report.json").read_text())["gauge_defect"] == want
+
+    def test_the_childs_error_is_raised_here(self, tmp_path, monkeypatch, capsys):
+        def fail():
+            raise ValueError("gauge pass failed")
+
+        self.in_the_child(monkeypatch, fail)
+        assert self.run(tmp_path) == 1
+        assert capsys.readouterr().err == "error: gauge pass failed\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_killed_by_a_signal_exits_2(self, tmp_path, monkeypatch, capsys):
+        self.in_the_child(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        assert self.run(tmp_path) == 2
+        assert capsys.readouterr().err == ("error: gauge check ended without a result "
+                                           f"(exit status {-signal.SIGKILL})\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_report_error_kills_and_reaps_the_child(self, tmp_path, monkeypatch, capsys):
+        # the child would fail too, after a minute; the report's error wins at once
+        def fail(*args):
+            raise ValueError("report failed")
+
+        self.in_the_child(monkeypatch, lambda: time.sleep(60) or fail())
+        monkeypatch.setattr(cli, "stationarity_report", fail)
+        start = time.monotonic()
+        assert self.run(tmp_path) == 1
+        assert time.monotonic() - start < 30
+        assert capsys.readouterr().err == "error: report failed\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class TestFlowOutputCheckedOnce:
+    """The flows make every node bitwise Hermitian, so ``invariant`` and
+    ``action-check`` check no flow stack again; the inputs still are."""
+
+    @pytest.mark.parametrize("command", ["invariant", "action-check"])
+    def test_no_flow_stack_is_checked(self, tmp_path, monkeypatch, command):
+        # an appending counter cannot see calls made in a child; a raise can
+        check_hermitian, operators = linalg.check_hermitian, []
+
+        def one_operator(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                raise AssertionError("check_hermitian called on a stack")
+            operators.append(1)
+            return check_hermitian(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "check_hermitian", one_operator)
+        assert main([command, "--config", driven_ho_config(tmp_path),
+                     "--out", str(tmp_path)]) == 0
+        assert operators  # rho0 and the seed (or lambda_final)
 
 
 def open_fds():
@@ -802,7 +899,7 @@ class TestForkFloor:
     @pytest.mark.parametrize("command, n_forks", [
         ("simulate", 10),  # 201 rows in blocks of 20: ten blocks go to children
         ("invariant", 1),
-        ("action-check", 1),
+        ("action-check", 2),  # the Lam flow, then the gauge check beside the report
     ])
     def test_one_cpu_forks_nothing(self, tmp_path, monkeypatch, command, n_forks):
         monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", 20 * (1 + 2 * 6 * 6))

@@ -409,6 +409,15 @@ class TestBlockedLoop:
                 if a_defect is not None:
                     assert a_defect <= 1e-14 * linalg.maxabs(b)
 
+    def test_only_the_state_flow_takes_the_defect(self, rng):
+        # the state monitor reports it; the invariant and Lam flows' callers would discard it
+        m, grid = random_constant_model(rng, 3), TimeGrid(0.0, 1.0, 20)
+        out = np.empty((21, 3, 3), dtype=complex)
+        seed = random_hermitian(rng, 3)
+        assert dynamics._propagate(m, seed, grid, True, 0, "rk4", "invariant", out) is None
+        assert dynamics._propagate(m, random_density(rng, 3), grid, False, 0, "rk4", "state",
+                                   out) >= 0.0
+
     @pytest.mark.parametrize("position", ["first", "middle", "last"])
     @pytest.mark.parametrize("flow", ["state", "start", "end"])
     @pytest.mark.parametrize("constant", [False, True], ids=["hadamard-affine", "step-matrix"])
@@ -442,6 +451,20 @@ def open_fds():
 
 def raise_value_error():
     raise ValueError("state flow failed")
+
+
+class TestChild:
+    """``_Child.join`` returns what ``run()`` returned: pickled back from a
+    forked child, or from a call here on one CPU."""
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["forked", "one-cpu"])
+    def test_join_returns_the_value(self, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        parent = os.getpid()
+        child = dynamics._Child(lambda: (os.getpid() != parent, [1.5, "x"]), "test child")
+        assert child.join() == (len(cpus) == 2, [1.5, "x"])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestForkedInvariantFlow:

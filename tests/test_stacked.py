@@ -2,6 +2,7 @@
 batched spectra against an independent oracle, and the CSV export, whole
 and streamed from forked children, against a per-cell formatter."""
 
+import dataclasses
 import os
 import tempfile
 import tracemalloc
@@ -14,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from helpers import PLUS_STATE, SMINUS, SX, SZ, random_density, random_hermitian
-from weakinv import action, dynamics, linalg, scenarios
+from weakinv import action, dynamics, invariant, linalg, scenarios
 from weakinv.dynamics import TimeGrid, Trajectory, conservation_series, integrate_invariant, integrate_state
 from weakinv.errors import NotHermitianError
 from weakinv.model import LindbladModel, constant
@@ -86,6 +87,26 @@ class TestBatchedHermiticityGate:
         stack[17, 0, 2] += bad
         with pytest.raises(NotHermitianError, match="node 17"):
             linalg.hermitian_eigenvalues(stack)
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan], ids=["non-hermitian", "nan"])
+    @pytest.mark.parametrize("entry", ["path-rho", "path-lam", "spectrum", "spectrum-replaced"])
+    def test_entry_points_check_a_users_flow_stack(self, rng, entry, bad):
+        # the flows' own trajectories skip the check; a user's array built from
+        # one, or a trajectory rebuilt around it, is checked
+        m = LindbladModel(3, random_hermitian(rng, 3), [(SMINUS3, 0.4)])
+        grid = TimeGrid(0.0, 1.0, 30)
+        state, _ = integrate_state(m, random_density(rng, 3), grid)
+        inv = integrate_invariant(m, random_hermitian(rng, 3), "end", grid)
+        stacks = {"rho": state.samples.copy(), "lam": inv.samples.copy()}
+        broken = stacks["rho" if entry == "path-rho" else "lam"]
+        broken[17, 0, 2] += bad
+        with pytest.raises(NotHermitianError, match="node 17"):
+            if entry.startswith("path"):
+                action.DiscretizedPath(grid=grid, **stacks)
+            elif entry == "spectrum":
+                invariant.spectrum_series(Trajectory(grid=grid, samples=broken, kind="invariant"))
+            else:
+                invariant.spectrum_series(dataclasses.replace(inv, samples=broken))
 
     def test_first_failing_node_is_named(self, rng):
         stack = stack_with_bad_node(rng, 7, 3, 5)
