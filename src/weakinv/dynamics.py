@@ -15,7 +15,7 @@ lattice serves both flows and the action. The stages call the lattice's
 ``superop.Generator``, which owns the form, the kernel and the operators,
 bound a block of steps at a time.
 
-A constant model (``LindbladModel.is_constant``) of dimension at most
+A ``constant`` lattice (no schedule varies in time) of dimension at most
 ``STEP_MATRIX_MAX_DIM`` makes both flows linear and autonomous, so one step
 of either method is one fixed d²×d² matrix: the method's own stages applied
 once, as a stack, to the d² unit operators, then one matrix-vector product
@@ -25,7 +25,8 @@ each step is re-symmetrized to (A + A†)/2, which suppresses Hermiticity
 drift without touching the order of accuracy, and each block's raw steps
 are checked once against ``BLOWUP_CAP`` (non-finite values and finite
 magnitudes beyond the cap both abort, naming the first such node). A
-flow's nodes are thus bitwise Hermitian, and its ``Trajectory`` says so.
+flow's nodes are thus bitwise Hermitian, and its ``Trajectory`` says so;
+its stack is read-only, so that no edit in place can make that untrue.
 
 Given the lattice the two flows are independent, so ``integrate_invariant``
 can take an ``alongside`` callable (the CLI and ``action`` pass the state
@@ -152,7 +153,7 @@ class Trajectory:
     grid: TimeGrid
     samples: np.ndarray
     kind: str
-    _hermitian = False  # True on a flow's: every node is (y + y†)/2, bitwise Hermitian
+    _hermitian = False  # True on a flow's (read-only): every node is (y + y†)/2, bitwise Hermitian
 
     def __post_init__(self):
         samples = linalg.as_operator(self.samples, stack=True)
@@ -220,7 +221,7 @@ def _propagate(model, y0, grid, dual, first, method, what, samples, done=None):
     d = 1 if first == 0 else -1
     h = d * grid.dt
     gen = Generator(model.on_grid(grid), dual, 1j if dual else -1j)
-    if model.is_constant and model.dim <= STEP_MATRIX_MAX_DIM:
+    if gen.constant and model.dim <= STEP_MATRIX_MAX_DIM:
         dim2 = model.dim ** 2
         units = np.eye(dim2, dtype=complex).reshape(dim2, model.dim, model.dim)
         p = _step(gen.span(0, 3), 1 - d, units, h, method).reshape(dim2, dim2)
@@ -382,6 +383,7 @@ def integrate_state(
     tr0 = linalg.trace(rho0)
     samples = np.empty((grid.n_steps + 1,) + rho0.shape, dtype=complex)
     max_herm = _propagate(model, rho0, grid, False, 0, method, STATE, samples, done)
+    samples.flags.writeable = False  # so that no edit in place can break the mark
     traj = Trajectory(grid=grid, samples=samples, kind=STATE)
     object.__setattr__(traj, "_hermitian", True)
     drift = np.max(np.abs(np.trace(samples, axis1=1, axis2=2).real - tr0.real))
@@ -443,6 +445,7 @@ def integrate_invariant(
         out = np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)), dtype=complex).reshape(shape)
         _, result = _Child(lambda: _propagate(model, seed, grid, True, first, method, INVARIANT,
                                               out), "invariant flow").beside(alongside)
+    out.flags.writeable = False  # so that no edit in place can break the mark
     traj = Trajectory(grid=grid, samples=out, kind=INVARIANT)
     object.__setattr__(traj, "_hermitian", True)
     return traj if alongside is None else (traj, result)

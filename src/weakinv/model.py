@@ -1,4 +1,4 @@
-"""Time-dependent Lindblad models: schedules, validated snapshots on a grid.
+"""Time-dependent Lindblad models: schedules, a validated sampling on a grid.
 
 A model bundles a Hamiltonian schedule H(t) with a list of damping channels
 (L_n(t), alpha_n(t)). Rates alpha_n must stay nonnegative and H must stay
@@ -7,12 +7,12 @@ model once at every node and cell midpoint of a time grid, and
 ``LindbladModel.snapshot`` at one time; both check every sampled value and
 raise :class:`ModelValidationError` on the first violation.
 
-The samples form an affine lattice: a ``scaled`` Hamiltonian c(t) M is kept
-as its scalar c(t) per time and the one shared operator M, which is checked
-for Hermiticity once (c M is Hermitian whenever M is and c is real), and
-the dissipative part K0 = -i sum_n alpha_n Ln†Ln of the effective
-Hamiltonian K = H + K0 is built once while the channels do not depend on
-time. So a driven model holds no per-time operator for H and none for K.
+Either gives one ``ModelSnapshot``, each field stacked over the times only
+where it varies: an affine lattice. A ``scaled`` Hamiltonian c(t) M is kept
+as its scalars c(t) and one operator M, checked for Hermiticity once (c M is
+Hermitian whenever M is and c is real), and the dissipative part K0 = -i
+sum_n alpha_n Ln†Ln of K = H + K0 is built once while the channels do not
+depend on time. So a driven model holds no per-time operator for H or K.
 
 The same pass over the distinct sampled operators rejects a non-finite H or
 jump operator, naming the schedule and the time, and decides once per
@@ -258,58 +258,75 @@ def _gather(l: np.ndarray) -> Gather | None:
                   tau[:, None] * d + tau, v[:, None] * v.conj())
 
 
+def _cut(value, entries: slice):
+    """``value[entries]`` for a stack over the entries (3 axes), else ``value``."""
+    return value[entries] if np.ndim(value) == 3 else value
+
+
 @dataclass(frozen=True)
 class ChannelSnapshot:
-    """One channel at one time. ``gather`` is the operator as a ``Gather``
-    in a sampling that runs in Hadamard form, else None."""
+    """One channel of a sampling, its operators and rate each one value or a
+    stack over the entries (``alpha`` as ``(n, 1, 1)``). ``gather`` is the
+    operator as a ``Gather`` in a sampling that runs in Hadamard form."""
 
     l: np.ndarray
     l_dag: np.ndarray
     l_dag_l: np.ndarray
-    alpha: float
+    alpha: float | np.ndarray
     gather: Gather | None = None
 
 
 @dataclass(frozen=True, slots=True)
 class ModelSnapshot:
-    """Model evaluated at one time, with the products every generator
-    application needs cached. Time-independent parts are shared between the
-    snapshots of one sampling.
+    """The model sampled at one time or at every entry of a lattice, with
+    the products every generator application needs cached. Each field is
+    one value shared by every entry, or a stack over the entries along axis
+    0 where it varies: H's operator (a tabulated H), ``scale`` as an
+    ``(n, 1, 1)`` array, and each channel's operators and rate.
 
     H is ``scale * operator`` for a ``scaled`` schedule (the operator is the
     shared M) and ``operator`` itself when ``scale`` is None. ``k0`` is the
     shared dissipative part of the effective Hamiltonian, or None when the
-    channels depend on time and it is built per call. ``hadamard`` is set
-    on every snapshot of a sampling whose every H is diagonal and whose
-    every channel has a ``gather``: K is then diagonal, and the generators
-    can run in the Hadamard form of ``superop``.
+    channels vary and it is built per call. ``hadamard`` is set where every
+    H is diagonal and every channel has a ``gather``: K is then diagonal,
+    and the generators can run in the Hadamard form of ``superop``.
+    ``constant``: no field is stacked, as for one time or a constant model.
     """
 
     operator: np.ndarray
-    scale: float | None
+    scale: float | np.ndarray | None
     channels: tuple[ChannelSnapshot, ...]
     k0: np.ndarray | None
-    hadamard: bool = False
+    hadamard: bool
+    constant: bool
 
     @property
     def h(self) -> np.ndarray:
-        """H at this time; for a ``scaled`` schedule bitwise ``float(c) * M``."""
+        """H (per entry where it varies); bitwise ``float(c) * M`` if ``scaled``."""
         return self.operator if self.scale is None else self.scale * self.operator
 
     @property
     def dim(self) -> int:
-        return self.operator.shape[0]
+        return self.operator.shape[-1]
 
     def effective_hamiltonian(self) -> np.ndarray:
         """K = H - i sum_n alpha_n Ln†Ln, built anew on each call."""
         k0 = dissipative_part(self.channels, self.dim) if self.k0 is None else self.k0
         return self.h + k0
 
+    def part(self, j0: int, j1: int, stride: int = 1) -> ModelSnapshot:
+        """Entries j0, j0 + stride, ... below j1, each stack sliced (a view)."""
+        cut = slice(j0, j1, stride)
+        channels = tuple(ChannelSnapshot(*(_cut(v, cut) for v in (ch.l, ch.l_dag, ch.l_dag_l)),
+                                         _cut(ch.alpha, cut), ch.gather) for ch in self.channels)
+        return ModelSnapshot(_cut(self.operator, cut), _cut(self.scale, cut), channels, self.k0,
+                             self.hadamard, self.constant)
+
 
 def dissipative_part(channels, dim: int) -> np.ndarray:
     """K0 = -i sum_n alpha_n Ln†Ln, the non-Hermitian part of K; with the
-    rates (or operators) of ``channels`` stacked over cells, the stack of
-    each cell's K0, bitwise."""
+    rates (or operators) of ``channels`` stacked over entries, the stack of
+    each entry's K0, bitwise."""
     k0 = np.zeros((dim, dim), dtype=complex)
     for ch in channels:
         k0 = k0 - (1j * ch.alpha) * ch.l_dag_l
@@ -330,7 +347,7 @@ class LindbladModel:
     """Bundle (H(t), {(L_n(t), alpha_n(t))}) on a fixed dimension.
 
     The schedules are fixed at construction. The model keeps the validated
-    snapshots of the last grid passed to ``on_grid``, so every pass of one
+    sampling of the last grid passed to ``on_grid``, so every pass of one
     run over the same grid samples the model once.
     """
 
@@ -343,7 +360,7 @@ class LindbladModel:
             raise ValueError("hamiltonian schedule must be operator-valued")
         self.channels = tuple(ch if isinstance(ch, Channel) else Channel(*ch) for ch in channels)
         self._check_constant_dims()
-        self._lattice = None  # (grid, snapshots) of the last on_grid call
+        self._lattice = None  # (grid, sampling) of the last on_grid call
 
     def _check_constant_dims(self):
         for label, sched in self._operator_schedules():
@@ -358,23 +375,18 @@ class LindbladModel:
         for i, ch in enumerate(self.channels):
             yield f"channels[{i}].op", ch.op
 
-    @property
-    def is_constant(self) -> bool:
-        return self.hamiltonian.is_constant and all(
-            ch.op.is_constant and ch.alpha.is_constant for ch in self.channels)
-
     def snapshot(self, t: float) -> ModelSnapshot:
         """The model at one time ``t``, validated; deterministic for equal ``t``."""
-        return self._sample([float(t)])[0]
+        return self._sample([float(t)])
 
-    def on_grid(self, grid) -> list[ModelSnapshot]:
-        """Validated snapshots at the ``2 n_steps + 1`` times
+    def on_grid(self, grid) -> ModelSnapshot:
+        """The model sampled and validated at the ``2 n_steps + 1`` times
         ``t_start + (dt/2) j``: node k at entry 2k and the midpoint of cell k
         at entry 2k + 1, bitwise equal to ``grid.nodes()[k]`` and
-        ``grid.midpoint(k)``.
+        ``grid.midpoint(k)``; each field that varies is stacked over them.
 
         The result for the last grid is kept and returned again for an equal
-        grid. A constant model's entries are all one snapshot.
+        grid.
         """
         lattice = self._lattice
         if lattice is None or lattice[0] != grid:
@@ -383,21 +395,21 @@ class LindbladModel:
         return lattice[1]
 
     @np.errstate(invalid="ignore", over="ignore")  # a non-finite value fails the checks instead
-    def _sample(self, times: list[float]) -> list[ModelSnapshot]:
-        """Snapshots at ``times``. A time-independent schedule, and the
-        products built from it, are evaluated, checked and shared once; a
+    def _sample(self, times: list[float]) -> ModelSnapshot:
+        """The model at ``times``. A time-independent schedule, and the
+        products built from it, are evaluated, checked and kept once; a
         ``scaled`` Hamiltonian is its scalar per time and one operator,
         checked at the first time. The one pass over the distinct operators
-        also decides the snapshots' ``hadamard``; a channel's ``gather`` is
-        built only while they may still qualify."""
+        also decides ``hadamard``; a channel's ``gather`` is built only while
+        the sampling may still qualify."""
         ham = self.hamiltonian
         if isinstance(ham, _ScaledOperator):
             ops = [self._operator("hamiltonian", ham.operator, times[0])]
-            scales = [float(c) for c in self._evaluate("hamiltonian", ham.scalar, times)]
+            scale = _stack(np.array(self._evaluate("hamiltonian", ham.scalar, times), float))
         else:
             ops = [self._operator("hamiltonian", h, t) for t, h in
                    zip(times, self._evaluate("hamiltonian", ham, times))]
-            scales = [None]
+            scale = None
         diagonal = True
         for t, h in zip(times, ops):
             defect = linalg.hermiticity_defect(h)
@@ -407,39 +419,31 @@ class LindbladModel:
                     f"hamiltonian not Hermitian at t={t}: defect {defect:.3e}"
                 )
             diagonal = diagonal and _is_diagonal(h)
-        hadamard, chans = diagonal, []
+        hadamard, channels = diagonal, []
         for i, ch in enumerate(self.channels):
-            chans.append(self._sample_channel(i, ch, times, hadamard))
-            hadamard = hadamard and chans[-1][0].gather is not None
-        if all(len(c) == 1 for c in chans):  # the channels do not depend on time
-            channels = [tuple(c[0] for c in chans)]
-            k0 = dissipative_part(channels[0], self.dim)
-        else:
-            channels = [tuple(_at(c, j) for c in chans) for j in range(len(times))]
-            k0 = None
-        if self.is_constant:
-            return [ModelSnapshot(ops[0], scales[0], channels[0], k0, hadamard)] * len(times)
-        return [ModelSnapshot(_at(ops, j), _at(scales, j), _at(channels, j), k0, hadamard)
-                for j in range(len(times))]
+            channels.append(self._sample_channel(i, ch, times, hadamard))
+            hadamard = hadamard and channels[-1].gather is not None
+        varying = any(np.ndim(ch.alpha) or ch.l.ndim == 3 for ch in channels)
+        k0 = None if varying else dissipative_part(channels, self.dim)  # else built per entry
+        constant = k0 is not None and len(ops) == 1 and np.ndim(scale) == 0
+        return ModelSnapshot(_stack(ops), scale, tuple(channels), k0, hadamard, constant)
 
-    def _sample_channel(self, i, ch, times, gather: bool) -> list[ChannelSnapshot]:
-        """The channel's snapshots at ``times``, with its ``gather`` if
-        asked for and the operator is time-independent."""
+    def _sample_channel(self, i, ch, times, gather: bool) -> ChannelSnapshot:
+        """The channel at ``times``, with its ``gather`` if asked for and
+        the operator is time-independent."""
         label = f"channels[{i}]"
-        alphas = [float(a) for a in self._evaluate(f"{label}.alpha", ch.alpha, times)]
-        for t, alpha in zip(times, alphas):
-            if alpha < 0.0:
-                raise ModelValidationError(f"{label}.alpha: negative-rate {alpha} at t={t}")
-        products = []
-        for t, l in zip(times, self._evaluate(f"{label}.op", ch.op, times)):
-            l = self._operator(f"{label}.op", l, t)
-            l_dag = linalg.dagger(l)
-            products.append((l, l_dag, l_dag @ l))
-        gather = _gather(products[0][0]) if gather and ch.op.is_constant else None
-        return [
-            ChannelSnapshot(*_at(products, j), alpha=_at(alphas, j), gather=gather)
-            for j in range(max(len(products), len(alphas)))
-        ]
+        alphas = np.array(self._evaluate(f"{label}.alpha", ch.alpha, times), float)
+        negative = np.flatnonzero(alphas < 0.0)
+        if negative.size:
+            j = int(negative[0])
+            raise ModelValidationError(
+                f"{label}.alpha: negative-rate {float(alphas[j])} at t={times[j]}")
+        ls = [self._operator(f"{label}.op", l, t)
+              for t, l in zip(times, self._evaluate(f"{label}.op", ch.op, times))]
+        dags = [linalg.dagger(l) for l in ls]
+        return ChannelSnapshot(_stack(ls), _stack(dags), _stack([a @ l for a, l in zip(dags, ls)]),
+                               _stack(alphas),
+                               _gather(ls[0]) if gather and ch.op.is_constant else None)
 
     @staticmethod
     def _evaluate(label, sched, times) -> list:
@@ -467,9 +471,12 @@ def _is_diagonal(op: np.ndarray) -> bool:
     return not op.reshape(-1)[:-1].reshape(d - 1, d + 1)[:, 1:].any()
 
 
-def _at(values: list, j: int):
-    """Entry ``j`` of a per-time list, or its one entry if time-independent."""
-    return values[j] if len(values) > 1 else values[0]
+def _stack(values):
+    """The one value of a time-independent schedule, else its values stacked: a
+    list of operators as ``(n, d, d)``, an array of scalars as ``(n, 1, 1)``."""
+    if len(values) == 1:
+        return float(values[0]) if isinstance(values, np.ndarray) else values[0]
+    return values[:, None, None] if isinstance(values, np.ndarray) else np.stack(values)
 
 
 def _schedule_operator_values(sched):

@@ -23,8 +23,8 @@ Castin & Mølmer, PRL 68, 580 (1992); Plenio & Knight, RMP 70, 101 (1998)):
 which takes 2 + 2m matrix products for m channels instead of 2 + 4m. Both
 identities hold for any input, Hermitian or not. ``liouvillian`` and
 ``adjoint`` are the unchecked kernels on a prebuilt K, for loops that build
-K once per snapshot; ``apply_liouvillian`` and ``apply_adjoint`` check their
-input and build K themselves.
+K once per span of a sampling; ``apply_liouvillian`` and ``apply_adjoint``
+check their input and build K themselves.
 
 Every generator takes one operator or an ``(n, d, d)`` stack of them; a
 stack is mapped node by node with the one snapshot. The unchecked kernels
@@ -56,7 +56,8 @@ reference the Hadamard kernels are checked against.
 
 ``Generator(lattice, dual, unit)`` is the one place that picks a lattice's
 form and kernel and binds the operators it takes, a span of entries at a
-time: per block of steps for the flows, per block of cells for the action.
+time, sliced from the lattice: per block of steps for the flows, per block
+of cells for the action.
 
 Vectorization is column-stacking: vec(A X B) = (B^T kron A) vec(X).
 """
@@ -68,7 +69,7 @@ from functools import partial
 import numpy as np
 
 from . import linalg
-from .model import ChannelSnapshot, ModelSnapshot, dissipative_part
+from .model import ChannelSnapshot, ModelSnapshot
 
 __all__ = [
     "apply_liouvillian",
@@ -87,8 +88,8 @@ __all__ = [
 
 def _check_dim(s: ModelSnapshot, a: np.ndarray) -> np.ndarray:
     a = linalg.as_operator(a, stack=True)
-    if a.shape[-2:] != s.operator.shape:
-        raise ValueError(f"dimension mismatch: operator {a.shape} vs model {s.operator.shape}")
+    if a.shape[-2:] != (s.dim, s.dim):
+        raise ValueError(f"dimension mismatch: operator {a.shape} vs model {(s.dim, s.dim)}")
     return a
 
 
@@ -155,30 +156,28 @@ class Generator:
     ``span(j0, j1)`` is ``f(i, y)``, the generator at entry j0 + i applied
     to y, with entries j0..j1-1 bound in one ``_bind``; ``cells(k0, k1)``
     is the generator at the midpoints of cells k0..k1-1 applied to a stack
-    over them, bound with stride 2. A constant lattice's one entry is bound
-    once. Where every entry shares one M and one K0 (a ``scaled`` H and
-    time-independent channels) x is one broadcast c(t) x_m + x_0 over the
-    lattice's scales, as real arrays (in K-form K = c M + K0 bitwise but for
-    the sign of a zero); else the form of K = H + K0, with H and the
-    channels stacked per entry only where they vary."""
+    over them, bound with stride 2. A ``constant`` lattice is bound once.
+    Where every entry shares one M and one K0 (a ``scaled`` H and
+    time-independent channels) x is one broadcast c(t) x_m + x_0 over a
+    slice of the lattice's scales, as real arrays (in K-form K = c M + K0
+    bitwise but for the sign of a zero); else the form of the effective
+    Hamiltonian of the lattice's ``part``, stacked per entry where it
+    varies."""
 
-    def __init__(self, lattice, dual: bool, unit=1):
-        first = lattice[0]
-        self.lattice, self.dual, self.unit, self.hadamard = lattice, dual, unit, first.hadamard
-        self.constant = first is lattice[-1]  # a constant model's lattice is one entry
+    def __init__(self, lattice: ModelSnapshot, dual: bool, unit=1):
+        self.lattice, self.dual, self.unit = lattice, dual, unit
+        self.hadamard, self.constant = lattice.hadamard, lattice.constant
         if self.hadamard:
             self._stage = hadamard
         else:
             kernel = adjoint if dual else liouvillian
             self._stage = kernel if unit == 1 else lambda k, chs, y: unit * kernel(k, chs, y)
-        fold = self.hadamard and first.k0 is not None  # time-independent channels fold once
-        self._terms = hadamard_terms(first.channels, dual, unit) if fold else None
-        self._scale = self._x_m = self._x_0 = None
-        if first.scale is not None and first.k0 is not None:
+        fold = self.hadamard and lattice.k0 is not None  # time-independent channels fold once
+        self._terms = hadamard_terms(lattice.channels, dual, unit) if fold else None
+        self._x_m = self._x_0 = None
+        if lattice.scale is not None and lattice.k0 is not None:
             self._x_m, self._x_0 = (np.ascontiguousarray(self._form(k)).view(float)
-                                    for k in (first.operator, first.k0))
-            if not self.constant:
-                self._scale = np.array([s.scale for s in lattice])[:, None, None]
+                                    for k in (lattice.operator, lattice.k0))
         if self.constant:
             self._one = partial(self._stage, *self._bind(0, 1, 1))
 
@@ -189,11 +188,10 @@ class Generator:
         if self.constant:
             return lambda i, y: self._one(y)
         x, channels = self._bind(j0, j1, 1)
-        stage, lattice = self._stage, self.lattice
-        if not self.hadamard:
-            return lambda i, y: stage(x[i], lattice[j0 + i].channels, y)
-        if self._terms is None:  # the rates vary: each term's c is stacked
-            return lambda i, y: stage(x[i], [(index, c[i]) for index, c in channels], y)
+        stage = self._stage
+        if self.lattice.k0 is None:  # the channels vary: each entry's, taken once per span
+            at = list(zip(*(_entries(ch, j1 - j0) for ch in channels)))
+            return lambda i, y: stage(x[i], at[i], y)
         return lambda i, y: stage(x[i], channels, y)
 
     def cells(self, k0: int, k1: int):
@@ -204,45 +202,31 @@ class Generator:
     def _bind(self, j0: int, j1: int, stride: int):
         """The operator x and the channels (terms in Hadamard form) of
         lattice entries j0, j0 + stride, ... below j1, each stacked per entry
-        where it varies; of the one entry, for a constant lattice."""
-        s = self.lattice[j0]
-        channels = s.channels
+        where it varies; of every entry, for a constant lattice."""
+        s = self.lattice
         if self._x_m is not None:
-            x = (s.scale if self.constant else self._scale[j0:j1:stride]) * self._x_m
+            x = (s.scale if self.constant else s.scale[j0:j1:stride]) * self._x_m
             x += self._x_0
             x = x.view(complex)
         else:
-            h = s.h
-            if not self.constant:
-                part = self.lattice[j0:j1:stride]
-                if s.k0 is None:
-                    channels = _stacked_channels(part)
-                if s.operator is not self.lattice[-1].operator:  # H is tabulated per entry
-                    h = np.stack([c.operator for c in part])
-                elif s.scale is not None:
-                    h = np.array([c.scale for c in part])[:, None, None] * s.operator
-            x = self._form(h + (dissipative_part(channels, s.dim) if s.k0 is None else s.k0))
+            s = s.part(j0, j1, stride)
+            x = self._form(s.effective_hamiltonian())
+        channels = s.channels
         if self.hadamard:
             channels = self._terms or hadamard_terms(channels, self.dual, self.unit)
         return x, channels
 
 
-def _stacked_channels(snaps) -> tuple:
-    """The channels of cell snapshots, each rate stacked per cell as an
-    ``(n, 1, 1)`` array and each operator too where it varies."""
-    def per_cell(values):
-        return values[0] if all(v is values[0] for v in values) else np.stack(values)
+def _entries(ch, n: int) -> list:
+    """A channel, or a Hadamard term ``(index, c)``, at each of ``n``
+    entries: each stack row by row, a stacked rate as floats."""
+    def rows(v):
+        return list(v) if np.ndim(v) == 3 else [v] * n
 
-    stacked = []
-    for i in range(len(snaps[0].channels)):
-        cells = [s.channels[i] for s in snaps]
-        stacked.append(ChannelSnapshot(
-            l=per_cell([c.l for c in cells]),
-            l_dag=per_cell([c.l_dag for c in cells]),
-            l_dag_l=per_cell([c.l_dag_l for c in cells]),
-            alpha=np.array([c.alpha for c in cells])[:, None, None],
-            gather=cells[0].gather))
-    return tuple(stacked)
+    if not isinstance(ch, ChannelSnapshot):
+        return list(zip(rows(ch[0]), rows(ch[1])))
+    alpha = ch.alpha.ravel().tolist() if np.ndim(ch.alpha) else [ch.alpha] * n
+    return list(map(ChannelSnapshot, rows(ch.l), rows(ch.l_dag), rows(ch.l_dag_l), alpha))
 
 
 def apply_liouvillian(s: ModelSnapshot, rho) -> np.ndarray:

@@ -181,14 +181,27 @@ def per_cell_grad_lam(path, model):
     return np.array(grads)
 
 
+def lattice_times(grid):
+    """The ``2 n_steps + 1`` times at which ``LindbladModel.on_grid`` samples
+    the model, bitwise as it computes them: node k at entry 2k, the midpoint
+    of cell k at entry 2k + 1."""
+    return [grid.t_start + (0.5 * grid.dt) * j for j in range(2 * grid.n_steps + 1)]
+
+
+def lattice_snapshots(model, grid):
+    """The model sampled on its own at each lattice time, one snapshot each."""
+    return [model.snapshot(t) for t in lattice_times(grid)]
+
+
 def per_step_flow(model, y0, grid, dual, first, method="rk4", cap=1e12):
     """The flow y' = ±i generator(y) (+i L* with ``dual``, else -i L) from
     ``y0`` at node ``first``, one step at a time on ``apply_liouvillian`` /
-    ``apply_adjoint`` with the model read from its lattice: each raw step
-    is checked against ``cap`` and re-symmetrized to (y + y†)/2 before the
-    next. Returns the stack of nodes and the largest raw-step Hermiticity
-    defect, or ``(node, magnitude)`` of the first step not within the cap."""
-    lattice = model.on_grid(grid)
+    ``apply_adjoint`` with the model sampled on its own at each lattice
+    time: each raw step is checked against ``cap`` and re-symmetrized to
+    (y + y†)/2 before the next. Returns the stack of nodes and the largest
+    raw-step Hermiticity defect, or ``(node, magnitude)`` of the first step
+    not within the cap."""
+    lattice = lattice_snapshots(model, grid)
     apply = apply_adjoint if dual else apply_liouvillian
     unit = 1j if dual else -1j
     n = grid.n_steps

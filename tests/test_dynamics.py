@@ -220,7 +220,8 @@ class TestIntegrateInvariant:
 
 def direct_twin(m):
     """The same model with H wrapped as 1.0 * H(t): bitwise the same snapshots,
-    but not ``is_constant``, so the integrators take the direct stages."""
+    but a sampling that is not ``constant``, so the integrators take the
+    direct stages."""
     h = m.hamiltonian.value
     return LindbladModel(m.dim, scaled(sinusoidal(1.0, 0.0, 1.0), h), m.channels)
 

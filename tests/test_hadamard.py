@@ -133,13 +133,13 @@ class TestKernels:
     def test_stack_with_stacked_rates(self, rng, dim):
         # per-node K and rates stacked over the nodes, as the action's blocks stack them
         m = random_hadamard_model(rng, dim, 3)
-        snaps = m.on_grid(TimeGrid(0.0, 1.0, 3))
-        k = np.stack([s.effective_hamiltonian() for s in snaps])
-        channels = superop._stacked_channels(snaps)
-        assert all(np.shape(ch.alpha) == (len(snaps), 1, 1) for ch in channels)
+        grid = TimeGrid(0.0, 1.0, 3)
+        lattice, snaps = m.on_grid(grid), helpers.lattice_snapshots(m, grid)
+        k = lattice.effective_hamiltonian()
+        assert all(np.shape(ch.alpha) == (len(snaps), 1, 1) for ch in lattice.channels)
         x = random_operator(rng, dim, len(snaps))
         for kernel, reference, adjoint in KERNELS:
-            got = kernel(superop.difference(k, adjoint), channels, x)
+            got = kernel(superop.difference(k, adjoint), lattice.channels, x)
             for j, s in enumerate(snaps):
                 assert_close(got[j], reference(s, x[j]))
 
@@ -167,37 +167,41 @@ def tabulated_h(rng):
 class TestGenerator:
     """``superop.Generator`` on each kind of lattice, both sides: ``cells``
     binds bitwise the stack of what ``span`` binds at the cell midpoints, and
-    ``span`` applies each entry's generator."""
+    ``span`` applies each entry's generator, checked against the model
+    sampled on its own at each lattice time."""
 
     KINDS = [
-        pytest.param(lambda rng: helpers.random_constant_model(rng, 18), False,
+        pytest.param(lambda rng: helpers.random_constant_model(rng, 18), False, True,
                      id="constant-k-form-d18"),
-        pytest.param(lambda rng: random_hadamard_model(rng, 4, driven=False), True,
+        pytest.param(lambda rng: random_hadamard_model(rng, 4, driven=False), True, True,
                      id="constant-hadamard"),
         pytest.param(lambda rng: scenarios.build_scenario("damped-ho", n_trunc=6).model, True,
-                     id="affine-hadamard"),
-        pytest.param(lambda rng: dense_driven(rng, 4), False, id="driven-h-and-rate-k-form"),
-        pytest.param(tabulated_h, False, id="tabulated-h"),
-        pytest.param(lambda rng: tabulated_jump(), False, id="tabulated-jump"),
+                     False, id="affine-hadamard"),
+        pytest.param(lambda rng: dense_driven(rng, 4), False, False,
+                     id="driven-h-and-rate-k-form"),
+        pytest.param(tabulated_h, False, False, id="tabulated-h"),
+        pytest.param(lambda rng: tabulated_jump(), False, False, id="tabulated-jump"),
     ]
 
     @pytest.mark.parametrize("dual", [False, True], ids=["L", "adjoint"])
-    @pytest.mark.parametrize("make_model, hadamard", KINDS)
-    def test_cells_stack_at_and_at_applies_the_entry(self, rng, make_model, hadamard, dual):
+    @pytest.mark.parametrize("make_model, hadamard, constant", KINDS)
+    def test_cells_stack_at_and_at_applies_the_entry(self, rng, make_model, hadamard, constant,
+                                                     dual):
         m = make_model(rng)
-        lattice = m.on_grid(TimeGrid(0.0, 1.0, 7))
-        gen = superop.Generator(lattice, dual)
-        assert gen.hadamard == hadamard
+        grid = TimeGrid(0.0, 1.0, 7)
+        gen = superop.Generator(m.on_grid(grid), dual)
+        assert gen.hadamard == hadamard and gen.constant == constant
         reference = superop.apply_adjoint if dual else superop.apply_liouvillian
-        at = gen.span(0, len(lattice))
-        for j, s in enumerate(lattice):
+        snaps = helpers.lattice_snapshots(m, grid)
+        at = gen.span(0, len(snaps))
+        for j, s in enumerate(snaps):
             x = random_operator(rng, m.dim)
             assert_close(at(j, x), reference(s, x))
-        bound = gen._bind(0, len(lattice), 1)[0]
+        bound = gen._bind(0, len(snaps), 1)[0]
         for k0, k1 in ((0, 7), (2, 5), (6, 7)):
-            want = np.stack([bound if m.is_constant else bound[2 * k + 1] for k in range(k0, k1)])
+            want = np.stack([bound if constant else bound[2 * k + 1] for k in range(k0, k1)])
             got = gen.cells(k0, k1).args[0]
-            if m.is_constant:
+            if constant:
                 got = np.broadcast_to(got, want.shape)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             x = random_operator(rng, m.dim, k1 - k0)
@@ -260,12 +264,12 @@ class TestFlows:
         seed = helpers.random_hermitian(rng, dim)
         fast = [integrate_state(m, rho0, grid, method)[0],
                 integrate_invariant(m, seed, "start", grid, method)]
-        assert m.on_grid(grid)[0].hadamard
+        assert m.on_grid(grid).hadamard
         dense_twin(monkeypatch)
         twin = LindbladModel(dim, m.hamiltonian, m.channels)
         slow = [integrate_state(twin, rho0, grid, method)[0],
                 integrate_invariant(twin, seed, "start", grid, method)]
-        assert not twin.on_grid(grid)[0].hadamard
+        assert not twin.on_grid(grid).hadamard
         for a, b in zip(fast, slow):
             assert linalg.maxabs(a.samples - b.samples) <= 1e-12 * linalg.maxabs(b.samples)
 
@@ -300,18 +304,24 @@ class TestAction:
 
 class TestBlockOperators:
     """The action's blocks (4 cells here) build K (or D) from the scale
-    vector or from the stacked channels, never per cell, except where H is
-    tabulated; in K-form the result is bitwise each cell's K."""
+    vector, or once per block from the lattice's part (its channels, and H
+    where tabulated, stacked over the block's cells), never per cell; in
+    K-form the result is bitwise each cell's K, sampled on its own."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(linalg, "BLOCK_ENTRIES", 4 * 16)
 
     def counted_k(self, monkeypatch):
+        """The number of entries of each K built from now on."""
         calls = []
         build = model.ModelSnapshot.effective_hamiltonian
-        monkeypatch.setattr(model.ModelSnapshot, "effective_hamiltonian",
-                            lambda s: calls.append(1) or build(s))
+
+        def counted(s):
+            k = build(s)
+            calls.append(len(k) if k.ndim == 3 else 1)
+            return k
+        monkeypatch.setattr(model.ModelSnapshot, "effective_hamiltonian", counted)
         return calls
 
     @pytest.mark.parametrize("rate", [0.3, sinusoidal(0.4, 0.2, 3.0)], ids=["constant", "driven"])
@@ -319,11 +329,11 @@ class TestBlockOperators:
         m = dense_driven(rng, 4, rate)
         grid = TimeGrid(0.0, 1.0, 30)
         assert len(list(action._blocks(m, grid, dual=True))) == 8
-        cells = m.on_grid(grid)[1::2]
+        cells = helpers.lattice_snapshots(m, grid)[1::2]
         want = np.stack([s.effective_hamiltonian() for s in cells])
         calls = self.counted_k(monkeypatch)
         blocks = list(action._blocks(m, grid, dual=True))
-        assert calls == []
+        assert calls == ([] if rate == 0.3 else [4] * 7 + [2])
         got = np.concatenate([np.broadcast_to(apply.args[0], (k1 - k0, 4, 4))
                               for k0, k1, apply in blocks])
         assert got.tobytes() == want.tobytes()
@@ -331,21 +341,21 @@ class TestBlockOperators:
     def test_hadamard_blocks(self, rng, monkeypatch):
         m = random_hadamard_model(rng, 4, 2)
         grid = TimeGrid(0.0, 1.0, 30)
-        cells = m.on_grid(grid)[1::2]
+        cells = helpers.lattice_snapshots(m, grid)[1::2]
         want = {dual: np.stack([superop.difference(s.effective_hamiltonian(), dual)
                                 for s in cells]) for dual in (False, True)}
         calls = self.counted_k(monkeypatch)
         for dual in (False, True):
             got = np.concatenate([apply.args[0] for _, _, apply in action._blocks(m, grid, dual)])
             assert_close(got, want[dual])
-        assert calls == []
+        assert calls == ([4] * 7 + [2]) * 2
 
     def test_tabulated_hamiltonian_per_cell(self, rng):
         h = [helpers.random_hermitian(rng, 4) for _ in range(2)]
         m = LindbladModel(4, tabulated([0.0, 1.0], h),
                           [(scenarios.lowering_operator(4), sinusoidal(0.4, 0.2, 3.0))])
         grid = TimeGrid(0.0, 1.0, 10)
-        cells = m.on_grid(grid)[1::2]
+        cells = helpers.lattice_snapshots(m, grid)[1::2]
         want = np.stack([s.effective_hamiltonian() for s in cells])
         blocks = action._blocks(m, grid, dual=False)
         got = np.concatenate([apply.args[0] for _, _, apply in blocks])

@@ -53,6 +53,22 @@ class TestSpectrumSeries:
         series = invariant.spectrum_series(traj)
         assert float(np.max(series.total_variation)) <= 1e-8
 
+    @pytest.mark.parametrize("forked", [False, True], ids=["in-process", "forked"])
+    def test_flow_stacks_are_read_only(self, forked):
+        # a flow's trajectory is marked Hermitian, which lets spectrum_series
+        # skip its check; an edit in place that would break the mark is refused
+        m, grid = amp_damp(), TimeGrid(0.0, 1.0, 20)
+        if forked:
+            inv, (state, _) = integrate_invariant(
+                m, SZ, "start", grid, alongside=lambda: integrate_state(m, EXCITED, grid))
+        else:
+            state, _ = integrate_state(m, EXCITED, grid)
+            inv = integrate_invariant(m, SZ, "start", grid)
+        for traj in (inv, state):
+            with pytest.raises(ValueError, match="read-only"):
+                traj.samples[3, 0, 1] += 0.5
+        assert inv.samples[3, 0, 1] == 0.0
+
     def test_non_hermitian_sample_names_node(self):
         grid = TimeGrid(0.0, 1.0, 4)
         samples = [np.diag([1.0, 2.0]).astype(complex) for _ in range(5)]

@@ -117,8 +117,7 @@ class TestSnapshot:
 
 class TestValidate:
     def test_valid_model_empty_report(self):
-        snaps = _amp_damp_model().on_grid(TimeGrid(0.0, 2.0, 2))
-        assert len(snaps) == 5
+        assert _amp_damp_model().on_grid(TimeGrid(0.0, 2.0, 2)).constant
 
     def test_flags_negative_rate(self):
         # alpha(4.8) = 0.1 + 0.2 sin(4.8) < 0 at the last node; 0 and 2.4 are fine
@@ -165,32 +164,38 @@ class TestOnGrid:
     def test_entries_equal_snapshots_bitwise(self):
         m = _driven_model()
         grid = TimeGrid(0.1, 2.9, 7)
-        snaps = m.on_grid(grid)
-        assert len(snaps) == 2 * grid.n_steps + 1
+        lattice = m.on_grid(grid)
+        h, k, ch = lattice.h, lattice.effective_hamiltonian(), lattice.channels[0]
+        assert h.shape == k.shape == (2 * grid.n_steps + 1, 2, 2)
+        assert ch.alpha.shape == (2 * grid.n_steps + 1, 1, 1)
         nodes = grid.nodes()
-        for k in range(grid.n_steps + 1):
-            for entry, t in [(2 * k, nodes[k])] + ([(2 * k + 1, grid.midpoint(k))]
-                                                   if k < grid.n_steps else []):
+        for n in range(grid.n_steps + 1):
+            for entry, t in [(2 * n, nodes[n])] + ([(2 * n + 1, grid.midpoint(n))]
+                                                   if n < grid.n_steps else []):
                 ref = m.snapshot(t)
-                assert np.array_equal(snaps[entry].h, ref.h)
-                assert snaps[entry].channels[0].alpha == ref.channels[0].alpha
-                assert np.array_equal(snaps[entry].channels[0].l_dag_l, ref.channels[0].l_dag_l)
+                assert np.array_equal(h[entry], ref.h)
+                assert k[entry].tobytes() == ref.effective_hamiltonian().tobytes()
+                assert ch.alpha[entry, 0, 0] == ref.channels[0].alpha
+                assert np.array_equal(ch.l_dag_l, ref.channels[0].l_dag_l)
 
     def test_time_independent_parts_shared(self):
-        snaps = _driven_model().on_grid(TimeGrid(0.0, 3.0, 10))
-        first = snaps[0].channels[0]
-        for s in snaps[1:]:
-            ch = s.channels[0]
-            assert ch.l is first.l and ch.l_dag is first.l_dag and ch.l_dag_l is first.l_dag_l
+        # one value shared by every entry; a stack over the entries where it varies
+        lattice = _driven_model().on_grid(TimeGrid(0.0, 3.0, 10))
+        ch = lattice.channels[0]
+        assert ch.l.shape == ch.l_dag.shape == ch.l_dag_l.shape == lattice.operator.shape == (2, 2)
+        assert ch.alpha.shape == lattice.scale.shape == (21, 1, 1)
+        assert not lattice.constant and lattice.k0 is None
         m = model.LindbladModel(2, SZ, [(SMINUS, model.tabulated([0.0, 1.0], [0.1, 0.2]))])
-        snaps = m.on_grid(TimeGrid(0.0, 1.0, 4))
-        assert all(s.h is snaps[0].h for s in snaps)
-        assert len({s.channels[0].alpha for s in snaps}) == 9
+        lattice = m.on_grid(TimeGrid(0.0, 1.0, 4))
+        assert lattice.h is lattice.operator and lattice.h.shape == (2, 2)
+        assert len(set(lattice.channels[0].alpha.ravel().tolist())) == 9
 
     def test_constant_model_is_one_snapshot(self):
-        snaps = _amp_damp_model().on_grid(TimeGrid(0.0, 1.0, 50))
-        assert len(snaps) == 101
-        assert all(s is snaps[0] for s in snaps)
+        lattice = _amp_damp_model().on_grid(TimeGrid(0.0, 1.0, 50))
+        assert lattice.constant and lattice.k0 is not None and lattice.h.shape == (2, 2)
+        assert all(np.ndim(ch.alpha) == 0 and ch.l.shape == (2, 2) for ch in lattice.channels)
+        part = lattice.part(3, 40, 2)
+        assert part.constant and part.operator is lattice.operator and part.k0 is lattice.k0
 
     def test_last_grid_kept(self):
         m = _driven_model()
@@ -220,11 +225,12 @@ class TestAffineLattice:
         m_op = np.diag([0.5, 1.5, 2.5]).astype(complex)
         m = model.LindbladModel(3, model.scaled(omega, m_op), [(np.eye(3, k=1), 0.1)])
         grid = TimeGrid(0.0, 5.0, 40)
-        snaps = m.on_grid(grid)
+        lattice = m.on_grid(grid)
+        assert lattice.operator.shape == lattice.k0.shape == (3, 3)
         times = grid.t_start + (0.5 * grid.dt) * np.arange(2 * grid.n_steps + 1)
-        for t, s in zip(times.tolist(), snaps):
-            assert s.operator is snaps[0].operator and s.k0 is snaps[0].k0
-            assert np.array_equal(s.h, float(omega(t)) * m_op)
+        h = lattice.h
+        for t, h_t in zip(times.tolist(), h, strict=True):
+            assert np.array_equal(h_t, float(omega(t)) * m_op)
 
     def test_non_hermitian_scaled_operator_named_at_first_time(self):
         m = model.LindbladModel(2, model.scaled(model.sinusoidal(1.0, 0.1, 1.0),
@@ -243,6 +249,19 @@ class TestAffineLattice:
             tracemalloc.stop()
         # one 20×20 complex H per time would be 64 MB on the 10001-entry lattice
         assert peak < 8 * 2**20
+
+    def test_damped_oscillator_lattice_holds_one_scale_stack(self):
+        # c(t) as one (n, 1, 1) array, 80 KB on the 10001-entry lattice, and no
+        # object per entry: one snapshot per entry held ~1 MB
+        spec = scenarios.damped_oscillator()
+        tracemalloc.start()
+        try:
+            lattice = spec.model.on_grid(spec.default_grid)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert lattice is spec.model.on_grid(spec.default_grid)
+        assert held < 256 * 2**10
 
 
 class TestModelConstruction:

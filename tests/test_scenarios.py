@@ -175,7 +175,8 @@ class TestRegistry:
             spec = builder()
             grid = spec.default_grid
             # every node and cell midpoint is sampled and checked without raising
-            assert len(spec.model.on_grid(grid)) == 2 * grid.n_steps + 1
+            lattice = spec.model.on_grid(grid)
+            assert lattice.constant or lattice.scale.shape == (2 * grid.n_steps + 1, 1, 1)
             assert linalg.trace(spec.default_rho0).real == pytest.approx(1.0)
             assert linalg.hermiticity_defect(spec.default_invariant_seed) <= 1e-14
 

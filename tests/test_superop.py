@@ -115,10 +115,12 @@ class TestEffectiveHamiltonianForm:
         l = random_operator(rng, dim)
         rate = tabulated([0.0, 1.0, 2.0], [0.2, 0.9, 0.4])
         m = LindbladModel(dim, scaled(sinusoidal(1.0, 0.3, 2.0), m_op), [(l, rate)])
-        snaps = m.on_grid(TimeGrid(0.0, 2.0, 4))
+        lattice = m.on_grid(TimeGrid(0.0, 2.0, 4))
+        assert lattice.k0 is None
+        k = lattice.effective_hamiltonian()
         for j, t in enumerate(0.25 * np.arange(9)):
-            s = snaps[j]
-            assert s.k0 is None
+            s = m.snapshot(t)
+            assert k[j].tobytes() == s.effective_hamiltonian().tobytes()
             c = 1.0 + 0.3 * np.sin(2.0 * t)
             assert_matches_reference(s, c * m_op, [(l, rate(t))], random_operator(rng, dim))
 

@@ -16,9 +16,9 @@ def test_random_density_is_valid(rng):
 def test_random_model_validates(rng):
     for dim in (2, 4, 7):
         m = verify.random_model(rng, dim, time_dependent=True)
-        snaps = m.on_grid(TimeGrid(0.0, 5.0, 5))  # t = 0, 0.5, ..., 5
-        assert len(snaps) == 11
-        assert all(ch.alpha >= 0.0 for s in snaps for ch in s.channels)
+        lattice = m.on_grid(TimeGrid(0.0, 5.0, 5))  # t = 0, 0.5, ..., 5
+        assert all(ch.alpha.shape == (11, 1, 1) and np.all(ch.alpha >= 0.0)
+                   for ch in lattice.channels)
 
 
 def test_run_all_passes_and_is_reproducible():
