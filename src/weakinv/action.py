@@ -65,13 +65,8 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import (
-    TimeGrid,
-    Trajectory,
-    check_state_inputs,
-    integrate_invariant,
-    integrate_state,
-)
+from .dynamics import TimeGrid, Trajectory, integrate_invariant, state_flow
+from .errors import ImaginaryPartError
 from .model import LindbladModel, Schedule
 from .superop import Generator
 
@@ -266,13 +261,13 @@ def _reduce(grads, n: int, rho: np.ndarray | None = None, edge: int | None = Non
 def _action(pairing: complex, lam0: np.ndarray, rho0: np.ndarray) -> float:
     """S_disc from the pairing sum_k tr(g_k rho_k) of the cell parts g of
     the rho-gradients, with the boundary term -tr(Lam_0 rho_0) added last,
-    so that the sum runs at the scale of the cell terms; raises if the
-    imaginary residue is not roundoff."""
+    so that the sum runs at the scale of the cell terms. An imaginary
+    residue beyond roundoff is a failed check, an ``ImaginaryPartError``."""
     s = pairing - np.einsum("jk,kj->", lam0, rho0)
     if abs(s.imag) > ACTION_IMAG_RTOL * (1.0 + abs(s.real)):
-        raise ValueError(
-            f"action has imaginary part {s.imag:.3e}; non-Hermitian path or model defect"
-        )
+        raise ImaginaryPartError(
+            f"action has imaginary part {s.imag:.3e}; non-Hermitian path or model defect",
+            step=None)
     return float(s.real)
 
 
@@ -327,10 +322,8 @@ def stationarity_check(
     """Integrate rho forward and, in a forked child at the same time, Lam
     backward, then report how stationary the discrete action is on the pair.
     Inputs are checked in the order of the two flows, rho0 first."""
-    check_state_inputs(model, rho0, grid, method)
-    lam, (state, _) = auxiliary_trajectory(
-        model, lam_final, grid, method,
-        alongside=lambda: integrate_state(model, rho0, grid, method))
+    lam, (state, _) = auxiliary_trajectory(model, lam_final, grid, method,
+                                           alongside=state_flow(model, rho0, grid, method))
     return stationarity_report(_flow_path(state, lam), model)
 
 
@@ -379,8 +372,8 @@ def _gauge_terms(path: DiscretizedPath, model: LindbladModel, lambda_schedule: S
     return shifted_s, float(np.sum(dt * lam_mid * (tr_mid - tr[0])))
 
 
-def gauge_shift_check(path: DiscretizedPath, model: LindbladModel, lambda_schedule: Schedule,
-                      unshifted_action: float | None = None) -> float:
+def gauge_shift_check(path: DiscretizedPath, model: LindbladModel,
+                      lambda_schedule: Schedule) -> float:
     """Lagrange-multiplier identity defect for a scalar rate schedule.
 
     Shifts Lam_k by phi_k * identity with phi_k the suffix midpoint
@@ -388,10 +381,6 @@ def gauge_shift_check(path: DiscretizedPath, model: LindbladModel, lambda_schedu
     final condition is untouched), re-evaluates the action, and compares the
     change against the same quadrature of lambda(t) (tr rho(t) - tr rho(t_0)).
     Returns the absolute difference, which is roundoff-level by construction.
-    ``unshifted_action`` is the action of ``path`` if already known (the
-    ``action_value`` of its ``stationarity_report``); it is evaluated otherwise.
     """
     shifted_s, rhs = _gauge_terms(path, model, lambda_schedule)
-    if unshifted_action is None:
-        unshifted_action = evaluate_action(path, model)
-    return abs((shifted_s - unshifted_action) - rhs)
+    return abs((shifted_s - evaluate_action(path, model)) - rhs)

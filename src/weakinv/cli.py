@@ -7,8 +7,9 @@ Commands:
   action-check  stationarity + gauge-shift diagnostics, write action_report.json
   verify        randomized property suites, write verify_report.json
 
-`invariant` and `action-check` check every input first (rho0, the model
-lattice, then the invariant seed or lambda_final), then step the invariant
+Every run command checks each input once (rho0, the model lattice, then the
+invariant seed or lambda_final) before it creates its output directory, as
+the state flow starts. `invariant` and `action-check` step the invariant
 flow in a forked child process while this process steps the state flow and
 its monitors; outputs are byte-identical to running the flows in turn, and
 a state-flow error is reported before an invariant-flow error. Then
@@ -17,14 +18,16 @@ process makes the stationarity report, whose error comes first. `simulate`
 hands each finished block of state.csv rows but the last to a forked child
 that formats it while the state flow keeps stepping; state.csv is written
 whole, byte-identical to formatting it in one process, or not at all.
-`verify` runs in one process. Every command creates its output directory
-once its config is checked, before the first step.
+`verify` runs in one process.
 
-Exit codes: 0 success, 1 usage/config error (a wrong type, a non-finite
-number or an unknown key in the config included, or an output file that
-cannot be written), 2 verification or monitor failure; every run command
-gates on the state monitors. Runs are deterministic: the same config and
-seed produce bit-identical output files.
+Exit codes: 0 success; 1 an input error (usage, config, a model that fails
+its checks, a rho0, seed or lambda_final refused, an output path that cannot
+be made or written); 2 a failed check (a state monitor, which every run
+command gates on, the command's own check, a non-finite or capped iterate,
+a child ended without a result, an imaginary part beyond roundoff); 3 an
+internal error: any other exception, as one `internal error: <Type>:
+<message>` line. Runs are deterministic: the same config and seed produce
+bit-identical output files.
 """
 
 from __future__ import annotations
@@ -44,9 +47,8 @@ from .dynamics import (
     CsvStream,
     TimeGrid,
     _Child,
-    check_state_inputs,
     integrate_invariant,
-    integrate_state,
+    state_flow,
     write_trajectory_csv,
 )
 from .errors import (
@@ -170,8 +172,6 @@ class RunSetup:
             grid = self.spec.default_grid.to_dict()
         n_steps = args.steps if args.steps is not None else grid.get("n_steps")
         n_steps = config.integer(n_steps, "grid.n_steps", minimum=1)
-        if not grid["t_end"] > grid["t_start"]:
-            raise ConfigError("grid.t_end", "must exceed grid.t_start")
         self.grid = TimeGrid(grid["t_start"], grid["t_end"], n_steps)
         self.method = args.method or cfg["method"]
 
@@ -202,24 +202,25 @@ class RunSetup:
             return linalg.identity(self.model.dim)
         if seed == "hamiltonian":
             return self.model.snapshot(self.grid.t_start).h
-        if self.model.dim != 2:
-            raise ConfigError("invariant_seed", '"sz" needs a dim-2 model')
-        return np.diag([1.0, -1.0]).astype(complex)
+        return np.diag([1.0, -1.0]).astype(complex)  # "sz": the flow checks its dimension
 
     def lambda_final(self) -> np.ndarray:
         if "lambda_final" not in self.cfg:
             raise ConfigError("lambda_final", "is required for action-check")
         return self.cfg["lambda_final"]
 
-    def make_out_dir(self) -> None:
-        """Create the output directory: once the config is checked, before
-        the first step. One that cannot be made is a config error."""
-        _make_dir(self.out_dir, self.out_field)
+    def state_flow(self):
+        """The state flow, its inputs checked here, leakage tracked if
+        truncated. Run, it first creates the output directory (one that
+        cannot be made is a config error): after every input is checked, the
+        invariant seed or lambda_final of the flow it runs beside too."""
+        flow = state_flow(self.model, self.rho0, self.grid, self.method,
+                          leakage_index=self.leakage_index)
 
-    def integrate_state(self, done=None):
-        """The state trajectory and its monitors, leakage tracked if truncated."""
-        return integrate_state(self.model, self.rho0, self.grid, self.method,
-                               leakage_index=self.leakage_index, done=done)
+        def run(done=None):
+            _make_dir(self.out_dir, self.out_field)
+            return flow(done)
+        return run
 
     def write_json(self, name: str, payload: dict) -> None:
         _write_json(self.out_dir / name, payload)
@@ -249,9 +250,9 @@ def _finish(setup: RunSetup, name: str, payload: dict, monitors, failure: str = 
 
 def cmd_simulate(args) -> int:
     setup = RunSetup(args)
-    setup.make_out_dir()
+    flow = setup.state_flow()
     with CsvStream(setup.grid, setup.out_dir) as stream:
-        traj, monitors = setup.integrate_state(stream.done)
+        traj, monitors = flow(stream.done)
         with _output(setup.out_dir / "state.csv") as path:
             write_trajectory_csv(traj, path, stream=stream)
     payload = monitors.to_dict()
@@ -262,12 +263,10 @@ def cmd_simulate(args) -> int:
 def cmd_invariant(args) -> int:
     setup = RunSetup(args)
     drift_bound = setup.cfg["drift_bound"]
-    # ρ0 and the lattice fail before the seed, as when the flows ran in turn
-    check_state_inputs(setup.model, setup.rho0, setup.grid, setup.method)
+    flow = setup.state_flow()  # ρ0 and the lattice fail before the seed
     seed = setup.invariant_seed()
-    setup.make_out_dir()
     inv, (state, monitors) = integrate_invariant(setup.model, seed, "start", setup.grid,
-                                                 setup.method, alongside=setup.integrate_state)
+                                                 setup.method, alongside=flow)
     report = invariant_mod.analyze(inv, state)
 
     with _output(setup.out_dir / "expectation.csv") as path:
@@ -289,11 +288,9 @@ def cmd_action_check(args) -> int:
     setup = RunSetup(args)
     residual_bound = setup.cfg["residual_bound"]
     lam_final = setup.lambda_final()
-    # ρ0 and the lattice fail before lambda_final's checks, as when the flows ran in turn
-    check_state_inputs(setup.model, setup.rho0, setup.grid, setup.method)
-    setup.make_out_dir()
+    flow = setup.state_flow()  # ρ0 and the lattice fail before lambda_final's checks
     lam, (state, monitors) = auxiliary_trajectory(setup.model, lam_final, setup.grid,
-                                                  setup.method, alongside=setup.integrate_state)
+                                                  setup.method, alongside=flow)
     path = _flow_path(state, lam)
 
     # gauge check on the same solution path, with a seeded random rate table, beside the report
@@ -341,15 +338,8 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:  # --help
-        return int(e.code or 0)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "simulate":
             return cmd_simulate(args)
         if args.command == "invariant":
@@ -357,16 +347,20 @@ def main(argv=None) -> int:
         if args.command == "action-check":
             return cmd_action_check(args)
         return cmd_verify(args)
+    except SystemExit as e:  # --help
+        return int(e.code or 0)
     except BlowupError as e:
         print(f"error: {e} (step {e.step})", file=sys.stderr)
         return 2
     except IntegrationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ConfigError, ModelValidationError, NotHermitianError,
-            ScheduleDomainError, ValueError) as e:
+    except (ConfigError, ModelValidationError, NotHermitianError, ScheduleDomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except Exception as e:  # a fault of the program, not of its input
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

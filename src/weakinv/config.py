@@ -22,8 +22,8 @@ number is a finite JSON number: no bool, no string, no integer beyond float
 range. Every error is a :class:`ConfigError` naming its field. The rest is
 checked where it is used: a builder's own ranges (a negative rate, knots out
 of order) when it builds, and the Hermiticity, dimension, trace and
-positivity of rho0, the invariant seed and ``lambda_final`` in the flows, so
-that rho0 fails first and every input before any step.
+positivity of rho0, the invariant seed and ``lambda_final`` as each flow is
+made, so that rho0 fails first and every input before any output is made.
 """
 
 from __future__ import annotations

@@ -28,17 +28,19 @@ magnitudes beyond the cap both abort, naming the first such node). A
 flow's nodes are thus bitwise Hermitian, and its ``Trajectory`` says so;
 its stack is read-only, so that no edit in place can make that untrue.
 
-Given the lattice the two flows are independent, so ``integrate_invariant``
-can take an ``alongside`` callable (the CLI and ``action`` pass the state
-flow): the invariant flow then runs in a forked child, on a second core,
-writing its samples into an anonymous shared mapping, while this process
-calls ``alongside``. A ``CsvStream`` given to ``integrate_state`` as its
-per-node ``done`` hook hands each finished block of state rows but the last
-to a forked child that formats it while the flow keeps stepping. Every fork
-(the CLI's gauge check's too) goes through ``_Child``, whose ``join``
-returns what its call returned; where ``os.fork`` is missing, or the
-process may run on fewer than two CPUs, the call is made in-process, with
-bitwise the same results. Plain calls run in-process.
+``state_flow`` checks the state flow's inputs once and returns the flow
+ready to run; ``integrate_state`` runs it at once. Given the lattice the two
+flows are independent, so ``integrate_invariant`` can take an ``alongside``
+callable (the CLI and ``action`` pass the state flow): the invariant flow
+then runs in a forked child, on a second core, writing its samples into an
+anonymous shared mapping, while this process calls ``alongside``. A
+``CsvStream`` given to the state flow as its per-node ``done`` hook hands
+each finished block of state rows but the last to a forked child that
+formats it while the flow keeps stepping. Every fork (the CLI's gauge
+check's too) goes through ``_Child``, whose ``join`` returns what its call
+returned; where ``os.fork`` is missing, or the process may run on fewer
+than two CPUs, the call is made in-process, with bitwise the same results.
+Plain calls run in-process.
 
 CSV text is formatted by one row formatter, in blocks of at most
 ``CSV_BLOCK_VALUES`` values; a column that is bitwise constant over a block
@@ -59,7 +61,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BlowupError, IntegrationError
+from .errors import BlowupError, ConfigError, ImaginaryPartError, IntegrationError
 from .model import LindbladModel
 from .superop import Generator
 
@@ -97,7 +99,7 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "MonitorReport",
-    "check_state_inputs",
+    "state_flow",
     "integrate_state",
     "integrate_invariant",
     "conservation_series",
@@ -112,7 +114,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_k = t_start + k * dt, k = 0..n_steps."""
+    """Uniform grid t_k = t_start + k * dt, k = 0..n_steps; a bad one is a
+    ``ConfigError`` naming the run config's field."""
 
     t_start: float
     t_end: float
@@ -120,9 +123,9 @@ class TimeGrid:
 
     def __post_init__(self):
         if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+            raise ConfigError("grid.n_steps", "must be ≥ 1")
         if not self.t_end > self.t_start:
-            raise ValueError("t_end must exceed t_start")
+            raise ConfigError("grid.t_end", "must exceed grid.t_start")
 
     @property
     def dt(self) -> float:
@@ -341,24 +344,50 @@ class _Child:
         return self.join(), result
 
 
-def check_state_inputs(model: LindbladModel, rho0, grid: TimeGrid, method: str = "rk4"):
-    """Raise what ``integrate_state`` raises before its first step, in the
-    same order: the method, then ``rho0`` (Hermitian, of the model's
-    dimension, unit trace within 1e-10, min eigenvalue >= -1e-10), then the
-    model lattice, which is sampled here and kept. Returns ``rho0`` as a
-    Hermitian operator."""
+def state_flow(model: LindbladModel, rho0, grid: TimeGrid, method: str = "rk4", *,
+               leakage_index: int | None = None):
+    """The state flow, its inputs checked here, once, in this order: the
+    method, ``rho0`` (Hermitian, of the model's dimension, unit trace within
+    1e-10, min eigenvalue >= -1e-10; else a ``NotHermitianError`` or
+    ``ConfigError``), then the model lattice, sampled here and kept.
+
+    ``flow(done=None)`` steps it and returns the trajectory and a monitor
+    report, truncation leakage tracked at ``leakage_index`` (the top
+    retained basis level) if given; ``done(samples, k)``, if given, is
+    called as each node k of the stack is written (``CsvStream.done``, say).
+    A step beyond ``BLOWUP_CAP`` raises ``BlowupError``, a non-finite one
+    ``IntegrationError``."""
     _check_method(method)
     rho0 = linalg.require_hermitian(rho0, rtol=1e-10, what="rho0")
     if rho0.shape != (model.dim, model.dim):
-        raise ValueError(f"rho0 dimension {rho0.shape[0]} != model dim {model.dim}")
+        raise ConfigError("rho0", f"dimension {rho0.shape[0]} != model dim {model.dim}")
     tr0 = linalg.trace(rho0)
     if abs(tr0 - 1.0) > 1e-10:
-        raise ValueError(f"rho0 trace {tr0} is not 1 within 1e-10")
-    min_eig0 = float(linalg.hermitian_eigenvalues(rho0)[0])
+        raise ConfigError("rho0", f"trace {tr0} is not 1 within 1e-10")
+    min_eig0 = float(np.linalg.eigvalsh(rho0)[0])  # rho0 is Hermitian: no second check
     if min_eig0 < -1e-10:
-        raise ValueError(f"rho0 has negative eigenvalue {min_eig0}")
+        raise ConfigError("rho0", f"has negative eigenvalue {min_eig0}")
     model.on_grid(grid)
-    return rho0
+
+    def flow(done=None):
+        samples = np.empty((grid.n_steps + 1,) + rho0.shape, dtype=complex)
+        max_herm = _propagate(model, rho0, grid, False, 0, method, STATE, samples, done)
+        samples.flags.writeable = False  # so that no edit in place can break the mark
+        traj = Trajectory(grid=grid, samples=samples, kind=STATE)
+        object.__setattr__(traj, "_hermitian", True)
+        drift = np.max(np.abs(np.trace(samples, axis1=1, axis2=2).real - tr0.real))
+        min_eig = np.min(np.linalg.eigvalsh(samples)[:, 0])  # the flow made every node Hermitian
+        if leakage_index is not None:
+            leak = np.max(samples[:, leakage_index, leakage_index].real)
+        else:
+            leak = 0.0
+        return traj, MonitorReport(
+            max_trace_drift=float(drift),
+            max_hermiticity_defect=max_herm,
+            min_eigenvalue=float(min_eig),
+            max_leakage=float(leak),
+        )
+    return flow
 
 
 def integrate_state(
@@ -370,35 +399,8 @@ def integrate_state(
     leakage_index: int | None = None,
     done=None,
 ) -> tuple[Trajectory, MonitorReport]:
-    """Propagate a density operator over the grid.
-
-    ``rho0`` must pass ``check_state_inputs``. Returns the trajectory and a
-    monitor report; pass ``leakage_index`` (the top retained basis level) to
-    have truncation leakage tracked. ``done(samples, k)``, if given, is
-    called as each node k of the stack is written (``CsvStream.done``, say).
-    A step beyond ``BLOWUP_CAP`` raises ``BlowupError``, a non-finite one
-    ``IntegrationError``.
-    """
-    rho0 = check_state_inputs(model, rho0, grid, method)
-    tr0 = linalg.trace(rho0)
-    samples = np.empty((grid.n_steps + 1,) + rho0.shape, dtype=complex)
-    max_herm = _propagate(model, rho0, grid, False, 0, method, STATE, samples, done)
-    samples.flags.writeable = False  # so that no edit in place can break the mark
-    traj = Trajectory(grid=grid, samples=samples, kind=STATE)
-    object.__setattr__(traj, "_hermitian", True)
-    drift = np.max(np.abs(np.trace(samples, axis1=1, axis2=2).real - tr0.real))
-    min_eig = np.min(np.linalg.eigvalsh(samples)[:, 0])  # the flow made every node Hermitian
-    if leakage_index is not None:
-        leak = np.max(samples[:, leakage_index, leakage_index].real)
-    else:
-        leak = 0.0
-    report = MonitorReport(
-        max_trace_drift=float(drift),
-        max_hermiticity_defect=max_herm,
-        min_eigenvalue=float(min_eig),
-        max_leakage=float(leak),
-    )
-    return traj, report
+    """Propagate a density operator over the grid: ``state_flow``, run at once."""
+    return state_flow(model, rho0, grid, method, leakage_index=leakage_index)(done)
 
 
 def integrate_invariant(
@@ -433,7 +435,7 @@ def integrate_invariant(
         raise ValueError(f"seed_time must be 'start' or 'end', got {seed_time!r}")
     seed = linalg.require_hermitian(seed, what=what)
     if seed.shape != (model.dim, model.dim):
-        raise ValueError(f"{what} dimension {seed.shape[0]} != model dim {model.dim}")
+        raise ConfigError(what, f"dimension {seed.shape[0]} != model dim {model.dim}")
     first = 0 if seed_time == "start" else grid.n_steps
     shape = (grid.n_steps + 1,) + seed.shape
     if alongside is None:
@@ -455,7 +457,7 @@ def conservation_series(inv: Trajectory, state: Trajectory) -> np.ndarray:
     """<I>(t_k) = Re tr(I(t_k) rho(t_k)) per node.
 
     The imaginary parts must be roundoff-level (both trajectories Hermitian);
-    anything larger raises.
+    anything larger is a failed check, an ``ImaginaryPartError`` naming the node.
     """
     if inv.kind != INVARIANT or state.kind != STATE:
         raise ValueError("expected an invariant trajectory and a state trajectory")
@@ -467,7 +469,8 @@ def conservation_series(inv: Trajectory, state: Trajectory) -> np.ndarray:
     bad = np.flatnonzero(np.abs(values.imag) > 1e-10 * np.maximum(1.0, np.abs(values)))
     if bad.size:
         k = bad[0]
-        raise ValueError(f"expectation at node {k} has imaginary part {values[k].imag:.3e}")
+        raise ImaginaryPartError(f"expectation at node {k} has imaginary part "
+                                 f"{values[k].imag:.3e}", step=int(k))
     return values.real.copy()
 
 
@@ -506,7 +509,7 @@ def _flat(samples):
 
 class CsvStream:
     """A state trajectory's CSV rows, formatted in forked children while the
-    flow steps: ``done`` is ``integrate_state``'s per-node hook, and
+    flow steps: ``done`` is the state flow's per-node hook, and
     ``write_trajectory_csv(..., stream=)`` writes the file. Each finished
     block of rows (``CSV_BLOCK_VALUES`` values) but the last goes to a child
     that writes its text to an unlinked temporary file in ``directory``.

@@ -28,7 +28,9 @@ class ConfigError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """Non-finite values encountered during time stepping."""
+    """A failed numerical check (exit 2): a non-finite node of a flow, a
+    forked child that ended without a result, or an imaginary part beyond
+    roundoff in a value that must be real. ``step`` is the node, if any."""
 
     def __init__(self, message, step):
         super().__init__(message)
@@ -36,6 +38,10 @@ class IntegrationError(RuntimeError):
 
     def __reduce__(self):
         return type(self), (str(self), self.step)
+
+
+class ImaginaryPartError(IntegrationError, ValueError):
+    """An imaginary part beyond roundoff in a value that must be real."""
 
 
 class BlowupError(IntegrationError):

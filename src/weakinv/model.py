@@ -15,11 +15,12 @@ sum_n alpha_n Ln†Ln of K = H + K0 is built once while the channels do not
 depend on time. So a driven model holds no per-time operator for H or K.
 
 The same pass over the distinct sampled operators rejects a non-finite H or
-jump operator, naming the schedule and the time, and decides once per
-sampling whether the generators can run in the Hadamard form of
-``superop`` (``ModelSnapshot.hadamard``): every H diagonal, and every jump
-operator time-independent with at most one nonzero per row and per column,
-kept as a ``Gather``. Rates may depend on time.
+jump operator, as one check of every sampled rate and ``scaled``-H scale
+rejects a non-finite one, naming the schedule and the first such time, and
+decides once per sampling whether the generators can run in the Hadamard
+form of ``superop`` (``ModelSnapshot.hadamard``): every H diagonal, and
+every jump operator time-independent with at most one nonzero per row and
+per column, kept as a ``Gather``. Rates may depend on time.
 
 Schedule kinds are deliberately few: constant, sinusoidal (scalars only),
 tabulated with linear interpolation and no extrapolation, and a scalar
@@ -72,11 +73,11 @@ class _Constant(Schedule):
         if isinstance(value, numbers.Real):
             self.value = float(value)
             if not math.isfinite(self.value):
-                raise ValueError(f"{name}: constant value must be finite")
+                raise ModelValidationError(f"{name}: constant value must be finite")
         else:
             self.value = linalg.as_operator(value)
             if not np.all(np.isfinite(self.value)):
-                raise ValueError(f"{name}: constant operator has non-finite entries")
+                raise ModelValidationError(f"{name}: constant operator has non-finite entries")
         self.name = name
 
     def __call__(self, t):
@@ -97,12 +98,13 @@ class _Sinusoidal(Schedule):
     def __init__(self, offset, amplitude, omega, phase=0.0, name="sinusoidal"):
         params = (float(offset), float(amplitude), float(omega), float(phase))
         if not all(math.isfinite(p) for p in params):
-            raise ValueError(f"{name}: sinusoidal parameters must be finite")
+            raise ModelValidationError(f"{name}: sinusoidal parameters must be finite")
         self.offset, self.amplitude, self.omega, self.phase = params
         self.name = name
 
     def __call__(self, t):
-        return self.offset + self.amplitude * math.sin(self.omega * t + self.phase)
+        x = self.omega * t + self.phase  # not finite: the value is NaN, never an error
+        return self.offset + self.amplitude * (math.sin(x) if math.isfinite(x) else math.nan)
 
     @property
     def is_operator_valued(self):
@@ -115,27 +117,27 @@ class _Tabulated(Schedule):
     def __init__(self, times, values, name="tabulated"):
         self.times = np.asarray(times, dtype=float)
         if self.times.ndim != 1 or self.times.size < 2:
-            raise ValueError(f"{name}: need at least two knots")
+            raise ModelValidationError(f"{name}: need at least two knots")
         if not np.all(np.isfinite(self.times)) or np.any(np.diff(self.times) <= 0):
-            raise ValueError(f"{name}: knot times must be finite and strictly increasing")
+            raise ModelValidationError(f"{name}: knot times must be finite and strictly increasing")
         if len(values) != self.times.size:
-            raise ValueError(f"{name}: {len(values)} values for {self.times.size} knots")
+            raise ModelValidationError(f"{name}: {len(values)} values for {self.times.size} knots")
         first = values[0]
         if isinstance(first, numbers.Real):
             self.table = np.asarray(values, dtype=float)
             if self.table.ndim != 1 or not np.all(np.isfinite(self.table)):
-                raise ValueError(f"{name}: scalar table must be finite numbers")
+                raise ModelValidationError(f"{name}: scalar table must be finite numbers")
             self._ops = None
         else:
             ops = [linalg.as_operator(v) for v in values]
             if any(o.shape != ops[0].shape for o in ops):
-                raise ValueError(f"{name}: tabulated operators differ in dimension")
+                raise ModelValidationError(f"{name}: tabulated operators differ in dimension")
             self._ops = np.stack(ops)
             bad = np.flatnonzero(~np.isfinite(self._ops).all(axis=(1, 2)))
             if bad.size:
                 k = int(bad[0])
-                raise ValueError(f"{name}: operator knot {k} at t={float(self.times[k])} "
-                                 "has non-finite entries")
+                raise ModelValidationError(f"{name}: operator knot {k} at "
+                                           f"t={float(self.times[k])} has non-finite entries")
             self.table = None
         self.name = name
 
@@ -181,11 +183,11 @@ class _ScaledOperator(Schedule):
 
     def __init__(self, scalar: Schedule, operator, name="scaled"):
         if not isinstance(scalar, Schedule) or scalar.is_operator_valued:
-            raise ValueError(f"{name}: scaling schedule must be scalar-valued")
+            raise ModelValidationError(f"{name}: scaling schedule must be scalar-valued")
         self.scalar = scalar
         self.operator = linalg.as_operator(operator)
         if not np.all(np.isfinite(self.operator)):
-            raise ValueError(f"{name}: operator has non-finite entries")
+            raise ModelValidationError(f"{name}: operator has non-finite entries")
         self.name = name
 
     def __call__(self, t):
@@ -338,9 +340,9 @@ class Channel:
         self.op = _as_schedule(op, name="channel op")
         self.alpha = _as_schedule(alpha, name="channel alpha")
         if not self.op.is_operator_valued:
-            raise ValueError("channel op schedule must be operator-valued")
+            raise ModelValidationError("channel op schedule must be operator-valued")
         if self.alpha.is_operator_valued:
-            raise ValueError("channel alpha schedule must be scalar-valued")
+            raise ModelValidationError("channel alpha schedule must be scalar-valued")
 
 
 class LindbladModel:
@@ -354,10 +356,10 @@ class LindbladModel:
     def __init__(self, dim: int, hamiltonian, channels=()):
         self.dim = int(dim)
         if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise ModelValidationError("dim must be >= 1")
         self.hamiltonian = _as_schedule(hamiltonian, name="hamiltonian")
         if not self.hamiltonian.is_operator_valued:
-            raise ValueError("hamiltonian schedule must be operator-valued")
+            raise ModelValidationError("hamiltonian schedule must be operator-valued")
         self.channels = tuple(ch if isinstance(ch, Channel) else Channel(*ch) for ch in channels)
         self._check_constant_dims()
         self._lattice = None  # (grid, sampling) of the last on_grid call
@@ -366,7 +368,7 @@ class LindbladModel:
         for label, sched in self._operator_schedules():
             for op in _schedule_operator_values(sched):
                 if op.shape != (self.dim, self.dim):
-                    raise ValueError(
+                    raise ModelValidationError(
                         f"{label}: operator dimension {op.shape[0]} != model dim {self.dim}"
                     )
 
@@ -405,7 +407,7 @@ class LindbladModel:
         ham = self.hamiltonian
         if isinstance(ham, _ScaledOperator):
             ops = [self._operator("hamiltonian", ham.operator, times[0])]
-            scale = _stack(np.array(self._evaluate("hamiltonian", ham.scalar, times), float))
+            scale = _stack(self._scalars("hamiltonian", ham.scalar, times, "scale"))
         else:
             ops = [self._operator("hamiltonian", h, t) for t, h in
                    zip(times, self._evaluate("hamiltonian", ham, times))]
@@ -432,12 +434,7 @@ class LindbladModel:
         """The channel at ``times``, with its ``gather`` if asked for and
         the operator is time-independent."""
         label = f"channels[{i}]"
-        alphas = np.array(self._evaluate(f"{label}.alpha", ch.alpha, times), float)
-        negative = np.flatnonzero(alphas < 0.0)
-        if negative.size:
-            j = int(negative[0])
-            raise ModelValidationError(
-                f"{label}.alpha: negative-rate {float(alphas[j])} at t={times[j]}")
+        alphas = self._scalars(f"{label}.alpha", ch.alpha, times, "rate", floor=0.0)
         ls = [self._operator(f"{label}.op", l, t)
               for t, l in zip(times, self._evaluate(f"{label}.op", ch.op, times))]
         dags = [linalg.dagger(l) for l in ls]
@@ -452,6 +449,16 @@ class LindbladModel:
             return sched.values(times[:1] if sched.is_constant else times)
         except ScheduleDomainError as e:
             raise ScheduleDomainError(f"{label}: {e}") from None
+
+    def _scalars(self, label, sched, times, what, floor=-math.inf) -> np.ndarray:
+        """The scalar ``sched`` at ``times`` (see ``_evaluate``), each finite and >= ``floor``."""
+        values = np.array(self._evaluate(label, sched, times), float)
+        bad = np.flatnonzero(~(np.isfinite(values) & (values >= floor)))
+        if bad.size:
+            v, t = values[bad[0]], times[bad[0]]
+            problem = f"negative-{what}" if math.isfinite(v) else f"non-finite {what}"
+            raise ModelValidationError(f"{label}: {problem} {v} at t={t}")
+        return values
 
     def _operator(self, label, value, t) -> np.ndarray:
         """``value`` as an operator of the model's dimension with finite entries."""

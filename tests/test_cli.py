@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import weakinv
 from weakinv import action, cli, dynamics, linalg, scenarios, superop
 from weakinv.cli import _write_json, main
+from weakinv.errors import IntegrationError
 from weakinv.model import LindbladModel, Schedule, tabulated
 
 SZ_LITERAL = [[1, 0], [0, 0], [0, 0], [-1, 0]]
@@ -594,6 +595,7 @@ class TestComputeOnce:
         assert rate.calls == 2 * 200 + 1
 
     def test_action_check_integrates_each_flow_once(self, tmp_path, monkeypatch):
+        # the state flow is made (its inputs checked) once and run once
         calls = []
 
         def counted(name, fn):
@@ -602,13 +604,18 @@ class TestComputeOnce:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for module in (cli, action):
-            for name in ("integrate_state", "integrate_invariant"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        state_flow = cli.state_flow
+
+        def counted_state_flow(*args, **kwargs):
+            calls.append("state_flow")
+            return counted("state_flow run", state_flow(*args, **kwargs))
+
+        monkeypatch.setattr(cli, "state_flow", counted_state_flow)
+        monkeypatch.setattr(action, "integrate_invariant",
+                            counted("integrate_invariant", action.integrate_invariant))
         cfg = amp_damp_config(tmp_path, n_steps=200, lambda_final=SZ_LITERAL)
         assert main(["action-check", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert sorted(calls) == ["integrate_invariant", "integrate_state"]
+        assert sorted(calls) == ["integrate_invariant", "state_flow", "state_flow run"]
 
     def test_action_check_builds_the_cell_generators_twice(self, tmp_path, monkeypatch):
         # once for the stationarity report, once for the shifted action; the
@@ -737,13 +744,12 @@ class TestForkedGaugeCheck:
         assert main(["action-check", "--config", cfg, "--out", str(tmp_path)]) == 0
         setup = cli.RunSetup(cli.build_parser().parse_args(["action-check", "--config", cfg]))
         lam, (state, _) = action.auxiliary_trajectory(setup.model, setup.lambda_final(),
-                                                      setup.grid, alongside=setup.integrate_state)
+                                                      setup.grid, alongside=setup.state_flow())
         path = action.DiscretizedPath(grid=setup.grid, rho=state.samples, lam=lam.samples)
         rng = np.random.default_rng(setup.seed)
         rate = tabulated(np.linspace(setup.grid.t_start, setup.grid.t_end, 9),
                          list(rng.uniform(-1.0, 1.0, size=9)), name="lambda")
-        want = action.gauge_shift_check(path, setup.model, rate,
-                                        action.stationarity_report(path, setup.model).action_value)
+        want = action.gauge_shift_check(path, setup.model, rate)
         assert json.loads((tmp_path / "action_report.json").read_text())["gauge_defect"] == want
 
     def test_the_childs_error_is_raised_here(self, tmp_path, monkeypatch, capsys):
@@ -751,8 +757,8 @@ class TestForkedGaugeCheck:
             raise ValueError("gauge pass failed")
 
         self.in_the_child(monkeypatch, fail)
-        assert self.run(tmp_path) == 1
-        assert capsys.readouterr().err == "error: gauge pass failed\n"
+        assert self.run(tmp_path) == 3  # a bare ValueError is a fault of the program
+        assert capsys.readouterr().err == "internal error: ValueError: gauge pass failed\n"
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -772,9 +778,9 @@ class TestForkedGaugeCheck:
         self.in_the_child(monkeypatch, lambda: time.sleep(60) or fail())
         monkeypatch.setattr(cli, "stationarity_report", fail)
         start = time.monotonic()
-        assert self.run(tmp_path) == 1
+        assert self.run(tmp_path) == 3  # a bare ValueError is a fault of the program
         assert time.monotonic() - start < 30
-        assert capsys.readouterr().err == "error: report failed\n"
+        assert capsys.readouterr().err == "internal error: ValueError: report failed\n"
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -998,3 +1004,120 @@ class TestModuleEntryPoint:
         proc = run_module("simulate", "no-such-thing", "--out", str(tmp_path))
         assert proc.returncode == 1
         assert "unknown scenario" in proc.stderr
+
+
+class TestInputsCheckedFirst:
+    """Every run command checks each input once, before it creates its
+    output directory: a bad input exits 1 and leaves no directory behind."""
+
+    @pytest.mark.parametrize("command", ["simulate", "invariant", "action-check"])
+    @pytest.mark.parametrize("rho0, message", [
+        (SMINUS_LITERAL, "rho0 is not Hermitian"),
+        (IDENTITY3_LITERAL, "rho0 dimension 3 != model dim 2"),
+        (identity_literal(2), "rho0 trace (2+0j) is not 1 within 1e-10"),
+        ([[1.5, 0], [0, 0], [0, 0], [-0.5, 0]], "rho0 has negative eigenvalue -0.5"),
+    ], ids=["non-hermitian", "wrong-size", "trace-2", "negative"])
+    def test_bad_rho0(self, tmp_path, capsys, command, rho0, message):
+        cfg = amp_damp_config(tmp_path, rho0=rho0, lambda_final=SZ_LITERAL)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [("invariant", "invariant_seed"),
+                                              ("action-check", "lambda_final")])
+    @pytest.mark.parametrize("value", [SMINUS_LITERAL, IDENTITY3_LITERAL],
+                             ids=["non-hermitian", "wrong-size"])
+    def test_bad_seed(self, tmp_path, command, key, value):
+        cfg = amp_damp_config(tmp_path, **{key: value})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "invariant", "action-check"])
+    def test_rho0_checked_once(self, tmp_path, monkeypatch, command):
+        # require_hermitian, and the one eigvalsh after it, run on rho0 once per command
+        calls, require = [], linalg.require_hermitian
+        monkeypatch.setattr(linalg, "require_hermitian",
+                            lambda a, *args, what="operator", **kw:
+                            calls.append(what) or require(a, *args, what=what, **kw))
+        cfg = amp_damp_config(tmp_path, n_steps=50, invariant_seed="sz",
+                              lambda_final=SZ_LITERAL)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert calls.count("rho0") == 1
+
+    def test_invariant_damped_ho_samples_the_model_once(self, tmp_path, monkeypatch):
+        # the scenario samples its default grid when built, and the run reuses it
+        calls, built, sample, build = [], [], LindbladModel._sample, cli.build_scenario
+        monkeypatch.setattr(LindbladModel, "_sample",
+                            lambda self, times: calls.append(len(times)) or sample(self, times))
+        monkeypatch.setattr(cli, "build_scenario",
+                            lambda *a, **kw: (build(*a, **kw), built.append(len(calls)))[0])
+        cfg = write_config(tmp_path / "cfg.json",
+                           {"scenario": "damped-ho", "scenario_args": {"n_trunc": 6}})
+        assert main(["invariant", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert built == [1] and calls == [10001]
+
+
+class TestImaginaryPartIsAFailedCheck:
+    """An imaginary part beyond roundoff in a value that must be real is a
+    failed numerical check: an ``IntegrationError``, exit 2."""
+
+    def test_conservation_series(self):
+        grid = dynamics.TimeGrid(0.0, 1.0, 4)
+        state = dynamics.Trajectory(grid, [np.diag([1.0, 0.0])] * 5, "state")
+        samples = np.stack([np.diag([1.0, 2.0]).astype(complex)] * 5)
+        samples[2, 0, 0] = 1.0 + 1e-3j
+        with pytest.raises(IntegrationError) as err:
+            dynamics.conservation_series(dynamics.Trajectory(grid, samples, "invariant"), state)
+        assert err.value.step == 2
+
+    def test_action_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(action, "ACTION_IMAG_RTOL", -1.0)  # any residue is beyond roundoff
+        cfg = amp_damp_config(tmp_path, n_steps=50, lambda_final=SZ_LITERAL)
+        assert main(["action-check", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: action has imaginary part") and err.count("\n") == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+class TestInternalError:
+    """Any exception but a typed input error or a failed check is a fault of
+    the program: one ``internal error: <Type>: <message>`` line, exit 3, no
+    traceback, and no child process left behind."""
+
+    @pytest.mark.parametrize("command", ["simulate", "invariant", "action-check"])
+    def test_a_kernel_fault(self, tmp_path, monkeypatch, capsys, command):
+        def fault(*args):
+            raise RuntimeError("kernel fault")
+
+        monkeypatch.setattr(dynamics, "_propagate", fault)
+        cfg = amp_damp_config(tmp_path, invariant_seed="sz", lambda_final=SZ_LITERAL)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: kernel fault\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_nan_in_a_report(self, tmp_path, monkeypatch, capsys):
+        # strict JSON refuses the NaN with a bare ValueError: no input error
+        monkeypatch.setattr(dynamics.MonitorReport, "to_dict",
+                            lambda self: {"max_trace_drift": math.nan})
+        assert main(["simulate", "amp-damp", "--steps", "50", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ValueError: Out of range float values")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "monitors.json").exists()
+
+    def test_no_traceback_from_the_entry_point(self, tmp_path):
+        src = str(Path(weakinv.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys; from weakinv import superop; "
+                "superop.hadamard = lambda *a: 1 / 0; from weakinv.cli import run; run()")
+        proc = subprocess.run([sys.executable, "-c", code, "simulate", "dephase", "--steps", "20",
+                               "--out", str(tmp_path)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == "internal error: ZeroDivisionError: division by zero\n"

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -263,6 +264,20 @@ class TestAffineLattice:
         assert lattice is spec.model.on_grid(spec.default_grid)
         assert held < 256 * 2**10
 
+    def test_damped_oscillator_build_samples_its_default_grid(self):
+        # the build samples the default grid, so the two tests above see the
+        # kept lattice; the build itself holds one scale stack and no
+        # operator stack, and its peak stays far below one H per time
+        tracemalloc.start()
+        try:
+            spec = scenarios.damped_oscillator()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        lattice = spec.model.on_grid(spec.default_grid)
+        assert lattice.scale.shape == (10001, 1, 1) and lattice.operator.shape == (20, 20)
+        assert held < 256 * 2**10 and peak < 8 * 2**20
+
 
 class TestModelConstruction:
     def test_dim_mismatch_in_constant_operator(self):
@@ -385,6 +400,71 @@ class TestNonFiniteOperators:
         monkeypatch.setattr(cli, "build_scenario", bad_scenario)
         assert cli.main(["simulate", "amp-damp", "--steps", "20", "--out", str(tmp_path)]) == 1
         assert "hamiltonian: operator has non-finite entries" in capsys.readouterr().err
+
+
+class TestNonFiniteScalars:
+    """A sampled rate or ``scaled``-H scale that is not finite (an overflow,
+    say) is a model error naming the schedule and the first such time, as a
+    negative rate is; a sinusoid of a non-finite argument is NaN, not an
+    error of ``math.sin``."""
+
+    def test_sinusoid_of_a_non_finite_argument_is_nan(self):
+        s = model.sinusoidal(1.0, 0.5, 1e308)
+        assert s(1.0) == 1.0 + 0.5 * math.sin(1e308)
+        assert math.isnan(s(2.0))  # omega * t overflows
+        assert math.isnan(s(math.inf)) and math.isnan(s(math.nan))
+
+    def test_overflowing_rate(self):
+        # 1e308 + 1e308 sin(t) overflows where sin(t) > 0.798, from t = 0.95 on this grid
+        m = model.LindbladModel(2, SZ, [(SMINUS, model.sinusoidal(1e308, 1e308, 1.0))])
+        with pytest.raises(ModelValidationError,
+                           match=r"^channels\[0\]\.alpha: non-finite rate inf at t=0\.95"):
+            m.on_grid(TimeGrid(0.0, 2.0, 20))
+
+    def test_overflowing_scale(self):
+        h = model.scaled(model.sinusoidal(1.0, 0.5, 1e308), SZ)
+        m = model.LindbladModel(2, h, [(SMINUS, 0.5)])
+        with pytest.raises(ModelValidationError,
+                           match=r"^hamiltonian: non-finite scale nan at t=2\.0$"):
+            m.on_grid(TimeGrid(0.0, 4.0, 2))  # entries at t = 0, 1, 2, 3, 4
+        with pytest.raises(ModelValidationError, match=r"^hamiltonian: non-finite scale nan"):
+            m.snapshot(3.0)
+
+    def test_nan_rate(self):
+        m = model.LindbladModel(2, SZ, [(SMINUS, _NanRate())])
+        with pytest.raises(ModelValidationError,
+                           match=r"^channels\[0\]\.alpha: non-finite rate nan at t=0\.5$"):
+            m.snapshot(0.5)
+
+    @pytest.mark.parametrize("scenario, message", [
+        ({"dim": 2, "hamiltonian": {"kind": "constant", "value": [[0, 0], [0, 0], [0, 0], [1, 0]]},
+          "channels": [{"op": {"kind": "constant", "value": [[0, 0], [1, 0], [0, 0], [0, 0]]},
+                        "alpha": {"kind": "sinusoidal", "offset": 1e308, "amplitude": 1e308,
+                                  "omega": 1.0}}]},
+         "error: channels[0].alpha: non-finite rate inf at t="),
+        ({"dim": 2, "hamiltonian": {"kind": "scaled", "matrix": [[1, 0], [0, 0], [0, 0], [-1, 0]],
+                                    "scalar": {"kind": "sinusoidal", "offset": 1.0,
+                                               "amplitude": 0.5, "omega": 1e308}},
+          "channels": []},
+         "error: hamiltonian: non-finite scale nan at t="),
+    ], ids=["rate", "scale"])
+    def test_cli_exits_1(self, tmp_path, capsys, scenario, message):
+        from weakinv import cli
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": scenario,
+                                   "grid": {"t_start": 0.0, "t_end": 2.0, "n_steps": 20}}))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not out.exists()
+
+
+class _NanRate(model.Schedule):
+    is_operator_valued = False
+
+    def __call__(self, t):
+        return math.nan
 
 
 class TestScheduleValues:
