@@ -51,9 +51,9 @@ block per call, bound by the lattice's ``superop.Generator``.
 
 The paths themselves come from the flows in ``dynamics``, whose nodes are
 bitwise Hermitian, so a path of two flow trajectories (``_flow_path``) is
-not checked again. ``stationarity_check`` integrates Lam backward in a
-forked child while this process integrates rho forward
-(``auxiliary_trajectory`` with ``alongside``), then makes the report here.
+not checked again. Lam is the invariant flow run backward from
+``lambda_final`` (``auxiliary_trajectory``); ``stationarity_check`` runs it
+``beside`` the state flow, in a forked child, then makes the report here.
 ``action-check`` takes the gauge check's passes (``_gauge_terms``) in a
 forked child while it makes the report.
 """
@@ -65,7 +65,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import TimeGrid, Trajectory, integrate_invariant, state_flow
+from .dynamics import TimeGrid, Trajectory, beside, invariant_flow, state_flow
 from .errors import ImaginaryPartError
 from .model import LindbladModel, Schedule
 from .superop import Generator
@@ -300,16 +300,13 @@ def grad_lam(path: DiscretizedPath, model: LindbladModel) -> np.ndarray:
 
 
 def auxiliary_trajectory(
-    model: LindbladModel, lam_final, grid: TimeGrid, method: str = "rk4", *, alongside=None
-):
+    model: LindbladModel, lam_final, grid: TimeGrid, method: str = "rk4"
+) -> Trajectory:
     """Auxiliary-operator path of the stationary action: the equation of
     motion obtained by varying rho is exactly the weak-invariant flow, so
-    this backward propagation shares the invariant integrator, and its
-    errors name ``lambda_final``. With ``alongside`` the path is integrated
-    in a forked child while ``alongside()`` runs here, and the result is
-    ``(trajectory, alongside())``, as for ``integrate_invariant``."""
-    return integrate_invariant(model, lam_final, "end", grid, method,
-                               alongside=alongside, what="lambda_final")
+    this is that flow run backward from ``lam_final``, its errors naming
+    ``lambda_final``."""
+    return invariant_flow(model, lam_final, "end", grid, method, what="lambda_final")()
 
 
 def stationarity_check(
@@ -322,8 +319,9 @@ def stationarity_check(
     """Integrate rho forward and, in a forked child at the same time, Lam
     backward, then report how stationary the discrete action is on the pair.
     Inputs are checked in the order of the two flows, rho0 first."""
-    lam, (state, _) = auxiliary_trajectory(model, lam_final, grid, method,
-                                           alongside=state_flow(model, rho0, grid, method))
+    here = state_flow(model, rho0, grid, method)
+    lam, (state, _) = beside(invariant_flow(model, lam_final, "end", grid, method,
+                                            what="lambda_final"), here, "invariant flow")
     return stationarity_report(_flow_path(state, lam), model)
 
 

@@ -7,18 +7,18 @@ Commands:
   action-check  stationarity + gauge-shift diagnostics, write action_report.json
   verify        randomized property suites, write verify_report.json
 
-Every run command checks each input once (rho0, the model lattice, then the
-invariant seed or lambda_final) before it creates its output directory, as
-the state flow starts. `invariant` and `action-check` step the invariant
-flow in a forked child process while this process steps the state flow and
-its monitors; outputs are byte-identical to running the flows in turn, and
-a state-flow error is reported before an invariant-flow error. Then
-`action-check` takes the gauge check's passes in a forked child while this
-process makes the stationarity report, whose error comes first. `simulate`
-hands each finished block of state.csv rows but the last to a forked child
-that formats it while the state flow keeps stepping; state.csv is written
-whole, byte-identical to formatting it in one process, or not at all.
-`verify` runs in one process.
+Every run command makes its flows first, each checking its inputs once as
+it is made (rho0, the model lattice, then the invariant seed or
+lambda_final), and only then creates its output directory and runs them.
+`invariant` and `action-check` run the invariant flow `beside` the state
+flow: in a forked child process, while this process steps the state flow
+and its monitors; outputs are byte-identical to running the flows in turn,
+and a state-flow error is reported before an invariant-flow error. Then
+`action-check` takes the gauge check's passes `beside` the stationarity
+report, whose error comes first. `simulate` hands each finished block of
+state.csv rows but the last to a forked child that formats it while the
+state flow keeps stepping; state.csv is written whole, byte-identical to
+formatting it in one process, or not at all. `verify` runs in one process.
 
 Exit codes: 0 success; 1 an input error (usage, config, a model that fails
 its checks, a rho0, seed or lambda_final refused, an output path that cannot
@@ -42,12 +42,12 @@ import numpy as np
 
 from . import config, linalg, verify
 from . import invariant as invariant_mod
-from .action import _flow_path, _gauge_terms, auxiliary_trajectory, stationarity_report
+from .action import _flow_path, _gauge_terms, stationarity_report
 from .dynamics import (
     CsvStream,
     TimeGrid,
-    _Child,
-    integrate_invariant,
+    beside,
+    invariant_flow,
     state_flow,
     write_trajectory_csv,
 )
@@ -209,19 +209,6 @@ class RunSetup:
             raise ConfigError("lambda_final", "is required for action-check")
         return self.cfg["lambda_final"]
 
-    def state_flow(self):
-        """The state flow, its inputs checked here, leakage tracked if
-        truncated. Run, it first creates the output directory (one that
-        cannot be made is a config error): after every input is checked, the
-        invariant seed or lambda_final of the flow it runs beside too."""
-        flow = state_flow(self.model, self.rho0, self.grid, self.method,
-                          leakage_index=self.leakage_index)
-
-        def run(done=None):
-            _make_dir(self.out_dir, self.out_field)
-            return flow(done)
-        return run
-
     def write_json(self, name: str, payload: dict) -> None:
         _write_json(self.out_dir / name, payload)
 
@@ -248,9 +235,16 @@ def _finish(setup: RunSetup, name: str, payload: dict, monitors, failure: str = 
     return 2 if violations or failure else 0
 
 
+def _state_flow(setup: RunSetup):
+    """The state flow, its inputs checked here, leakage tracked if truncated."""
+    return state_flow(setup.model, setup.rho0, setup.grid, setup.method,
+                      leakage_index=setup.leakage_index)
+
+
 def cmd_simulate(args) -> int:
     setup = RunSetup(args)
-    flow = setup.state_flow()
+    flow = _state_flow(setup)
+    _make_dir(setup.out_dir, setup.out_field)
     with CsvStream(setup.grid, setup.out_dir) as stream:
         traj, monitors = flow(stream.done)
         with _output(setup.out_dir / "state.csv") as path:
@@ -263,10 +257,11 @@ def cmd_simulate(args) -> int:
 def cmd_invariant(args) -> int:
     setup = RunSetup(args)
     drift_bound = setup.cfg["drift_bound"]
-    flow = setup.state_flow()  # ρ0 and the lattice fail before the seed
-    seed = setup.invariant_seed()
-    inv, (state, monitors) = integrate_invariant(setup.model, seed, "start", setup.grid,
-                                                 setup.method, alongside=flow)
+    flow = _state_flow(setup)  # ρ0 and the lattice fail before the seed
+    inv_flow = invariant_flow(setup.model, setup.invariant_seed(), "start", setup.grid,
+                              setup.method)
+    _make_dir(setup.out_dir, setup.out_field)
+    inv, (state, monitors) = beside(inv_flow, flow, "invariant flow")
     report = invariant_mod.analyze(inv, state)
 
     with _output(setup.out_dir / "expectation.csv") as path:
@@ -288,17 +283,19 @@ def cmd_action_check(args) -> int:
     setup = RunSetup(args)
     residual_bound = setup.cfg["residual_bound"]
     lam_final = setup.lambda_final()
-    flow = setup.state_flow()  # ρ0 and the lattice fail before lambda_final's checks
-    lam, (state, monitors) = auxiliary_trajectory(setup.model, lam_final, setup.grid,
-                                                  setup.method, alongside=flow)
+    flow = _state_flow(setup)  # ρ0 and the lattice fail before lambda_final's checks
+    lam_flow = invariant_flow(setup.model, lam_final, "end", setup.grid, setup.method,
+                              what="lambda_final")
+    _make_dir(setup.out_dir, setup.out_field)
+    lam, (state, monitors) = beside(lam_flow, flow, "invariant flow")
     path = _flow_path(state, lam)
 
     # gauge check on the same solution path, with a seeded random rate table, beside the report
     rng = np.random.default_rng(setup.seed)
     knots = np.linspace(setup.grid.t_start, setup.grid.t_end, 9)
     rate = tabulated(knots, list(rng.uniform(-1.0, 1.0, size=9)), name="lambda")
-    gauge = _Child(lambda: _gauge_terms(path, setup.model, rate), "gauge check")
-    (shifted, rhs), report = gauge.beside(lambda: stationarity_report(path, setup.model))
+    (shifted, rhs), report = beside(lambda: _gauge_terms(path, setup.model, rate),
+                                    lambda: stationarity_report(path, setup.model), "gauge check")
     gauge_defect = abs((shifted - report.action_value) - rhs)  # as gauge_shift_check
 
     payload = report.to_dict()

@@ -3,8 +3,8 @@
 The state obeys drho/dt = -i L(rho); a weak invariant obeys dI/dt = +i L*(I),
 the rearranged form of the defining equation i dI/dt + L*(I) = 0. The same
 equation propagated backward from a final condition yields the auxiliary
-operator of the action principle, which is why ``integrate_invariant``
-supports seeding at either end of the grid.
+operator of the action principle, which is why ``invariant_flow`` supports
+seeding at either end of the grid.
 
 Only deterministic one-step methods are offered (classic RK4 and explicit
 midpoint, both sampling schedules at step midpoints); the action module
@@ -28,19 +28,20 @@ magnitudes beyond the cap both abort, naming the first such node). A
 flow's nodes are thus bitwise Hermitian, and its ``Trajectory`` says so;
 its stack is read-only, so that no edit in place can make that untrue.
 
-``state_flow`` checks the state flow's inputs once and returns the flow
-ready to run; ``integrate_state`` runs it at once. Given the lattice the two
-flows are independent, so ``integrate_invariant`` can take an ``alongside``
-callable (the CLI and ``action`` pass the state flow): the invariant flow
-then runs in a forked child, on a second core, writing its samples into an
-anonymous shared mapping, while this process calls ``alongside``. A
-``CsvStream`` given to the state flow as its per-node ``done`` hook hands
-each finished block of state rows but the last to a forked child that
-formats it while the flow keeps stepping. Every fork (the CLI's gauge
-check's too) goes through ``_Child``, whose ``join`` returns what its call
-returned; where ``os.fork`` is missing, or the process may run on fewer
-than two CPUs, the call is made in-process, with bitwise the same results.
-Plain calls run in-process.
+``state_flow`` and ``invariant_flow`` check a flow's inputs once, sample
+the lattice, and return the flow ready to run; ``integrate_state`` and
+``integrate_invariant`` run one at once. Given the lattice the two flows are
+independent, so ``beside(child, here, what)`` runs one (the invariant flow,
+in the CLI and ``action``) in a forked child, on a second core, while this
+process calls the other. The invariant flow's stack lies on an anonymous
+shared mapping, made with the flow, so the child writes its samples where
+this process reads them, and its trajectory comes back through the pipe as
+a reference to that stack. A ``CsvStream`` given to the state flow as its
+per-node ``done`` hook hands each finished block of state rows but the last
+to a forked child that formats it while the flow keeps stepping. Every fork
+goes through ``_Child``, whose ``join`` returns what its call returned;
+where ``os.fork`` is missing, or the process may run on fewer than two
+CPUs, the call is made in-process, with bitwise the same results.
 
 CSV text is formatted by one row formatter, in blocks of at most
 ``CSV_BLOCK_VALUES`` values; a column that is bitwise constant over a block
@@ -56,6 +57,7 @@ import pickle
 import shutil
 import signal
 import tempfile
+import weakref
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -101,7 +103,9 @@ __all__ = [
     "MonitorReport",
     "state_flow",
     "integrate_state",
+    "invariant_flow",
     "integrate_invariant",
+    "beside",
     "conservation_series",
     "write_trajectory_csv",
     "write_csv",
@@ -126,6 +130,9 @@ class TimeGrid:
             raise ConfigError("grid.n_steps", "must be ≥ 1")
         if not self.t_end > self.t_start:
             raise ConfigError("grid.t_end", "must exceed grid.t_start")
+        if not 0.0 < self.dt < math.inf:  # t_end - t_start may overflow, dt underflow
+            raise ConfigError("grid", f"step (t_end - t_start) / n_steps = {self.dt} "
+                                      "is not finite and positive")
 
     @property
     def dt(self) -> float:
@@ -274,19 +281,35 @@ def _propagate(model, y0, grid, dual, first, method, what, samples, done=None):
     return None if dual else float(max_defect)
 
 
-def _check_method(method):
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+# (pid, id) -> the read-only stack of an ``invariant_flow`` made in process pid
+_SHARED = weakref.WeakValueDictionary()
+
+
+def _shared(key):
+    return _SHARED[key]
+
+
+class _Pickler(pickle.Pickler):
+    """Pickles a stack that the parent process registered in ``_SHARED``
+    before the fork (which leaves it at the same address, on a mapping both
+    processes share) as a reference to it, and everything else as
+    ``pickle`` does."""
+
+    def reducer_override(self, obj):
+        key = os.getppid(), id(obj)
+        if _SHARED.get(key) is obj:
+            return _shared, (key,)
+        return NotImplemented
 
 
 class _Child:
     """``run()`` in a forked child process, which reports back through a pipe
-    its exception or its value (pickled); where ``os.fork`` is missing, or
-    ``os.sched_getaffinity`` gives this process fewer than two CPUs (where
-    a child could only take turns with it), ``join`` calls ``run()`` here
-    instead. ``join`` returns the value or raises the child's exception, or
-    ``IntegrationError`` naming ``what`` and the exit status if the child
-    ended without a report (killed, say)."""
+    its exception or its value (pickled by ``_Pickler``); where ``os.fork``
+    is missing, or ``os.sched_getaffinity`` gives this process fewer than
+    two CPUs (where a child could only take turns with it), ``join`` calls
+    ``run()`` here instead. ``join`` returns the value or raises the
+    child's exception, or ``IntegrationError`` naming ``what`` and the exit
+    status if the child ended without a whole report (killed, say)."""
 
     def __init__(self, run, what):
         self.run, self.what, self.pid = run, what, None
@@ -304,7 +327,7 @@ class _Child:
                 except Exception as e:
                     report = e, None
                 with os.fdopen(w, "wb") as pipe:
-                    pipe.write(pickle.dumps(report))
+                    _Pickler(pipe).dump(report)
                 status = 0
             finally:
                 os._exit(status)
@@ -325,7 +348,7 @@ class _Child:
             status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         if kill:
             return
-        if not report:
+        if status:  # killed, say, or the report could not be pickled whole
             raise IntegrationError(f"{self.what} ended without a result (exit status {status})",
                                    step=None)
         error, value = pickle.loads(report)
@@ -333,23 +356,45 @@ class _Child:
             raise error
         return value
 
-    def beside(self, alongside):
-        """``(join(), alongside())``, calling ``alongside`` here meanwhile; its
-        error comes first, and the child is then killed and reaped."""
-        try:
-            result = alongside()
-        except BaseException:
-            self.join(kill=True)
-            raise
-        return self.join(), result
+
+def beside(child, here, what):
+    """``(child(), here())``, bitwise the same as the two calls made in turn:
+    ``child`` runs in a ``_Child`` (``what`` names it in its errors) while
+    this process calls ``here``. An error of ``here`` comes first, and the
+    child is then killed and reaped. A fork copies only the calling thread,
+    so call this only from a process that runs no other Python threads."""
+    forked = _Child(child, what)
+    try:
+        result = here()
+    except BaseException:
+        forked.join(kill=True)
+        raise
+    return forked.join(), result
+
+
+def _flow_input(model: LindbladModel, a, method: str, what: str, rtol=linalg.HERMITICITY_RTOL):
+    """The Hermitian part of a flow's initial operator ``a``, once the
+    method is known and ``a`` is Hermitian within ``rtol`` (else a
+    ``NotHermitianError``), of the model's dimension, and its Hermitian part
+    finite (else a ``ConfigError``), each error naming ``what``."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite part is refused below
+        a = linalg.require_hermitian(a, rtol=rtol, what=what)
+    if a.shape != (model.dim, model.dim):
+        raise ConfigError(what, f"dimension {a.shape[0]} != model dim {model.dim}")
+    if not np.isfinite(a).all():
+        raise ConfigError(what, "has a Hermitian part that is not finite")
+    return a
 
 
 def state_flow(model: LindbladModel, rho0, grid: TimeGrid, method: str = "rk4", *,
                leakage_index: int | None = None):
     """The state flow, its inputs checked here, once, in this order: the
-    method, ``rho0`` (Hermitian, of the model's dimension, unit trace within
-    1e-10, min eigenvalue >= -1e-10; else a ``NotHermitianError`` or
-    ``ConfigError``), then the model lattice, sampled here and kept.
+    method, ``rho0`` (Hermitian, of the model's dimension, with a finite
+    Hermitian part of unit trace within 1e-10 and min eigenvalue >= -1e-10;
+    else a ``NotHermitianError`` or ``ConfigError``), then the model
+    lattice, sampled here and kept.
 
     ``flow(done=None)`` steps it and returns the trajectory and a monitor
     report, truncation leakage tracked at ``leakage_index`` (the top
@@ -357,15 +402,12 @@ def state_flow(model: LindbladModel, rho0, grid: TimeGrid, method: str = "rk4", 
     called as each node k of the stack is written (``CsvStream.done``, say).
     A step beyond ``BLOWUP_CAP`` raises ``BlowupError``, a non-finite one
     ``IntegrationError``."""
-    _check_method(method)
-    rho0 = linalg.require_hermitian(rho0, rtol=1e-10, what="rho0")
-    if rho0.shape != (model.dim, model.dim):
-        raise ConfigError("rho0", f"dimension {rho0.shape[0]} != model dim {model.dim}")
+    rho0 = _flow_input(model, rho0, method, "rho0", rtol=1e-10)
     tr0 = linalg.trace(rho0)
     if abs(tr0 - 1.0) > 1e-10:
         raise ConfigError("rho0", f"trace {tr0} is not 1 within 1e-10")
     min_eig0 = float(np.linalg.eigvalsh(rho0)[0])  # rho0 is Hermitian: no second check
-    if min_eig0 < -1e-10:
+    if not min_eig0 >= -1e-10:
         raise ConfigError("rho0", f"has negative eigenvalue {min_eig0}")
     model.on_grid(grid)
 
@@ -403,54 +445,50 @@ def integrate_state(
     return state_flow(model, rho0, grid, method, leakage_index=leakage_index)(done)
 
 
+def invariant_flow(model: LindbladModel, seed, seed_time: str, grid: TimeGrid,
+                   method: str = "rk4", *, what: str = "invariant seed"):
+    """The flow dI/dt = +i L*(I) across the grid, its inputs checked here,
+    once, in this order: ``seed_time`` ("start": forward from t_start;
+    "end": backward from t_end, the direction the action principle fixes
+    for the auxiliary operator), the method, ``seed`` (Hermitian, not
+    symmetrized, of the model's dimension, with a finite Hermitian part;
+    its errors name ``what``), then the model lattice, sampled here and
+    kept, so that a flow run by ``beside`` shares it.
+
+    ``flow()`` steps it once and returns the trajectory. Its stack is made
+    here, on an anonymous shared mapping, and registered in ``_SHARED``, so
+    that a flow run in a forked child (``beside``) writes it where this
+    process reads it, and ``_Child`` sends it back by reference. A step
+    beyond ``BLOWUP_CAP`` raises ``BlowupError``, a non-finite one
+    ``IntegrationError``."""
+    if seed_time not in ("start", "end"):
+        raise ValueError(f"seed_time must be 'start' or 'end', got {seed_time!r}")
+    seed = _flow_input(model, seed, method, what)
+    model.on_grid(grid)
+    first = 0 if seed_time == "start" else grid.n_steps
+    shape = (grid.n_steps + 1,) + seed.shape
+    out = np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)), dtype=complex).reshape(shape)
+    samples = out.view()
+    samples.flags.writeable = False  # so that no edit in place can break the mark
+    _SHARED[os.getpid(), id(samples)] = samples
+
+    def flow():
+        _propagate(model, seed, grid, True, first, method, INVARIANT, out)
+        traj = Trajectory(grid=grid, samples=samples, kind=INVARIANT)
+        object.__setattr__(traj, "_hermitian", True)
+        return traj
+    return flow
+
+
 def integrate_invariant(
     model: LindbladModel,
     seed,
     seed_time: str,
     grid: TimeGrid,
     method: str = "rk4",
-    *,
-    alongside=None,
-    what: str = "invariant seed",
-):
-    """Propagate dI/dt = +i L*(I) across the grid.
-
-    ``seed_time`` is "start" (forward from t_start) or "end" (backward from
-    t_end, the direction the action principle fixes for the auxiliary
-    operator). Non-Hermitian seeds are rejected rather than symmetrized;
-    ``what`` names the seed in those errors. A step beyond ``BLOWUP_CAP``
-    raises ``BlowupError``, a non-finite one ``IntegrationError``.
-
-    ``alongside``, a callable without arguments (typically the state flow),
-    overlaps this flow with other work: once the seed is checked and the
-    model lattice sampled, the flow runs in a forked child (``_Child``)
-    while this process calls ``alongside()``, and the result is
-    ``(trajectory, alongside())``, bitwise the same as the two calls in turn.
-    An error of ``alongside`` takes precedence over one of the flow. A fork
-    copies only the calling thread, so pass ``alongside`` only from a
-    process that runs no other Python threads.
-    """
-    _check_method(method)
-    if seed_time not in ("start", "end"):
-        raise ValueError(f"seed_time must be 'start' or 'end', got {seed_time!r}")
-    seed = linalg.require_hermitian(seed, what=what)
-    if seed.shape != (model.dim, model.dim):
-        raise ConfigError(what, f"dimension {seed.shape[0]} != model dim {model.dim}")
-    first = 0 if seed_time == "start" else grid.n_steps
-    shape = (grid.n_steps + 1,) + seed.shape
-    if alongside is None:
-        out = np.empty(shape, dtype=complex)
-        _propagate(model, seed, grid, True, first, method, INVARIANT, out)
-    else:
-        model.on_grid(grid)  # sampled before the fork, so that both processes share it
-        # an anonymous shared mapping, so that the child's samples arrive without a copy
-        out = np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)), dtype=complex).reshape(shape)
-        _, result = _Child(lambda: _propagate(model, seed, grid, True, first, method, INVARIANT,
-                                              out), "invariant flow").beside(alongside)
-    out.flags.writeable = False  # so that no edit in place can break the mark
-    traj = Trajectory(grid=grid, samples=out, kind=INVARIANT)
-    object.__setattr__(traj, "_hermitian", True)
-    return traj if alongside is None else (traj, result)
+) -> Trajectory:
+    """Propagate dI/dt = +i L*(I) across the grid: ``invariant_flow``, run at once."""
+    return invariant_flow(model, seed, seed_time, grid, method)()
 
 
 def conservation_series(inv: Trajectory, state: Trajectory) -> np.ndarray:

@@ -30,13 +30,11 @@ __all__ = [
     "maxabs",
     "dagger",
     "trace",
-    "expectation",
     "hermitize",
     "hermiticity_defect",
     "check_hermitian",
     "require_hermitian",
     "hermitian_eigenvalues",
-    "hermitian_basis",
 ]
 
 
@@ -67,15 +65,6 @@ def dagger(a) -> np.ndarray:
 
 def trace(a) -> complex:
     return complex(np.trace(as_operator(a)))
-
-
-def expectation(a, rho) -> complex:
-    """``tr(a rho)``; real up to roundoff when both arguments are Hermitian."""
-    a = as_operator(a)
-    rho = as_operator(rho)
-    if a.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {rho.shape}")
-    return complex(np.einsum("jk,kj->", a, rho))
 
 
 def hermitize(a) -> np.ndarray:
@@ -141,27 +130,3 @@ def hermitian_eigenvalues(a, *, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
     a = as_operator(a, stack=True)
     check_hermitian(a, rtol=rtol, what="eigensolver input")
     return np.linalg.eigvalsh(a)
-
-
-def hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Basis of the dim² real vector space of Hermitian dim×dim matrices.
-
-    Diagonal units, symmetric pairs, and antisymmetric (i-weighted) pairs;
-    unnormalized.
-    """
-    basis = []
-    for j in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[j, j] = 1.0
-        basis.append(e)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[j, k] = 1.0
-            e[k, j] = 1.0
-            basis.append(e)
-            e = np.zeros((dim, dim), dtype=complex)
-            e[j, k] = 1.0j
-            e[k, j] = -1.0j
-            basis.append(e)
-    return basis

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from weakinv import linalg
 from weakinv.model import LindbladModel, scaled, sinusoidal
 from weakinv.superop import apply_adjoint, apply_liouvillian
 
@@ -20,6 +21,39 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 SMINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 PLUS_STATE = 0.5 * np.ones((2, 2), dtype=complex)  # |+><+|
+
+
+def expectation(a, rho) -> complex:
+    """``tr(a rho)``; real up to roundoff when both arguments are Hermitian."""
+    a = linalg.as_operator(a)
+    rho = linalg.as_operator(rho)
+    if a.shape != rho.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {rho.shape}")
+    return complex(np.einsum("jk,kj->", a, rho))
+
+
+def hermitian_basis(dim: int) -> list[np.ndarray]:
+    """Basis of the dim² real vector space of Hermitian dim×dim matrices.
+
+    Diagonal units, symmetric pairs, and antisymmetric (i-weighted) pairs;
+    unnormalized.
+    """
+    basis = []
+    for j in range(dim):
+        e = np.zeros((dim, dim), dtype=complex)
+        e[j, j] = 1.0
+        basis.append(e)
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            e = np.zeros((dim, dim), dtype=complex)
+            e[j, k] = 1.0
+            e[k, j] = 1.0
+            basis.append(e)
+            e = np.zeros((dim, dim), dtype=complex)
+            e[j, k] = 1.0j
+            e[k, j] = -1.0j
+            basis.append(e)
+    return basis
 
 
 def random_hermitian(rng, dim, amp=1.0):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import SMINUS, SZ, random_hermitian
+from helpers import SMINUS, SZ, expectation, hermitian_basis, random_hermitian
 from weakinv import action, invariant, linalg, scenarios, verify
 from weakinv.dynamics import (
     TimeGrid,
@@ -137,7 +137,7 @@ def test_criterion_7_finite_difference_gradients():
     rng = np.random.default_rng(1234)
     grid = TimeGrid(0.0, 1.0, 50)
     eps = 1e-6
-    basis = linalg.hermitian_basis(2)
+    basis = hermitian_basis(2)
     worst = 0.0
     for _ in range(10):
         path = action.DiscretizedPath(
@@ -231,7 +231,7 @@ def test_criterion_10_damped_oscillator():
     grid = TimeGrid(0.0, 3.0, 3000)
     state, monitors = integrate_state(spec.model, rho0, grid, leakage_index=19)
     a = scenarios.lowering_operator(20)
-    n_final = linalg.expectation(linalg.dagger(a) @ a, state.samples[-1]).real
+    n_final = expectation(linalg.dagger(a) @ a, state.samples[-1]).real
     number_ok = abs(n_final - math.exp(-0.6)) <= 1e-6
     leakage_ok = monitors.max_leakage <= 1e-8
 

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import helpers
-from helpers import PLUS_STATE, SMINUS, SX, SZ, random_hermitian
+from helpers import PLUS_STATE, SMINUS, SX, SZ, hermitian_basis, random_hermitian
 from weakinv import action, linalg, superop
 from weakinv.dynamics import TimeGrid, conservation_series, integrate_invariant, integrate_state
 from weakinv.model import LindbladModel, constant, scaled, sinusoidal, tabulated
@@ -42,7 +42,7 @@ def fd_check(path, m, grads, which, nodes, eps=1e-6):
     meaningful relative scale at eps = 1e-6 in double precision)."""
     worst_abs, scale = 0.0, 0.0
     for k in nodes:
-        for e in linalg.hermitian_basis(path.dim):
+        for e in hermitian_basis(path.dim):
             base = list(path.rho if which == "rho" else path.lam)
             plus, minus = list(base), list(base)
             plus[k] = base[k] + eps * e

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -595,7 +596,10 @@ class TestComputeOnce:
         assert rate.calls == 2 * 200 + 1
 
     def test_action_check_integrates_each_flow_once(self, tmp_path, monkeypatch):
-        # the state flow is made (its inputs checked) once and run once
+        # each flow is made (its inputs checked) once and run once; the Lam flow
+        # runs in a forked child, which an appending counter cannot see, but on
+        # one CPU it runs in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         calls = []
 
         def counted(name, fn):
@@ -604,18 +608,17 @@ class TestComputeOnce:
                 return fn(*args, **kwargs)
             return wrapper
 
-        state_flow = cli.state_flow
+        def counted_flow(name, make):
+            return counted(name, lambda *args, **kwargs:
+                           counted(f"{name} run", make(*args, **kwargs)))
 
-        def counted_state_flow(*args, **kwargs):
-            calls.append("state_flow")
-            return counted("state_flow run", state_flow(*args, **kwargs))
-
-        monkeypatch.setattr(cli, "state_flow", counted_state_flow)
-        monkeypatch.setattr(action, "integrate_invariant",
-                            counted("integrate_invariant", action.integrate_invariant))
+        monkeypatch.setattr(cli, "state_flow", counted_flow("state_flow", cli.state_flow))
+        monkeypatch.setattr(cli, "invariant_flow",
+                            counted_flow("invariant_flow", cli.invariant_flow))
         cfg = amp_damp_config(tmp_path, n_steps=200, lambda_final=SZ_LITERAL)
         assert main(["action-check", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert sorted(calls) == ["integrate_invariant", "state_flow", "state_flow run"]
+        assert sorted(calls) == ["invariant_flow", "invariant_flow run",
+                                 "state_flow", "state_flow run"]
 
     def test_action_check_builds_the_cell_generators_twice(self, tmp_path, monkeypatch):
         # once for the stationarity report, once for the shifted action; the
@@ -743,8 +746,10 @@ class TestForkedGaugeCheck:
         cfg = make_cfg(tmp_path)
         assert main(["action-check", "--config", cfg, "--out", str(tmp_path)]) == 0
         setup = cli.RunSetup(cli.build_parser().parse_args(["action-check", "--config", cfg]))
-        lam, (state, _) = action.auxiliary_trajectory(setup.model, setup.lambda_final(),
-                                                      setup.grid, alongside=setup.state_flow())
+        lam, (state, _) = dynamics.beside(
+            dynamics.invariant_flow(setup.model, setup.lambda_final(), "end", setup.grid,
+                                    what="lambda_final"),
+            dynamics.state_flow(setup.model, setup.rho0, setup.grid), "invariant flow")
         path = action.DiscretizedPath(grid=setup.grid, rho=state.samples, lam=lam.samples)
         rng = np.random.default_rng(setup.seed)
         rate = tabulated(np.linspace(setup.grid.t_start, setup.grid.t_end, 9),
@@ -1058,6 +1063,39 @@ class TestInputsCheckedFirst:
                            {"scenario": "damped-ho", "scenario_args": {"n_trunc": 6}})
         assert main(["invariant", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert built == [1] and calls == [10001]
+
+
+class TestNonFiniteInputs:
+    """A grid whose step is not finite and positive, or a rho0, invariant seed
+    or lambda_final whose Hermitian part is not finite, exits 1 with one
+    line naming it, before any arithmetic on it can warn and before the
+    output directory is made."""
+
+    OVERFLOWS = [[0.5, 0], [1e308, 0], [1e308, 0], [0.5, 0]]  # (a + a†)/2 overflows
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("simulate", "grid", {"t_start": -1e308, "t_end": 1e308, "n_steps": 50},
+         "grid step (t_end - t_start) / n_steps = inf is not finite and positive"),
+        ("simulate", "rho0", OVERFLOWS, "rho0 has a Hermitian part that is not finite"),
+        ("invariant", "rho0", OVERFLOWS, "rho0 has a Hermitian part that is not finite"),
+        ("action-check", "rho0", OVERFLOWS, "rho0 has a Hermitian part that is not finite"),
+        ("invariant", "invariant_seed", OVERFLOWS,
+         "invariant seed has a Hermitian part that is not finite"),
+        ("action-check", "lambda_final", OVERFLOWS,
+         "lambda_final has a Hermitian part that is not finite"),
+    ], ids=["grid", "simulate-rho0", "invariant-rho0", "action-check-rho0", "invariant_seed",
+            "lambda_final"])
+    def test_exits_1_with_one_line(self, tmp_path, capsys, command, key, value, message):
+        cfg = {"scenario": "amp-damp", "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 50},
+               "lambda_final": SZ_LITERAL, key: value}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would end in an internal error
+            code = main([command, "--config", write_config(tmp_path / "cfg.json", cfg),
+                         "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestImaginaryPartIsAFailedCheck:

@@ -1,5 +1,7 @@
 import math
 import os
+import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ import helpers
 from helpers import (PLUS_STATE, SMINUS, SX, SZ, random_constant_model, random_density,
                      random_hermitian)
 from weakinv import dynamics, linalg, scenarios
-from weakinv.dynamics import TimeGrid, Trajectory, conservation_series, integrate_invariant, integrate_state
-from weakinv.errors import BlowupError, IntegrationError, ModelValidationError, NotHermitianError
+from weakinv.dynamics import (TimeGrid, Trajectory, beside, conservation_series,
+                              integrate_invariant, integrate_state, invariant_flow, state_flow)
+from weakinv.errors import (BlowupError, ConfigError, IntegrationError, ModelValidationError,
+                            NotHermitianError)
 from weakinv.model import LindbladModel, scaled, sinusoidal, tabulated
 
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
@@ -37,6 +41,17 @@ class TestTimeGrid:
             TimeGrid(0.0, 1.0, 0)
         with pytest.raises(ValueError, match="t_end"):
             TimeGrid(1.0, 1.0, 5)
+
+    @pytest.mark.parametrize("t_start, t_end, n_steps, dt", [
+        (-1e308, 1e308, 50, "inf"),  # t_end - t_start overflows
+        (0.0, 5e-324, 2, "0.0"),  # dt underflows
+    ], ids=["infinite", "zero"])
+    def test_step_must_be_finite_and_positive(self, t_start, t_end, n_steps, dt):
+        with pytest.raises(ConfigError) as err:
+            TimeGrid(t_start, t_end, n_steps)
+        assert err.value.field == "grid"
+        assert str(err.value) == (f"grid step (t_end - t_start) / n_steps = {dt} "
+                                  "is not finite and positive")
 
 
 class TestIntegrateState:
@@ -216,6 +231,31 @@ class TestIntegrateInvariant:
     def test_bad_seed_time(self):
         with pytest.raises(ValueError, match="seed_time"):
             integrate_invariant(amp_damp(), SZ, "middle", TimeGrid(0.0, 1.0, 10))
+
+
+class TestFlowInputs:
+    """A flow's initial operator is refused, naming it, when its Hermitian
+    part is not finite; no arithmetic on it may warn first."""
+
+    OVERFLOWS = np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex)  # (a + a†)/2 overflows
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda a, grid: state_flow(amp_damp(), a, grid), "rho0"),
+        (lambda a, grid: invariant_flow(amp_damp(), a, "start", grid), "invariant seed"),
+        (lambda a, grid: invariant_flow(amp_damp(), a, "end", grid, what="lambda_final"),
+         "lambda_final"),
+    ], ids=["rho0", "invariant-seed", "lambda-final"])
+    def test_non_finite_hermitian_part(self, make, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError) as err:
+                make(self.OVERFLOWS, TimeGrid(0.0, 1.0, 10))
+        assert str(err.value) == f"{name} has a Hermitian part that is not finite"
+
+    def test_a_nan_eigenvalue_is_not_positive(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(len(a), np.nan))
+        with pytest.raises(ConfigError, match="rho0 has negative eigenvalue nan"):
+            state_flow(amp_damp(), EXCITED, TimeGrid(0.0, 1.0, 10))
 
 
 def direct_twin(m):
@@ -469,9 +509,9 @@ class TestChild:
 
 
 class TestForkedInvariantFlow:
-    """With ``alongside``, the invariant flow runs in a forked child while the
-    parent runs the state flow; the results must be the serial ones, bit for
-    bit, and every child must be reaped."""
+    """``beside`` runs the invariant flow in a forked child while the parent
+    runs the state flow; the results must be the serial ones, bit for bit,
+    and every child must be reaped."""
 
     @pytest.mark.parametrize("seed_time", ["start", "end"])
     @pytest.mark.parametrize("method", ["rk4", "midpoint"])
@@ -489,9 +529,8 @@ class TestForkedInvariantFlow:
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        inv, (state, mon) = integrate_invariant(
-            m, seed, seed_time, grid, method,
-            alongside=lambda: integrate_state(m, rho0, grid, method))
+        inv, (state, mon) = beside(invariant_flow(m, seed, seed_time, grid, method),
+                                   state_flow(m, rho0, grid, method), "invariant flow")
         assert forks == [1]
         assert inv.kind == dynamics.INVARIANT and inv.grid == grid
         assert inv.samples.tobytes() == serial_inv.samples.tobytes()
@@ -500,42 +539,56 @@ class TestForkedInvariantFlow:
 
     def test_without_fork_the_flows_run_in_turn(self, monkeypatch):
         m, grid = driven_amp_damp(), TimeGrid(0.0, 1.0, 100)
-        forked = integrate_invariant(m, SX, "end", grid, alongside=lambda: "done")
+        forked = beside(invariant_flow(m, SX, "end", grid), lambda: "done", "invariant flow")
         monkeypatch.delattr(os, "fork")
         order = []
-        serial = integrate_invariant(m, SX, "end", grid,
-                                     alongside=lambda: order.append("alongside") or "done")
+        serial = beside(invariant_flow(m, SX, "end", grid),
+                        lambda: order.append("here") or "done", "invariant flow")
         assert serial[1] == forked[1] == "done"
         assert serial[0].samples.tobytes() == forked[0].samples.tobytes()
-        assert order == ["alongside"]
+        assert order == ["here"]
 
     def test_the_childs_error_arrives_whole(self):
         with pytest.raises(BlowupError) as serial:
             integrate_invariant(amp_damp(gamma=40.0), SZ, "start", TimeGrid(0.0, 1.0, 100))
         with pytest.raises(BlowupError) as forked:
-            integrate_invariant(amp_damp(gamma=40.0), SZ, "start", TimeGrid(0.0, 1.0, 100),
-                                alongside=lambda: None)
+            beside(invariant_flow(amp_damp(gamma=40.0), SZ, "start", TimeGrid(0.0, 1.0, 100)),
+                   lambda: None, "invariant flow")
         assert str(forked.value) == str(serial.value)
         assert forked.value.step == serial.value.step
         assert forked.value.magnitude == serial.value.magnitude
 
     def test_the_parents_error_comes_first(self):
-        # the child would blow up too; the error of ``alongside`` wins
+        # the child would blow up too; the error of ``here`` wins
         with pytest.raises(ValueError, match="state flow failed"):
-            integrate_invariant(amp_damp(gamma=40.0), SZ, "start", TimeGrid(0.0, 1.0, 100),
-                                alongside=raise_value_error)
+            beside(invariant_flow(amp_damp(gamma=40.0), SZ, "start", TimeGrid(0.0, 1.0, 100)),
+                   raise_value_error, "invariant flow")
+
+    def test_the_stack_is_not_sent_through_the_pipe(self, monkeypatch):
+        # the child's trajectory comes back as a reference to the shared stack:
+        # its report is far smaller than the 116 kB of a d=6, 200-step stack
+        spec = scenarios.damped_oscillator(n_trunc=6)
+        grid = TimeGrid(0.0, 1.0, 200)
+        serial = integrate_invariant(spec.model, spec.default_invariant_seed, "start", grid)
+        reports, loads = [], pickle.loads
+        monkeypatch.setattr(pickle, "loads", lambda data: reports.append(len(data)) or loads(data))
+        inv, _ = beside(invariant_flow(spec.model, spec.default_invariant_seed, "start", grid),
+                        lambda: None, "invariant flow")
+        assert serial.samples.nbytes == 201 * 36 * 16
+        assert len(reports) == 1 and reports[0] < 2048
+        assert inv.samples.tobytes() == serial.samples.tobytes()
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_no_zombie_and_no_leaked_descriptor(self):
         m, grid = amp_damp(), TimeGrid(0.0, 1.0, 100)
         fds = open_fds()
         for _ in range(3):
-            integrate_invariant(m, SZ, "start", grid, alongside=lambda: None)
+            beside(invariant_flow(m, SZ, "start", grid), lambda: None, "invariant flow")
             with pytest.raises(BlowupError):
-                integrate_invariant(amp_damp(gamma=40.0), SZ, "start", grid,
-                                    alongside=lambda: None)
+                beside(invariant_flow(amp_damp(gamma=40.0), SZ, "start", grid), lambda: None,
+                       "invariant flow")
             with pytest.raises(ValueError, match="state flow failed"):
-                integrate_invariant(m, SZ, "start", grid, alongside=raise_value_error)
+                beside(invariant_flow(m, SZ, "start", grid), raise_value_error, "invariant flow")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert open_fds() == fds

