@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -147,6 +148,21 @@ def _write_json(path: Path, payload: dict) -> None:
         path.write_text(text + "\n")
 
 
+def _check_memory(grid: TimeGrid, dim: int, flows: int) -> None:
+    """Refuse, before anything is allocated, a grid whose stacks do not fit
+    in physical memory: the lattice's 2n + 1 sample times (a float64 array
+    and a list of floats, 40 bytes each) and (n + 1)·d²·16 bytes per flow, a
+    lower bound of what the run holds."""
+    need = 40 * (2 * grid.n_steps + 1) + flows * 16 * dim * dim * (grid.n_steps + 1)
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no way to ask: nothing to compare with
+        return
+    if need > have:
+        raise ConfigError("grid.n_steps", f"{grid.n_steps} needs {need / 2**30:.3g} GiB for the "
+                          f"run's stacks, more than the {have / 2**30:.3g} GiB of memory here")
+
+
 class RunSetup:
     """Resolved model, grid, method, defaults, and output directory."""
 
@@ -159,9 +175,7 @@ class RunSetup:
             raise ConfigError("scenario", "is required (positional argument or config)")
         self.spec = None
         if isinstance(scenario, str):
-            table = config.SCENARIO_ARGS.get(scenario)  # None: build_scenario names it unknown
-            kwargs = config.read(cfg["scenario_args"], table, "scenario_args") if table else {}
-            self.spec = build_scenario(scenario, **kwargs)
+            self.spec = build_scenario(scenario, **cfg["scenario_args"])
             scenario = self.spec.model
         self.model = scenario
 
@@ -173,6 +187,7 @@ class RunSetup:
         n_steps = args.steps if args.steps is not None else grid.get("n_steps")
         n_steps = config.integer(n_steps, "grid.n_steps", minimum=1)
         self.grid = TimeGrid(grid["t_start"], grid["t_end"], n_steps)
+        _check_memory(self.grid, self.model.dim, 1 if args.command == "simulate" else 2)
         self.method = args.method or cfg["method"]
 
         if "rho0" in cfg:

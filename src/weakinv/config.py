@@ -67,8 +67,19 @@ def number(value, field: str, *, positive: bool = False) -> float:
     numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (numeric and abs(value) <= sys.float_info.max and (value > 0 or not positive)):
         kind = "finite positive number" if positive else "finite number"
-        raise ConfigError(field, f"must be a {kind}, got {value!r}")
+        raise ConfigError(field, f"must be a {kind}, got {_show(value)}")
     return float(value)
+
+
+def _show(value) -> str:
+    """``repr(value)``, but an integer beyond float range by its size: its
+    digits would fill the line, and beyond ``sys.get_int_max_str_digits()``
+    ``repr`` refuses them."""
+    if not (isinstance(value, int) and abs(value) > sys.float_info.max):
+        return repr(value)
+    a = abs(value)
+    k = int(math.log10(a))  # within one of the digit count less one
+    return f"an integer of {k + (a >= 10**k) + (a >= 10**(k + 1))} digits"
 
 
 def integer(value, field: str, *, minimum: int = 0) -> int:
@@ -180,7 +191,7 @@ GRID = {
 RUN = {
     # a built-in scenario's name, or an inline model built
     "scenario": (lambda v, f: v if isinstance(v, str) else model_from_config(v, f), None),
-    "scenario_args": (_object, {}),  # read by SCENARIO_ARGS once the scenario is known
+    "scenario_args": (_object, {}),  # read by build_scenario, by SCENARIO_ARGS
     "grid": (lambda v, f: read(v, GRID, f), None),
     "method": (one_of("rk4", "midpoint"), "rk4"),
     "rho0": (matrix, None),

@@ -17,15 +17,19 @@ bound a block of steps at a time.
 
 A ``constant`` lattice (no schedule varies in time) of dimension at most
 ``STEP_MATRIX_MAX_DIM`` makes both flows linear and autonomous, so one step
-of either method is one fixed d²×d² matrix: the method's own stages applied
-once, as a stack, to the d² unit operators, then one matrix-vector product
-per step. Driven models, and larger constant ones, evaluate the stages at
-every step. Both flows run through one loop, a block of steps at a time:
-each step is re-symmetrized to (A + A†)/2, which suppresses Hermiticity
-drift without touching the order of accuracy, and each block's raw steps
-are checked once against ``BLOWUP_CAP`` (non-finite values and finite
-magnitudes beyond the cap both abort, naming the first such node). A
-flow's nodes are thus bitwise Hermitian, and its ``Trajectory`` says so;
+of either method is one fixed d²×d² matrix P: the method's own stages
+applied once, as a stack, to the d² unit operators. Its first K powers,
+built once per flow, step a chunk of K nodes with one product: node k + j
+of a chunk that starts at node k is the Hermitian part of y_k P^j, so
+within a chunk the steps are not re-symmetrized one by one. K shrinks with
+d to keep the powers within four blocks of ``linalg.BLOCK_ENTRIES``; from
+d=12 it is 1, one product per step. Driven models, and larger constant
+ones, evaluate the stages at every step, each step re-symmetrized to
+(A + A†)/2, which suppresses Hermiticity drift without touching the order
+of accuracy. Both flows step a block of nodes at a time, and each block's
+raw steps are checked once against ``BLOWUP_CAP`` (non-finite values and
+finite magnitudes beyond the cap both abort, naming the first such node).
+A flow's nodes are thus bitwise Hermitian, and its ``Trajectory`` says so;
 its stack is read-only, so that no edit in place can make that untrue.
 
 ``state_flow`` and ``invariant_flow`` check a flow's inputs once, sample
@@ -77,12 +81,17 @@ METHODS = ("rk4", "midpoint")
 BLOWUP_CAP = 1e12
 
 # Largest dimension at which a constant model steps by its d²×d² step matrix
-# (d⁴·16 bytes). One RK4 step with one channel at one BLAS thread (Xeon,
-# 2 cores, best of 5): at d=16, 110-160 µs direct and 21-28 µs as a
-# matrix-vector product, with the 1 MB matrix built in 21 ms, repaid after
-# ~250 steps; at d=20 the 2.6 MB matrix no longer stays in cache (88-99 µs
-# per product) and its 52-60 ms build repays only grids of more than
-# ~500-1200 steps; from d=24 the product is slower than the direct step.
+# P (d⁴·16 bytes). At one BLAS thread (Xeon, 2 cores, best of 5), one RK4
+# step with one channel at d=16 takes 110-160 µs direct, and the 1 MB matrix
+# is built in 21 ms; at d=20 the 2.6 MB matrix no longer stays in cache and
+# its 52-60 ms build repays only grids of more than ~500-1200 steps; from
+# d=24 a product is slower than the direct step. Per step, the product and
+# symmetrization of one node at a time against those of a chunk of K nodes
+# from P, ..., P^K (best of 3 runs): d=2 4.2 µs, 0.05 µs at K=512; d=4
+# 4.2 µs, 0.23 µs at K=128; d=8 10 µs, 2.2 µs at K=8 but 3.1 µs at K=32;
+# d=12 15 µs, 17 µs at K=8; d=16 23 µs, 49 µs at K=8. So K·d⁴ is held to
+# 4·``linalg.BLOCK_ENTRIES`` (512 KB): K = 512, 128 and 8 at d = 2, 4 and
+# 8, and 1 from d=12 on.
 STEP_MATRIX_MAX_DIM = 16
 
 # CSV text is formatted in blocks of rows of at most this many values (at
@@ -221,45 +230,64 @@ def _propagate(model, y0, grid, dual, first, method, what, samples, done=None):
     Blocks of B = ``linalg.BLOCK_ENTRIES`` // (4 d²) steps keep a block's raw
     steps, its 2B + 1 lattice entries (one ``Generator.span``) and the
     guard's temporaries within one block of entries. Each node is written as
-    (y + y†)/2 of its raw step, the next step's input; after each block one
-    pass over the raw steps raises ``IntegrationError`` (not finite) or
-    ``BlowupError`` (beyond ``BLOWUP_CAP``) naming ``what`` and the first
-    such node. A step is linear in y, so a constant model's step matrix is
-    the step of the d² unit operators.
+    (y + y†)/2 of its raw step; after each block one pass over the raw steps
+    raises ``IntegrationError`` (not finite) or ``BlowupError`` (beyond
+    ``BLOWUP_CAP``) naming ``what`` and the first such node.
+
+    Stepped by stages, a node is the next step's input. A step is linear in
+    y, so a constant model's step matrix P is the step of the d² unit
+    operators; its powers P, ..., P^K, K = min(B, n_steps, 4
+    ``BLOCK_ENTRIES`` // d⁴), lie side by side in one (d², K d²) matrix, so
+    that one product takes the raw steps y_k P, ..., y_k P^m of a chunk of
+    m ≤ K nodes from its first, y_k; the chunk's last node is the next
+    chunk's input. The powers of an unstable model may overflow, so K stops
+    at the last finite one: an infinite power would make NaN (0 · inf) of
+    a node that stepping one by one keeps finite.
     """
     n = grid.n_steps
     d = 1 if first == 0 else -1
     h = d * grid.dt
     gen = Generator(model.on_grid(grid), dual, 1j if dual else -1j)
-    if gen.constant and model.dim <= STEP_MATRIX_MAX_DIM:
-        dim2 = model.dim ** 2
-        units = np.eye(dim2, dtype=complex).reshape(dim2, model.dim, model.dim)
-        p = _step(gen.span(0, 3), 1 - d, units, h, method).reshape(dim2, dim2)
+    dim2 = y0.size
+    block = max(1, linalg.BLOCK_ENTRIES // (4 * dim2))
+    chunk = 0  # steps per product with the step matrix's powers; 0: stepped by stages
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked instead
+        if gen.constant and model.dim <= STEP_MATRIX_MAX_DIM:
+            chunk = max(1, min(block, n, 4 * linalg.BLOCK_ENTRIES // dim2 ** 2))
+            units = np.eye(dim2, dtype=complex).reshape(dim2, model.dim, model.dim)
+            q = np.empty((dim2, chunk, dim2), dtype=complex)  # q[:, j] = P^(j+1)
+            q[:, 0] = _step(gen.span(0, 3), 1 - d, units, h, method).reshape(dim2, dim2)
+            for j in range(1, chunk):
+                np.matmul(q[:, j - 1], q[:, 0], out=q[:, j])
+            # the finite powers only: 0 · inf is NaN where stepping one by one keeps 0
+            chunk = max(1, int(np.isfinite(q).all(axis=(0, 2)).cumprod().sum()))
+            q = q[:, :chunk].reshape(dim2, chunk * dim2)  # y q = [y P, y P², ...]
 
-        def step(f, i, y):
-            return (y.reshape(-1) @ p).reshape(y.shape)
-    else:
-        def step(f, i, y):
-            return _step(f, i, y, h, method)
-
-    samples[first] = y0
-    if done:
-        done(samples, first)
-    y = y0
-    max_defect = 0.0
-    block = max(1, linalg.BLOCK_ENTRIES // (4 * y0.size))
-    raw = np.empty((block,) + y0.shape, dtype=complex)  # a block's raw steps, in stepping order
-    with np.errstate(over="ignore", invalid="ignore"):
+        samples[first] = y0
+        if done:
+            done(samples, first)
+        y = y0
+        max_defect = 0.0
+        raw = np.empty((block,) + y0.shape, dtype=complex)  # a block's raw steps, stepping order
         for k0 in range(first, n - first, d * block):  # the steps from nodes k0..k1-d
             k1 = k0 + d * min(block, abs(n - first - k0))
-            lo = min(k0, k1)
-            f = gen.span(2 * lo, 2 * max(k0, k1) + 1)
-            for i, k in enumerate(range(k0, k1, d)):  # computes node k + d from node k
-                raw[i] = y = step(f, 2 * (k - lo), y)
-                y = np.add(y, y.conj().T, out=samples[k + d])  # (y + y†) / 2, bitwise
-                y /= 2.0  # linalg.hermitize
-            del f  # before the next block binds its span
             steps = raw[:abs(k1 - k0)]
+            if chunk:  # node k + dj is the Hermitian part of y_k P^j, for the chunk's first k
+                nodes = samples[min(k0 + d, k1):max(k0 + d, k1) + 1][::d]  # in stepping order
+                for i in range(0, len(steps), chunk):
+                    r = steps[i:i + chunk]
+                    np.matmul(y.reshape(-1), q[:, :dim2 * len(r)], out=r.reshape(-1))
+                    y = np.add(r, r.conj().swapaxes(1, 2), out=nodes[i:i + chunk])
+                    y /= 2.0  # linalg.hermitize
+                    y = y[-1]
+            else:
+                lo = min(k0, k1)
+                f = gen.span(2 * lo, 2 * max(k0, k1) + 1)
+                for i, k in enumerate(range(k0, k1, d)):  # computes node k + d from node k
+                    raw[i] = y = _step(f, 2 * (k - lo), y, h, method)
+                    y = np.add(y, y.conj().T, out=samples[k + d])  # (y + y†) / 2, bitwise
+                    y /= 2.0  # linalg.hermitize
+                del f  # before the next block binds its span
             # |z| <= 2 max(|Re z|, |Im z|): only a block beyond half the cap needs |z|
             if not np.abs(steps.view(float)).max() <= BLOWUP_CAP / 2:
                 mag = np.abs(steps).max(axis=(1, 2))

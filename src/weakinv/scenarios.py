@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, model
+from . import config, linalg, model
 from .dynamics import TimeGrid
 from .errors import ConfigError
 
@@ -49,7 +49,7 @@ def amplitude_damping_qubit(omega: float = 1.0, gamma: float = 0.5) -> ScenarioS
     The excited population decays as exp(-2 gamma t).
     """
     if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+        raise ConfigError("scenario_args.gamma", "must be ≥ 0")
     h = omega * np.diag([0.0, 1.0]).astype(complex)
     m = model.LindbladModel(2, h, [(SIGMA_MINUS, float(gamma))])
     rho0 = np.diag([0.0, 1.0]).astype(complex)  # excited state
@@ -68,7 +68,7 @@ def dephasing_qubit(omega: float = 1.0, gamma: float = 0.25) -> ScenarioSpec:
     Populations are conserved exactly; coherences decay at rate 4 gamma.
     """
     if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+        raise ConfigError("scenario_args.gamma", "must be ≥ 0")
     h = 0.5 * omega * SIGMA_Z
     m = model.LindbladModel(2, h, [(SIGMA_Z.copy(), float(gamma))])
     rho0 = 0.5 * np.ones((2, 2), dtype=complex)  # |+><+|
@@ -114,7 +114,7 @@ def damped_oscillator(
     """
     n_trunc = int(n_trunc)
     if n_trunc < 4:
-        raise ValueError("n_trunc must be >= 4")
+        raise ConfigError("scenario_args.n_trunc", "must be ≥ 4")
     if omega_schedule is None:
         omega_schedule = model.sinusoidal(1.0, 0.1, 1.0, name="omega")
     elif isinstance(omega_schedule, numbers.Real):
@@ -149,12 +149,13 @@ SCENARIOS = {
 }
 
 
-def build_scenario(name: str, **kwargs) -> ScenarioSpec:
+def build_scenario(name: str, /, **kwargs) -> ScenarioSpec:
+    """The scenario ``name``, its builder's arguments ``kwargs`` read by
+    ``config.SCENARIO_ARGS`` (names and types, as ``scenario_args``); the
+    builder checks its own ranges. Any error of the input is a
+    ``ConfigError``; any other exception is a fault of the program."""
     builder = SCENARIOS.get(name)
     if builder is None:
         raise ConfigError("scenario", f"unknown scenario {name!r}; "
                           f"expected one of {sorted(SCENARIOS)}")
-    try:
-        return builder(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError("scenario_args", str(e)) from None
+    return builder(**config.read(kwargs, config.SCENARIO_ARGS[name], "scenario_args"))

@@ -18,9 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import weakinv
-from weakinv import action, cli, dynamics, linalg, scenarios, superop
+from weakinv import action, cli, config, dynamics, linalg, scenarios, superop
 from weakinv.cli import _write_json, main
-from weakinv.errors import IntegrationError
+from weakinv.errors import ConfigError, IntegrationError
 from weakinv.model import LindbladModel, Schedule, tabulated
 
 SZ_LITERAL = [[1, 0], [0, 0], [0, 0], [-1, 0]]
@@ -359,6 +359,21 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} ")
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_a_huge_integer_is_echoed_by_its_size(self, tmp_path, capsys):
+        cfg = amp_damp_config(tmp_path, rho0=[[HUGE, 0], [0, 0], [0, 0], [0, 0]])
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ("error: rho0[0][0] must be a finite number, "
+                                           "got an integer of 401 digits\n")
+
+    @pytest.mark.parametrize("value, digits", [
+        (HUGE, 401), (-HUGE, 401), (HUGE - 1, 400), (2**1024, 309),
+        (10**5000, 5001), (10**5000 - 1, 5000),  # beyond int-to-text's 4300 digits
+    ], ids=["10^400", "-10^400", "10^400-1", "2^1024", "10^5000", "10^5000-1"])
+    def test_number_names_the_size_of_a_huge_integer(self, value, digits):
+        with pytest.raises(ConfigError) as err:
+            config.integer(value, "seed")
+        assert str(err.value) == f"seed must be a finite number, got an integer of {digits} digits"
 
     def test_integer_of_too_many_digits(self, tmp_path, capsys):
         # the JSON parser refuses an integer of more than 4300 digits where
@@ -1096,6 +1111,64 @@ class TestNonFiniteInputs:
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+class TestMemoryBound:
+    """A grid whose stacks (the lattice's sample times, and (n+1)·d²·16
+    bytes per flow) exceed physical memory is refused before anything is
+    allocated: exit 1, one line naming grid.n_steps, no output directory.
+    The bound is the machine's memory, not a fixed cap."""
+
+    @pytest.mark.parametrize("command", ["simulate", "invariant", "action-check"])
+    def test_a_grid_beyond_memory(self, tmp_path, capsys, command):
+        cfg = amp_damp_config(tmp_path, n_steps=10**12, lambda_final=SZ_LITERAL)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid.n_steps 1000000000000 needs ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, refused", [("simulate", False), ("invariant", True)])
+    def test_the_bound_is_physical_memory(self, tmp_path, monkeypatch, capsys, command,
+                                          refused):
+        # 1000 steps at d=2: 80040 bytes of sample times and 64064 per flow
+        pages = {"SC_PAGE_SIZE": 1 << 12, "SC_PHYS_PAGES": 36}  # 147456 bytes
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+        cfg = amp_damp_config(tmp_path, n_steps=1000, lambda_final=SZ_LITERAL)
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == (1 if refused else 0)
+        assert ("grid.n_steps 1000 needs" in capsys.readouterr().err) == refused
+
+    def test_no_memory_query_no_bound(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "sysconf")
+        assert main(["simulate", "amp-damp", "--steps", "50", "--out", str(tmp_path)]) == 0
+
+
+class TestScenarioBuilderFaults:
+    """A builder's range check is a ``ConfigError`` naming its argument
+    (exit 1); any other exception inside a builder is a fault of the
+    program (exit 3), never read as an input error."""
+
+    @pytest.mark.parametrize("scenario, args, message", [
+        ("amp-damp", {"gamma": -0.5}, "scenario_args.gamma must be ≥ 0"),
+        ("dephase", {"gamma": -0.5}, "scenario_args.gamma must be ≥ 0"),
+        ("damped-ho", {"n_trunc": 3}, "scenario_args.n_trunc must be ≥ 4"),
+    ], ids=["amp-damp-gamma", "dephase-gamma", "damped-ho-n_trunc"])
+    def test_range_check_exits_1(self, tmp_path, capsys, scenario, args, message):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "scenario": scenario, "scenario_args": args,
+            "grid": {"t_start": 0.0, "t_end": 1.0, "n_steps": 20}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("fault", [TypeError, ValueError])
+    def test_a_fault_inside_a_builder_exits_3(self, tmp_path, monkeypatch, capsys, fault):
+        def builder(**kwargs):
+            raise fault("builder fault")
+
+        monkeypatch.setitem(scenarios.SCENARIOS, "amp-damp", builder)
+        assert main(["simulate", "amp-damp", "--steps", "20", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == f"internal error: {fault.__name__}: builder fault\n"
 
 
 class TestImaginaryPartIsAFailedCheck:

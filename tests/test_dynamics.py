@@ -282,15 +282,21 @@ def counting_steps(monkeypatch):
 
 class TestStepMatrix:
     """A constant model of dimension at most STEP_MATRIX_MAX_DIM steps by one
-    precomputed matrix; it must agree with the direct stages and keep every
-    per-step check."""
+    precomputed matrix P, a chunk of K steps per product with P, ..., P^K;
+    it must agree with the direct stages and keep every per-step check."""
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    # K = 512, 227, 128, 52 and 8 at d = 2, 3, 4, 5 and 8 (4·BLOCK_ENTRIES // d⁴ or
+    # a block of 512, 227, 128, 81 and 32 steps, and at most the grid): 300 steps
+    # are fewer than K at d=2 and leave a partial last chunk from d=3 on; 1100
+    # leave one at every d
+    @pytest.mark.parametrize("dim, n_steps", [(1, 300), (2, 300), (3, 300), (5, 300), (4, 300),
+                                              (8, 300), (2, 1100), (4, 1100), (8, 1100)],
+                             ids=["1", "2", "3", "5", "4", "8", "2-1100", "4-1100", "8-1100"])
     @pytest.mark.parametrize("method", ["rk4", "midpoint"])
-    def test_parity_with_direct_path(self, rng, monkeypatch, method, dim):
+    def test_parity_with_direct_path(self, rng, monkeypatch, method, dim, n_steps):
         m = random_constant_model(rng, dim)
         twin = direct_twin(m)
-        grid = TimeGrid(0.0, 1.5, 300)
+        grid = TimeGrid(0.0, 1.5 * n_steps / 300, n_steps)
         rho0 = random_density(rng, dim)
         seed = random_hermitian(rng, dim) + 2.0 * linalg.identity(dim)
         steps = counting_steps(monkeypatch)
@@ -324,7 +330,8 @@ class TestStepMatrix:
     def test_blowup_at_the_same_node(self):
         errors = []
         for m in (amp_damp(gamma=40.0), direct_twin(amp_damp(gamma=40.0))):
-            with pytest.raises(BlowupError) as err:
+            with warnings.catch_warnings(), pytest.raises(BlowupError) as err:
+                warnings.simplefilter("error")
                 integrate_invariant(m, SZ, "start", TimeGrid(0.0, 1.0, 100))
             errors.append(err.value)
         fast, direct = errors
@@ -332,13 +339,51 @@ class TestStepMatrix:
         assert fast.magnitude == pytest.approx(direct.magnitude, rel=1e-12)
 
     def test_non_finite_at_the_same_step(self):
-        # far outside the stability region: both paths overflow at one step
+        # far outside the stability region: both paths overflow at one step, and
+        # so do the step matrix's higher powers, silently
         steps = []
         for m in (amp_damp(gamma=50.0), direct_twin(amp_damp(gamma=50.0))):
-            with pytest.raises(IntegrationError) as err:
+            with warnings.catch_warnings(), pytest.raises(IntegrationError) as err:
+                warnings.simplefilter("error")
                 integrate_state(m, EXCITED, TimeGrid(0.0, 100.0, 50))
             steps.append(err.value.step)
         assert steps[0] == steps[1] > 0
+
+    def test_overflowed_powers_are_left_out(self):
+        # dt = 6 puts dephasing's coherences far outside RK4's stability region, so
+        # P^207 and higher overflow; a diagonal state never reaches the coherences
+        # and stays put, stepped one by one or a chunk at a time
+        m = LindbladModel(2, 0.5 * SZ, [(SZ, 0.25)])
+        rho0 = np.diag([0.3, 0.7]).astype(complex)
+        grid = TimeGrid(0.0, 3000.0, 500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast, _ = integrate_state(m, rho0, grid)
+        direct, _ = integrate_state(direct_twin(m), rho0, grid)
+        assert np.array_equal(fast.samples, direct.samples)
+        assert (fast.samples == rho0).all()
+
+    @pytest.mark.parametrize("dim, n_steps, products", [
+        (2, 300, 1),  # K = 300, the grid
+        (2, 1300, 3),  # K = 512: chunks of 512, 512 and 276 steps
+        (4, 300, 3),  # K = 128: 128, 128 and 44
+        (8, 100, 13),  # K = 8, in blocks of 32 steps: 4 + 4 + 4 + 1 chunks
+        (12, 20, 20),  # K = 1: one product per step
+    ])
+    def test_products_per_flow(self, rng, monkeypatch, dim, n_steps, products):
+        calls = []
+        matmul = np.matmul
+
+        def counted(a, b, **kwargs):
+            if np.ndim(a) == 1:  # a node times the powers, not a power being built
+                calls.append(1)
+            return matmul(a, b, **kwargs)
+
+        flow = state_flow(random_constant_model(rng, dim), random_density(rng, dim),
+                          TimeGrid(0.0, 1.0, n_steps))
+        monkeypatch.setattr(np, "matmul", counted)
+        flow()
+        assert len(calls) == products
 
 
 class TestStepGuard:

@@ -192,3 +192,13 @@ class TestRegistry:
     def test_bad_args(self):
         with pytest.raises(ConfigError):
             scenarios.build_scenario("amp-damp", frequency=2.0)
+
+    @pytest.mark.parametrize("name, kwargs, message", [
+        ("damped-ho", {"n_trunc": 4.0}, "scenario_args.n_trunc must be an integer, got 4.0"),
+        ("amp-damp", {"frequency": 2.0}, "scenario_args.frequency is not a config key"),
+        ("amp-damp", {"name": "dephase"}, "scenario_args.name is not a config key"),
+    ], ids=["n_trunc-float", "unknown-key", "name-key"])
+    def test_args_read_by_their_table(self, name, kwargs, message):
+        with pytest.raises(ConfigError) as err:
+            scenarios.build_scenario(name, **kwargs)
+        assert str(err.value).startswith(message)
