@@ -353,7 +353,7 @@ def _gauge_terms(path: DiscretizedPath, model: LindbladModel, lambda_schedule: S
     grid = path.grid
     n = grid.n_steps
     dt = grid.dt
-    lam_mid = np.array(lambda_schedule.values(grid.midpoints().tolist()), dtype=float)
+    lam_mid = np.array(lambda_schedule.values(grid.midpoints()), dtype=float)
 
     # phi_k = phi_{k+1} + dt * lambda(t̄_k), accumulated from phi_N = 0
     phi = np.zeros(n + 1)

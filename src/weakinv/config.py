@@ -72,20 +72,28 @@ def number(value, field: str, *, positive: bool = False) -> float:
 
 
 def _show(value) -> str:
-    """``repr(value)``, but an integer beyond float range by its size: its
-    digits would fill the line, and beyond ``sys.get_int_max_str_digits()``
-    ``repr`` refuses them."""
+    """``repr(value)`` where it takes at most 60 characters, else the value
+    by its kind and size, as a long repr would fill the error line. An integer
+    beyond float range always goes by its size: beyond
+    ``sys.get_int_max_str_digits()`` digits ``repr`` refuses it (and the
+    JSON reader refuses one in a list or an object)."""
     if not (isinstance(value, int) and abs(value) > sys.float_info.max):
-        return repr(value)
-    a = abs(value)
-    k = int(math.log10(a))  # within one of the digit count less one
-    return f"an integer of {k + (a >= 10**k) + (a >= 10**(k + 1))} digits"
+        text = repr(value)
+        if len(text) <= 60:
+            return text
+    if isinstance(value, int):
+        a = abs(value)
+        k = int(math.log10(a))  # within one of the digit count less one
+        return f"an integer of {k + (a >= 10**k) + (a >= 10**(k + 1))} digits"
+    if isinstance(value, str):
+        return f"a string of {len(value)} characters"
+    return f"{'an object' if isinstance(value, dict) else 'a list'} of {len(value)} entries"
 
 
 def integer(value, field: str, *, minimum: int = 0) -> int:
     """``value`` if it is an integer number no less than ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(field, f"must be an integer, got {value!r}")
+        raise ConfigError(field, f"must be an integer, got {_show(value)}")
     number(value, field)
     if value < minimum:
         raise ConfigError(field, f"must be ≥ {minimum}")
@@ -94,7 +102,7 @@ def integer(value, field: str, *, minimum: int = 0) -> int:
 
 def text(value, field: str) -> str:
     if not isinstance(value, str):
-        raise ConfigError(field, f"must be a string, got {value!r}")
+        raise ConfigError(field, f"must be a string, got {_show(value)}")
     return value
 
 
@@ -102,7 +110,7 @@ def one_of(*names):
     """The reader of a string that is one of ``names``."""
     def name(value, field):
         if not (isinstance(value, str) and value in names):
-            raise ConfigError(field, f"unknown name {value!r}; expected one of {list(names)}")
+            raise ConfigError(field, f"unknown name {_show(value)}; expected one of {list(names)}")
         return value
     return name
 
@@ -111,20 +119,20 @@ def list_of(item):
     """The reader of a list, each entry read by ``item`` as ``field[i]``."""
     def items(value, field):
         if not isinstance(value, list):
-            raise ConfigError(field, f"must be a list, got {value!r}")
+            raise ConfigError(field, f"must be a list, got {_show(value)}")
         return [item(v, f"{field}[{i}]") for i, v in enumerate(value)]
     return items
 
 
 def _object(value, field: str) -> dict:
     if not isinstance(value, dict):
-        raise ConfigError(field, f"must be an object, got {value!r}")
+        raise ConfigError(field, f"must be an object, got {_show(value)}")
     return value
 
 
 def _complex(value, field: str) -> complex:
     if not (isinstance(value, list) and len(value) == 2):
-        raise ConfigError(field, f"must be an [re, im] pair, got {value!r}")
+        raise ConfigError(field, f"must be an [re, im] pair, got {_show(value)}")
     return complex(number(value[0], f"{field}[0]"), number(value[1], f"{field}[1]"))
 
 

@@ -7,6 +7,11 @@ model once at every node and cell midpoint of a time grid, and
 ``LindbladModel.snapshot`` at one time; both check every sampled value and
 raise :class:`ModelValidationError` on the first violation.
 
+A schedule answers for many times at once: ``Schedule.values(times)``,
+its values stacked along axis 0, is the one evaluation path of every
+built-in kind, and a sampling checks each stack once. User code may define
+``__call__(t)`` instead, which the base ``values`` calls once per time.
+
 Either gives one ``ModelSnapshot``, each field stacked over the times only
 where it varies: an affine lattice. A ``scaled`` Hamiltonian c(t) M is kept
 as its scalars c(t) and one operator M, checked for Hermiticity once (c M is
@@ -16,11 +21,12 @@ depend on time. So a driven model holds no per-time operator for H or K.
 
 The same pass over the distinct sampled operators rejects a non-finite H or
 jump operator, as one check of every sampled rate and ``scaled``-H scale
-rejects a non-finite one, naming the schedule and the first such time, and
-decides once per sampling whether the generators can run in the Hadamard
-form of ``superop`` (``ModelSnapshot.hadamard``): every H diagonal, and
-every jump operator time-independent with at most one nonzero per row and
-per column, kept as a ``Gather``. Rates may depend on time.
+rejects a non-finite one (or a scale c at which c M overflows), naming the
+schedule and the first such time, and decides once per sampling whether the
+generators can run in the Hadamard form of ``superop``
+(``ModelSnapshot.hadamard``): every H diagonal, and every jump operator
+time-independent with at most one nonzero per row and per column, kept as a
+``Gather``. Rates may depend on time.
 
 Schedule kinds are deliberately few: constant, sinusoidal (scalars only),
 tabulated with linear interpolation and no extrapolation, and a scalar
@@ -48,27 +54,29 @@ _DOMAIN_RTOL = 1e-12
 
 
 class Schedule:
-    """Scalar- or operator-valued function of time. Use the factory functions."""
+    """Scalar- or operator-valued function of time. Use the factory functions.
+
+    ``values(times)`` is the one evaluation path of every built-in kind, and
+    ``self(t)`` is ``values([t])[0]``. User code may define ``__call__``
+    instead; the base ``values`` then calls it once per time. Each kind says
+    whether it is constant and whether its values are operators.
+    """
 
     name = "schedule"
+    is_constant = False
+    is_operator_valued: bool
 
     def __call__(self, t: float):
-        raise NotImplementedError
+        return self.values([t])[0]
 
-    def values(self, times) -> list:
-        """The values at ``times``, bitwise those of one call per time."""
-        return [self(t) for t in times]
-
-    @property
-    def is_constant(self) -> bool:
-        return False
-
-    @property
-    def is_operator_valued(self) -> bool:
-        raise NotImplementedError
+    def values(self, times) -> np.ndarray:
+        """The values at ``times``, stacked along axis 0."""
+        return np.array([self(float(t)) for t in times])
 
 
 class _Constant(Schedule):
+    is_constant = True
+
     def __init__(self, value, name="constant"):
         if isinstance(value, numbers.Real):
             self.value = float(value)
@@ -78,22 +86,18 @@ class _Constant(Schedule):
             self.value = linalg.as_operator(value)
             if not np.all(np.isfinite(self.value)):
                 raise ModelValidationError(f"{name}: constant operator has non-finite entries")
+        self._one = np.asarray(self.value)[None]  # a stack of the one value
+        self.is_operator_valued = self._one.ndim == 3
         self.name = name
 
-    def __call__(self, t):
-        return self.value
-
-    @property
-    def is_constant(self):
-        return True
-
-    @property
-    def is_operator_valued(self):
-        return isinstance(self.value, np.ndarray)
+    def values(self, times):
+        return self._one.repeat(len(times), axis=0)
 
 
 class _Sinusoidal(Schedule):
     """offset + amplitude * sin(omega * t + phase); scalar-valued only."""
+
+    is_operator_valued = False
 
     def __init__(self, offset, amplitude, omega, phase=0.0, name="sinusoidal"):
         params = (float(offset), float(amplitude), float(omega), float(phase))
@@ -102,13 +106,12 @@ class _Sinusoidal(Schedule):
         self.offset, self.amplitude, self.omega, self.phase = params
         self.name = name
 
-    def __call__(self, t):
-        x = self.omega * t + self.phase  # not finite: the value is NaN, never an error
-        return self.offset + self.amplitude * (math.sin(x) if math.isfinite(x) else math.nan)
-
-    @property
-    def is_operator_valued(self):
-        return False
+    def values(self, times):
+        # where omega t + phase is not finite the value is NaN, never an error or a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = self.omega * np.asarray(times, dtype=float) + self.phase
+            sin = np.sin(x, out=np.full_like(x, math.nan), where=np.isfinite(x))
+            return self.offset + self.amplitude * sin
 
 
 class _Tabulated(Schedule):
@@ -122,58 +125,46 @@ class _Tabulated(Schedule):
             raise ModelValidationError(f"{name}: knot times must be finite and strictly increasing")
         if len(values) != self.times.size:
             raise ModelValidationError(f"{name}: {len(values)} values for {self.times.size} knots")
-        first = values[0]
-        if isinstance(first, numbers.Real):
+        if isinstance(values[0], numbers.Real):
             self.table = np.asarray(values, dtype=float)
             if self.table.ndim != 1 or not np.all(np.isfinite(self.table)):
                 raise ModelValidationError(f"{name}: scalar table must be finite numbers")
-            self._ops = None
         else:
             ops = [linalg.as_operator(v) for v in values]
             if any(o.shape != ops[0].shape for o in ops):
                 raise ModelValidationError(f"{name}: tabulated operators differ in dimension")
-            self._ops = np.stack(ops)
-            bad = np.flatnonzero(~np.isfinite(self._ops).all(axis=(1, 2)))
+            self.table = np.stack(ops)
+            bad = np.flatnonzero(~np.isfinite(self.table).all(axis=(1, 2)))
             if bad.size:
                 k = int(bad[0])
                 raise ModelValidationError(f"{name}: operator knot {k} at "
                                            f"t={float(self.times[k])} has non-finite entries")
-            self.table = None
+        self.is_operator_valued = self.table.ndim == 3
         self.name = name
 
-    def _clamp(self, t):
-        t0, t1 = float(self.times[0]), float(self.times[-1])
-        slack = _DOMAIN_RTOL * max(1.0, abs(t0), abs(t1))
-        if t < t0 - slack or t > t1 + slack:
-            raise ScheduleDomainError(
-                f"{self.name}: t={t!r} outside tabulated range [{t0}, {t1}]"
-            )
-        return min(max(t, t0), t1)
-
-    def __call__(self, t):
-        t = self._clamp(float(t))
-        if self._ops is None:
-            return float(np.interp(t, self.times, self.table))
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        k = min(max(k, 0), self.times.size - 2)
-        w = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
-        return (1.0 - w) * self._ops[k] + w * self._ops[k + 1]
-
-    def values(self, times) -> list:
-        """One domain check and one ``np.interp`` for a scalar table."""
-        if self._ops is not None:
-            return super().values(times)
+    def values(self, times):
+        """One domain check naming the first time outside the table, then
+        ``np.interp`` of a scalar table, or (1 - w) A_k + w A_k+1 of an
+        operator table as one stacked blend."""
         times = np.asarray(times, dtype=float)
         t0, t1 = float(self.times[0]), float(self.times[-1])
         slack = _DOMAIN_RTOL * max(1.0, abs(t0), abs(t1))
         outside = np.flatnonzero((times < t0 - slack) | (times > t1 + slack))
         if outside.size:
-            self._clamp(float(times[outside[0]]))  # raises, naming the first such time
-        return np.interp(np.clip(times, t0, t1), self.times, self.table).tolist()
-
-    @property
-    def is_operator_valued(self):
-        return self._ops is not None
+            raise ScheduleDomainError(f"{self.name}: t={float(times[outside[0]])!r} "
+                                      f"outside tabulated range [{t0}, {t1}]")
+        times = np.clip(times, t0, t1)
+        if not self.is_operator_valued:
+            return np.interp(times, self.times, self.table)
+        k = np.clip(np.searchsorted(self.times, times, side="right") - 1, 0, self.times.size - 2)
+        w = ((times - self.times[k]) / (self.times[k + 1] - self.times[k]))[:, None, None]
+        # blended in place, so that the two gathered stacks are the only ones made
+        out = self.table[k]
+        out *= 1.0 - w
+        b = self.table[k + 1]
+        b *= w
+        out += b
+        return out
 
 
 class _ScaledOperator(Schedule):
@@ -181,25 +172,20 @@ class _ScaledOperator(Schedule):
     form besides tables; entrywise-independent time dependence is not a thing
     here)."""
 
+    is_operator_valued = True
+
     def __init__(self, scalar: Schedule, operator, name="scaled"):
         if not isinstance(scalar, Schedule) or scalar.is_operator_valued:
             raise ModelValidationError(f"{name}: scaling schedule must be scalar-valued")
         self.scalar = scalar
+        self.is_constant = scalar.is_constant
         self.operator = linalg.as_operator(operator)
         if not np.all(np.isfinite(self.operator)):
             raise ModelValidationError(f"{name}: operator has non-finite entries")
         self.name = name
 
-    def __call__(self, t):
-        return float(self.scalar(t)) * self.operator
-
-    @property
-    def is_constant(self):
-        return self.scalar.is_constant
-
-    @property
-    def is_operator_valued(self):
-        return True
+    def values(self, times):
+        return self.scalar.values(times)[:, None, None] * self.operator
 
 
 def constant(value, name="constant") -> Schedule:
@@ -361,25 +347,18 @@ class LindbladModel:
         if not self.hamiltonian.is_operator_valued:
             raise ModelValidationError("hamiltonian schedule must be operator-valued")
         self.channels = tuple(ch if isinstance(ch, Channel) else Channel(*ch) for ch in channels)
-        self._check_constant_dims()
+        for label, sched in [("hamiltonian", self.hamiltonian)] + [
+                (f"channels[{i}].op", ch.op) for i, ch in enumerate(self.channels)]:
+            # a built-in kind's empty stack of values, (0, d, d), has its dimension
+            shape = sched.values([]).shape
+            if len(shape) == 3 and shape[-1] != self.dim:
+                raise ModelValidationError(
+                    f"{label}: operator dimension {shape[-1]} != model dim {self.dim}")
         self._lattice = None  # (grid, sampling) of the last on_grid call
-
-    def _check_constant_dims(self):
-        for label, sched in self._operator_schedules():
-            for op in _schedule_operator_values(sched):
-                if op.shape != (self.dim, self.dim):
-                    raise ModelValidationError(
-                        f"{label}: operator dimension {op.shape[0]} != model dim {self.dim}"
-                    )
-
-    def _operator_schedules(self):
-        yield "hamiltonian", self.hamiltonian
-        for i, ch in enumerate(self.channels):
-            yield f"channels[{i}].op", ch.op
 
     def snapshot(self, t: float) -> ModelSnapshot:
         """The model at one time ``t``, validated; deterministic for equal ``t``."""
-        return self._sample([float(t)])
+        return self._sample(np.array([float(t)]))
 
     def on_grid(self, grid) -> ModelSnapshot:
         """The model sampled and validated at the ``2 n_steps + 1`` times
@@ -393,12 +372,13 @@ class LindbladModel:
         lattice = self._lattice
         if lattice is None or lattice[0] != grid:
             times = grid.t_start + (0.5 * grid.dt) * np.arange(2 * grid.n_steps + 1)
-            lattice = self._lattice = (grid, self._sample(times.tolist()))
+            lattice = self._lattice = (grid, self._sample(times))
         return lattice[1]
 
     @np.errstate(invalid="ignore", over="ignore")  # a non-finite value fails the checks instead
-    def _sample(self, times: list[float]) -> ModelSnapshot:
-        """The model at ``times``. A time-independent schedule, and the
+    def _sample(self, times: np.ndarray) -> ModelSnapshot:
+        """The model at ``times``, each schedule evaluated as one stack and
+        each stack checked once. A time-independent schedule, and the
         products built from it, are evaluated, checked and kept once; a
         ``scaled`` Hamiltonian is its scalar per time and one operator,
         checked at the first time. The one pass over the distinct operators
@@ -406,22 +386,18 @@ class LindbladModel:
         the sampling may still qualify."""
         ham = self.hamiltonian
         if isinstance(ham, _ScaledOperator):
-            ops = [self._operator("hamiltonian", ham.operator, times[0])]
-            scale = _stack(self._scalars("hamiltonian", ham.scalar, times, "scale"))
+            ops = ham.operator[None]  # finite, and of the model's dimension, once built
+            scale = self._scalars("hamiltonian", ham.scalar, times, "scale")
+            # c M is finite wherever |c| maxabs(M) is; refuse the other times
+            ok = np.isfinite(np.abs(scale) * linalg.maxabs(ham.operator))
+            if not ok.all():
+                t = float(times[ok.argmin()])
+                raise ModelValidationError(f"hamiltonian: non-finite entry at t={t}")
+            scale = _stack(scale)
         else:
-            ops = [self._operator("hamiltonian", h, t) for t, h in
-                   zip(times, self._evaluate("hamiltonian", ham, times))]
+            ops = self._operators("hamiltonian", ham, times)
             scale = None
-        diagonal = True
-        for t, h in zip(times, ops):
-            defect = linalg.hermiticity_defect(h)
-            tol = max(HAMILTONIAN_HERMITICITY_RTOL * linalg.maxabs(h), linalg.TOLERANCE_FLOOR)
-            if defect > tol:
-                raise ModelValidationError(
-                    f"hamiltonian not Hermitian at t={t}: defect {defect:.3e}"
-                )
-            diagonal = diagonal and _is_diagonal(h)
-        hadamard, channels = diagonal, []
+        hadamard, channels = _check_hamiltonian(ops, times), []
         for i, ch in enumerate(self.channels):
             channels.append(self._sample_channel(i, ch, times, hadamard))
             hadamard = hadamard and channels[-1].gather is not None
@@ -435,16 +411,14 @@ class LindbladModel:
         the operator is time-independent."""
         label = f"channels[{i}]"
         alphas = self._scalars(f"{label}.alpha", ch.alpha, times, "rate", floor=0.0)
-        ls = [self._operator(f"{label}.op", l, t)
-              for t, l in zip(times, self._evaluate(f"{label}.op", ch.op, times))]
-        dags = [linalg.dagger(l) for l in ls]
-        return ChannelSnapshot(_stack(ls), _stack(dags), _stack([a @ l for a, l in zip(dags, ls)]),
-                               _stack(alphas),
+        ls = self._operators(f"{label}.op", ch.op, times)
+        dags = linalg.dagger(ls)
+        return ChannelSnapshot(_stack(ls), _stack(dags), _stack(dags @ ls), _stack(alphas),
                                _gather(ls[0]) if gather and ch.op.is_constant else None)
 
     @staticmethod
-    def _evaluate(label, sched, times) -> list:
-        """Values of ``sched`` at ``times``, or its one value if constant."""
+    def _evaluate(label, sched, times) -> np.ndarray:
+        """The stack of ``sched``'s values at ``times``, or of its one value if constant."""
         try:
             return sched.values(times[:1] if sched.is_constant else times)
         except ScheduleDomainError as e:
@@ -452,45 +426,62 @@ class LindbladModel:
 
     def _scalars(self, label, sched, times, what, floor=-math.inf) -> np.ndarray:
         """The scalar ``sched`` at ``times`` (see ``_evaluate``), each finite and >= ``floor``."""
-        values = np.array(self._evaluate(label, sched, times), float)
-        bad = np.flatnonzero(~(np.isfinite(values) & (values >= floor)))
-        if bad.size:
-            v, t = values[bad[0]], times[bad[0]]
+        values = np.asarray(self._evaluate(label, sched, times), dtype=float)
+        ok = np.isfinite(values) & (values >= floor)
+        if not ok.all():
+            k = ok.argmin()
+            v, t = values[k], float(times[k])
             problem = f"negative-{what}" if math.isfinite(v) else f"non-finite {what}"
             raise ModelValidationError(f"{label}: {problem} {v} at t={t}")
         return values
 
-    def _operator(self, label, value, t) -> np.ndarray:
-        """``value`` as an operator of the model's dimension with finite entries."""
-        op = linalg.as_operator(value)
-        if op.shape != (self.dim, self.dim):
+    def _operators(self, label, sched, times) -> np.ndarray:
+        """The operator ``sched`` at ``times`` (see ``_evaluate``) as a stack,
+        each of the model's dimension with finite entries."""
+        ops = linalg.as_operator(self._evaluate(label, sched, times), stack=True)
+        if ops.shape[-1] != self.dim:
             raise ModelValidationError(
-                f"{label}: dimension {op.shape[0]} != model dim {self.dim} at t={t}"
+                f"{label}: dimension {ops.shape[-1]} != model dim {self.dim} at t={float(times[0])}"
             )
-        if not np.isfinite(op).all():
+        finite = np.isfinite(ops).all(axis=(1, 2))
+        if not finite.all():
+            t = float(times[finite.argmin()])
             raise ModelValidationError(f"{label}: non-finite entry at t={t}")
-        return op
+        return ops
 
 
-def _is_diagonal(op: np.ndarray) -> bool:
-    # the entries after each diagonal one, up to the next: all the off-diagonal ones
-    d = len(op)
-    return not op.reshape(-1)[:-1].reshape(d - 1, d + 1)[:, 1:].any()
+def _check_hamiltonian(ops: np.ndarray, times) -> bool:
+    """Raise unless each H of the stack ``ops`` is Hermitian within its own
+    tolerance, naming the first time that is not; return whether every H is
+    diagonal. A block of ``linalg.BLOCK_ENTRIES`` entries at a time, so that
+    the temporaries stay small however long the stack."""
+    diagonal = True
+    block = max(1, linalg.BLOCK_ENTRIES // ops.shape[-1] ** 2)
+    for k0 in range(0, len(ops), block):
+        part = ops[k0:k0 + block]
+        defect = np.abs(part - linalg.dagger(part)).max(axis=(1, 2))
+        tol = np.maximum(HAMILTONIAN_HERMITICITY_RTOL * np.abs(part).max(axis=(1, 2)),
+                         linalg.TOLERANCE_FLOOR)
+        bad = defect > tol
+        if bad.any():
+            j = bad.argmax()
+            raise ModelValidationError(
+                f"hamiltonian not Hermitian at t={float(times[k0 + j])}: defect {defect[j]:.3e}"
+            )
+        diagonal = diagonal and _is_diagonal(part)
+    return diagonal
 
 
-def _stack(values):
-    """The one value of a time-independent schedule, else its values stacked: a
-    list of operators as ``(n, d, d)``, an array of scalars as ``(n, 1, 1)``."""
+def _is_diagonal(ops: np.ndarray) -> bool:
+    # in each entry, the entries after each diagonal one, up to the next: all the off-diagonal ones
+    n, d = len(ops), ops.shape[-1]
+    return not ops.reshape(n, d * d)[:, :-1].reshape(n, d - 1, d + 1)[:, :, 1:].any()
+
+
+def _stack(values: np.ndarray):
+    """The one value of a time-independent schedule (a float if scalar), else
+    its stack of values: operators C-contiguous (a dagger comes as a
+    transposed view), scalars as ``(n, 1, 1)``."""
     if len(values) == 1:
-        return float(values[0]) if isinstance(values, np.ndarray) else values[0]
-    return values[:, None, None] if isinstance(values, np.ndarray) else np.stack(values)
-
-
-def _schedule_operator_values(sched):
-    """Operator values of a schedule that are known without picking a time."""
-    if isinstance(sched, _Constant) and sched.is_operator_valued:
-        yield sched.value
-    elif isinstance(sched, _Tabulated) and sched.is_operator_valued:
-        yield from sched._ops
-    elif isinstance(sched, _ScaledOperator):
-        yield sched.operator
+        return float(values[0]) if values.ndim == 1 else values[0]
+    return values[:, None, None] if values.ndim == 1 else np.ascontiguousarray(values)

@@ -375,6 +375,20 @@ class TestConfigValues:
             config.integer(value, "seed")
         assert str(err.value) == f"seed must be a finite number, got an integer of {digits} digits"
 
+    @pytest.mark.parametrize("change, line", [
+        ({"rho0": [[HUGE]]}, "error: rho0[0] must be an [re, im] pair, got a list of 1 entries"),
+        ({"output_dir": [HUGE]}, "error: output_dir must be a string, got a list of 1 entries"),
+        ({"method": "x" * 5000}, "error: method unknown name a string of 5000 characters; "
+                                 "expected one of ['rk4', 'midpoint']"),
+    ], ids=["rho0-pair", "output_dir-list", "method-string"])
+    def test_a_long_value_is_echoed_by_its_kind_and_size(self, tmp_path, capsys, change, line):
+        cfg = amp_damp_config(tmp_path, **change)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == line + "\n" and len(err.encode()) < 200
+        assert not out.exists()
+
     def test_integer_of_too_many_digits(self, tmp_path, capsys):
         # the JSON parser refuses an integer of more than 4300 digits where
         # Python limits int-to-text conversion; elsewhere the number rule does

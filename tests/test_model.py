@@ -430,6 +430,30 @@ class TestNonFiniteScalars:
         with pytest.raises(ModelValidationError, match=r"^hamiltonian: non-finite scale nan"):
             m.snapshot(3.0)
 
+    def test_overflowing_scaled_hamiltonian(self):
+        # c and M are finite, but c M overflows: from the first time for a
+        # constant c, and for c = 1e300 + 1e300 sin(t) against M's 1e8 where
+        # sin(t) > 0.798, from t = 0.95 on this grid
+        for scalar, entry, first in [(model.constant(1e300), 1e10, r"0\.0"),
+                                     (model.sinusoidal(1e300, 1e300, 1.0), 1e8, r"0\.95")]:
+            h = model.scaled(scalar, np.diag([entry, -entry]))
+            m = model.LindbladModel(2, h, [(SMINUS, 0.5)])
+            with pytest.raises(ModelValidationError,
+                               match=rf"^hamiltonian: non-finite entry at t={first}"):
+                m.on_grid(TimeGrid(0.0, 2.0, 20))
+
+    def test_overflowing_scaled_hamiltonian_exits_1(self, tmp_path, capsys):
+        from weakinv import cli
+        h = {"kind": "scaled", "matrix": [[1e10, 0], [0, 0], [0, 0], [-1e10, 0]],
+             "scalar": {"kind": "constant", "value": 1e300}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": {"dim": 2, "hamiltonian": h, "channels": []},
+                                   "grid": {"t_start": 0.0, "t_end": 2.0, "n_steps": 20}}))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: hamiltonian: non-finite entry at t=0.0\n"
+        assert not out.exists()
+
     def test_nan_rate(self):
         m = model.LindbladModel(2, SZ, [(SMINUS, _NanRate())])
         with pytest.raises(ModelValidationError,
@@ -476,16 +500,38 @@ class TestScheduleValues:
         model.tabulated([0.0, 0.7, 1.9, 3.0], [0.2, -1.3, 0.45, 2.0]),
         model.sinusoidal(0.4, 0.2, 3.0, 0.1),
         model.constant(0.3),
-    ], ids=["tabulated", "sinusoidal", "constant"])
+        model.constant(SZ + 0.5 * SMINUS),
+        model.tabulated([0.0, 0.7, 3.0], [SZ, SMINUS, 1j * SZ - SMINUS.T]),
+        model.scaled(model.sinusoidal(0.4, 0.2, 3.0, 0.1), SMINUS + SMINUS.T),
+    ], ids=["tabulated", "sinusoidal", "constant", "constant-operator", "operator-table",
+            "scaled"])
     def test_bitwise_per_call(self, sched):
         times = self.TIMES.tolist()
         assert np.array(sched.values(times)).tobytes() == \
-            np.array([sched(t) for t in times], dtype=float).tobytes()
+            np.array([sched(t) for t in times]).tobytes()
 
     def test_operator_table_per_call(self):
         sched = model.tabulated([0.0, 3.0], [SZ, SMINUS])
         for got, t in zip(sched.values([0.0, 1.3, 3.0]), [0.0, 1.3, 3.0]):
             assert np.array_equal(got, sched(t))
+
+    def test_tabulated_hamiltonian_sampled_within_two_stacks(self):
+        # d=8 on 5000 steps: the blend's two gathered stacks set the peak, and
+        # the checks run a block at a time (a per-time list and its np.stack
+        # copy peaked at about 2.35 stacks)
+        rng = np.random.default_rng(3)
+        knots = np.linspace(0.0, 5.0, 11)
+        ms = rng.standard_normal((11, 8, 8)) + 1j * rng.standard_normal((11, 8, 8))
+        h = model.tabulated(knots, list(ms + ms.conj().swapaxes(1, 2)))
+        m = model.LindbladModel(8, h, [(np.eye(8, k=1), 0.3)])
+        tracemalloc.start()
+        try:
+            lattice = m.on_grid(TimeGrid(0.0, 5.0, 5000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lattice.operator.shape == (10001, 8, 8)
+        assert peak <= 2.2 * lattice.operator.nbytes
 
     def test_domain_error_names_the_first_time_outside(self):
         sched = model.tabulated([0.0, 1.0], [0.1, 0.2], name="lambda")
@@ -493,4 +539,4 @@ class TestScheduleValues:
                            match=r"^lambda: t=1\.5 outside tabulated range \[0\.0, 1\.0\]$"):
             sched.values([0.5, 1.5, -2.0, 3.0])
         # the table's edges, up to roundoff, are inside
-        assert sched.values([-1e-13, 1.0 + 1e-13]) == [0.1, 0.2]
+        assert sched.values([-1e-13, 1.0 + 1e-13]).tolist() == [0.1, 0.2]
