@@ -169,31 +169,6 @@ def _blocks(model: LindbladModel, grid: TimeGrid, dual: bool):
         yield k0, k1, gen.cells(k0, k1)
 
 
-def _lam_nodes(path: DiscretizedPath, phi: np.ndarray | None = None):
-    """``nodes(k0, k1)``, the Lam nodes k0..k1-1 of ``path``; with ``phi``,
-    each shifted by phi_k times the identity, as a new array per call."""
-    if phi is None:
-        return lambda k0, k1: path.lam[k0:k1]
-    diag = np.arange(path.dim)
-
-    def nodes(k0, k1):
-        shifted = path.lam[k0:k1].copy()
-        shifted[:, diag, diag] += phi[k0:k1, None]
-        return shifted
-    return nodes
-
-
-def _cell_generators(grid: TimeGrid, lam, model: LindbladModel):
-    """``(k0, k1, G)`` per block of cells, G_k = (Lam_{k+1} - Lam_k)/dt -
-    i L*(Λ̄_k) for k0 <= k < k1, with the Lam nodes read block by block
-    from ``lam(k0, k1)`` (see ``_lam_nodes``)."""
-    dt = grid.dt
-    for k0, k1, apply in _blocks(model, grid, dual=True):
-        nodes = lam(k0, k1 + 1)
-        a, b = nodes[:-1], nodes[1:]
-        yield k0, k1, (b - a) / dt - 1j * apply(0.5 * (a + b))
-
-
 def _node_sums(cells, n: int):
     """``(k0, sums)`` per block ``(k0, k1, c)`` of cell values: sums[j] is
     the sum of the values of the cells next to node k0 + j (c_{k-1} + c_k,
@@ -210,12 +185,25 @@ def _node_sums(cells, n: int):
     yield n, last[None].copy()
 
 
-def _grad_rho(grid: TimeGrid, lam, model: LindbladModel):
+def _grad_rho(path: DiscretizedPath, model: LindbladModel, phi: np.ndarray | None = None):
     """``(k0, g)`` per block of nodes: the cell part -(dt/2)(G_{k-1} + G_k)
     of the rho-gradients of S_disc, all of it but the boundary term -Lam_0
-    at node 0, with ``lam`` as for ``_cell_generators``."""
+    at node 0. The cell generators G_k = (Lam_{k+1} - Lam_k)/dt - i L*(Λ̄_k)
+    read the Lam nodes of ``path`` block by block; with ``phi``, a copy of
+    each block's nodes, node k shifted by phi_k times the identity."""
+    grid, diag = path.grid, np.arange(path.dim)
+
+    def cells():
+        for k0, k1, apply in _blocks(model, grid, dual=True):
+            nodes = path.lam[k0:k1 + 1]
+            if phi is not None:
+                nodes = nodes.copy()
+                nodes[:, diag, diag] += phi[k0:k1 + 1, None]
+            a, b = nodes[:-1], nodes[1:]
+            yield k0, k1, (b - a) / grid.dt - 1j * apply(0.5 * (a + b))
+
     scale = -(0.5 * grid.dt)
-    for k0, g in _node_sums(_cell_generators(grid, lam, model), grid.n_steps):
+    for k0, g in _node_sums(cells(), grid.n_steps):
         g *= scale
         yield k0, g
 
@@ -280,15 +268,14 @@ def _collect(grads, path: DiscretizedPath) -> np.ndarray:
 
 def evaluate_action(path: DiscretizedPath, model: LindbladModel) -> float:
     """S_disc for the path; raises if the imaginary residue is not roundoff."""
-    pairing = _reduce(_grad_rho(path.grid, _lam_nodes(path), model), path.grid.n_steps,
-                      path.rho)[0]
+    pairing = _reduce(_grad_rho(path, model), path.grid.n_steps, path.rho)[0]
     return _action(pairing, path.lam[0], path.rho[0])
 
 
 def grad_rho(path: DiscretizedPath, model: LindbladModel) -> np.ndarray:
     """Exact node gradients of S_disc with respect to the rho nodes, as an
     ``(n_steps + 1, d, d)`` stack."""
-    grads = _collect(_grad_rho(path.grid, _lam_nodes(path), model), path)
+    grads = _collect(_grad_rho(path, model), path)
     grads[0] -= path.lam[0]
     return grads
 
@@ -330,8 +317,7 @@ def stationarity_report(path: DiscretizedPath, model: LindbladModel) -> ActionRe
     from one pass over the cell generators for the value and the rho
     gradients and one over L(ρ̄_k) for the Lam gradients, block by block."""
     n, dt = path.grid.n_steps, path.grid.dt
-    pairing, rho_interior, rho_edge = _reduce(
-        _grad_rho(path.grid, _lam_nodes(path), model), n, path.rho, edge=0)
+    pairing, rho_interior, rho_edge = _reduce(_grad_rho(path, model), n, path.rho, edge=0)
     value = _action(pairing, path.lam[0], path.rho[0])
     _, lam_interior, lam_edge = _reduce(_grad_lam(path, model), n, edge=n)
     return ActionReport(
@@ -361,9 +347,9 @@ def _gauge_terms(path: DiscretizedPath, model: LindbladModel, lambda_schedule: S
 
     # a real multiple of the identity keeps the checked path Hermitian, so the
     # shifted action is evaluated on Lam shifted block by block, without a path
-    shifted = _lam_nodes(path, phi)
-    shifted_s = _action(_reduce(_grad_rho(grid, shifted, model), n, path.rho)[0],
-                        shifted(0, 1)[0], path.rho[0])
+    lam0, diag = path.lam[0].copy(), np.arange(path.dim)
+    lam0[diag, diag] += phi[0]
+    shifted_s = _action(_reduce(_grad_rho(path, model, phi), n, path.rho)[0], lam0, path.rho[0])
 
     tr = np.trace(path.rho, axis1=1, axis2=2).real
     tr_mid = 0.5 * (tr[:-1] + tr[1:])

@@ -7,9 +7,9 @@ Commands:
   action-check  stationarity + gauge-shift diagnostics, write action_report.json
   verify        randomized property suites, write verify_report.json
 
-Every run command makes its flows first, each checking its inputs once as
-it is made (rho0, the model lattice, then the invariant seed or
-lambda_final), and only then creates its output directory and runs them.
+Every run command checks its inputs once, in one order, as it makes its
+flows: rho0, the model lattice, then the invariant seed or lambda_final
+(a missing one too); only then does it create its output directory.
 `invariant` and `action-check` run the invariant flow `beside` the state
 flow: in a forked child process, while this process steps the state flow
 and its monitors; outputs are byte-identical to running the flows in turn,
@@ -61,7 +61,7 @@ from .errors import (
     ScheduleDomainError,
 )
 from .model import tabulated
-from .scenarios import LEAKAGE_THRESHOLD, SCENARIOS, build_scenario
+from .scenarios import LEAKAGE_THRESHOLD, SCENARIOS, ScenarioSpec, build_scenario
 
 TRACE_DRIFT_THRESHOLD = 1e-8
 MIN_EIGENVALUE_THRESHOLD = -1e-8
@@ -150,9 +150,11 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _check_memory(grid: TimeGrid, dim: int, flows: int) -> None:
     """Refuse, before anything is allocated, a grid whose stacks do not fit
-    in physical memory: the lattice's 2n + 1 sample times (a float64 array
-    and a list of floats, 40 bytes each) and (n + 1)·d²·16 bytes per flow, a
-    lower bound of what the run holds."""
+    in physical memory: 40 bytes for each of the lattice's 2n + 1 sample
+    times (the float64 times, and a driven scalar's stack with its checks'
+    temporaries; sampling a scaled H and a sinusoidal rate peaks at 41
+    bytes a time) and (n + 1)·d²·16 bytes per flow, a lower bound of what
+    the run holds."""
     need = 40 * (2 * grid.n_steps + 1) + flows * 16 * dim * dim * (grid.n_steps + 1)
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -173,43 +175,32 @@ class RunSetup:
         scenario = args.scenario if args.scenario is not None else cfg.get("scenario")
         if scenario is None:
             raise ConfigError("scenario", "is required (positional argument or config)")
-        self.spec = None
         if isinstance(scenario, str):
             self.spec = build_scenario(scenario, **cfg["scenario_args"])
-            scenario = self.spec.model
-        self.model = scenario
+        elif cfg["scenario_args"]:
+            raise ConfigError("scenario_args", "applies only to a built-in scenario")
+        else:
+            d = scenario.dim
+            self.spec = ScenarioSpec("inline", scenario, linalg.identity(d) / d, None, None)
+        self.model = self.spec.model
 
-        grid = cfg.get("grid")
+        default = self.spec.default_grid
+        grid = cfg.get("grid", default and default.to_dict())
         if grid is None:
-            if self.spec is None:
-                raise ConfigError("grid", "is required for inline models")
-            grid = self.spec.default_grid.to_dict()
+            raise ConfigError("grid", "is required for inline models")
         n_steps = args.steps if args.steps is not None else grid.get("n_steps")
         n_steps = config.integer(n_steps, "grid.n_steps", minimum=1)
         self.grid = TimeGrid(grid["t_start"], grid["t_end"], n_steps)
         _check_memory(self.grid, self.model.dim, 1 if args.command == "simulate" else 2)
         self.method = args.method or cfg["method"]
 
-        if "rho0" in cfg:
-            self.rho0 = cfg["rho0"]
-        elif self.spec is not None:
-            self.rho0 = self.spec.default_rho0
-        else:
-            self.rho0 = linalg.identity(self.model.dim) / self.model.dim
-
+        self.rho0 = cfg.get("rho0", self.spec.default_rho0)
         self.out_dir = Path(args.out if args.out is not None else cfg["output_dir"])
         self.out_field = "--out" if args.out is not None else "output_dir"
-        self.leakage_index = (
-            self.spec.truncation_dim - 1
-            if self.spec is not None and self.spec.truncation_dim is not None
-            else None
-        )
 
     def invariant_seed(self) -> np.ndarray:
-        seed = self.cfg.get("invariant_seed")
+        seed = self.cfg.get("invariant_seed", self.spec.default_invariant_seed)
         if seed is None:
-            if self.spec is not None:
-                return self.spec.default_invariant_seed
             raise ConfigError("invariant_seed", "is required for inline models")
         if not isinstance(seed, str):
             return seed
@@ -223,9 +214,6 @@ class RunSetup:
         if "lambda_final" not in self.cfg:
             raise ConfigError("lambda_final", "is required for action-check")
         return self.cfg["lambda_final"]
-
-    def write_json(self, name: str, payload: dict) -> None:
-        _write_json(self.out_dir / name, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +230,7 @@ def _finish(setup: RunSetup, name: str, payload: dict, monitors, failure: str = 
         ("leakage", monitors.max_leakage > LEAKAGE_THRESHOLD),
     ) if tripped]
     payload["violations"] = violations
-    setup.write_json(name, payload)
+    _write_json(setup.out_dir / name, payload)
     if violations:
         print(f"monitor violation(s): {', '.join(violations)}", file=sys.stderr)
     if failure:
@@ -252,8 +240,21 @@ def _finish(setup: RunSetup, name: str, payload: dict, monitors, failure: str = 
 
 def _state_flow(setup: RunSetup):
     """The state flow, its inputs checked here, leakage tracked if truncated."""
+    trunc = setup.spec.truncation_dim
     return state_flow(setup.model, setup.rho0, setup.grid, setup.method,
-                      leakage_index=setup.leakage_index)
+                      leakage_index=None if trunc is None else trunc - 1)
+
+
+def _flow_pair(setup: RunSetup, seed, seed_time: str, what: str):
+    """``(invariant, (state, monitors))``: the invariant flow from
+    ``seed()`` at ``seed_time`` (its errors naming ``what``), run ``beside``
+    the state flow. Each input is checked as its flow is made, the state
+    flow first, and only then is the output directory created."""
+    flow = _state_flow(setup)
+    inv_flow = invariant_flow(setup.model, seed(), seed_time, setup.grid, setup.method,
+                              what=what)
+    _make_dir(setup.out_dir, setup.out_field)
+    return beside(inv_flow, flow, "invariant flow")
 
 
 def cmd_simulate(args) -> int:
@@ -272,11 +273,7 @@ def cmd_simulate(args) -> int:
 def cmd_invariant(args) -> int:
     setup = RunSetup(args)
     drift_bound = setup.cfg["drift_bound"]
-    flow = _state_flow(setup)  # ρ0 and the lattice fail before the seed
-    inv_flow = invariant_flow(setup.model, setup.invariant_seed(), "start", setup.grid,
-                              setup.method)
-    _make_dir(setup.out_dir, setup.out_field)
-    inv, (state, monitors) = beside(inv_flow, flow, "invariant flow")
+    inv, (state, monitors) = _flow_pair(setup, setup.invariant_seed, "start", "invariant seed")
     report = invariant_mod.analyze(inv, state)
 
     with _output(setup.out_dir / "expectation.csv") as path:
@@ -297,12 +294,7 @@ def cmd_invariant(args) -> int:
 def cmd_action_check(args) -> int:
     setup = RunSetup(args)
     residual_bound = setup.cfg["residual_bound"]
-    lam_final = setup.lambda_final()
-    flow = _state_flow(setup)  # ρ0 and the lattice fail before lambda_final's checks
-    lam_flow = invariant_flow(setup.model, lam_final, "end", setup.grid, setup.method,
-                              what="lambda_final")
-    _make_dir(setup.out_dir, setup.out_field)
-    lam, (state, monitors) = beside(lam_flow, flow, "invariant flow")
+    lam, (state, monitors) = _flow_pair(setup, setup.lambda_final, "end", "lambda_final")
     path = _flow_path(state, lam)
 
     # gauge check on the same solution path, with a seeded random rate table, beside the report

@@ -41,7 +41,7 @@ process calls the other. The invariant flow's stack lies on an anonymous
 shared mapping, made with the flow, so the child writes its samples where
 this process reads them, and its trajectory comes back through the pipe as
 a reference to that stack. A ``CsvStream`` given to the state flow as its
-per-node ``done`` hook hands each finished block of state rows but the last
+per-block ``done`` hook hands each finished block of state rows but the last
 to a forked child that formats it while the flow keeps stepping. Every fork
 goes through ``_Child``, whose ``join`` returns what its call returned;
 where ``os.fork`` is missing, or the process may run on fewer than two
@@ -225,7 +225,8 @@ def _propagate(model, y0, grid, dual, first, method, what, samples, done=None):
     ``y0`` at node ``first`` (0: forward, n_steps: backward) into the stack
     ``samples``, and the largest Hermiticity defect of a raw step (None with
     ``dual``: only the state monitor reports it).
-    ``done(samples, k)``, if given, is called as each node k passes the guard.
+    ``done(samples, k)``, if given, is called once per block, as the block
+    passes the guard: every node up to k (the block's last) is written.
 
     Blocks of B = ``linalg.BLOCK_ENTRIES`` // (4 d²) steps keep a block's raw
     steps, its 2B + 1 lattice entries (one ``Generator.span``) and the
@@ -264,8 +265,6 @@ def _propagate(model, y0, grid, dual, first, method, what, samples, done=None):
             q = q[:, :chunk].reshape(dim2, chunk * dim2)  # y q = [y P, y P², ...]
 
         samples[first] = y0
-        if done:
-            done(samples, first)
         y = y0
         max_defect = 0.0
         raw = np.empty((block,) + y0.shape, dtype=complex)  # a block's raw steps, stepping order
@@ -304,8 +303,7 @@ def _propagate(model, y0, grid, dual, first, method, what, samples, done=None):
             if not dual:
                 max_defect = max(max_defect, np.abs(steps - steps.conj().swapaxes(1, 2)).max())
             if done:
-                for k in range(k0 + d, k1 + d, d):
-                    done(samples, k)
+                done(samples, k1)
     return None if dual else float(max_defect)
 
 
@@ -427,7 +425,8 @@ def state_flow(model: LindbladModel, rho0, grid: TimeGrid, method: str = "rk4", 
     ``flow(done=None)`` steps it and returns the trajectory and a monitor
     report, truncation leakage tracked at ``leakage_index`` (the top
     retained basis level) if given; ``done(samples, k)``, if given, is
-    called as each node k of the stack is written (``CsvStream.done``, say).
+    called once per flow block, every node of the stack up to k written
+    (``CsvStream.done``, say).
     A step beyond ``BLOWUP_CAP`` raises ``BlowupError``, a non-finite one
     ``IntegrationError``."""
     rho0 = _flow_input(model, rho0, method, "rho0", rtol=1e-10)
@@ -559,13 +558,26 @@ def _csv_text(nodes, values):
         yield "".join([fmt % tuple(row) for row in table[:, ~same].tolist()]).encode()
 
 
-def write_csv(path, header: list[str], nodes, values) -> None:
+def write_csv(path, header: list[str], nodes, values, stream=None) -> None:
     """CSV export: the header row, then per node t and the node's ``values``
-    row, every number with 17 significant digits (lossless)."""
+    row, every number with 17 significant digits (lossless), formatted as
+    it is written; with a state flow's ``CsvStream``, the rows before its
+    ``start`` are its children's files, and the file is written once they
+    all succeed."""
     nodes = np.asarray(nodes)
+    values = np.asarray(values).reshape(len(nodes), -1)
+    start = 0 if stream is None else stream.start
+    rows, files = _csv_text(nodes[start:], values[start:]), []
+    if stream is not None:
+        rows = list(rows)  # formatted while the children still run
+        stream.join()
+        files = stream.files
     with open(path, "wb") as f:
         f.write((",".join(header) + "\n").encode())
-        f.writelines(_csv_text(nodes, np.asarray(values).reshape(len(nodes), -1)))
+        for file in files:
+            file.seek(0)
+            shutil.copyfileobj(file, f)
+        f.writelines(rows)
 
 
 def _flat(samples):
@@ -575,7 +587,7 @@ def _flat(samples):
 
 class CsvStream:
     """A state trajectory's CSV rows, formatted in forked children while the
-    flow steps: ``done`` is the state flow's per-node hook, and
+    flow steps: ``done`` is the state flow's per-block hook, and
     ``write_trajectory_csv(..., stream=)`` writes the file. Each finished
     block of rows (``CSV_BLOCK_VALUES`` values) but the last goes to a child
     that writes its text to an unlinked temporary file in ``directory``.
@@ -597,20 +609,22 @@ class CsvStream:
             file.close()
 
     def done(self, samples, k):
-        end = self.start + max(1, CSV_BLOCK_VALUES // (1 + 2 * samples[0].size))
-        if k + 1 < end or end >= len(samples):
-            return
-        self.join(CSV_FORMATTERS - 1)
-        file = tempfile.TemporaryFile(dir=self.directory)
-        nodes, values = self.nodes[self.start:end], _flat(samples[self.start:end])
+        """Every node up to ``k`` is written: hand each block of rows that
+        is now whole, but never the table's last, to a child."""
+        rows = max(1, CSV_BLOCK_VALUES // (1 + 2 * samples[0].size))
+        while self.start + rows <= min(k + 1, len(samples) - 1):
+            end = self.start + rows
+            self.join(CSV_FORMATTERS - 1)
+            file = tempfile.TemporaryFile(dir=self.directory)
+            nodes, values = self.nodes[self.start:end], _flat(samples[self.start:end])
 
-        def run():
-            file.writelines(_csv_text(nodes, values))
-            file.flush()
+            def run(file=file, nodes=nodes, values=values):  # bound now: run in-process at join
+                file.writelines(_csv_text(nodes, values))
+                file.flush()
 
-        self.running.append(_Child(run, "state CSV formatter"))
-        self.files.append(file)
-        self.start = end
+            self.running.append(_Child(run, "state CSV formatter"))
+            self.files.append(file)
+            self.start = end
 
     def join(self, running=0):
         """Join the oldest children until at most ``running`` are left,
@@ -620,21 +634,9 @@ class CsvStream:
 
 
 def write_trajectory_csv(traj: Trajectory, path, *, stream: CsvStream | None = None) -> None:
-    """CSV export: t, then re_j_k / im_j_k for the row-major operator entries.
-
-    With a ``stream`` fed by the state flow, only the rows after its blocks
-    are formatted here; the file is written once all its children succeed.
-    """
+    """CSV export: t, then re_j_k / im_j_k for the row-major operator
+    entries, by ``write_csv`` (with its ``stream``, if given)."""
     d = traj.dim
     header = ["t"] + [f"{part}_{j}_{k}"
                       for j in range(d) for k in range(d) for part in ("re", "im")]
-    if stream is None:
-        return write_csv(path, header, traj.grid.nodes(), _flat(traj.samples))
-    tail = list(_csv_text(stream.nodes[stream.start:], _flat(traj.samples[stream.start:])))
-    stream.join()
-    with open(path, "wb") as f:
-        f.write((",".join(header) + "\n").encode())
-        for file in stream.files:
-            file.seek(0)
-            shutil.copyfileobj(file, f)
-        f.writelines(tail)
+    write_csv(path, header, traj.grid.nodes(), _flat(traj.samples), stream)

@@ -145,7 +145,8 @@ class _Tabulated(Schedule):
     def values(self, times):
         """One domain check naming the first time outside the table, then
         ``np.interp`` of a scalar table, or (1 - w) A_k + w A_k+1 of an
-        operator table as one stacked blend."""
+        operator table as one stacked blend, w A_k+1 added a block of
+        ``linalg.BLOCK_ENTRIES`` entries at a time."""
         times = np.asarray(times, dtype=float)
         t0, t1 = float(self.times[0]), float(self.times[-1])
         slack = _DOMAIN_RTOL * max(1.0, abs(t0), abs(t1))
@@ -158,12 +159,14 @@ class _Tabulated(Schedule):
             return np.interp(times, self.times, self.table)
         k = np.clip(np.searchsorted(self.times, times, side="right") - 1, 0, self.times.size - 2)
         w = ((times - self.times[k]) / (self.times[k + 1] - self.times[k]))[:, None, None]
-        # blended in place, so that the two gathered stacks are the only ones made
+        # blended in place, so that the gathered stack A_k is the only whole one made
         out = self.table[k]
         out *= 1.0 - w
-        b = self.table[k + 1]
-        b *= w
-        out += b
+        rows = max(1, linalg.BLOCK_ENTRIES // self.table[0].size)
+        for a in range(0, len(out), rows):
+            b = self.table[k[a:a + rows] + 1]
+            b *= w[a:a + rows]
+            out[a:a + rows] += b
         return out
 
 

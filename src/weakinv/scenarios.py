@@ -35,12 +35,24 @@ SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A model and its run defaults; an inline model (name "inline") has
+    rho0 I/d and no default grid or invariant seed (None)."""
+
     name: str
     model: model.LindbladModel
     default_rho0: np.ndarray
-    default_invariant_seed: np.ndarray
-    default_grid: TimeGrid
+    default_invariant_seed: np.ndarray | None
+    default_grid: TimeGrid | None
     truncation_dim: int | None = None
+
+
+def _qubit(name, h, jump, gamma, rho0, seed) -> ScenarioSpec:
+    """A qubit with Hamiltonian ``h`` and one ``jump`` channel at the
+    constant rate ``gamma`` (≥ 0), on the grid [0, 5] of 5000 steps."""
+    if gamma < 0:
+        raise ConfigError("scenario_args.gamma", "must be ≥ 0")
+    m = model.LindbladModel(2, h, [(jump, float(gamma))])
+    return ScenarioSpec(name, m, rho0, seed, TimeGrid(0.0, 5.0, 5000))
 
 
 def amplitude_damping_qubit(omega: float = 1.0, gamma: float = 0.5) -> ScenarioSpec:
@@ -48,18 +60,9 @@ def amplitude_damping_qubit(omega: float = 1.0, gamma: float = 0.5) -> ScenarioS
 
     The excited population decays as exp(-2 gamma t).
     """
-    if gamma < 0:
-        raise ConfigError("scenario_args.gamma", "must be ≥ 0")
-    h = omega * np.diag([0.0, 1.0]).astype(complex)
-    m = model.LindbladModel(2, h, [(SIGMA_MINUS, float(gamma))])
-    rho0 = np.diag([0.0, 1.0]).astype(complex)  # excited state
-    return ScenarioSpec(
-        name="amp-damp",
-        model=m,
-        default_rho0=rho0,
-        default_invariant_seed=SIGMA_Z.copy(),
-        default_grid=TimeGrid(0.0, 5.0, 5000),
-    )
+    excited = np.diag([0.0, 1.0]).astype(complex)
+    return _qubit("amp-damp", omega * excited, SIGMA_MINUS, gamma, excited.copy(),
+                  SIGMA_Z.copy())
 
 
 def dephasing_qubit(omega: float = 1.0, gamma: float = 0.25) -> ScenarioSpec:
@@ -67,18 +70,8 @@ def dephasing_qubit(omega: float = 1.0, gamma: float = 0.25) -> ScenarioSpec:
 
     Populations are conserved exactly; coherences decay at rate 4 gamma.
     """
-    if gamma < 0:
-        raise ConfigError("scenario_args.gamma", "must be ≥ 0")
-    h = 0.5 * omega * SIGMA_Z
-    m = model.LindbladModel(2, h, [(SIGMA_Z.copy(), float(gamma))])
-    rho0 = 0.5 * np.ones((2, 2), dtype=complex)  # |+><+|
-    return ScenarioSpec(
-        name="dephase",
-        model=m,
-        default_rho0=rho0,
-        default_invariant_seed=SIGMA_X.copy(),
-        default_grid=TimeGrid(0.0, 5.0, 5000),
-    )
+    plus = 0.5 * np.ones((2, 2), dtype=complex)  # |+><+|
+    return _qubit("dephase", 0.5 * omega * SIGMA_Z, SIGMA_Z.copy(), gamma, plus, SIGMA_X.copy())
 
 
 def lowering_operator(dim: int) -> np.ndarray:

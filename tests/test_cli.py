@@ -489,6 +489,49 @@ class TestInlineModelKeys:
         assert not list(tmp_path.glob("*.csv"))
 
 
+class TestInlineModelDefaults:
+    """An inline model has rho0 I/d and no default grid or invariant seed;
+    ``scenario_args`` belongs to a built-in scenario alone. Each refusal
+    exits 1 with one line and creates no directory."""
+
+    def run(self, tmp_path, capsys, command, **cfg):
+        cfg = write_config(tmp_path / "cfg.json", {"scenario": inline_amp_damp(), **cfg})
+        out = tmp_path / "out"
+        status = main([command, "--config", cfg, "--out", str(out)])
+        return status, capsys.readouterr().err, out
+
+    def test_rho0_defaults_to_identity_over_d(self, tmp_path, capsys):
+        status, _, out = self.run(tmp_path, capsys, "simulate",
+                                  grid={"t_start": 0.0, "t_end": 1.0, "n_steps": 20})
+        assert status == 0
+        row = (out / "state.csv").read_text().splitlines()[1]
+        assert row == "0,0.5,0,0,0,0,0,0.5,0"
+
+    @pytest.mark.parametrize("command", ["simulate", "invariant", "action-check"])
+    def test_grid_is_required(self, tmp_path, capsys, command):
+        status, err, out = self.run(tmp_path, capsys, command, invariant_seed="sz",
+                                    lambda_final=SZ_LITERAL)
+        assert (status, err) == (1, "error: grid is required for inline models\n")
+        assert not out.exists()
+
+    def test_invariant_seed_is_required(self, tmp_path, capsys):
+        status, err, out = self.run(tmp_path, capsys, "invariant",
+                                    grid={"t_start": 0.0, "t_end": 1.0, "n_steps": 20})
+        assert (status, err) == (1, "error: invariant_seed is required for inline models\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "invariant", "action-check"])
+    def test_scenario_args_are_refused(self, tmp_path, capsys, command):
+        grid = {"t_start": 0.0, "t_end": 1.0, "n_steps": 20}
+        status, err, out = self.run(tmp_path, capsys, command, grid=grid, invariant_seed="sz",
+                                    lambda_final=SZ_LITERAL, scenario_args={"gamma": 0.3})
+        assert (status, err) == (1, "error: scenario_args applies only to a built-in scenario\n")
+        assert not out.exists()
+        # a scenario named on the command line takes them
+        cfg = str(tmp_path / "cfg.json")
+        assert main([command, "amp-damp", "--config", cfg, "--out", str(out)]) == 0
+
+
 def identity_literal(d, scale=1.0):
     return [[scale * float(j == k), 0] for j in range(d) for k in range(d)]
 
@@ -656,13 +699,13 @@ class TestComputeOnce:
         # it runs in this process
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         calls = []
-        cell_generators = action._cell_generators
+        grad_rho = action._grad_rho
 
         def counted(*args):
             calls.append(1)
-            return cell_generators(*args)
+            return grad_rho(*args)
 
-        monkeypatch.setattr(action, "_cell_generators", counted)
+        monkeypatch.setattr(action, "_grad_rho", counted)
         cfg = amp_damp_config(tmp_path, n_steps=200, lambda_final=SZ_LITERAL)
         assert main(["action-check", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert len(calls) == 2
@@ -1092,6 +1135,26 @@ class TestInputsCheckedFirst:
                            {"scenario": "damped-ho", "scenario_args": {"n_trunc": 6}})
         assert main(["invariant", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert built == [1] and calls == [10001]
+
+
+class TestMissingLambdaFinalAfterRho0:
+    """A missing ``lambda_final`` is reported after rho0's errors, as a
+    missing inline ``invariant_seed`` is."""
+
+    def test_bad_rho0_is_named_first(self, tmp_path, capsys):
+        cfg = amp_damp_config(tmp_path, rho0=SMINUS_LITERAL)
+        out = tmp_path / "out"
+        assert main(["action-check", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rho0 is not Hermitian") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_missing_lambda_final_alone(self, tmp_path, capsys):
+        cfg = amp_damp_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["action-check", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: lambda_final is required for action-check\n"
+        assert not out.exists()
 
 
 class TestNonFiniteInputs:

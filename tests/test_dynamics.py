@@ -504,6 +504,23 @@ class TestBlockedLoop:
         assert dynamics._propagate(m, random_density(rng, 3), grid, False, 0, "rk4", "state",
                                    out) >= 0.0
 
+    def test_done_is_called_once_per_block_with_its_last_node(self):
+        # damped-ho at d=6 steps blocks of BLOCK_ENTRIES // (4 * 36) steps; by the
+        # time the hook runs, every node up to the one it names is written
+        spec = scenarios.damped_oscillator(n_trunc=6)
+        grid = TimeGrid(0.0, 1.0, 200)
+        block = linalg.BLOCK_ENTRIES // (4 * 36)
+        calls = []
+
+        def done(samples, k):
+            calls.append(k)
+            assert np.isfinite(samples[:k + 1]).all()
+
+        traj, _ = integrate_state(spec.model, spec.default_rho0, grid, done=done)
+        assert calls == [min(k + block, 200) for k in range(0, 200, block)]
+        assert np.array_equal(traj.samples, integrate_state(spec.model, spec.default_rho0,
+                                                            grid)[0].samples)
+
     @pytest.mark.parametrize("position", ["first", "middle", "last"])
     @pytest.mark.parametrize("flow", ["state", "start", "end"])
     @pytest.mark.parametrize("constant", [False, True], ids=["hadamard-affine", "step-matrix"])

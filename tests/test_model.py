@@ -533,6 +533,25 @@ class TestScheduleValues:
         assert lattice.operator.shape == (10001, 8, 8)
         assert peak <= 2.2 * lattice.operator.nbytes
 
+    def test_tabulated_blend_adds_the_second_knot_a_block_at_a_time(self):
+        # d=8 on 5000 steps: w A_k+1 is gathered a block of BLOCK_ENTRIES entries at a
+        # time, so the one gathered stack sets the peak (both whole peaked at ~2.04)
+        rng = np.random.default_rng(3)
+        knots = np.linspace(0.0, 5.0, 51)
+        ms = rng.standard_normal((51, 8, 8)) + 1j * rng.standard_normal((51, 8, 8))
+        h = model.tabulated(knots, list(ms + ms.conj().swapaxes(1, 2)))
+        m, grid = model.LindbladModel(8, h, [(np.eye(8, k=1), 0.3)]), TimeGrid(0.0, 5.0, 5000)
+        tracemalloc.start()
+        try:
+            lattice = m.on_grid(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * lattice.operator.nbytes
+        times = grid.t_start + (0.5 * grid.dt) * np.arange(10001)
+        for j in range(0, 10001, 97):  # across many blocks: bitwise one call per time
+            assert lattice.operator[j].tobytes() == h(times[j]).tobytes()
+
     def test_domain_error_names_the_first_time_outside(self):
         sched = model.tabulated([0.0, 1.0], [0.1, 0.2], name="lambda")
         with pytest.raises(ScheduleDomainError,
