@@ -293,7 +293,9 @@ def auxiliary_trajectory(
     motion obtained by varying rho is exactly the weak-invariant flow, so
     this is that flow run backward from ``lam_final``, its errors naming
     ``lambda_final``."""
-    return invariant_flow(model, lam_final, "end", grid, method, what="lambda_final")()
+    lam, run = invariant_flow(model, lam_final, "end", grid, method, what="lambda_final")
+    run()
+    return lam
 
 
 def stationarity_check(
@@ -306,9 +308,9 @@ def stationarity_check(
     """Integrate rho forward and, in a forked child at the same time, Lam
     backward, then report how stationary the discrete action is on the pair.
     Inputs are checked in the order of the two flows, rho0 first."""
-    here = state_flow(model, rho0, grid, method)
-    lam, (state, _) = beside(invariant_flow(model, lam_final, "end", grid, method,
-                                            what="lambda_final"), here, "invariant flow")
+    state, run = state_flow(model, rho0, grid, method)
+    lam, run_lam = invariant_flow(model, lam_final, "end", grid, method, what="lambda_final")
+    beside(run_lam, run, "invariant flow")
     return stationarity_report(_flow_path(state, lam), model)
 
 

@@ -14,11 +14,12 @@ flows: rho0, the model lattice, then the invariant seed or lambda_final
 flow: in a forked child process, while this process steps the state flow
 and its monitors; outputs are byte-identical to running the flows in turn,
 and a state-flow error is reported before an invariant-flow error. Then
-`action-check` takes the gauge check's passes `beside` the stationarity
-report, whose error comes first. `simulate` hands each finished block of
-state.csv rows but the last to a forked child that formats it while the
-state flow keeps stepping; state.csv is written whole, byte-identical to
-formatting it in one process, or not at all. `verify` runs in one process.
+`action-check` takes the gauge check's passes and the <Lam> series, which
+its drift gate reads, `beside` the stationarity report, whose error comes
+first. `simulate` hands each finished block of state.csv rows but the last
+to a forked child that formats it while the state flow keeps stepping;
+state.csv is written whole, byte-identical to formatting it in one
+process, or not at all. `verify` runs in one process.
 
 Exit codes: 0 success; 1 an input error (usage, config, a model that fails
 its checks, a rho0, seed or lambda_final refused, an output path that cannot
@@ -48,6 +49,7 @@ from .dynamics import (
     CsvStream,
     TimeGrid,
     beside,
+    conservation_series,
     invariant_flow,
     state_flow,
     write_trajectory_csv,
@@ -246,23 +248,23 @@ def _state_flow(setup: RunSetup):
 
 
 def _flow_pair(setup: RunSetup, seed, seed_time: str, what: str):
-    """``(invariant, (state, monitors))``: the invariant flow from
-    ``seed()`` at ``seed_time`` (its errors naming ``what``), run ``beside``
-    the state flow. Each input is checked as its flow is made, the state
-    flow first, and only then is the output directory created."""
-    flow = _state_flow(setup)
-    inv_flow = invariant_flow(setup.model, seed(), seed_time, setup.grid, setup.method,
-                              what=what)
+    """``(invariant, state, monitors)``: the invariant flow from ``seed()``
+    at ``seed_time`` (its errors naming ``what``), run ``beside`` the state
+    flow. Each input is checked, and each trajectory made, as its flow is
+    made, the state flow first; only then is the output directory created."""
+    state, run = _state_flow(setup)
+    inv, run_inv = invariant_flow(setup.model, seed(), seed_time, setup.grid, setup.method,
+                                  what=what)
     _make_dir(setup.out_dir, setup.out_field)
-    return beside(inv_flow, flow, "invariant flow")
+    return inv, state, beside(run_inv, run, "invariant flow")[1]
 
 
 def cmd_simulate(args) -> int:
     setup = RunSetup(args)
-    flow = _state_flow(setup)
+    traj, run = _state_flow(setup)
     _make_dir(setup.out_dir, setup.out_field)
     with CsvStream(setup.grid, setup.out_dir) as stream:
-        traj, monitors = flow(stream.done)
+        monitors = run(stream.done)
         with _output(setup.out_dir / "state.csv") as path:
             write_trajectory_csv(traj, path, stream=stream)
     payload = monitors.to_dict()
@@ -273,7 +275,7 @@ def cmd_simulate(args) -> int:
 def cmd_invariant(args) -> int:
     setup = RunSetup(args)
     drift_bound = setup.cfg["drift_bound"]
-    inv, (state, monitors) = _flow_pair(setup, setup.invariant_seed, "start", "invariant seed")
+    inv, state, monitors = _flow_pair(setup, setup.invariant_seed, "start", "invariant seed")
     report = invariant_mod.analyze(inv, state)
 
     with _output(setup.out_dir / "expectation.csv") as path:
@@ -293,30 +295,38 @@ def cmd_invariant(args) -> int:
 
 def cmd_action_check(args) -> int:
     setup = RunSetup(args)
-    residual_bound = setup.cfg["residual_bound"]
-    lam, (state, monitors) = _flow_pair(setup, setup.lambda_final, "end", "lambda_final")
+    residual_bound, drift_bound = setup.cfg["residual_bound"], setup.cfg["drift_bound"]
+    lam, state, monitors = _flow_pair(setup, setup.lambda_final, "end", "lambda_final")
     path = _flow_path(state, lam)
 
-    # gauge check on the same solution path, with a seeded random rate table, beside the report
+    # gauge check on the same solution path, with a seeded random rate table, and the series of
+    # <Lam>_k = tr(Lam_k rho_k), which the paper's claim holds constant, beside the report
     rng = np.random.default_rng(setup.seed)
     knots = np.linspace(setup.grid.t_start, setup.grid.t_end, 9)
     rate = tabulated(knots, list(rng.uniform(-1.0, 1.0, size=9)), name="lambda")
-    (shifted, rhs), report = beside(lambda: _gauge_terms(path, setup.model, rate),
-                                    lambda: stationarity_report(path, setup.model), "gauge check")
+    ((shifted, rhs), series), report = beside(
+        lambda: (_gauge_terms(path, setup.model, rate), conservation_series(lam, state)),
+        lambda: stationarity_report(path, setup.model), "gauge check")
     gauge_defect = abs((shifted - report.action_value) - rhs)  # as gauge_shift_check
+    node = int(np.argmax(np.abs(series - series[-1])))
 
     payload = report.to_dict()
     payload["gauge_defect"] = gauge_defect
     payload["residual_bound"] = residual_bound
+    payload["lambda_expectation_drift"] = drift = float(abs(series[node] - series[-1]))
+    payload["lambda_expectation_drift_node"] = node
+    payload["drift_bound"] = drift_bound
     failure = ""
     if not (
         report.grad_rho_residual <= residual_bound
         and report.grad_lam_residual <= residual_bound
         and gauge_defect <= GAUGE_DEFECT_BOUND
+        and drift <= drift_bound
     ):
         failure = (f"action check failed: residuals ({report.grad_rho_residual:.3e}, "
                    f"{report.grad_lam_residual:.3e}) vs bound {residual_bound:.3e}, "
-                   f"gauge defect {gauge_defect:.3e} vs {GAUGE_DEFECT_BOUND:.1e}")
+                   f"gauge defect {gauge_defect:.3e} vs {GAUGE_DEFECT_BOUND:.1e}, "
+                   f"lambda expectation drift {drift:.3e} at node {node} vs {drift_bound:.3e}")
     return _finish(setup, "action_report.json", payload, monitors, failure)
 
 

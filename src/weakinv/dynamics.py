@@ -33,14 +33,15 @@ A flow's nodes are thus bitwise Hermitian, and its ``Trajectory`` says so;
 its stack is read-only, so that no edit in place can make that untrue.
 
 ``state_flow`` and ``invariant_flow`` check a flow's inputs once, sample
-the lattice, and return the flow ready to run; ``integrate_state`` and
+the lattice, and return the flow's trajectory with the call ``run`` that
+fills it, both made by one maker, ``_flow``; ``integrate_state`` and
 ``integrate_invariant`` run one at once. Given the lattice the two flows are
 independent, so ``beside(child, here, what)`` runs one (the invariant flow,
 in the CLI and ``action``) in a forked child, on a second core, while this
 process calls the other. The invariant flow's stack lies on an anonymous
-shared mapping, made with the flow, so the child writes its samples where
-this process reads them, and its trajectory comes back through the pipe as
-a reference to that stack. A ``CsvStream`` given to the state flow as its
+shared mapping, and its trajectory is made with the flow, over that stack,
+so the child writes its samples where this process reads them; the child
+reports only its error. A ``CsvStream`` given to the state flow as its
 per-block ``done`` hook hands each finished block of state rows but the last
 to a forked child that formats it while the flow keeps stepping. Every fork
 goes through ``_Child``, whose ``join`` returns what its call returned;
@@ -61,7 +62,6 @@ import pickle
 import shutil
 import signal
 import tempfile
-import weakref
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -307,30 +307,10 @@ def _propagate(model, y0, grid, dual, first, method, what, samples, done=None):
     return None if dual else float(max_defect)
 
 
-# (pid, id) -> the read-only stack of an ``invariant_flow`` made in process pid
-_SHARED = weakref.WeakValueDictionary()
-
-
-def _shared(key):
-    return _SHARED[key]
-
-
-class _Pickler(pickle.Pickler):
-    """Pickles a stack that the parent process registered in ``_SHARED``
-    before the fork (which leaves it at the same address, on a mapping both
-    processes share) as a reference to it, and everything else as
-    ``pickle`` does."""
-
-    def reducer_override(self, obj):
-        key = os.getppid(), id(obj)
-        if _SHARED.get(key) is obj:
-            return _shared, (key,)
-        return NotImplemented
-
-
 class _Child:
     """``run()`` in a forked child process, which reports back through a pipe
-    its exception or its value (pickled by ``_Pickler``); where ``os.fork``
+    its exception or its value, pickled (a forked flow's is None: its
+    trajectory lies on a mapping both processes share); where ``os.fork``
     is missing, or ``os.sched_getaffinity`` gives this process fewer than
     two CPUs (where a child could only take turns with it), ``join`` calls
     ``run()`` here instead. ``join`` returns the value or raises the
@@ -353,7 +333,7 @@ class _Child:
                 except Exception as e:
                     report = e, None
                 with os.fdopen(w, "wb") as pipe:
-                    _Pickler(pipe).dump(report)
+                    pickle.dump(report, pipe)
                 status = 0
             finally:
                 os._exit(status)
@@ -414,21 +394,36 @@ def _flow_input(model: LindbladModel, a, method: str, what: str, rtol=linalg.HER
     return a
 
 
+def _flow(model, y0, grid, method, dual, first, kind, stack):
+    """``(trajectory, run)``: the flow's ``Trajectory``, made here over a
+    read-only view of ``stack``, and ``run(done=None)``, ``_propagate`` from
+    ``y0`` at node ``first`` into ``stack``. The trajectory's nodes are
+    defined only once ``run`` has returned."""
+    traj = Trajectory(grid=grid, samples=stack.view(), kind=kind)
+    traj.samples.flags.writeable = False  # so that no edit in place can break the mark
+    object.__setattr__(traj, "_hermitian", True)
+
+    def run(done=None):
+        return _propagate(model, y0, grid, dual, first, method, kind, stack, done)
+    return traj, run
+
+
 def state_flow(model: LindbladModel, rho0, grid: TimeGrid, method: str = "rk4", *,
                leakage_index: int | None = None):
-    """The state flow, its inputs checked here, once, in this order: the
-    method, ``rho0`` (Hermitian, of the model's dimension, with a finite
-    Hermitian part of unit trace within 1e-10 and min eigenvalue >= -1e-10;
-    else a ``NotHermitianError`` or ``ConfigError``), then the model
-    lattice, sampled here and kept.
+    """``(trajectory, run)``: the state flow, its inputs checked here, once,
+    in this order: the method, ``rho0`` (Hermitian, of the model's
+    dimension, with a finite Hermitian part of unit trace within 1e-10 and
+    min eigenvalue >= -1e-10; else a ``NotHermitianError`` or
+    ``ConfigError``), then the model lattice, sampled here and kept. The
+    trajectory is made here, over a stack of its own; its nodes are defined
+    only once ``run`` has returned.
 
-    ``flow(done=None)`` steps it and returns the trajectory and a monitor
-    report, truncation leakage tracked at ``leakage_index`` (the top
-    retained basis level) if given; ``done(samples, k)``, if given, is
-    called once per flow block, every node of the stack up to k written
-    (``CsvStream.done``, say).
-    A step beyond ``BLOWUP_CAP`` raises ``BlowupError``, a non-finite one
-    ``IntegrationError``."""
+    ``run(done=None)`` steps the flow and returns a monitor report,
+    truncation leakage tracked at ``leakage_index`` (the top retained basis
+    level) if given; ``done(samples, k)``, if given, is called once per flow
+    block, every node of the stack up to k written (``CsvStream.done``,
+    say). A step beyond ``BLOWUP_CAP`` raises ``BlowupError``, a non-finite
+    one ``IntegrationError``."""
     rho0 = _flow_input(model, rho0, method, "rho0", rtol=1e-10)
     tr0 = linalg.trace(rho0)
     if abs(tr0 - 1.0) > 1e-10:
@@ -437,26 +432,24 @@ def state_flow(model: LindbladModel, rho0, grid: TimeGrid, method: str = "rk4", 
     if not min_eig0 >= -1e-10:
         raise ConfigError("rho0", f"has negative eigenvalue {min_eig0}")
     model.on_grid(grid)
+    samples = np.empty((grid.n_steps + 1,) + rho0.shape, dtype=complex)
+    traj, fill = _flow(model, rho0, grid, method, False, 0, STATE, samples)
 
-    def flow(done=None):
-        samples = np.empty((grid.n_steps + 1,) + rho0.shape, dtype=complex)
-        max_herm = _propagate(model, rho0, grid, False, 0, method, STATE, samples, done)
-        samples.flags.writeable = False  # so that no edit in place can break the mark
-        traj = Trajectory(grid=grid, samples=samples, kind=STATE)
-        object.__setattr__(traj, "_hermitian", True)
+    def run(done=None):
+        max_herm = fill(done)
         drift = np.max(np.abs(np.trace(samples, axis1=1, axis2=2).real - tr0.real))
         min_eig = np.min(np.linalg.eigvalsh(samples)[:, 0])  # the flow made every node Hermitian
         if leakage_index is not None:
             leak = np.max(samples[:, leakage_index, leakage_index].real)
         else:
             leak = 0.0
-        return traj, MonitorReport(
+        return MonitorReport(
             max_trace_drift=float(drift),
             max_hermiticity_defect=max_herm,
             min_eigenvalue=float(min_eig),
             max_leakage=float(leak),
         )
-    return flow
+    return traj, run
 
 
 def integrate_state(
@@ -469,23 +462,24 @@ def integrate_state(
     done=None,
 ) -> tuple[Trajectory, MonitorReport]:
     """Propagate a density operator over the grid: ``state_flow``, run at once."""
-    return state_flow(model, rho0, grid, method, leakage_index=leakage_index)(done)
+    traj, run = state_flow(model, rho0, grid, method, leakage_index=leakage_index)
+    return traj, run(done)
 
 
 def invariant_flow(model: LindbladModel, seed, seed_time: str, grid: TimeGrid,
                    method: str = "rk4", *, what: str = "invariant seed"):
-    """The flow dI/dt = +i L*(I) across the grid, its inputs checked here,
-    once, in this order: ``seed_time`` ("start": forward from t_start;
-    "end": backward from t_end, the direction the action principle fixes
-    for the auxiliary operator), the method, ``seed`` (Hermitian, not
-    symmetrized, of the model's dimension, with a finite Hermitian part;
-    its errors name ``what``), then the model lattice, sampled here and
-    kept, so that a flow run by ``beside`` shares it.
+    """``(trajectory, run)``: the flow dI/dt = +i L*(I) across the grid, its
+    inputs checked here, once, in this order: ``seed_time`` ("start":
+    forward from t_start; "end": backward from t_end, the direction the
+    action principle fixes for the auxiliary operator), the method, ``seed``
+    (Hermitian, not symmetrized, of the model's dimension, with a finite
+    Hermitian part; its errors name ``what``), then the model lattice,
+    sampled here and kept, so that a flow run by ``beside`` shares it.
 
-    ``flow()`` steps it once and returns the trajectory. Its stack is made
-    here, on an anonymous shared mapping, and registered in ``_SHARED``, so
-    that a flow run in a forked child (``beside``) writes it where this
-    process reads it, and ``_Child`` sends it back by reference. A step
+    The trajectory is made here, over a stack on an anonymous shared
+    mapping, so that a flow run in a forked child (``beside``) writes it
+    where this process reads it; its nodes are defined only once ``run``
+    has returned. ``run()`` steps the flow once and returns None. A step
     beyond ``BLOWUP_CAP`` raises ``BlowupError``, a non-finite one
     ``IntegrationError``."""
     if seed_time not in ("start", "end"):
@@ -494,17 +488,8 @@ def invariant_flow(model: LindbladModel, seed, seed_time: str, grid: TimeGrid,
     model.on_grid(grid)
     first = 0 if seed_time == "start" else grid.n_steps
     shape = (grid.n_steps + 1,) + seed.shape
-    out = np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)), dtype=complex).reshape(shape)
-    samples = out.view()
-    samples.flags.writeable = False  # so that no edit in place can break the mark
-    _SHARED[os.getpid(), id(samples)] = samples
-
-    def flow():
-        _propagate(model, seed, grid, True, first, method, INVARIANT, out)
-        traj = Trajectory(grid=grid, samples=samples, kind=INVARIANT)
-        object.__setattr__(traj, "_hermitian", True)
-        return traj
-    return flow
+    stack = np.frombuffer(mmap.mmap(-1, 16 * math.prod(shape)), dtype=complex).reshape(shape)
+    return _flow(model, seed, grid, method, True, first, INVARIANT, stack)
 
 
 def integrate_invariant(
@@ -515,7 +500,9 @@ def integrate_invariant(
     method: str = "rk4",
 ) -> Trajectory:
     """Propagate dI/dt = +i L*(I) across the grid: ``invariant_flow``, run at once."""
-    return invariant_flow(model, seed, seed_time, grid, method)()
+    traj, run = invariant_flow(model, seed, seed_time, grid, method)
+    run()
+    return traj
 
 
 def conservation_series(inv: Trajectory, state: Trajectory) -> np.ndarray:

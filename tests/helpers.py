@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from weakinv import linalg
+from weakinv.dynamics import beside
 from weakinv.model import LindbladModel, scaled, sinusoidal
 from weakinv.superop import apply_adjoint, apply_liouvillian
 
@@ -264,3 +265,18 @@ def per_step_flow(model, y0, grid, dual, first, method="rk4", cap=1e12):
             y /= 2.0
             samples[k + d] = y
     return samples, defect
+
+
+def forked_invariant(inv_flow, here):
+    """``(invariant, here())``: the run of an ``invariant_flow``'s
+    ``(trajectory, run)`` in a forked child, ``beside`` ``here``."""
+    inv, run = inv_flow
+    return inv, beside(run, here, "invariant flow")[1]
+
+
+def forked_pair(inv_flow, state_flow):
+    """``(invariant, state, monitors)``: an ``invariant_flow`` run in a
+    forked child, ``beside`` a ``state_flow``."""
+    state, run = state_flow
+    inv, monitors = forked_invariant(inv_flow, run)
+    return inv, state, monitors

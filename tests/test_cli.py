@@ -681,8 +681,11 @@ class TestComputeOnce:
             return wrapper
 
         def counted_flow(name, make):
-            return counted(name, lambda *args, **kwargs:
-                           counted(f"{name} run", make(*args, **kwargs)))
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                traj, run = make(*args, **kwargs)
+                return traj, counted(f"{name} run", run)
+            return wrapper
 
         monkeypatch.setattr(cli, "state_flow", counted_flow("state_flow", cli.state_flow))
         monkeypatch.setattr(cli, "invariant_flow",
@@ -818,10 +821,10 @@ class TestForkedGaugeCheck:
         cfg = make_cfg(tmp_path)
         assert main(["action-check", "--config", cfg, "--out", str(tmp_path)]) == 0
         setup = cli.RunSetup(cli.build_parser().parse_args(["action-check", "--config", cfg]))
-        lam, (state, _) = dynamics.beside(
-            dynamics.invariant_flow(setup.model, setup.lambda_final(), "end", setup.grid,
-                                    what="lambda_final"),
-            dynamics.state_flow(setup.model, setup.rho0, setup.grid), "invariant flow")
+        lam, run_lam = dynamics.invariant_flow(setup.model, setup.lambda_final(), "end",
+                                               setup.grid, what="lambda_final")
+        state, run = dynamics.state_flow(setup.model, setup.rho0, setup.grid)
+        dynamics.beside(run_lam, run, "invariant flow")
         path = action.DiscretizedPath(grid=setup.grid, rho=state.samples, lam=lam.samples)
         rng = np.random.default_rng(setup.seed)
         rate = tabulated(np.linspace(setup.grid.t_start, setup.grid.t_end, 9),
@@ -860,6 +863,56 @@ class TestForkedGaugeCheck:
         assert capsys.readouterr().err == "internal error: ValueError: report failed\n"
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestLambdaExpectationDrift:
+    """The paper's claim, gated on every ``action-check``: Lam is a weak
+    invariant, so <Lam>_k = tr(Lam_k rho_k) stays at its final value along
+    the flow pair, within ``drift_bound``."""
+
+    CONFIGS = [
+        lambda tmp_path: amp_damp_config(tmp_path, n_steps=200, lambda_final=SZ_LITERAL),
+        driven_ho_config,
+    ]
+
+    @pytest.mark.parametrize("make_cfg", CONFIGS, ids=["amp-damp", "damped-ho"])
+    def test_drift_and_its_node_are_reported(self, tmp_path, make_cfg):
+        cfg = make_cfg(tmp_path)
+        assert main(["action-check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "action_report.json").read_text())
+        setup = cli.RunSetup(cli.build_parser().parse_args(["action-check", "--config", cfg]))
+        state, _ = dynamics.integrate_state(setup.model, setup.rho0, setup.grid)
+        lam = action.auxiliary_trajectory(setup.model, setup.lambda_final(), setup.grid)
+        series = dynamics.conservation_series(lam, state)
+        drifts = np.abs(series - series[-1])
+        assert report["lambda_expectation_drift"] == float(drifts.max())
+        assert report["lambda_expectation_drift_node"] == int(drifts.argmax())
+        assert report["drift_bound"] == 1e-6
+
+    @pytest.mark.parametrize("make_cfg", CONFIGS, ids=["amp-damp", "damped-ho"])
+    def test_a_corrupted_lambda_flow_fails(self, tmp_path, monkeypatch, capsys, make_cfg):
+        # one jump weight of the Lam flow's generator, and of no other, off by 2e-5: the
+        # residuals (about 2e-5) and the gauge check pass, and only the drift trips its gate
+        # (a weight off by 1e-3 trips the rho residual too)
+        def corrupted(lattice, dual, unit=1):
+            if dual:
+                ch = lattice.channels[0]
+                ch = dataclasses.replace(ch, alpha=ch.alpha * (1.0 + 2e-5))
+                lattice = dataclasses.replace(lattice, channels=(ch,) + lattice.channels[1:])
+            return superop.Generator(lattice, dual, unit)
+
+        monkeypatch.setattr(dynamics, "Generator", corrupted)
+        cfg = make_cfg(tmp_path)
+        assert main(["action-check", "--config", cfg, "--out", str(tmp_path)]) == 2
+        report = json.loads((tmp_path / "action_report.json").read_text())
+        drift, node = report["lambda_expectation_drift"], report["lambda_expectation_drift_node"]
+        assert drift > report["drift_bound"] == 1e-6
+        assert max(report["grad_rho_residual"], report["grad_lam_residual"]) <= 1e-4
+        assert report["gauge_defect"] <= cli.GAUGE_DEFECT_BOUND
+        assert report["violations"] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].endswith(f"lambda expectation drift {drift:.3e} at node {node} vs 1.000e-06")
 
 
 class TestFlowOutputCheckedOnce:

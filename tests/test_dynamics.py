@@ -379,10 +379,10 @@ class TestStepMatrix:
                 calls.append(1)
             return matmul(a, b, **kwargs)
 
-        flow = state_flow(random_constant_model(rng, dim), random_density(rng, dim),
-                          TimeGrid(0.0, 1.0, n_steps))
+        _, run = state_flow(random_constant_model(rng, dim), random_density(rng, dim),
+                            TimeGrid(0.0, 1.0, n_steps))
         monkeypatch.setattr(np, "matmul", counted)
-        flow()
+        run()
         assert len(calls) == products
 
 
@@ -591,8 +591,8 @@ class TestForkedInvariantFlow:
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        inv, (state, mon) = beside(invariant_flow(m, seed, seed_time, grid, method),
-                                   state_flow(m, rho0, grid, method), "invariant flow")
+        inv, state, mon = helpers.forked_pair(invariant_flow(m, seed, seed_time, grid, method),
+                                              state_flow(m, rho0, grid, method))
         assert forks == [1]
         assert inv.kind == dynamics.INVARIANT and inv.grid == grid
         assert inv.samples.tobytes() == serial_inv.samples.tobytes()
@@ -601,11 +601,11 @@ class TestForkedInvariantFlow:
 
     def test_without_fork_the_flows_run_in_turn(self, monkeypatch):
         m, grid = driven_amp_damp(), TimeGrid(0.0, 1.0, 100)
-        forked = beside(invariant_flow(m, SX, "end", grid), lambda: "done", "invariant flow")
+        forked = helpers.forked_invariant(invariant_flow(m, SX, "end", grid), lambda: "done")
         monkeypatch.delattr(os, "fork")
         order = []
-        serial = beside(invariant_flow(m, SX, "end", grid),
-                        lambda: order.append("here") or "done", "invariant flow")
+        serial = helpers.forked_invariant(invariant_flow(m, SX, "end", grid),
+                                          lambda: order.append("here") or "done")
         assert serial[1] == forked[1] == "done"
         assert serial[0].samples.tobytes() == forked[0].samples.tobytes()
         assert order == ["here"]
@@ -614,8 +614,9 @@ class TestForkedInvariantFlow:
         with pytest.raises(BlowupError) as serial:
             integrate_invariant(amp_damp(gamma=40.0), SZ, "start", TimeGrid(0.0, 1.0, 100))
         with pytest.raises(BlowupError) as forked:
-            beside(invariant_flow(amp_damp(gamma=40.0), SZ, "start", TimeGrid(0.0, 1.0, 100)),
-                   lambda: None, "invariant flow")
+            helpers.forked_invariant(
+                invariant_flow(amp_damp(gamma=40.0), SZ, "start", TimeGrid(0.0, 1.0, 100)),
+                lambda: None)
         assert str(forked.value) == str(serial.value)
         assert forked.value.step == serial.value.step
         assert forked.value.magnitude == serial.value.magnitude
@@ -623,21 +624,23 @@ class TestForkedInvariantFlow:
     def test_the_parents_error_comes_first(self):
         # the child would blow up too; the error of ``here`` wins
         with pytest.raises(ValueError, match="state flow failed"):
-            beside(invariant_flow(amp_damp(gamma=40.0), SZ, "start", TimeGrid(0.0, 1.0, 100)),
-                   raise_value_error, "invariant flow")
+            helpers.forked_invariant(
+                invariant_flow(amp_damp(gamma=40.0), SZ, "start", TimeGrid(0.0, 1.0, 100)),
+                raise_value_error)
 
     def test_the_stack_is_not_sent_through_the_pipe(self, monkeypatch):
-        # the child's trajectory comes back as a reference to the shared stack:
-        # its report is far smaller than the 116 kB of a d=6, 200-step stack
+        # the trajectory is made with the flow, over the shared stack, so the
+        # child reports only (None, None), which pickles to 16 bytes, not the
+        # 116 kB of a d=6, 200-step stack
         spec = scenarios.damped_oscillator(n_trunc=6)
         grid = TimeGrid(0.0, 1.0, 200)
         serial = integrate_invariant(spec.model, spec.default_invariant_seed, "start", grid)
         reports, loads = [], pickle.loads
         monkeypatch.setattr(pickle, "loads", lambda data: reports.append(len(data)) or loads(data))
-        inv, _ = beside(invariant_flow(spec.model, spec.default_invariant_seed, "start", grid),
-                        lambda: None, "invariant flow")
+        inv, _ = helpers.forked_invariant(
+            invariant_flow(spec.model, spec.default_invariant_seed, "start", grid), lambda: None)
         assert serial.samples.nbytes == 201 * 36 * 16
-        assert len(reports) == 1 and reports[0] < 2048
+        assert len(reports) == 1 and reports[0] <= 16
         assert inv.samples.tobytes() == serial.samples.tobytes()
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -645,15 +648,56 @@ class TestForkedInvariantFlow:
         m, grid = amp_damp(), TimeGrid(0.0, 1.0, 100)
         fds = open_fds()
         for _ in range(3):
-            beside(invariant_flow(m, SZ, "start", grid), lambda: None, "invariant flow")
+            helpers.forked_invariant(invariant_flow(m, SZ, "start", grid), lambda: None)
             with pytest.raises(BlowupError):
-                beside(invariant_flow(amp_damp(gamma=40.0), SZ, "start", grid), lambda: None,
-                       "invariant flow")
+                helpers.forked_invariant(invariant_flow(amp_damp(gamma=40.0), SZ, "start", grid),
+                                         lambda: None)
             with pytest.raises(ValueError, match="state flow failed"):
-                beside(invariant_flow(m, SZ, "start", grid), raise_value_error, "invariant flow")
+                helpers.forked_invariant(invariant_flow(m, SZ, "start", grid), raise_value_error)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert open_fds() == fds
+
+
+class TestFlowMakers:
+    """Both makers return the flow's trajectory, made with the flow, and the
+    call that fills it; a forked run sends nothing back but its error."""
+
+    GRID = TimeGrid(0.0, 1.0, 100)
+
+    @pytest.mark.parametrize("make, kind", [
+        (lambda m, grid: state_flow(m, PLUS_STATE, grid), dynamics.STATE),
+        (lambda m, grid: invariant_flow(m, SX, "end", grid), dynamics.INVARIANT),
+    ], ids=["state", "invariant"])
+    def test_the_trajectory_is_made_before_the_run(self, monkeypatch, make, kind):
+        monkeypatch.setattr(dynamics, "_propagate", None)  # no flow may start
+        traj, run = make(amp_damp(), self.GRID)
+        assert isinstance(traj, Trajectory) and traj.kind == kind and traj.grid == self.GRID
+        assert traj.samples.shape == (101, 2, 2)
+        assert traj._hermitian
+        assert not traj.samples.flags.writeable
+        assert callable(run)
+
+    @pytest.mark.parametrize("forked", [False, True], ids=["in-process", "forked"])
+    @pytest.mark.parametrize("case", ["step-matrix", "driven"])
+    def test_run_fills_that_trajectory(self, monkeypatch, forked, case):
+        m = amp_damp() if case == "step-matrix" else driven_amp_damp()
+        serial_state, serial_mon = integrate_state(m, PLUS_STATE, self.GRID)
+        serial_inv = integrate_invariant(m, SX, "end", self.GRID)
+        forks = []
+        if forked:
+            fork = os.fork
+            monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        else:
+            monkeypatch.delattr(os, "fork")
+        state, run = state_flow(m, PLUS_STATE, self.GRID)
+        inv, run_inv = invariant_flow(m, SX, "end", self.GRID)
+        samples = state.samples, inv.samples
+        assert beside(run_inv, run, "invariant flow") == (None, serial_mon)
+        assert forks == ([1] if forked else [])
+        assert state.samples is samples[0] and inv.samples is samples[1]  # filled in place
+        assert state.samples.tobytes() == serial_state.samples.tobytes()
+        assert inv.samples.tobytes() == serial_inv.samples.tobytes()
 
 
 class TestConservation:

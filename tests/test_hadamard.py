@@ -10,7 +10,7 @@ import pytest
 import helpers
 from helpers import SMINUS, partial_permutation, random_density, random_hadamard_model
 from weakinv import action, dynamics, linalg, model, scenarios, superop
-from weakinv.dynamics import (TimeGrid, beside, integrate_invariant, integrate_state,
+from weakinv.dynamics import (TimeGrid, integrate_invariant, integrate_state,
                               invariant_flow, state_flow)
 from weakinv.model import LindbladModel, constant, scaled, sinusoidal, tabulated
 
@@ -281,8 +281,8 @@ class TestFlows:
         grid, rho0, seed = TimeGrid(0.0, 1.0, 100), random_density(rng, 5), np.diag(np.arange(5.0))
         serial_inv = integrate_invariant(m, seed, "end", grid)
         serial_state, _ = integrate_state(m, rho0, grid)
-        inv, (state, _) = beside(invariant_flow(m, seed, "end", grid),
-                                 state_flow(m, rho0, grid), "invariant flow")
+        inv, state, _ = helpers.forked_pair(invariant_flow(m, seed, "end", grid),
+                                            state_flow(m, rho0, grid))
         assert inv.samples.tobytes() == serial_inv.samples.tobytes()
         assert state.samples.tobytes() == serial_state.samples.tobytes()
 

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import helpers
 from helpers import PLUS_STATE, SMINUS, SX, SZ
 from weakinv import invariant, linalg
-from weakinv.dynamics import (TimeGrid, Trajectory, beside, integrate_invariant, integrate_state,
+from weakinv.dynamics import (TimeGrid, Trajectory, integrate_invariant, integrate_state,
                               invariant_flow, state_flow)
 from weakinv.errors import NotHermitianError
 from weakinv.model import LindbladModel
@@ -60,8 +60,8 @@ class TestSpectrumSeries:
         # skip its check; an edit in place that would break the mark is refused
         m, grid = amp_damp(), TimeGrid(0.0, 1.0, 20)
         if forked:
-            inv, (state, _) = beside(invariant_flow(m, SZ, "start", grid),
-                                     state_flow(m, EXCITED, grid), "invariant flow")
+            inv, state, _ = helpers.forked_pair(invariant_flow(m, SZ, "start", grid),
+                                                state_flow(m, EXCITED, grid))
         else:
             state, _ = integrate_state(m, EXCITED, grid)
             inv = integrate_invariant(m, SZ, "start", grid)

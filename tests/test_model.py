@@ -515,30 +515,15 @@ class TestScheduleValues:
         for got, t in zip(sched.values([0.0, 1.3, 3.0]), [0.0, 1.3, 3.0]):
             assert np.array_equal(got, sched(t))
 
-    def test_tabulated_hamiltonian_sampled_within_two_stacks(self):
-        # d=8 on 5000 steps: the blend's two gathered stacks set the peak, and
-        # the checks run a block at a time (a per-time list and its np.stack
-        # copy peaked at about 2.35 stacks)
-        rng = np.random.default_rng(3)
-        knots = np.linspace(0.0, 5.0, 11)
-        ms = rng.standard_normal((11, 8, 8)) + 1j * rng.standard_normal((11, 8, 8))
-        h = model.tabulated(knots, list(ms + ms.conj().swapaxes(1, 2)))
-        m = model.LindbladModel(8, h, [(np.eye(8, k=1), 0.3)])
-        tracemalloc.start()
-        try:
-            lattice = m.on_grid(TimeGrid(0.0, 5.0, 5000))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert lattice.operator.shape == (10001, 8, 8)
-        assert peak <= 2.2 * lattice.operator.nbytes
-
-    def test_tabulated_blend_adds_the_second_knot_a_block_at_a_time(self):
+    @pytest.mark.parametrize("n_knots", [11, 51])
+    def test_tabulated_blend_adds_the_second_knot_a_block_at_a_time(self, n_knots):
         # d=8 on 5000 steps: w A_k+1 is gathered a block of BLOCK_ENTRIES entries at a
-        # time, so the one gathered stack sets the peak (both whole peaked at ~2.04)
+        # time, so the one gathered stack sets the peak (both whole peaked at ~2.04), and
+        # the checks run a block at a time (a per-time list and its np.stack copy peaked
+        # at about 2.35 stacks)
         rng = np.random.default_rng(3)
-        knots = np.linspace(0.0, 5.0, 51)
-        ms = rng.standard_normal((51, 8, 8)) + 1j * rng.standard_normal((51, 8, 8))
+        knots = np.linspace(0.0, 5.0, n_knots)
+        ms = rng.standard_normal((n_knots, 8, 8)) + 1j * rng.standard_normal((n_knots, 8, 8))
         h = model.tabulated(knots, list(ms + ms.conj().swapaxes(1, 2)))
         m, grid = model.LindbladModel(8, h, [(np.eye(8, k=1), 0.3)]), TimeGrid(0.0, 5.0, 5000)
         tracemalloc.start()
@@ -547,6 +532,7 @@ class TestScheduleValues:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert lattice.operator.shape == (10001, 8, 8)
         assert peak <= 1.25 * lattice.operator.nbytes
         times = grid.t_start + (0.5 * grid.dt) * np.arange(10001)
         for j in range(0, 10001, 97):  # across many blocks: bitwise one call per time
