@@ -16,10 +16,8 @@ and its monitors; outputs are byte-identical to running the flows in turn,
 and a state-flow error is reported before an invariant-flow error. Then
 `action-check` takes the gauge check's passes and the <Lam> series, which
 its drift gate reads, `beside` the stationarity report, whose error comes
-first. `simulate` hands each finished block of state.csv rows but the last
-to a forked child that formats it while the state flow keeps stepping;
-state.csv is written whole, byte-identical to formatting it in one
-process, or not at all. `verify` runs in one process.
+first. `simulate` and `verify` run in one process; `simulate` writes
+state.csv whole, once its flow has succeeded, or not at all.
 
 Exit codes: 0 success; 1 an input error (usage, config, a model that fails
 its checks, a rho0, seed or lambda_final refused, an output path that cannot
@@ -46,7 +44,6 @@ from . import config, linalg, verify
 from . import invariant as invariant_mod
 from .action import _flow_path, _gauge_terms, stationarity_report
 from .dynamics import (
-    CsvStream,
     TimeGrid,
     beside,
     conservation_series,
@@ -263,10 +260,9 @@ def cmd_simulate(args) -> int:
     setup = RunSetup(args)
     traj, run = _state_flow(setup)
     _make_dir(setup.out_dir, setup.out_field)
-    with CsvStream(setup.grid, setup.out_dir) as stream:
-        monitors = run(stream.done)
-        with _output(setup.out_dir / "state.csv") as path:
-            write_trajectory_csv(traj, path, stream=stream)
+    monitors = run()
+    with _output(setup.out_dir / "state.csv") as path:
+        write_trajectory_csv(traj, path)
     payload = monitors.to_dict()
     payload["grid"] = setup.grid.to_dict()
     return _finish(setup, "monitors.json", payload, monitors)

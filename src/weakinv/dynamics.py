@@ -41,12 +41,10 @@ in the CLI and ``action``) in a forked child, on a second core, while this
 process calls the other. The invariant flow's stack lies on an anonymous
 shared mapping, and its trajectory is made with the flow, over that stack,
 so the child writes its samples where this process reads them; the child
-reports only its error. A ``CsvStream`` given to the state flow as its
-per-block ``done`` hook hands each finished block of state rows but the last
-to a forked child that formats it while the flow keeps stepping. Every fork
-goes through ``_Child``, whose ``join`` returns what its call returned;
-where ``os.fork`` is missing, or the process may run on fewer than two
-CPUs, the call is made in-process, with bitwise the same results.
+reports only its error. ``beside`` is the one fork, and it returns what the
+child's call returned; where ``os.fork`` is missing, or the process may run
+on fewer than two CPUs, the call is made in-process, with bitwise the same
+results.
 
 CSV text is formatted by one row formatter, in blocks of at most
 ``CSV_BLOCK_VALUES`` values; a column that is bitwise constant over a block
@@ -59,9 +57,7 @@ import math
 import mmap
 import os
 import pickle
-import shutil
 import signal
-import tempfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -95,16 +91,10 @@ BLOWUP_CAP = 1e12
 STEP_MATRIX_MAX_DIM = 16
 
 # CSV text is formatted in blocks of rows of at most this many values (at
-# least one row); a ``CsvStream`` hands each finished block but the last to a
-# forked child. At d=20 a block is 654 rows, ~0.1 s of %.17g formatting on
-# one core where every column varies (a damped-ho block formats 29 of its 801
-# columns; the rest are constant), and a table of one block (amp-damp's 5001
-# rows) forks nothing.
+# least one row), each block's constant columns once. At d=20 a block is 654
+# rows, ~0.1 s of %.17g formatting on one core where every column varies (a
+# damped-ho block formats 29 of its 801 columns; the rest are constant).
 CSV_BLOCK_VALUES = 1 << 19
-# Most formatter children running at a time: where formatting a block takes
-# longer than stepping one, the oldest is joined before the next fork, so
-# that a long grid does not pile up processes.
-CSV_FORMATTERS = 2
 
 __all__ = [
     "TimeGrid",
@@ -118,7 +108,6 @@ __all__ = [
     "conservation_series",
     "write_trajectory_csv",
     "write_csv",
-    "CsvStream",
     "STATE",
     "INVARIANT",
     "METHODS",
@@ -220,13 +209,11 @@ def _step(f, i, y, h, method):
     return y + h * f(i + d, y + (0.5 * h) * f(i, y))
 
 
-def _propagate(model, y0, grid, dual, first, method, what, samples, done=None):
+def _propagate(model, y0, grid, dual, first, method, what, samples):
     """The flow y' = ±i generator(y) (+i L* with ``dual``, else -i L) from
     ``y0`` at node ``first`` (0: forward, n_steps: backward) into the stack
     ``samples``, and the largest Hermiticity defect of a raw step (None with
     ``dual``: only the state monitor reports it).
-    ``done(samples, k)``, if given, is called once per block, as the block
-    passes the guard: every node up to k (the block's last) is written.
 
     Blocks of B = ``linalg.BLOCK_ENTRIES`` // (4 d²) steps keep a block's raw
     steps, its 2B + 1 lattice entries (one ``Generator.span``) and the
@@ -302,80 +289,59 @@ def _propagate(model, y0, grid, dual, first, method, what, samples, done=None):
                     )
             if not dual:
                 max_defect = max(max_defect, np.abs(steps - steps.conj().swapaxes(1, 2)).max())
-            if done:
-                done(samples, k1)
     return None if dual else float(max_defect)
-
-
-class _Child:
-    """``run()`` in a forked child process, which reports back through a pipe
-    its exception or its value, pickled (a forked flow's is None: its
-    trajectory lies on a mapping both processes share); where ``os.fork``
-    is missing, or ``os.sched_getaffinity`` gives this process fewer than
-    two CPUs (where a child could only take turns with it), ``join`` calls
-    ``run()`` here instead. ``join`` returns the value or raises the
-    child's exception, or ``IntegrationError`` naming ``what`` and the exit
-    status if the child ended without a whole report (killed, say)."""
-
-    def __init__(self, run, what):
-        self.run, self.what, self.pid = run, what, None
-        if not hasattr(os, "fork") or (hasattr(os, "sched_getaffinity")
-                                       and len(os.sched_getaffinity(0)) < 2):
-            return
-        r, w = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:  # the child: report, then exit without returning to the caller
-            status = 1
-            try:
-                os.close(r)
-                try:
-                    report = None, run()
-                except Exception as e:
-                    report = e, None
-                with os.fdopen(w, "wb") as pipe:
-                    pickle.dump(report, pipe)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(w)
-        self.pipe = r
-
-    def join(self, kill=False):
-        """Wait for ``run()`` (killing the child first with ``kill``, which
-        drops its result) and return its value or raise its exception."""
-        if self.pid is None:
-            return None if kill else self.run()
-        if kill:
-            os.kill(self.pid, signal.SIGKILL)
-        try:
-            with os.fdopen(self.pipe, "rb") as pipe:
-                report = pipe.read()
-        finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        if kill:
-            return
-        if status:  # killed, say, or the report could not be pickled whole
-            raise IntegrationError(f"{self.what} ended without a result (exit status {status})",
-                                   step=None)
-        error, value = pickle.loads(report)
-        if error is not None:
-            raise error
-        return value
 
 
 def beside(child, here, what):
     """``(child(), here())``, bitwise the same as the two calls made in turn:
-    ``child`` runs in a ``_Child`` (``what`` names it in its errors) while
-    this process calls ``here``. An error of ``here`` comes first, and the
-    child is then killed and reaped. A fork copies only the calling thread,
-    so call this only from a process that runs no other Python threads."""
-    forked = _Child(child, what)
+    ``child`` runs in a forked child process while this process calls
+    ``here``. The child reports back through a pipe its exception, raised
+    here, or its value, pickled (a forked flow's is None: its trajectory
+    lies on a mapping both processes share); a child that ended without a
+    whole report (killed, say) raises ``IntegrationError`` naming ``what``
+    and the exit status. An error of ``here`` comes first, and the child is
+    then killed and reaped. Where ``os.fork`` is missing, or
+    ``os.sched_getaffinity`` gives this process fewer than two CPUs (where a
+    child could only take turns with it), ``child`` is called here, after
+    ``here``. A fork copies only the calling thread, so call this only from
+    a process that runs no other Python threads."""
+    if not hasattr(os, "fork") or (hasattr(os, "sched_getaffinity")
+                                   and len(os.sched_getaffinity(0)) < 2):
+        result = here()
+        return child(), result
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report, then exit without returning to the caller
+        status = 1
+        try:
+            os.close(r)
+            try:
+                report = None, child()
+            except Exception as e:
+                report = e, None
+            with os.fdopen(w, "wb") as pipe:
+                pickle.dump(report, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
     try:
         result = here()
     except BaseException:
-        forked.join(kill=True)
+        os.kill(pid, signal.SIGKILL)  # its result is dropped
         raise
-    return forked.join(), result
+    finally:  # killed or done, the child is reaped
+        try:
+            with os.fdopen(r, "rb") as pipe:
+                report = pipe.read()
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:  # killed, say, or the report could not be pickled whole
+        raise IntegrationError(f"{what} ended without a result (exit status {status})", step=None)
+    error, value = pickle.loads(report)
+    if error is not None:
+        raise error
+    return value, result
 
 
 def _flow_input(model: LindbladModel, a, method: str, what: str, rtol=linalg.HERMITICITY_RTOL):
@@ -396,15 +362,15 @@ def _flow_input(model: LindbladModel, a, method: str, what: str, rtol=linalg.HER
 
 def _flow(model, y0, grid, method, dual, first, kind, stack):
     """``(trajectory, run)``: the flow's ``Trajectory``, made here over a
-    read-only view of ``stack``, and ``run(done=None)``, ``_propagate`` from
-    ``y0`` at node ``first`` into ``stack``. The trajectory's nodes are
-    defined only once ``run`` has returned."""
+    read-only view of ``stack``, and ``run()``, ``_propagate`` from ``y0``
+    at node ``first`` into ``stack``. The trajectory's nodes are defined
+    only once ``run`` has returned."""
     traj = Trajectory(grid=grid, samples=stack.view(), kind=kind)
     traj.samples.flags.writeable = False  # so that no edit in place can break the mark
     object.__setattr__(traj, "_hermitian", True)
 
-    def run(done=None):
-        return _propagate(model, y0, grid, dual, first, method, kind, stack, done)
+    def run():
+        return _propagate(model, y0, grid, dual, first, method, kind, stack)
     return traj, run
 
 
@@ -418,11 +384,9 @@ def state_flow(model: LindbladModel, rho0, grid: TimeGrid, method: str = "rk4", 
     trajectory is made here, over a stack of its own; its nodes are defined
     only once ``run`` has returned.
 
-    ``run(done=None)`` steps the flow and returns a monitor report,
-    truncation leakage tracked at ``leakage_index`` (the top retained basis
-    level) if given; ``done(samples, k)``, if given, is called once per flow
-    block, every node of the stack up to k written (``CsvStream.done``,
-    say). A step beyond ``BLOWUP_CAP`` raises ``BlowupError``, a non-finite
+    ``run()`` steps the flow and returns a monitor report, truncation
+    leakage tracked at ``leakage_index`` (the top retained basis level) if
+    given. A step beyond ``BLOWUP_CAP`` raises ``BlowupError``, a non-finite
     one ``IntegrationError``."""
     rho0 = _flow_input(model, rho0, method, "rho0", rtol=1e-10)
     tr0 = linalg.trace(rho0)
@@ -435,8 +399,8 @@ def state_flow(model: LindbladModel, rho0, grid: TimeGrid, method: str = "rk4", 
     samples = np.empty((grid.n_steps + 1,) + rho0.shape, dtype=complex)
     traj, fill = _flow(model, rho0, grid, method, False, 0, STATE, samples)
 
-    def run(done=None):
-        max_herm = fill(done)
+    def run():
+        max_herm = fill()
         drift = np.max(np.abs(np.trace(samples, axis1=1, axis2=2).real - tr0.real))
         min_eig = np.min(np.linalg.eigvalsh(samples)[:, 0])  # the flow made every node Hermitian
         if leakage_index is not None:
@@ -459,11 +423,10 @@ def integrate_state(
     method: str = "rk4",
     *,
     leakage_index: int | None = None,
-    done=None,
 ) -> tuple[Trajectory, MonitorReport]:
     """Propagate a density operator over the grid: ``state_flow``, run at once."""
     traj, run = state_flow(model, rho0, grid, method, leakage_index=leakage_index)
-    return traj, run(done)
+    return traj, run()
 
 
 def invariant_flow(model: LindbladModel, seed, seed_time: str, grid: TimeGrid,
@@ -545,85 +508,28 @@ def _csv_text(nodes, values):
         yield "".join([fmt % tuple(row) for row in table[:, ~same].tolist()]).encode()
 
 
-def write_csv(path, header: list[str], nodes, values, stream=None) -> None:
+def write_csv(path, header: list[str], nodes, values) -> None:
     """CSV export: the header row, then per node t and the node's ``values``
     row, every number with 17 significant digits (lossless), formatted as
-    it is written; with a state flow's ``CsvStream``, the rows before its
-    ``start`` are its children's files, and the file is written once they
-    all succeed."""
+    it is written; a file that cannot be written whole (a full disk, say)
+    is removed before the error is raised."""
     nodes = np.asarray(nodes)
     values = np.asarray(values).reshape(len(nodes), -1)
-    start = 0 if stream is None else stream.start
-    rows, files = _csv_text(nodes[start:], values[start:]), []
-    if stream is not None:
-        rows = list(rows)  # formatted while the children still run
-        stream.join()
-        files = stream.files
     with open(path, "wb") as f:
-        f.write((",".join(header) + "\n").encode())
-        for file in files:
-            file.seek(0)
-            shutil.copyfileobj(file, f)
-        f.writelines(rows)
+        try:
+            f.write((",".join(header) + "\n").encode())
+            f.writelines(_csv_text(nodes, values))
+        except BaseException:
+            os.unlink(path)
+            raise
 
 
-def _flat(samples):
-    # a complex128 row viewed as float64 interleaves the real and imaginary parts
-    return np.ascontiguousarray(samples).reshape(len(samples), -1).view(np.float64)
-
-
-class CsvStream:
-    """A state trajectory's CSV rows, formatted in forked children while the
-    flow steps: ``done`` is the state flow's per-block hook, and
-    ``write_trajectory_csv(..., stream=)`` writes the file. Each finished
-    block of rows (``CSV_BLOCK_VALUES`` values) but the last goes to a child
-    that writes its text to an unlinked temporary file in ``directory``.
-    Leaving the ``with`` block kills and reaps the children not joined and
-    closes the files, so an error leaves no process and no file behind."""
-
-    def __init__(self, grid: TimeGrid, directory):
-        self.nodes, self.directory = grid.nodes(), directory
-        self.running, self.files = [], []  # in row order
-        self.start = 0  # the first row not handed to a child
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        for child in self.running:
-            child.join(kill=True)
-        for file in self.files:
-            file.close()
-
-    def done(self, samples, k):
-        """Every node up to ``k`` is written: hand each block of rows that
-        is now whole, but never the table's last, to a child."""
-        rows = max(1, CSV_BLOCK_VALUES // (1 + 2 * samples[0].size))
-        while self.start + rows <= min(k + 1, len(samples) - 1):
-            end = self.start + rows
-            self.join(CSV_FORMATTERS - 1)
-            file = tempfile.TemporaryFile(dir=self.directory)
-            nodes, values = self.nodes[self.start:end], _flat(samples[self.start:end])
-
-            def run(file=file, nodes=nodes, values=values):  # bound now: run in-process at join
-                file.writelines(_csv_text(nodes, values))
-                file.flush()
-
-            self.running.append(_Child(run, "state CSV formatter"))
-            self.files.append(file)
-            self.start = end
-
-    def join(self, running=0):
-        """Join the oldest children until at most ``running`` are left,
-        raising the first error."""
-        while len(self.running) > running:
-            self.running.pop(0).join()
-
-
-def write_trajectory_csv(traj: Trajectory, path, *, stream: CsvStream | None = None) -> None:
+def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV export: t, then re_j_k / im_j_k for the row-major operator
-    entries, by ``write_csv`` (with its ``stream``, if given)."""
+    entries, by ``write_csv``."""
     d = traj.dim
     header = ["t"] + [f"{part}_{j}_{k}"
                       for j in range(d) for k in range(d) for part in ("re", "im")]
-    write_csv(path, header, traj.grid.nodes(), _flat(traj.samples), stream)
+    # a complex128 row viewed as float64 interleaves the real and imaginary parts
+    values = np.ascontiguousarray(traj.samples).reshape(len(traj.samples), -1).view(np.float64)
+    write_csv(path, header, traj.grid.nodes(), values)

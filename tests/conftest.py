@@ -11,7 +11,7 @@ def rng():
 
 @pytest.fixture(autouse=True)
 def two_cpus(monkeypatch):
-    """``dynamics._Child`` forks only where the process may run on two CPUs;
+    """``dynamics.beside`` forks only where the process may run on two CPUs;
     on a host that gives fewer, report two, so that the suite exercises the
     fork paths it pins on every host. Tests of the one-CPU rule patch
     ``os.sched_getaffinity`` themselves."""

@@ -504,23 +504,6 @@ class TestBlockedLoop:
         assert dynamics._propagate(m, random_density(rng, 3), grid, False, 0, "rk4", "state",
                                    out) >= 0.0
 
-    def test_done_is_called_once_per_block_with_its_last_node(self):
-        # damped-ho at d=6 steps blocks of BLOCK_ENTRIES // (4 * 36) steps; by the
-        # time the hook runs, every node up to the one it names is written
-        spec = scenarios.damped_oscillator(n_trunc=6)
-        grid = TimeGrid(0.0, 1.0, 200)
-        block = linalg.BLOCK_ENTRIES // (4 * 36)
-        calls = []
-
-        def done(samples, k):
-            calls.append(k)
-            assert np.isfinite(samples[:k + 1]).all()
-
-        traj, _ = integrate_state(spec.model, spec.default_rho0, grid, done=done)
-        assert calls == [min(k + block, 200) for k in range(0, 200, block)]
-        assert np.array_equal(traj.samples, integrate_state(spec.model, spec.default_rho0,
-                                                            grid)[0].samples)
-
     @pytest.mark.parametrize("position", ["first", "middle", "last"])
     @pytest.mark.parametrize("flow", ["state", "start", "end"])
     @pytest.mark.parametrize("constant", [False, True], ids=["hadamard-affine", "step-matrix"])
@@ -557,15 +540,16 @@ def raise_value_error():
 
 
 class TestChild:
-    """``_Child.join`` returns what ``run()`` returned: pickled back from a
-    forked child, or from a call here on one CPU."""
+    """``beside`` joins its child and returns what the child's call returned:
+    pickled back from a forked child, or from a call here on one CPU."""
 
     @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["forked", "one-cpu"])
     def test_join_returns_the_value(self, monkeypatch, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         parent = os.getpid()
-        child = dynamics._Child(lambda: (os.getpid() != parent, [1.5, "x"]), "test child")
-        assert child.join() == (len(cpus) == 2, [1.5, "x"])
+        value, here = beside(lambda: (os.getpid() != parent, [1.5, "x"]), lambda: "here",
+                             "test child")
+        assert (value, here) == ((len(cpus) == 2, [1.5, "x"]), "here")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -1,6 +1,6 @@
 """Trajectories as one (n+1, d, d) stack: the batched Hermiticity gate, the
 batched spectra against an independent oracle, and the CSV export, whole
-and streamed from forked children, against a per-cell formatter."""
+and a block of rows at a time, against a per-cell formatter."""
 
 import dataclasses
 import os
@@ -356,45 +356,31 @@ class TestCsvConstantColumns:
             dynamics.write_trajectory_csv(traj, path)
             with open(path, "rb") as f:
                 assert f.read() == per_cell_csv(traj)
-            with dynamics.CsvStream(grid, tmp) as stream:
-                for k in range(n):
-                    stream.done(traj.samples, k)
-                dynamics.write_trajectory_csv(traj, path, stream=stream)
-            with open(path, "rb") as f:
-                assert f.read() == per_cell_csv(traj)
 
 
 BLOCK_ROWS = 5
 
 
 class TestStreamedCsv:
-    """``CsvStream`` hands each finished block of rows but the last to a
-    forked child; the file must be byte for byte the per-cell one."""
+    """A flow's ``state.csv`` is formatted and written a block of rows at a
+    time, in this process; the file must be byte for byte the per-cell one."""
 
     @pytest.mark.parametrize("n_steps", [1, 2, BLOCK_ROWS - 2, BLOCK_ROWS - 1, BLOCK_ROWS,
                                          BLOCK_ROWS + 1, 4 * BLOCK_ROWS + 1])
     @pytest.mark.parametrize("method", ["rk4", "midpoint"])
     @pytest.mark.parametrize("case", ["step-matrix", "driven"])
     def test_bytes_equal_the_per_cell_oracle(self, tmp_path, monkeypatch, case, method, n_steps):
-        # a block is BLOCK_ROWS rows, and n_steps + 1 rows fork n_steps // BLOCK_ROWS
-        # children: the grids cover a table of one row less than, exactly and one
-        # row more than a block, and more blocks than CSV_FORMATTERS run at once
+        # a block is BLOCK_ROWS rows: the grids cover a table of one row less than,
+        # exactly and one row more than a block, and one of five blocks and a row
         if case == "step-matrix":
             m, rho0 = LindbladModel(2, SZ.copy(), [(SMINUS, 0.3)]), PLUS_STATE
         else:
             spec = scenarios.damped_oscillator(n_trunc=6)
             m, rho0 = spec.model, spec.default_rho0
         monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", BLOCK_ROWS * (1 + 2 * m.dim**2))
-        forks = []
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         grid = TimeGrid(0.0, 1.0, n_steps)
         path = tmp_path / "state.csv"
-        with dynamics.CsvStream(grid, tmp_path) as stream:
-            traj, _ = integrate_state(m, rho0, grid, method, done=stream.done)
-            dynamics.write_trajectory_csv(traj, path, stream=stream)
-        assert len(forks) == n_steps // BLOCK_ROWS
+        traj, _ = integrate_state(m, rho0, grid, method)
+        dynamics.write_trajectory_csv(traj, path)
         assert path.read_bytes() == per_cell_csv(traj)
         assert os.listdir(tmp_path) == ["state.csv"]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
