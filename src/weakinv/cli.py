@@ -40,15 +40,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import config, linalg, verify
-from . import invariant as invariant_mod
-from .action import _flow_path, _gauge_terms, stationarity_report
+from . import config, linalg  # action, invariant, verify: imported where a command runs them
 from .dynamics import (
     TimeGrid,
     beside,
     conservation_series,
     invariant_flow,
     state_flow,
+    write_file,
     write_trajectory_csv,
 )
 from .errors import (
@@ -144,7 +143,7 @@ def _write_json(path: Path, payload: dict) -> None:
     # strict JSON: a NaN or infinity is an error, never written
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with _output(path):
-        path.write_text(text + "\n")
+        write_file(path, [(text + "\n").encode()])
 
 
 def _check_memory(grid: TimeGrid, dim: int, flows: int) -> None:
@@ -269,15 +268,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_invariant(args) -> int:
+    from . import invariant
     setup = RunSetup(args)
     drift_bound = setup.cfg["drift_bound"]
     inv, state, monitors = _flow_pair(setup, setup.invariant_seed, "start", "invariant seed")
-    report = invariant_mod.analyze(inv, state)
+    report = invariant.analyze(inv, state)
 
     with _output(setup.out_dir / "expectation.csv") as path:
-        invariant_mod.write_expectation_csv(setup.grid, report.expectation, path)
+        invariant.write_expectation_csv(setup.grid, report.expectation, path)
     with _output(setup.out_dir / "spectrum.csv") as path:
-        invariant_mod.write_spectrum_csv(report.spectrum, path)
+        invariant.write_spectrum_csv(report.spectrum, path)
     payload = report.to_dict()
     payload["drift_bound"] = drift_bound
     payload["monitors"] = monitors.to_dict()
@@ -290,6 +290,7 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_action_check(args) -> int:
+    from .action import _flow_path, _gauge_terms, stationarity_report
     setup = RunSetup(args)
     residual_bound, drift_bound = setup.cfg["residual_bound"], setup.cfg["drift_bound"]
     lam, state, monitors = _flow_pair(setup, setup.lambda_final, "end", "lambda_final")
@@ -327,6 +328,7 @@ def cmd_action_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     seed = config.integer(args.seed, "seed")
     config.integer(args.trials, "trials", minimum=1)
     out_dir = Path(args.out) if args.out is not None else Path(".")

@@ -53,6 +53,7 @@ is formatted once for the block, so only what varies costs a ``%`` per row.
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import os
@@ -108,6 +109,7 @@ __all__ = [
     "conservation_series",
     "write_trajectory_csv",
     "write_csv",
+    "write_file",
     "STATE",
     "INVARIANT",
     "METHODS",
@@ -508,20 +510,26 @@ def _csv_text(nodes, values):
         yield "".join([fmt % tuple(row) for row in table[:, ~same].tolist()]).encode()
 
 
+def write_file(path, chunks) -> None:
+    """Write the byte strings ``chunks`` to ``path``; on an error mid-way or at
+    the flush on close (a full disk, say), remove the partial file and re-raise."""
+    f = open(path, "wb")
+    try:
+        with f:
+            f.writelines(chunks)
+    except BaseException:
+        os.unlink(path)
+        raise
+
+
 def write_csv(path, header: list[str], nodes, values) -> None:
     """CSV export: the header row, then per node t and the node's ``values``
     row, every number with 17 significant digits (lossless), formatted as
-    it is written; a file that cannot be written whole (a full disk, say)
-    is removed before the error is raised."""
+    it is written, by ``write_file``."""
     nodes = np.asarray(nodes)
     values = np.asarray(values).reshape(len(nodes), -1)
-    with open(path, "wb") as f:
-        try:
-            f.write((",".join(header) + "\n").encode())
-            f.writelines(_csv_text(nodes, values))
-        except BaseException:
-            os.unlink(path)
-            raise
+    write_file(path, itertools.chain([(",".join(header) + "\n").encode()],
+                                     _csv_text(nodes, values)))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -52,7 +52,6 @@ class InvariantReport:
     conservation series and spectrum they were computed from."""
 
     max_expectation_drift: float
-    spectrum_total_variation: np.ndarray
     classification: str  # "strong-like" | "weak"
     expectation: np.ndarray  # (n_nodes,), Re tr(I rho) per node
     spectrum: SpectrumSeries
@@ -60,7 +59,7 @@ class InvariantReport:
     def to_dict(self) -> dict:
         return {
             "max_expectation_drift": self.max_expectation_drift,
-            "spectrum_total_variation": [float(v) for v in self.spectrum_total_variation],
+            "spectrum_total_variation": [float(v) for v in self.spectrum.total_variation],
             "classification": self.classification,
         }
 
@@ -74,14 +73,10 @@ def spectrum_series(inv: Trajectory) -> SpectrumSeries:
     return SpectrumSeries(grid=inv.grid, eigenvalues=eig, total_variation=tv)
 
 
-def analyze(
-    inv: Trajectory,
-    state: Trajectory,
-    strong_threshold: float = STRONG_THRESHOLD,
-) -> InvariantReport:
+def analyze(inv: Trajectory, state: Trajectory) -> InvariantReport:
     """Conservation drift plus spectrum variation, with classification.
 
-    ``strong_threshold`` is relative to maxabs of the invariant's seed
+    ``STRONG_THRESHOLD`` is relative to maxabs of the invariant's seed
     sample: trajectories whose largest per-eigenvalue total variation stays
     below it classify "strong-like", everything else "weak".
     """
@@ -89,10 +84,9 @@ def analyze(
     drift = float(np.max(np.abs(series - series[0])))
     spec = spectrum_series(inv)
     scale = linalg.maxabs(inv.samples[0])
-    strong = float(np.max(spec.total_variation)) <= strong_threshold * scale
+    strong = float(np.max(spec.total_variation)) <= STRONG_THRESHOLD * scale
     return InvariantReport(
         max_expectation_drift=drift,
-        spectrum_total_variation=spec.total_variation,
         classification="strong-like" if strong else "weak",
         expectation=series,
         spectrum=spec,

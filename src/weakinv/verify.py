@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 DIMS = (2, 3, 4, 5, 6, 7, 8)
+CONSERVATION_GRID = TimeGrid(0.0, 1.0, 400)  # the integrated pairs' grid, per suite
+GAUGE_GRID = TimeGrid(0.0, 1.0, 200)
 
 
 @dataclass(frozen=True)
@@ -201,15 +203,14 @@ def check_eigensolver_invariance(rng, trials: int) -> PropertyResult:
     return _suite("eigensolver_unitary_invariance", 1e-10, trials, defect)
 
 
-def check_conservation(rng, trials: int, *, n_steps: int = 400) -> PropertyResult:
+def check_conservation(rng, trials: int) -> PropertyResult:
     """<I>(t) stays at its initial value along integrated pairs (RK4)."""
     def defect(i, dim):
-        grid = TimeGrid(0.0, 1.0, n_steps)
         m = random_model(rng, dim, time_dependent=bool(i % 2))
         rho0 = random_density(rng, dim)
         seed = random_hermitian(rng, dim)
-        state, _ = integrate_state(m, rho0, grid)
-        inv = integrate_invariant(m, seed, "start", grid)
+        state, _ = integrate_state(m, rho0, CONSERVATION_GRID)
+        inv = integrate_invariant(m, seed, "start", CONSERVATION_GRID)
         series = conservation_series(inv, state)
         scale = max(1.0, float(np.max(np.abs(series))))
         return float(np.max(np.abs(series - series[0]))) / scale
@@ -217,17 +218,16 @@ def check_conservation(rng, trials: int, *, n_steps: int = 400) -> PropertyResul
     return _suite("expectation_conservation", 1e-7, trials, defect, dims=(2, 3, 4, 5, 6))
 
 
-def check_gauge_exactness(rng, trials: int, *, n_steps: int = 200) -> PropertyResult:
+def check_gauge_exactness(rng, trials: int) -> PropertyResult:
     """Gauge-shift identity defect <= 1e-11 (1 + max|lambda|) on solution paths."""
     def defect(i, dim):
-        grid = TimeGrid(0.0, 1.0, n_steps)
         m = random_model(rng, dim)
         rho0 = random_density(rng, dim)
         lam_f = random_hermitian(rng, dim)
-        state, _ = integrate_state(m, rho0, grid)
-        lam = integrate_invariant(m, lam_f, "end", grid)
+        state, _ = integrate_state(m, rho0, GAUGE_GRID)
+        lam = integrate_invariant(m, lam_f, "end", GAUGE_GRID)
         path = _flow_path(state, lam)
-        knots = np.linspace(grid.t_start, grid.t_end, 7)
+        knots = np.linspace(GAUGE_GRID.t_start, GAUGE_GRID.t_end, 7)
         values = rng.uniform(-2.0, 2.0, size=7)
         sched = tabulated(knots, list(values), name="lambda")
         return gauge_shift_check(path, m, sched) / (1.0 + float(np.max(np.abs(values))))

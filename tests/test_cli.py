@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import weakinv
-from weakinv import action, cli, config, dynamics, linalg, scenarios, superop
+from weakinv import action, cli, config, dynamics, linalg, scenarios, superop, verify
 from weakinv.cli import _write_json, main
 from weakinv.errors import ConfigError, IntegrationError
 from weakinv.model import LindbladModel, Schedule, tabulated
@@ -799,14 +799,14 @@ class TestForkedGaugeCheck:
     reported as when the two ran in turn, and every child is reaped."""
 
     def in_the_child(self, monkeypatch, then):
-        parent, gauge_terms = os.getpid(), cli._gauge_terms
+        parent, gauge_terms = os.getpid(), action._gauge_terms
 
         def terms(*args):
             if os.getpid() != parent:
                 then()
             return gauge_terms(*args)
 
-        monkeypatch.setattr(cli, "_gauge_terms", terms)
+        monkeypatch.setattr(action, "_gauge_terms", terms)
 
     def run(self, tmp_path):
         cfg = amp_damp_config(tmp_path, n_steps=200, lambda_final=SZ_LITERAL)
@@ -857,7 +857,7 @@ class TestForkedGaugeCheck:
             raise ValueError("report failed")
 
         self.in_the_child(monkeypatch, lambda: time.sleep(60) or fail())
-        monkeypatch.setattr(cli, "stationarity_report", fail)
+        monkeypatch.setattr(action, "stationarity_report", fail)
         start = time.monotonic()
         assert self.run(tmp_path) == 3  # a bare ValueError is a fault of the program
         assert time.monotonic() - start < 30
@@ -1055,7 +1055,7 @@ class TestOutputDirectory:
         cfg = amp_damp_config(tmp_path, n_steps=50, invariant_seed="sz",
                               lambda_final=SZ_LITERAL)
         monkeypatch.setattr(dynamics, "_propagate", None)  # no flow may start
-        monkeypatch.setattr(cli.verify, "run_all", None)
+        monkeypatch.setattr(verify, "run_all", None)
         out = tmp_path / "cfg.json" / "sub"
         argv = ["--trials", "1"] if command == "verify" else ["--config", cfg]
         assert main([command, *argv, "--out", str(out)]) == 1
@@ -1121,15 +1121,42 @@ class TestUnwritableOutput:
                                            f"{os.strerror(errno.ENOSPC)}\n")
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("command, name", [("verify", "verify_report.json"),
+                                               ("simulate", "state.csv")])
+    def test_a_disk_that_fills_leaves_no_file(self, tmp_path, monkeypatch, capsys,
+                                              command, name):
+        # room for 100 bytes: a short write, then ENOSPC; both files fit the
+        # write buffer, so the error comes from the flush on close
+        class FullDisk(io.FileIO):
+            def write(self, b):
+                room = 100 - self.tell()
+                if room <= 0:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(bytes(b)[:room])
 
-def run_module(*args):
-    """``python -m weakinv.cli ARGS`` in a child interpreter that imports this
-    checkout's package."""
+        monkeypatch.setattr(dynamics, "open", lambda path, mode: io.BufferedWriter(
+            FullDisk(path, "w")), raising=False)
+        out = tmp_path / "out"
+        argv = ["--trials", "1"] if command == "verify" else ["amp-damp", "--steps", "20"]
+        assert main([command, *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: cannot write {out / name}: "
+                                           f"{os.strerror(errno.ENOSPC)}\n")
+        assert os.listdir(out) == []
+
+
+def run_python(*args):
+    """``python ARGS`` in a child interpreter that imports this checkout's
+    package."""
     src = str(Path(weakinv.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "weakinv.cli", *args],
+    return subprocess.run([sys.executable, *args],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def run_module(*args):
+    """``python -m weakinv.cli ARGS``, by ``run_python``."""
+    return run_python("-m", "weakinv.cli", *args)
 
 
 class TestModuleEntryPoint:
@@ -1142,6 +1169,31 @@ class TestModuleEntryPoint:
         proc = run_module("simulate", "no-such-thing", "--out", str(tmp_path))
         assert proc.returncode == 1
         assert "unknown scenario" in proc.stderr
+
+
+def loaded_modules(code: str, *args) -> list:
+    """The ``weakinv.*`` modules in ``sys.modules`` after ``run_python`` runs
+    ``code`` with ``args``."""
+    code += "; print(*sorted(m for m in sys.modules if m.startswith('weakinv.')))"
+    proc = run_python("-c", code, *args)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+class TestImports:
+    """The package namespace holds only ``__version__``; each command imports
+    the modules it runs, so ``simulate`` loads neither the action, nor the
+    invariant analysis, nor the property suites."""
+
+    def test_the_package_loads_no_module(self):
+        assert loaded_modules("import sys, weakinv") == []
+
+    def test_simulate_loads_only_what_it_runs(self, tmp_path):
+        loaded = loaded_modules("import sys; from weakinv.cli import main; "
+                                "assert main(sys.argv[1:]) == 0",
+                                "simulate", "amp-damp", "--steps", "20", "--out", str(tmp_path))
+        assert "weakinv.dynamics" in loaded
+        assert not {"weakinv.action", "weakinv.invariant", "weakinv.verify"} & set(loaded)
 
 
 class TestInputsCheckedFirst:

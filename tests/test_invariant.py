@@ -87,7 +87,7 @@ class TestAnalyze:
         inv = integrate_invariant(m, SZ, "start", grid)
         report = invariant.analyze(inv, state)
         assert report.max_expectation_drift <= 1e-9
-        assert float(np.max(report.spectrum_total_variation)) <= 1e-8
+        assert float(np.max(report.spectrum.total_variation)) <= 1e-8
         assert report.classification == "strong-like"
 
     def test_amplitude_damping_weak(self):
@@ -95,14 +95,14 @@ class TestAnalyze:
         report = invariant.analyze(inv, state)
         assert report.max_expectation_drift <= 1e-8
         # lower eigenvalue moves monotonically from -1 to 1 - 2e
-        assert report.spectrum_total_variation[0] == pytest.approx(2 * math.e - 2, abs=1e-6)
+        assert report.spectrum.total_variation[0] == pytest.approx(2 * math.e - 2, abs=1e-6)
         assert report.classification == "weak"
 
     def test_identity_seed_degenerate_strong_like(self):
         _, inv, state = amp_damp_pair(seed=linalg.identity(2))
         report = invariant.analyze(inv, state)
         assert report.max_expectation_drift <= 1e-12
-        assert float(np.max(report.spectrum_total_variation)) <= 1e-12
+        assert float(np.max(report.spectrum.total_variation)) <= 1e-12
         assert report.classification == "strong-like"
 
     def test_threshold_is_relative_to_seed(self):
