@@ -13,7 +13,10 @@ flows: rho0, the model lattice, then the invariant seed or lambda_final
 `invariant` and `action-check` run the invariant flow `beside` the state
 flow: in a forked child process, while this process steps the state flow
 and its monitors; outputs are byte-identical to running the flows in turn,
-and a state-flow error is reported before an invariant-flow error. Then
+and a state-flow error is reported before an invariant-flow error. In
+`invariant` the child then takes the invariant's spectrum and formats
+spectrum.csv, and hands both back; this process writes every file once
+both flows have succeeded. Then
 `action-check` takes the gauge check's passes and the <Lam> series, which
 its drift gate reads, `beside` the stationarity report, whose error comes
 first. `simulate` and `verify` run in one process; `simulate` writes
@@ -26,14 +29,20 @@ command gates on, the command's own check, a non-finite or capped iterate,
 a child ended without a result, an imaginary part beyond roundoff); 3 an
 internal error: any other exception, as one `internal error: <Type>:
 <message>` line. Runs are deterministic: the same config and seed produce
-bit-identical output files.
+bit-identical output files. Commands run with one OpenBLAS thread unless
+OPENBLAS_NUM_THREADS is set.
 """
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread unless the user set a count: the flows make many small
+# products, which a thread pool slows down. Set before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -243,16 +252,23 @@ def _state_flow(setup: RunSetup):
                       leakage_index=None if trunc is None else trunc - 1)
 
 
-def _flow_pair(setup: RunSetup, seed, seed_time: str, what: str):
-    """``(invariant, state, monitors)``: the invariant flow from ``seed()``
-    at ``seed_time`` (its errors naming ``what``), run ``beside`` the state
-    flow. Each input is checked, and each trajectory made, as its flow is
-    made, the state flow first; only then is the output directory created."""
+def _flow_pair(setup: RunSetup, seed, seed_time: str, what: str, then=lambda inv: None):
+    """``(invariant, state, monitors, taken)``: the invariant flow from
+    ``seed()`` at ``seed_time`` (its errors naming ``what``), run ``beside``
+    the state flow; ``taken`` is ``then(invariant)``, called once the
+    invariant flow is done, by the process that ran it. Each input is
+    checked, and each trajectory made, as its flow is made, the state flow
+    first; only then is the output directory created."""
     state, run = _state_flow(setup)
     inv, run_inv = invariant_flow(setup.model, seed(), seed_time, setup.grid, setup.method,
                                   what=what)
     _make_dir(setup.out_dir, setup.out_field)
-    return inv, state, beside(run_inv, run, "invariant flow")[1]
+
+    def child():
+        run_inv()
+        return then(inv)
+    taken, monitors = beside(child, run, "invariant flow")
+    return inv, state, monitors, taken
 
 
 def cmd_simulate(args) -> int:
@@ -271,13 +287,18 @@ def cmd_invariant(args) -> int:
     from . import invariant
     setup = RunSetup(args)
     drift_bound = setup.cfg["drift_bound"]
-    inv, state, monitors = _flow_pair(setup, setup.invariant_seed, "start", "invariant seed")
-    report = invariant.analyze(inv, state)
+
+    def spectrum(inv):  # in the invariant flow's process, beside the state flow
+        series = invariant.spectrum_series(inv)
+        return series, invariant.spectrum_csv(series)
+    inv, state, monitors, (series, text) = _flow_pair(
+        setup, setup.invariant_seed, "start", "invariant seed", spectrum)
+    report = invariant.analyze(inv, state, series)
 
     with _output(setup.out_dir / "expectation.csv") as path:
         invariant.write_expectation_csv(setup.grid, report.expectation, path)
     with _output(setup.out_dir / "spectrum.csv") as path:
-        invariant.write_spectrum_csv(report.spectrum, path)
+        write_file(path, [text])
     payload = report.to_dict()
     payload["drift_bound"] = drift_bound
     payload["monitors"] = monitors.to_dict()
@@ -293,7 +314,7 @@ def cmd_action_check(args) -> int:
     from .action import _flow_path, _gauge_terms, stationarity_report
     setup = RunSetup(args)
     residual_bound, drift_bound = setup.cfg["residual_bound"], setup.cfg["drift_bound"]
-    lam, state, monitors = _flow_pair(setup, setup.lambda_final, "end", "lambda_final")
+    lam, state, monitors, _ = _flow_pair(setup, setup.lambda_final, "end", "lambda_final")
     path = _flow_path(state, lam)
 
     # gauge check on the same solution path, with a seeded random rate table, and the series of

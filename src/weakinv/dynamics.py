@@ -15,21 +15,19 @@ lattice serves both flows and the action. The stages call the lattice's
 ``superop.Generator``, which owns the form, the kernel and the operators,
 bound a block of steps at a time.
 
-A ``constant`` lattice (no schedule varies in time) of dimension at most
-``STEP_MATRIX_MAX_DIM`` makes both flows linear and autonomous, so one step
-of either method is one fixed d²×d² matrix P: the method's own stages
-applied once, as a stack, to the d² unit operators. Its first K powers,
-built once per flow, step a chunk of K nodes with one product: node k + j
-of a chunk that starts at node k is the Hermitian part of y_k P^j, so
-within a chunk the steps are not re-symmetrized one by one. K shrinks with
-d to keep the powers within four blocks of ``linalg.BLOCK_ENTRIES``; from
-d=12 it is 1, one product per step. Driven models, and larger constant
-ones, evaluate the stages at every step, each step re-symmetrized to
-(A + A†)/2, which suppresses Hermiticity drift without touching the order
-of accuracy. Both flows step a block of nodes at a time, and each block's
-raw steps are checked once against ``BLOWUP_CAP`` (non-finite values and
-finite magnitudes beyond the cap both abort, naming the first such node).
-A flow's nodes are thus bitwise Hermitian, and its ``Trajectory`` says so;
+A flow steps only the entries it can reach, S = ``Generator.support`` of
+its initial operator. Where the lattice is constant on S (a ``constant``
+lattice, or a driven Hadamard one whose driven part is zero on S, as on
+the damped oscillator's diagonal, where ω(t) cancels) and |S| ≤
+``STEP_MATRIX_MAX_DIM``², one step is one fixed |S|×|S| matrix P, and a
+chunk of nodes takes one product with P's powers, kept as increments
+P^j − 1 (``_propagate``); every entry off S is exactly 0. Other flows
+evaluate the stages at every step, each step re-symmetrized to (A + A†)/2,
+which suppresses Hermiticity drift without touching the order of accuracy.
+Both flows step a block of nodes at a time, and each block's raw steps are
+checked once against ``BLOWUP_CAP`` (non-finite values and finite
+magnitudes beyond the cap both abort, naming the first such node). A
+flow's nodes are thus bitwise Hermitian, and its ``Trajectory`` says so;
 its stack is read-only, so that no edit in place can make that untrue.
 
 ``state_flow`` and ``invariant_flow`` check a flow's inputs once, sample
@@ -41,10 +39,10 @@ in the CLI and ``action``) in a forked child, on a second core, while this
 process calls the other. The invariant flow's stack lies on an anonymous
 shared mapping, and its trajectory is made with the flow, over that stack,
 so the child writes its samples where this process reads them; the child
-reports only its error. ``beside`` is the one fork, and it returns what the
-child's call returned; where ``os.fork`` is missing, or the process may run
-on fewer than two CPUs, the call is made in-process, with bitwise the same
-results.
+reports its error, or what its call returned (in the CLI's ``invariant``,
+the spectrum it took of its flow). ``beside`` is the one fork; where
+``os.fork`` is missing, or the process may run on fewer than two CPUs,
+the call is made in-process, with bitwise the same results.
 
 CSV text is formatted by one row formatter, in blocks of at most
 ``CSV_BLOCK_VALUES`` values; a column that is bitwise constant over a block
@@ -77,18 +75,20 @@ METHODS = ("rk4", "midpoint")
 # may grow exponentially, which is legitimate, but overflow must be loud.
 BLOWUP_CAP = 1e12
 
-# Largest dimension at which a constant model steps by its d²×d² step matrix
-# P (d⁴·16 bytes). At one BLAS thread (Xeon, 2 cores, best of 5), one RK4
-# step with one channel at d=16 takes 110-160 µs direct, and the 1 MB matrix
-# is built in 21 ms; at d=20 the 2.6 MB matrix no longer stays in cache and
-# its 52-60 ms build repays only grids of more than ~500-1200 steps; from
-# d=24 a product is slower than the direct step. Per step, the product and
+# A flow steps by its step matrix P on the entries S it can reach while |S|
+# ≤ STEP_MATRIX_MAX_DIM² (P is |S|²·16 bytes; its build steps |S| unit
+# operators of d² entries). Measured on constant models, S all d² entries,
+# at one BLAS thread (Xeon, 2 cores, best of 5): one RK4 step with one
+# channel at d=16 takes 110-160 µs direct, and the 1 MB matrix is built in
+# 21 ms; at d=20 the 2.6 MB matrix no longer stays in cache and its 52-60
+# ms build repays only grids of more than ~500-1200 steps; from d=24 a
+# product is slower than the direct step. Per step, the product and
 # symmetrization of one node at a time against those of a chunk of K nodes
-# from P, ..., P^K (best of 3 runs): d=2 4.2 µs, 0.05 µs at K=512; d=4
-# 4.2 µs, 0.23 µs at K=128; d=8 10 µs, 2.2 µs at K=8 but 3.1 µs at K=32;
-# d=12 15 µs, 17 µs at K=8; d=16 23 µs, 49 µs at K=8. So K·d⁴ is held to
-# 4·``linalg.BLOCK_ENTRIES`` (512 KB): K = 512, 128 and 8 at d = 2, 4 and
-# 8, and 1 from d=12 on.
+# (best of 3 runs): d=2 4.2 µs, 0.05 µs at K=512; d=4 4.2 µs, 0.23 µs at
+# K=128; d=8 10 µs, 2.2 µs at K=8 but 3.1 µs at K=32; d=12 15 µs, 17 µs at
+# K=8; d=16 23 µs, 49 µs at K=8. So K·|S|² is held to
+# 4·``linalg.BLOCK_ENTRIES`` (512 KB): K = 512, 128 and 8 at |S| = 4, 16
+# and 64, and 1 from |S| = 144 on (|S| = 20, K = 81 on damped-ho's diagonal).
 STEP_MATRIX_MAX_DIM = 16
 
 # CSV text is formatted in blocks of rows of at most this many values (at
@@ -108,6 +108,7 @@ __all__ = [
     "beside",
     "conservation_series",
     "write_trajectory_csv",
+    "csv_chunks",
     "write_csv",
     "write_file",
     "STATE",
@@ -198,17 +199,18 @@ class MonitorReport:
 
 
 def _step(f, i, y, h, method):
-    """One step of y' = f(i, y) from the node at entry ``i`` of ``f``, a
-    ``superop.Generator.span`` with the ±i folded in, sampling the model at
-    t, t+h/2, t+h (entries i, i±1, i±2 as h > 0 or h < 0)."""
+    """The increment of one step of y' = f(i, y) from the node at entry
+    ``i`` of ``f``, a ``superop.Generator.span`` with the ±i folded in,
+    sampling the model at t, t+h/2, t+h (entries i, i±1, i±2 as h > 0 or
+    h < 0): the step takes y to y + ``_step(...)``."""
     d = 1 if h > 0 else -1
     if method == "rk4":
         k1 = f(i, y)
         k2 = f(i + d, y + (0.5 * h) * k1)
         k3 = f(i + d, y + (0.5 * h) * k2)
         k4 = f(i + 2 * d, y + h * k3)
-        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y + h * f(i + d, y + (0.5 * h) * f(i, y))
+        return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return h * f(i + d, y + (0.5 * h) * f(i, y))
 
 
 def _propagate(model, y0, grid, dual, first, method, what, samples):
@@ -217,68 +219,93 @@ def _propagate(model, y0, grid, dual, first, method, what, samples):
     ``samples``, and the largest Hermiticity defect of a raw step (None with
     ``dual``: only the state monitor reports it).
 
-    Blocks of B = ``linalg.BLOCK_ENTRIES`` // (4 d²) steps keep a block's raw
-    steps, its 2B + 1 lattice entries (one ``Generator.span``) and the
-    guard's temporaries within one block of entries. Each node is written as
-    (y + y†)/2 of its raw step; after each block one pass over the raw steps
+    The flow steps E entries: those of S = ``Generator.support(y0)``, by
+    its step matrix, where the lattice is constant on S and 0 < |S| ≤
+    ``STEP_MATRIX_MAX_DIM``², else all d², by stages. Blocks of B =
+    ``linalg.BLOCK_ENTRIES`` // (4 E) steps keep a block's raw steps, its
+    2B + 1 lattice entries (one ``Generator.span``) and the guard's
+    temporaries within one block of entries. Each node is written as (y +
+    y†)/2 of its raw step; after each block one pass over the raw steps
     raises ``IntegrationError`` (not finite) or ``BlowupError`` (beyond
     ``BLOWUP_CAP``) naming ``what`` and the first such node.
 
-    Stepped by stages, a node is the next step's input. A step is linear in
-    y, so a constant model's step matrix P is the step of the d² unit
-    operators; its powers P, ..., P^K, K = min(B, n_steps, 4
-    ``BLOCK_ENTRIES`` // d⁴), lie side by side in one (d², K d²) matrix, so
-    that one product takes the raw steps y_k P, ..., y_k P^m of a chunk of
-    m ≤ K nodes from its first, y_k; the chunk's last node is the next
-    chunk's input. The powers of an unstable model may overflow, so K stops
-    at the last finite one: an infinite power would make NaN (0 · inf) of
-    a node that stepping one by one keeps finite.
+    Stepped by stages, a node is the next step's input. On S a step is
+    linear and the same at every node, so it is one |S|×|S| matrix P: the
+    step of the |S| unit operators of S, read on S. Its powers are kept as
+    increments Q_j = P^j − 1, from the method's own increment Q_1, which
+    keeps the digits that a product of plain powers loses. They are built
+    by doubling, Q_(j+b) = Q_j Q_b + Q_j + Q_b for b = 1..j in one stacked
+    product, so each is about log2(j) roundings from Q_1, not j, in
+    log2(K) stacked products, not K small ones (the sequential Q_(j+1) =
+    Q_j Q_1 + Q_j + Q_1 was slower and no more accurate). Q_1, ..., Q_K,
+    K = min(B, n_steps, 4 ``BLOCK_ENTRIES`` // |S|²), lie side by side in
+    one (|S|, K |S|) matrix, so that one product takes the raw steps y_k +
+    y_k Q_j of a chunk of m ≤ K nodes from its first, y_k; the chunk's last
+    node is the next chunk's input. Each node is scattered onto S, and
+    every entry off S is exactly 0. The powers of an unstable model may
+    overflow, so K stops at the last finite one: an infinite power would
+    make NaN (0 · inf) of a node that stepping one by one keeps finite.
     """
     n = grid.n_steps
     d = 1 if first == 0 else -1
     h = d * grid.dt
     gen = Generator(model.on_grid(grid), dual, 1j if dual else -1j)
-    dim2 = y0.size
-    block = max(1, linalg.BLOCK_ENTRIES // (4 * dim2))
-    chunk = 0  # steps per product with the step matrix's powers; 0: stepped by stages
+    dim, dim2 = model.dim, y0.size
+    s = gen.support(y0)  # the entries stepped by P, or None: all d², stepped by stages
+    if s is not None and not 0 < s.size <= STEP_MATRIX_MAX_DIM ** 2:
+        s = None
+    size = dim2 if s is None else s.size
+    block = max(1, linalg.BLOCK_ENTRIES // (4 * size))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked instead
-        if gen.constant and model.dim <= STEP_MATRIX_MAX_DIM:
-            chunk = max(1, min(block, n, 4 * linalg.BLOCK_ENTRIES // dim2 ** 2))
-            units = np.eye(dim2, dtype=complex).reshape(dim2, model.dim, model.dim)
-            q = np.empty((dim2, chunk, dim2), dtype=complex)  # q[:, j] = P^(j+1)
-            q[:, 0] = _step(gen.span(0, 3), 1 - d, units, h, method).reshape(dim2, dim2)
-            for j in range(1, chunk):
-                np.matmul(q[:, j - 1], q[:, 0], out=q[:, j])
+        if s is not None:
+            chunk = max(1, min(block, n, 4 * linalg.BLOCK_ENTRIES // size ** 2))
+            units = np.zeros((size, dim2), dtype=complex)
+            units[np.arange(size), s] = 1.0
+            q = np.empty((chunk, size, size), dtype=complex)  # q[j] = Q_(j+1) = P^(j+1) - 1
+            q[0] = _step(gen.span(0, 3), 1 - d, units.reshape(size, dim, dim), h,
+                         method).reshape(size, dim2)[:, s]
+            j = 1
+            while j < chunk:  # Q_(j+b) = Q_j Q_b + Q_j + Q_b for b = 1..j, as one stack
+                b = min(j, chunk - j)
+                np.matmul(q[j - 1], q[:b], out=q[j:j + b])
+                q[j:j + b] += q[j - 1]
+                q[j:j + b] += q[:b]
+                j += b
             # the finite powers only: 0 · inf is NaN where stepping one by one keeps 0
-            chunk = max(1, int(np.isfinite(q).all(axis=(0, 2)).cumprod().sum()))
-            q = q[:, :chunk].reshape(dim2, chunk * dim2)  # y q = [y P, y P², ...]
+            chunk = max(1, int(np.isfinite(q).all(axis=(1, 2)).cumprod().sum()))
+            q = q[:chunk].transpose(1, 0, 2).reshape(size, chunk * size)  # y q = [y Q_1, ...]
+            t = np.searchsorted(s, s % dim * dim + s // dim)  # y[t] is y† on S, conjugated
+            flat = samples.reshape(n + 1, dim2)
 
         samples[first] = y0
-        y = y0
+        y = y0 if s is None else y0.reshape(-1)[s]
         max_defect = 0.0
-        raw = np.empty((block,) + y0.shape, dtype=complex)  # a block's raw steps, stepping order
+        raw = np.empty((block,) + y.shape, dtype=complex)  # a block's raw steps, stepping order
         for k0 in range(first, n - first, d * block):  # the steps from nodes k0..k1-d
             k1 = k0 + d * min(block, abs(n - first - k0))
             steps = raw[:abs(k1 - k0)]
-            if chunk:  # node k + dj is the Hermitian part of y_k P^j, for the chunk's first k
-                nodes = samples[min(k0 + d, k1):max(k0 + d, k1) + 1][::d]  # in stepping order
+            if s is not None:  # node k + dj is the Hermitian part of y_k + y_k Q_j on S
+                nodes = flat[min(k0 + d, k1):max(k0 + d, k1) + 1][::d]  # in stepping order
+                nodes[...] = 0.0
                 for i in range(0, len(steps), chunk):
                     r = steps[i:i + chunk]
-                    np.matmul(y.reshape(-1), q[:, :dim2 * len(r)], out=r.reshape(-1))
-                    y = np.add(r, r.conj().swapaxes(1, 2), out=nodes[i:i + chunk])
-                    y /= 2.0  # linalg.hermitize
+                    np.matmul(y, q[:, :size * len(r)], out=r.reshape(-1))
+                    r += y
+                    y = r + r[:, t].conj()
+                    y /= 2.0  # linalg.hermitize, on S
+                    nodes[i:i + chunk, s] = y
                     y = y[-1]
             else:
                 lo = min(k0, k1)
                 f = gen.span(2 * lo, 2 * max(k0, k1) + 1)
                 for i, k in enumerate(range(k0, k1, d)):  # computes node k + d from node k
-                    raw[i] = y = _step(f, 2 * (k - lo), y, h, method)
+                    raw[i] = y = y + _step(f, 2 * (k - lo), y, h, method)
                     y = np.add(y, y.conj().T, out=samples[k + d])  # (y + y†) / 2, bitwise
                     y /= 2.0  # linalg.hermitize
                 del f  # before the next block binds its span
             # |z| <= 2 max(|Re z|, |Im z|): only a block beyond half the cap needs |z|
             if not np.abs(steps.view(float)).max() <= BLOWUP_CAP / 2:
-                mag = np.abs(steps).max(axis=(1, 2))
+                mag = np.abs(steps).reshape(len(steps), -1).max(axis=1)
                 bad = np.flatnonzero(~(mag <= BLOWUP_CAP))  # NaN fails the comparison too
                 if bad.size:
                     dst, m = k0 + d * (bad[0] + 1), float(mag[bad[0]])
@@ -290,7 +317,8 @@ def _propagate(model, y0, grid, dual, first, method, what, samples):
                         magnitude=m,
                     )
             if not dual:
-                max_defect = max(max_defect, np.abs(steps - steps.conj().swapaxes(1, 2)).max())
+                dagger = steps.swapaxes(1, 2) if s is None else steps[:, t]
+                max_defect = max(max_defect, np.abs(steps - dagger.conj()).max())
     return None if dual else float(max_defect)
 
 
@@ -298,11 +326,12 @@ def beside(child, here, what):
     """``(child(), here())``, bitwise the same as the two calls made in turn:
     ``child`` runs in a forked child process while this process calls
     ``here``. The child reports back through a pipe its exception, raised
-    here, or its value, pickled (a forked flow's is None: its trajectory
-    lies on a mapping both processes share); a child that ended without a
-    whole report (killed, say) raises ``IntegrationError`` naming ``what``
-    and the exit status. An error of ``here`` comes first, and the child is
-    then killed and reaped. Where ``os.fork`` is missing, or
+    here, or its value, pickled (a forked flow's trajectory lies on a
+    mapping both processes share, so only what the child takes of it needs
+    to come back); a child that ended without a whole report (killed, say)
+    raises ``IntegrationError`` naming ``what`` and the exit status. An
+    error of ``here`` comes first, and the child is then killed and reaped.
+    Where ``os.fork`` is missing, or
     ``os.sched_getaffinity`` gives this process fewer than two CPUs (where a
     child could only take turns with it), ``child`` is called here, after
     ``here``. A fork copies only the calling thread, so call this only from
@@ -522,14 +551,18 @@ def write_file(path, chunks) -> None:
         raise
 
 
-def write_csv(path, header: list[str], nodes, values) -> None:
-    """CSV export: the header row, then per node t and the node's ``values``
-    row, every number with 17 significant digits (lossless), formatted as
-    it is written, by ``write_file``."""
+def csv_chunks(header: list[str], nodes, values):
+    """The CSV text of a table, as byte strings: the header row, then per
+    node t and the node's ``values`` row, every number with 17 significant
+    digits (lossless), each block formatted as it is taken."""
     nodes = np.asarray(nodes)
     values = np.asarray(values).reshape(len(nodes), -1)
-    write_file(path, itertools.chain([(",".join(header) + "\n").encode()],
-                                     _csv_text(nodes, values)))
+    return itertools.chain([(",".join(header) + "\n").encode()], _csv_text(nodes, values))
+
+
+def write_csv(path, header: list[str], nodes, values) -> None:
+    """CSV export of ``csv_chunks``, formatted as it is written, by ``write_file``."""
+    write_file(path, csv_chunks(header, nodes, values))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

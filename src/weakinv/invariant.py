@@ -23,7 +23,9 @@ from .dynamics import (
     TimeGrid,
     Trajectory,
     conservation_series,
+    csv_chunks,
     write_csv,
+    write_file,
 )
 
 # Classification threshold, relative to maxabs of the seed sample.
@@ -34,6 +36,7 @@ __all__ = [
     "InvariantReport",
     "spectrum_series",
     "analyze",
+    "spectrum_csv",
     "write_spectrum_csv",
     "write_expectation_csv",
 ]
@@ -73,8 +76,10 @@ def spectrum_series(inv: Trajectory) -> SpectrumSeries:
     return SpectrumSeries(grid=inv.grid, eigenvalues=eig, total_variation=tv)
 
 
-def analyze(inv: Trajectory, state: Trajectory) -> InvariantReport:
-    """Conservation drift plus spectrum variation, with classification.
+def analyze(inv: Trajectory, state: Trajectory,
+            spectrum: SpectrumSeries | None = None) -> InvariantReport:
+    """Conservation drift plus spectrum variation, with classification; the
+    spectrum is ``spectrum_series(inv)`` unless it is given, taken already.
 
     ``STRONG_THRESHOLD`` is relative to maxabs of the invariant's seed
     sample: trajectories whose largest per-eigenvalue total variation stays
@@ -82,7 +87,7 @@ def analyze(inv: Trajectory, state: Trajectory) -> InvariantReport:
     """
     series = conservation_series(inv, state)
     drift = float(np.max(np.abs(series - series[0])))
-    spec = spectrum_series(inv)
+    spec = spectrum_series(inv) if spectrum is None else spectrum
     scale = linalg.maxabs(inv.samples[0])
     strong = float(np.max(spec.total_variation)) <= STRONG_THRESHOLD * scale
     return InvariantReport(
@@ -93,11 +98,16 @@ def analyze(inv: Trajectory, state: Trajectory) -> InvariantReport:
     )
 
 
-def write_spectrum_csv(series: SpectrumSeries, path) -> None:
-    """CSV export: t, lambda_1 .. lambda_dim (ascending per node)."""
+def spectrum_csv(series: SpectrumSeries) -> bytes:
+    """The CSV text of ``series``: t, lambda_1 .. lambda_dim (ascending per node)."""
     dim = series.eigenvalues.shape[1]
     header = ["t"] + [f"lambda_{j + 1}" for j in range(dim)]
-    write_csv(path, header, series.grid.nodes(), series.eigenvalues)
+    return b"".join(csv_chunks(header, series.grid.nodes(), series.eigenvalues))
+
+
+def write_spectrum_csv(series: SpectrumSeries, path) -> None:
+    """CSV export of ``spectrum_csv``, by ``write_file``."""
+    write_file(path, [spectrum_csv(series)])
 
 
 def write_expectation_csv(grid: TimeGrid, values, path) -> None:

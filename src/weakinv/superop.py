@@ -181,6 +181,31 @@ class Generator:
         if self.constant:
             self._one = partial(self._stage, *self._bind(0, 1, 1))
 
+    def support(self, y0: np.ndarray) -> np.ndarray | None:
+        """The flat indices S of the entries that a flow from ``y0`` can
+        reach, or None where the lattice varies on them. In K-form S is all
+        d² entries; in Hadamard form it is y0's nonzero entries, closed under
+        each term's gather (entry e joins S when ``index[e]`` is in S). The
+        lattice is constant on S where it is ``constant``, or where x is
+        c(t) x_m + x_0 with x_m zero on S (as on the diagonal, where the
+        scaled H of a Hadamard lattice cancels in D_ii = k_i − conj(k_i))."""
+        if not (self.constant or self.hadamard and self._x_m is not None):
+            return None
+        if not self.hadamard:
+            return np.arange(y0.size)
+        reach = y0.reshape(-1) != 0
+        while True:
+            grown = reach.copy()
+            for index, _ in self._terms:
+                grown |= reach[index.reshape(-1)]
+            if (grown == reach).all():
+                break
+            reach = grown
+        s = np.flatnonzero(reach)
+        if not self.constant and self._x_m.view(complex).reshape(-1)[s].any():
+            return None
+        return s
+
     def _form(self, k: np.ndarray) -> np.ndarray:
         return self.unit * difference(k, self.dual) if self.hadamard else k
 

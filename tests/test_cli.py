@@ -1196,6 +1196,31 @@ class TestImports:
         assert not {"weakinv.action", "weakinv.invariant", "weakinv.verify"} & set(loaded)
 
 
+class TestBlasThreads:
+    """The CLI sets one OpenBLAS thread before numpy loads, unless the user
+    set a count."""
+
+    CODE = ("import os, sys\n"
+            "seen = []\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "import weakinv.cli\n"
+            "print(*seen)\n")
+
+    @pytest.mark.parametrize("user, threads", [(None, "1"), ("2", "2")], ids=["unset", "2"])
+    def test_threads_when_numpy_loads(self, monkeypatch, user, threads):
+        if user is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", user)
+        proc = run_python("-c", self.CODE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [threads]
+
+
 class TestInputsCheckedFirst:
     """Every run command checks each input once, before it creates its
     output directory: a bad input exits 1 and leaves no directory behind."""

@@ -259,11 +259,12 @@ class TestFlowInputs:
 
 
 def direct_twin(m):
-    """The same model with H wrapped as 1.0 * H(t): bitwise the same snapshots,
-    but a sampling that is not ``constant``, so the integrators take the
-    direct stages."""
+    """The same model with H wrapped as 1.0 * H(t) and each rate as rate + 0
+    sin t: bitwise the same snapshots, but a sampling that varies on every
+    entry a flow can reach, so the integrators take the direct stages."""
     h = m.hamiltonian.value
-    return LindbladModel(m.dim, scaled(sinusoidal(1.0, 0.0, 1.0), h), m.channels)
+    return LindbladModel(m.dim, scaled(sinusoidal(1.0, 0.0, 1.0), h),
+                         [(ch.op, sinusoidal(ch.alpha.value, 0.0, 1.0)) for ch in m.channels])
 
 
 def counting_steps(monkeypatch):
@@ -384,6 +385,65 @@ class TestStepMatrix:
         monkeypatch.setattr(np, "matmul", counted)
         run()
         assert len(calls) == products
+
+
+def ho_and_twin(gamma=0.1):
+    """``damped_oscillator(8)`` at rate ``gamma``, and its twin at rate gamma
+    + 0 sin t: bitwise the same snapshots, but a rate that varies, so the
+    twin's flows take the direct stages on every entry."""
+    return (scenarios.damped_oscillator(8, gamma_schedule=gamma).model,
+            scenarios.damped_oscillator(8, gamma_schedule=sinusoidal(gamma, 0.0, 1.0)).model)
+
+
+class TestStepMatrixOnSupport:
+    """On the driven oscillator's diagonal the scaled H cancels, and the
+    channel's gather keeps a diagonal operator diagonal: a diagonal flow is
+    a constant linear flow on 8 entries, stepped by the step matrix there,
+    though omega(t) varies."""
+
+    # the forward flow amplifies roundoff (two roundings of it differ by ~2e-12
+    # relative over [0, 5], by <1e-13 over [0, 2]), so the grid is [0, 2]
+    GRID = TimeGrid(0.0, 2.0, 1000)
+    NUMBER = np.diag(np.arange(8.0)).astype(complex)
+    OFF_DIAGONAL = ~np.eye(8, dtype=bool)
+
+    @pytest.mark.parametrize("at", ["start", "end"])
+    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
+    def test_a_diagonal_flow_matches_its_twin(self, monkeypatch, method, at):
+        m, twin = ho_and_twin()
+        seed = self.NUMBER + 0.5 * linalg.identity(8) if at == "start" else self.NUMBER
+        steps = counting_steps(monkeypatch)
+        fast = integrate_invariant(m, seed, at, self.GRID, method)
+        assert len(steps) == 1  # one step of the 8 unit operators
+        direct = integrate_invariant(twin, seed, at, self.GRID, method)
+        assert len(steps) == 1 + self.GRID.n_steps
+        assert (linalg.maxabs(fast.samples - direct.samples)
+                <= 1e-12 * linalg.maxabs(direct.samples))
+        assert (fast.samples[:, self.OFF_DIAGONAL] == 0).all()
+        assert np.array_equal(fast.samples, linalg.dagger(fast.samples))
+
+    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
+    def test_a_coherence_steps_by_stages(self, monkeypatch, method):
+        seed = self.NUMBER.copy()
+        seed[0, 1] = seed[1, 0] = 0.1  # on the first off-diagonal, where omega(t) acts
+        steps = counting_steps(monkeypatch)
+        integrate_invariant(ho_and_twin()[0], seed, "start", self.GRID, method)
+        assert len(steps) == self.GRID.n_steps
+
+    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
+    def test_blowup_at_the_same_node(self, method):
+        # at gamma = 2 a seed on the top level grows as e^(28 t), beyond the cap near t = 1
+        top = np.zeros((8, 8), dtype=complex)
+        top[7, 7] = 1.0
+        errors = []
+        for m in ho_and_twin(gamma=2.0):
+            with warnings.catch_warnings(), pytest.raises(BlowupError) as err:
+                warnings.simplefilter("error")
+                integrate_invariant(m, top, "start", self.GRID, method)
+            errors.append(err.value)
+        fast, direct = errors
+        assert fast.step == direct.step > 0
+        assert fast.magnitude == pytest.approx(direct.magnitude, rel=1e-12)
 
 
 class TestStepGuard:
