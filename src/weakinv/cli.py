@@ -10,13 +10,13 @@ Commands:
 Every run command checks its inputs once, in one order, as it makes its
 flows: rho0, the model lattice, then the invariant seed or lambda_final
 (a missing one too); only then does it create its output directory.
-`invariant` and `action-check` run the invariant flow `beside` the state
-flow: in a forked child process, while this process steps the state flow
-and its monitors; outputs are byte-identical to running the flows in turn,
-and a state-flow error is reported before an invariant-flow error. In
-`invariant` the child then takes the invariant's spectrum and formats
-spectrum.csv, and hands both back; this process writes every file once
-both flows have succeeded. Then
+`invariant` and `action-check` make both flows (`_flow_pair`), then each
+runs the invariant flow `beside` the state flow: in a forked child process,
+while this process steps the state flow and its monitors; outputs are
+byte-identical to running the flows in turn, and a state-flow error is
+reported before an invariant-flow error. In `invariant` the child then
+takes the invariant's spectrum and formats spectrum.csv, and hands both
+back; this process writes every file once both flows have succeeded. Then
 `action-check` takes the gauge check's passes and the <Lam> series, which
 its drift gate reads, `beside` the stationarity report, whose error comes
 first. `simulate` and `verify` run in one process; `simulate` writes
@@ -51,6 +51,7 @@ import numpy as np
 
 from . import config, linalg  # action, invariant, verify: imported where a command runs them
 from .dynamics import (
+    METHODS,
     TimeGrid,
     beside,
     conservation_series,
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, help="JSON run config")
         p.add_argument("--out", type=Path, help="output directory")
         p.add_argument("--steps", type=int, help="override grid.n_steps")
-        p.add_argument("--method", choices=("rk4", "midpoint"))
+        p.add_argument("--method", choices=METHODS)
         p.add_argument("--seed", type=int)
         return p
 
@@ -252,23 +253,17 @@ def _state_flow(setup: RunSetup):
                       leakage_index=None if trunc is None else trunc - 1)
 
 
-def _flow_pair(setup: RunSetup, seed, seed_time: str, what: str, then=lambda inv: None):
-    """``(invariant, state, monitors, taken)``: the invariant flow from
-    ``seed()`` at ``seed_time`` (its errors naming ``what``), run ``beside``
-    the state flow; ``taken`` is ``then(invariant)``, called once the
-    invariant flow is done, by the process that ran it. Each input is
-    checked, and each trajectory made, as its flow is made, the state flow
-    first; only then is the output directory created."""
+def _flow_pair(setup: RunSetup, seed, seed_time: str, what: str):
+    """``(state, run, inv, run_inv)``: the state flow, then the invariant
+    flow from ``seed()`` at ``seed_time`` (its errors naming ``what``), each
+    trajectory with the call that fills it. Each input is checked, and each
+    trajectory made, as its flow is made; only then is the output directory
+    created. Nothing runs here: the command runs the two ``beside`` each other."""
     state, run = _state_flow(setup)
     inv, run_inv = invariant_flow(setup.model, seed(), seed_time, setup.grid, setup.method,
                                   what=what)
     _make_dir(setup.out_dir, setup.out_field)
-
-    def child():
-        run_inv()
-        return then(inv)
-    taken, monitors = beside(child, run, "invariant flow")
-    return inv, state, monitors, taken
+    return state, run, inv, run_inv
 
 
 def cmd_simulate(args) -> int:
@@ -288,11 +283,13 @@ def cmd_invariant(args) -> int:
     setup = RunSetup(args)
     drift_bound = setup.cfg["drift_bound"]
 
-    def spectrum(inv):  # in the invariant flow's process, beside the state flow
+    state, run, inv, run_inv = _flow_pair(setup, setup.invariant_seed, "start", "invariant seed")
+
+    def child():  # the invariant flow, then its spectrum, beside the state flow
+        run_inv()
         series = invariant.spectrum_series(inv)
         return series, invariant.spectrum_csv(series)
-    inv, state, monitors, (series, text) = _flow_pair(
-        setup, setup.invariant_seed, "start", "invariant seed", spectrum)
+    (series, text), monitors = beside(child, run, "invariant flow")
     report = invariant.analyze(inv, state, series)
 
     with _output(setup.out_dir / "expectation.csv") as path:
@@ -314,7 +311,8 @@ def cmd_action_check(args) -> int:
     from .action import _flow_path, _gauge_terms, stationarity_report
     setup = RunSetup(args)
     residual_bound, drift_bound = setup.cfg["residual_bound"], setup.cfg["drift_bound"]
-    lam, state, monitors, _ = _flow_pair(setup, setup.lambda_final, "end", "lambda_final")
+    state, run, lam, run_lam = _flow_pair(setup, setup.lambda_final, "end", "lambda_final")
+    _, monitors = beside(run_lam, run, "invariant flow")
     path = _flow_path(state, lam)
 
     # gauge check on the same solution path, with a seeded random rate table, and the series of

@@ -35,6 +35,7 @@ from functools import partial
 import numpy as np
 
 from . import model
+from .dynamics import METHODS
 from .errors import ConfigError
 
 REQUIRED = object()  # the default of a key that must be present
@@ -201,7 +202,7 @@ RUN = {
     "scenario": (lambda v, f: v if isinstance(v, str) else model_from_config(v, f), None),
     "scenario_args": (_object, {}),  # read by build_scenario, by SCENARIO_ARGS
     "grid": (lambda v, f: read(v, GRID, f), None),
-    "method": (one_of("rk4", "midpoint"), "rk4"),
+    "method": (one_of(*METHODS), "rk4"),
     "rho0": (matrix, None),
     "invariant_seed": (lambda v, f: _seed_name(v, f) if isinstance(v, str) else matrix(v, f),
                        None),

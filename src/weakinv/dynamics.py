@@ -44,14 +44,13 @@ the spectrum it took of its flow). ``beside`` is the one fork; where
 ``os.fork`` is missing, or the process may run on fewer than two CPUs,
 the call is made in-process, with bitwise the same results.
 
-CSV text is formatted by one row formatter, in blocks of at most
-``CSV_BLOCK_VALUES`` values; a column that is bitwise constant over a block
-is formatted once for the block, so only what varies costs a ``%`` per row.
+``csv_chunks`` formats CSV text in blocks of at most ``CSV_BLOCK_VALUES``
+values, a column bitwise constant over a block once for the block, so only
+what varies costs a ``%`` per row; ``write_file`` writes it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import mmap
 import os
@@ -109,7 +108,6 @@ __all__ = [
     "conservation_series",
     "write_trajectory_csv",
     "csv_chunks",
-    "write_csv",
     "write_file",
     "STATE",
     "INVARIANT",
@@ -520,25 +518,6 @@ def conservation_series(inv: Trajectory, state: Trajectory) -> np.ndarray:
     return values.real.copy()
 
 
-def _csv_text(nodes, values):
-    """The CSV rows of ``values``, each led by its node's t, every number
-    with 17 significant digits (lossless), as bytes, one block of at most
-    ``CSV_BLOCK_VALUES`` values (at least one row) at a time.
-
-    A column whose float64 bits are the same in every row of a block (the
-    entries a state never reaches, say) is formatted once, as a literal of
-    that block's row format; only the other columns go through ``%`` per
-    row. Comparing bits keeps -0.0 apart from +0.0, and NaN payloads apart."""
-    rows = max(1, CSV_BLOCK_VALUES // (1 + values.shape[1]))
-    for a in range(0, len(nodes), rows):
-        table = np.column_stack([nodes[a:a + rows], values[a:a + rows]])
-        bits = table.view(np.uint64)
-        same = (bits == bits[0]).all(axis=0)
-        fmt = ",".join(["%.17g" % v if s else "%.17g"
-                        for v, s in zip(table[0].tolist(), same.tolist())]) + "\n"
-        yield "".join([fmt % tuple(row) for row in table[:, ~same].tolist()]).encode()
-
-
 def write_file(path, chunks) -> None:
     """Write the byte strings ``chunks`` to ``path``; on an error mid-way or at
     the flush on close (a full disk, say), remove the partial file and re-raise."""
@@ -552,25 +531,34 @@ def write_file(path, chunks) -> None:
 
 
 def csv_chunks(header: list[str], nodes, values):
-    """The CSV text of a table, as byte strings: the header row, then per
-    node t and the node's ``values`` row, every number with 17 significant
-    digits (lossless), each block formatted as it is taken."""
+    """The CSV text of a table, as byte strings: the header row, then the
+    rows of ``values``, each led by its node's t, every number with 17
+    significant digits (lossless), one block of at most ``CSV_BLOCK_VALUES``
+    values (at least one row) at a time, each formatted as it is taken.
+
+    A column whose float64 bits are the same in every row of a block (the
+    entries a state never reaches, say) is formatted once, as a literal of
+    that block's row format; only the other columns go through ``%`` per
+    row. Comparing bits keeps -0.0 apart from +0.0, and NaN payloads apart."""
+    yield (",".join(header) + "\n").encode()
     nodes = np.asarray(nodes)
     values = np.asarray(values).reshape(len(nodes), -1)
-    return itertools.chain([(",".join(header) + "\n").encode()], _csv_text(nodes, values))
-
-
-def write_csv(path, header: list[str], nodes, values) -> None:
-    """CSV export of ``csv_chunks``, formatted as it is written, by ``write_file``."""
-    write_file(path, csv_chunks(header, nodes, values))
+    rows = max(1, CSV_BLOCK_VALUES // (1 + values.shape[1]))
+    for a in range(0, len(nodes), rows):
+        table = np.column_stack([nodes[a:a + rows], values[a:a + rows]])
+        bits = table.view(np.uint64)
+        same = (bits == bits[0]).all(axis=0)
+        fmt = ",".join(["%.17g" % v if s else "%.17g"
+                        for v, s in zip(table[0].tolist(), same.tolist())]) + "\n"
+        yield "".join([fmt % tuple(row) for row in table[:, ~same].tolist()]).encode()
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV export: t, then re_j_k / im_j_k for the row-major operator
-    entries, by ``write_csv``."""
+    entries, by ``csv_chunks`` and ``write_file``."""
     d = traj.dim
     header = ["t"] + [f"{part}_{j}_{k}"
                       for j in range(d) for k in range(d) for part in ("re", "im")]
     # a complex128 row viewed as float64 interleaves the real and imaginary parts
     values = np.ascontiguousarray(traj.samples).reshape(len(traj.samples), -1).view(np.float64)
-    write_csv(path, header, traj.grid.nodes(), values)
+    write_file(path, csv_chunks(header, traj.grid.nodes(), values))

@@ -24,7 +24,6 @@ from .dynamics import (
     Trajectory,
     conservation_series,
     csv_chunks,
-    write_csv,
     write_file,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "spectrum_series",
     "analyze",
     "spectrum_csv",
-    "write_spectrum_csv",
     "write_expectation_csv",
 ]
 
@@ -76,10 +74,9 @@ def spectrum_series(inv: Trajectory) -> SpectrumSeries:
     return SpectrumSeries(grid=inv.grid, eigenvalues=eig, total_variation=tv)
 
 
-def analyze(inv: Trajectory, state: Trajectory,
-            spectrum: SpectrumSeries | None = None) -> InvariantReport:
-    """Conservation drift plus spectrum variation, with classification; the
-    spectrum is ``spectrum_series(inv)`` unless it is given, taken already.
+def analyze(inv: Trajectory, state: Trajectory, spectrum: SpectrumSeries) -> InvariantReport:
+    """Conservation drift plus the variation of ``spectrum``, which is
+    ``spectrum_series(inv)``, taken by the caller, with classification.
 
     ``STRONG_THRESHOLD`` is relative to maxabs of the invariant's seed
     sample: trajectories whose largest per-eigenvalue total variation stays
@@ -87,14 +84,13 @@ def analyze(inv: Trajectory, state: Trajectory,
     """
     series = conservation_series(inv, state)
     drift = float(np.max(np.abs(series - series[0])))
-    spec = spectrum_series(inv) if spectrum is None else spectrum
     scale = linalg.maxabs(inv.samples[0])
-    strong = float(np.max(spec.total_variation)) <= STRONG_THRESHOLD * scale
+    strong = float(np.max(spectrum.total_variation)) <= STRONG_THRESHOLD * scale
     return InvariantReport(
         max_expectation_drift=drift,
         classification="strong-like" if strong else "weak",
         expectation=series,
-        spectrum=spec,
+        spectrum=spectrum,
     )
 
 
@@ -105,11 +101,6 @@ def spectrum_csv(series: SpectrumSeries) -> bytes:
     return b"".join(csv_chunks(header, series.grid.nodes(), series.eigenvalues))
 
 
-def write_spectrum_csv(series: SpectrumSeries, path) -> None:
-    """CSV export of ``spectrum_csv``, by ``write_file``."""
-    write_file(path, [spectrum_csv(series)])
-
-
 def write_expectation_csv(grid: TimeGrid, values, path) -> None:
     """CSV export of a conservation series: t, expectation."""
-    write_csv(path, ["t", "expectation"], grid.nodes(), values)
+    write_file(path, csv_chunks(["t", "expectation"], grid.nodes(), values))

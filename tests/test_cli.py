@@ -1108,13 +1108,15 @@ class TestUnwritableOutput:
     def test_a_write_that_fails_midway_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         # the disk fills after the first of nine blocks of rows is written
         monkeypatch.setattr(dynamics, "CSV_BLOCK_VALUES", 5 * 9)
-        csv_text = dynamics._csv_text
+        csv_chunks = dynamics.csv_chunks
 
         def disk_full(*args):
-            yield next(csv_text(*args))
+            chunks = csv_chunks(*args)
+            yield next(chunks)  # the header
+            yield next(chunks)
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        monkeypatch.setattr(dynamics, "_csv_text", disk_full)
+        monkeypatch.setattr(dynamics, "csv_chunks", disk_full)
         out = tmp_path / "out"
         assert main(["simulate", "amp-damp", "--steps", "40", "--out", str(out)]) == 1
         assert capsys.readouterr().err == (f"error: cannot write {out / 'state.csv'}: "
@@ -1122,7 +1124,8 @@ class TestUnwritableOutput:
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize("command, name", [("verify", "verify_report.json"),
-                                               ("simulate", "state.csv")])
+                                               ("simulate", "state.csv"),
+                                               ("invariant", "expectation.csv")])
     def test_a_disk_that_fills_leaves_no_file(self, tmp_path, monkeypatch, capsys,
                                               command, name):
         # room for 100 bytes: a short write, then ENOSPC; both files fit the

@@ -85,14 +85,14 @@ class TestAnalyze:
         grid = TimeGrid(0.0, 5.0, 2000)
         state, _ = integrate_state(m, PLUS_STATE, grid)
         inv = integrate_invariant(m, SZ, "start", grid)
-        report = invariant.analyze(inv, state)
+        report = invariant.analyze(inv, state, invariant.spectrum_series(inv))
         assert report.max_expectation_drift <= 1e-9
         assert float(np.max(report.spectrum.total_variation)) <= 1e-8
         assert report.classification == "strong-like"
 
     def test_amplitude_damping_weak(self):
         _, inv, state = amp_damp_pair()
-        report = invariant.analyze(inv, state)
+        report = invariant.analyze(inv, state, invariant.spectrum_series(inv))
         assert report.max_expectation_drift <= 1e-8
         # lower eigenvalue moves monotonically from -1 to 1 - 2e
         assert report.spectrum.total_variation[0] == pytest.approx(2 * math.e - 2, abs=1e-6)
@@ -100,7 +100,7 @@ class TestAnalyze:
 
     def test_identity_seed_degenerate_strong_like(self):
         _, inv, state = amp_damp_pair(seed=linalg.identity(2))
-        report = invariant.analyze(inv, state)
+        report = invariant.analyze(inv, state, invariant.spectrum_series(inv))
         assert report.max_expectation_drift <= 1e-12
         assert float(np.max(report.spectrum.total_variation)) <= 1e-12
         assert report.classification == "strong-like"
@@ -113,13 +113,14 @@ class TestAnalyze:
         state, _ = integrate_state(m, PLUS_STATE, grid)
         for scale in (1.0, 1e4):
             inv = integrate_invariant(m, scale * SX, "start", grid)
-            assert invariant.analyze(inv, state).classification == "strong-like"
+            assert invariant.analyze(
+                inv, state, invariant.spectrum_series(inv)).classification == "strong-like"
 
     def test_grid_mismatch(self):
         m, inv, _ = amp_damp_pair(n=100)
         state, _ = integrate_state(m, EXCITED, TimeGrid(0.0, 1.0, 200))
         with pytest.raises(ValueError, match="grid"):
-            invariant.analyze(inv, state)
+            invariant.analyze(inv, state, invariant.spectrum_series(inv))
 
     def test_drift_at_least_fourth_order(self):
         """Expectation drift must fall at least as fast as the dt^4 theorem
@@ -133,7 +134,7 @@ class TestAnalyze:
             grid = TimeGrid(0.0, 1.0, n)
             state, _ = integrate_state(m, PLUS_STATE, grid)
             inv = integrate_invariant(m, SX, "start", grid)
-            report = invariant.analyze(inv, state)
+            report = invariant.analyze(inv, state, invariant.spectrum_series(inv))
             drifts.append(report.max_expectation_drift)
         slope = np.polyfit(np.log([1.0 / n for n in grids]), np.log(drifts), 1)[0]
         assert slope >= 3.5
@@ -175,7 +176,7 @@ class TestExports:
         _, inv, _ = amp_damp_pair(n=10)
         series = invariant.spectrum_series(inv)
         path = tmp_path / "spec.csv"
-        invariant.write_spectrum_csv(series, path)
+        path.write_bytes(invariant.spectrum_csv(series))
         lines = path.read_text().splitlines()
         assert lines[0] == "t,lambda_1,lambda_2"
         assert len(lines) == 12
@@ -188,6 +189,6 @@ class TestExports:
 
     def test_report_to_dict(self):
         _, inv, state = amp_damp_pair(n=100)
-        payload = invariant.analyze(inv, state).to_dict()
+        payload = invariant.analyze(inv, state, invariant.spectrum_series(inv)).to_dict()
         assert payload["classification"] == "weak"
         assert isinstance(payload["spectrum_total_variation"], list)

@@ -271,7 +271,7 @@ class TestCsvGoldenBytes:
 
 
 def per_value_csv(header, nodes, values):
-    """``write_csv``'s bytes, formatting every value on its own."""
+    """``csv_chunks``' bytes, formatting every value on its own."""
     lines = [",".join(header)]
     for t, row in zip(np.asarray(nodes).tolist(), np.asarray(values).tolist()):
         lines.append(",".join("%.17g" % v for v in [t, *row]))
@@ -297,10 +297,10 @@ class TestCsvConstantColumns:
     once for the block; the bytes must be those of formatting every value."""
 
     def rows(self, tmp_path, nodes, values):
-        """``write_csv``'s data rows, checked against the per-value oracle."""
+        """``csv_chunks``' data rows, checked against the per-value oracle."""
         header = ["t"] + [f"c{j}" for j in range(np.shape(values)[1])]
         path = tmp_path / "table.csv"
-        dynamics.write_csv(path, header, nodes, values)
+        dynamics.write_file(path, dynamics.csv_chunks(header, nodes, values))
         assert path.read_bytes() == per_value_csv(header, nodes, values)
         return [line.split(",") for line in path.read_text().splitlines()[1:]]
 
@@ -345,7 +345,7 @@ class TestCsvConstantColumns:
             mp.setattr(dynamics, "CSV_BLOCK_VALUES", block_rows * table.shape[1])
             header = ["t"] + [f"c{j}" for j in range(table.shape[1] - 1)]
             path = os.path.join(tmp, "table.csv")
-            dynamics.write_csv(path, header, table[:, 0], table[:, 1:])
+            dynamics.write_file(path, dynamics.csv_chunks(header, table[:, 0], table[:, 1:]))
             with open(path, "rb") as f:
                 assert f.read() == per_value_csv(header, table[:, 0], table[:, 1:])
             if n < 2:  # a grid has at least two nodes
