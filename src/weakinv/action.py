@@ -51,11 +51,13 @@ block per call, bound by the lattice's ``superop.Generator``.
 
 The paths themselves come from the flows in ``dynamics``, whose nodes are
 bitwise Hermitian, so a path of two flow trajectories (``_flow_path``) is
-not checked again. Lam is the invariant flow run backward from
-``lambda_final`` (``auxiliary_trajectory``); ``stationarity_check`` runs it
-``beside`` the state flow, in a forked child, then makes the report here.
-``action-check`` takes the gauge check's passes (``_gauge_terms``) in a
-forked child while it makes the report.
+not checked again. The equation of motion got by varying rho is exactly
+the weak-invariant flow, so Lam is that flow run backward from
+``lambda_final``: ``invariant_flow(model, lambda_final, "end", grid,
+method, what="lambda_final")``. ``action-check`` runs it ``beside`` the
+state flow, in a forked child, then makes the report
+(``stationarity_report``) while a forked child takes the gauge check's
+passes (``_gauge_terms``).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from . import linalg
-from .dynamics import TimeGrid, Trajectory, beside, invariant_flow, state_flow
+from .dynamics import TimeGrid, Trajectory
 from .errors import ImaginaryPartError
 from .model import LindbladModel, Schedule
 from .superop import Generator
@@ -79,9 +81,7 @@ __all__ = [
     "evaluate_action",
     "grad_rho",
     "grad_lam",
-    "stationarity_check",
     "stationarity_report",
-    "auxiliary_trajectory",
     "gauge_shift_check",
 ]
 
@@ -284,34 +284,6 @@ def grad_lam(path: DiscretizedPath, model: LindbladModel) -> np.ndarray:
     """Exact node gradients of S_disc with respect to the Lam nodes, as an
     ``(n_steps + 1, d, d)`` stack."""
     return _collect(_grad_lam(path, model), path)
-
-
-def auxiliary_trajectory(
-    model: LindbladModel, lam_final, grid: TimeGrid, method: str = "rk4"
-) -> Trajectory:
-    """Auxiliary-operator path of the stationary action: the equation of
-    motion obtained by varying rho is exactly the weak-invariant flow, so
-    this is that flow run backward from ``lam_final``, its errors naming
-    ``lambda_final``."""
-    lam, run = invariant_flow(model, lam_final, "end", grid, method, what="lambda_final")
-    run()
-    return lam
-
-
-def stationarity_check(
-    model: LindbladModel,
-    rho0,
-    lam_final,
-    grid: TimeGrid,
-    method: str = "rk4",
-) -> ActionReport:
-    """Integrate rho forward and, in a forked child at the same time, Lam
-    backward, then report how stationary the discrete action is on the pair.
-    Inputs are checked in the order of the two flows, rho0 first."""
-    state, run = state_flow(model, rho0, grid, method)
-    lam, run_lam = invariant_flow(model, lam_final, "end", grid, method, what="lambda_final")
-    beside(run_lam, run, "invariant flow")
-    return stationarity_report(_flow_path(state, lam), model)
 
 
 def stationarity_report(path: DiscretizedPath, model: LindbladModel) -> ActionReport:

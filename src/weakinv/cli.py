@@ -44,7 +44,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -139,21 +138,10 @@ def _make_dir(path: Path, field: str) -> None:
         raise ConfigError(field, f"cannot create {path}: {e.strerror}") from None
 
 
-@contextmanager
-def _output(path: Path):
-    """Writing the output file ``path``: an ``OSError`` (a directory in its
-    place, a full disk) is an input error naming it, one line and exit 1."""
-    try:
-        yield path
-    except OSError as e:
-        raise ConfigError(None, f"cannot write {path}: {e.strerror or e}") from None
-
-
 def _write_json(path: Path, payload: dict) -> None:
     # strict JSON: a NaN or infinity is an error, never written
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    with _output(path):
-        write_file(path, [(text + "\n").encode()])
+    write_file(path, [(text + "\n").encode()])
 
 
 def _check_memory(grid: TimeGrid, dim: int, flows: int) -> None:
@@ -271,8 +259,7 @@ def cmd_simulate(args) -> int:
     traj, run = _state_flow(setup)
     _make_dir(setup.out_dir, setup.out_field)
     monitors = run()
-    with _output(setup.out_dir / "state.csv") as path:
-        write_trajectory_csv(traj, path)
+    write_trajectory_csv(traj, setup.out_dir / "state.csv")
     payload = monitors.to_dict()
     payload["grid"] = setup.grid.to_dict()
     return _finish(setup, "monitors.json", payload, monitors)
@@ -292,10 +279,9 @@ def cmd_invariant(args) -> int:
     (series, text), monitors = beside(child, run, "invariant flow")
     report = invariant.analyze(inv, state, series)
 
-    with _output(setup.out_dir / "expectation.csv") as path:
-        invariant.write_expectation_csv(setup.grid, report.expectation, path)
-    with _output(setup.out_dir / "spectrum.csv") as path:
-        write_file(path, [text])
+    invariant.write_expectation_csv(setup.grid, report.expectation,
+                                    setup.out_dir / "expectation.csv")
+    write_file(setup.out_dir / "spectrum.csv", [text])
     payload = report.to_dict()
     payload["drift_bound"] = drift_bound
     payload["monitors"] = monitors.to_dict()

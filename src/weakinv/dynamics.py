@@ -32,21 +32,23 @@ its stack is read-only, so that no edit in place can make that untrue.
 
 ``state_flow`` and ``invariant_flow`` check a flow's inputs once, sample
 the lattice, and return the flow's trajectory with the call ``run`` that
-fills it, both made by one maker, ``_flow``; ``integrate_state`` and
-``integrate_invariant`` run one at once. Given the lattice the two flows are
-independent, so ``beside(child, here, what)`` runs one (the invariant flow,
-in the CLI and ``action``) in a forked child, on a second core, while this
-process calls the other. The invariant flow's stack lies on an anonymous
-shared mapping, and its trajectory is made with the flow, over that stack,
-so the child writes its samples where this process reads them; the child
-reports its error, or what its call returned (in the CLI's ``invariant``,
-the spectrum it took of its flow). ``beside`` is the one fork; where
-``os.fork`` is missing, or the process may run on fewer than two CPUs,
-the call is made in-process, with bitwise the same results.
+fills it, both made by one maker, ``_flow``. Given the lattice the two
+flows are independent, so ``beside(child, here, what)`` runs one (the
+invariant flow, in the CLI's ``invariant`` and ``action-check``) in a
+forked child, on a second core, while this process calls the other. The
+invariant flow's stack lies on an anonymous shared mapping, and its
+trajectory is made with the flow, over that stack, so the child writes its
+samples where this process reads them; the child reports its error, or
+what its call returned (in the CLI's ``invariant``, the spectrum it took
+of its flow). ``beside`` is the one fork; where ``os.fork`` is missing, or
+the process may run on fewer than two CPUs, the call is made in-process,
+with bitwise the same results.
 
 ``csv_chunks`` formats CSV text in blocks of at most ``CSV_BLOCK_VALUES``
 values, a column bitwise constant over a block once for the block, so only
-what varies costs a ``%`` per row; ``write_file`` writes it.
+what varies costs a ``%`` per row; ``write_file`` writes it, as it writes
+every output file, whole or not at all, and reports an output it cannot
+write as a ``ConfigError`` naming the file.
 """
 
 from __future__ import annotations
@@ -101,9 +103,7 @@ __all__ = [
     "Trajectory",
     "MonitorReport",
     "state_flow",
-    "integrate_state",
     "invariant_flow",
-    "integrate_invariant",
     "beside",
     "conservation_series",
     "write_trajectory_csv",
@@ -140,11 +140,8 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return self.t_start + self.dt * np.arange(self.n_steps + 1)
 
-    def midpoint(self, k: int) -> float:
-        return self.t_start + self.dt * (k + 0.5)
-
     def midpoints(self) -> np.ndarray:
-        """Every cell midpoint, bitwise ``midpoint(k)`` for k = 0..n_steps-1."""
+        """Every cell midpoint, t_start + dt (k + 1/2) for k = 0..n_steps-1."""
         return self.t_start + self.dt * (np.arange(self.n_steps) + 0.5)
 
     def to_dict(self) -> dict:
@@ -445,19 +442,6 @@ def state_flow(model: LindbladModel, rho0, grid: TimeGrid, method: str = "rk4", 
     return traj, run
 
 
-def integrate_state(
-    model: LindbladModel,
-    rho0,
-    grid: TimeGrid,
-    method: str = "rk4",
-    *,
-    leakage_index: int | None = None,
-) -> tuple[Trajectory, MonitorReport]:
-    """Propagate a density operator over the grid: ``state_flow``, run at once."""
-    traj, run = state_flow(model, rho0, grid, method, leakage_index=leakage_index)
-    return traj, run()
-
-
 def invariant_flow(model: LindbladModel, seed, seed_time: str, grid: TimeGrid,
                    method: str = "rk4", *, what: str = "invariant seed"):
     """``(trajectory, run)``: the flow dI/dt = +i L*(I) across the grid, its
@@ -484,19 +468,6 @@ def invariant_flow(model: LindbladModel, seed, seed_time: str, grid: TimeGrid,
     return _flow(model, seed, grid, method, True, first, INVARIANT, stack)
 
 
-def integrate_invariant(
-    model: LindbladModel,
-    seed,
-    seed_time: str,
-    grid: TimeGrid,
-    method: str = "rk4",
-) -> Trajectory:
-    """Propagate dI/dt = +i L*(I) across the grid: ``invariant_flow``, run at once."""
-    traj, run = invariant_flow(model, seed, seed_time, grid, method)
-    run()
-    return traj
-
-
 def conservation_series(inv: Trajectory, state: Trajectory) -> np.ndarray:
     """<I>(t_k) = Re tr(I(t_k) rho(t_k)) per node.
 
@@ -520,14 +491,20 @@ def conservation_series(inv: Trajectory, state: Trajectory) -> np.ndarray:
 
 def write_file(path, chunks) -> None:
     """Write the byte strings ``chunks`` to ``path``; on an error mid-way or at
-    the flush on close (a full disk, say), remove the partial file and re-raise."""
-    f = open(path, "wb")
+    the flush on close (a full disk, say), remove the partial file. An
+    ``OSError`` at the open, a write or the flush (a directory in the file's
+    place, a full disk) is an input error naming ``path``, a ``ConfigError``
+    (one line and exit 1 in the CLI); any other error is re-raised as it is."""
     try:
-        with f:
-            f.writelines(chunks)
-    except BaseException:
-        os.unlink(path)
-        raise
+        f = open(path, "wb")
+        try:
+            with f:
+                f.writelines(chunks)
+        except BaseException:
+            os.unlink(path)
+            raise
+    except OSError as e:
+        raise ConfigError(None, f"cannot write {path}: {e.strerror or e}") from None
 
 
 def csv_chunks(header: list[str], nodes, values):

@@ -119,14 +119,15 @@ def require_hermitian(a, rtol: float = HERMITICITY_RTOL, what: str = "operator")
     return hermitize(a)
 
 
-def hermitian_eigenvalues(a, *, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
+def hermitian_eigenvalues(a) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian operator, or of every node of a
     ``(n, d, d)`` stack (one row per node), from LAPACK's ``eigvalsh``.
 
     The input passes :func:`check_hermitian` first, so a Hermiticity defect
-    beyond ``rtol * max(1, maxabs)`` raises :class:`NotHermitianError`; the
-    solver then reads one triangle of the input itself, without a copy.
+    beyond ``HERMITICITY_RTOL * max(1, maxabs)`` raises
+    :class:`NotHermitianError`; the solver then reads one triangle of the
+    input itself, without a copy.
     """
     a = as_operator(a, stack=True)
-    check_hermitian(a, rtol=rtol, what="eigensolver input")
+    check_hermitian(a, what="eigensolver input")
     return np.linalg.eigvalsh(a)

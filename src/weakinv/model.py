@@ -367,7 +367,7 @@ class LindbladModel:
         """The model sampled and validated at the ``2 n_steps + 1`` times
         ``t_start + (dt/2) j``: node k at entry 2k and the midpoint of cell k
         at entry 2k + 1, bitwise equal to ``grid.nodes()[k]`` and
-        ``grid.midpoint(k)``; each field that varies is stacked over them.
+        ``grid.midpoints()[k]``; each field that varies is stacked over them.
 
         The result for the last grid is kept and returned again for an equal
         grid.

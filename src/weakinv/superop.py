@@ -185,7 +185,8 @@ class Generator:
         """The flat indices S of the entries that a flow from ``y0`` can
         reach, or None where the lattice varies on them. In K-form S is all
         d² entries; in Hadamard form it is y0's nonzero entries, closed under
-        each term's gather (entry e joins S when ``index[e]`` is in S). The
+        each term's gather (entry e joins S when ``index[e]`` is in S and
+        its weight ``c[e]`` is not 0: a slot of zero weight is no edge). The
         lattice is constant on S where it is ``constant``, or where x is
         c(t) x_m + x_0 with x_m zero on S (as on the diagonal, where the
         scaled H of a Hadamard lattice cancels in D_ii = k_i − conj(k_i))."""
@@ -196,8 +197,8 @@ class Generator:
         reach = y0.reshape(-1) != 0
         while True:
             grown = reach.copy()
-            for index, _ in self._terms:
-                grown |= reach[index.reshape(-1)]
+            for index, c in self._terms:
+                grown |= reach[index.reshape(-1)] & (c.reshape(-1) != 0)
             if (grown == reach).all():
                 break
             reach = grown

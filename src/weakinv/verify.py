@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg, superop
 from .action import _flow_path, gauge_shift_check
-from .dynamics import TimeGrid, conservation_series, integrate_invariant, integrate_state
+from .dynamics import TimeGrid, conservation_series, invariant_flow, state_flow
 from .model import LindbladModel, sinusoidal, tabulated
 
 __all__ = [
@@ -209,8 +209,10 @@ def check_conservation(rng, trials: int) -> PropertyResult:
         m = random_model(rng, dim, time_dependent=bool(i % 2))
         rho0 = random_density(rng, dim)
         seed = random_hermitian(rng, dim)
-        state, _ = integrate_state(m, rho0, CONSERVATION_GRID)
-        inv = integrate_invariant(m, seed, "start", CONSERVATION_GRID)
+        state, run = state_flow(m, rho0, CONSERVATION_GRID)
+        inv, run_inv = invariant_flow(m, seed, "start", CONSERVATION_GRID)
+        run()
+        run_inv()
         series = conservation_series(inv, state)
         scale = max(1.0, float(np.max(np.abs(series))))
         return float(np.max(np.abs(series - series[0]))) / scale
@@ -224,8 +226,10 @@ def check_gauge_exactness(rng, trials: int) -> PropertyResult:
         m = random_model(rng, dim)
         rho0 = random_density(rng, dim)
         lam_f = random_hermitian(rng, dim)
-        state, _ = integrate_state(m, rho0, GAUGE_GRID)
-        lam = integrate_invariant(m, lam_f, "end", GAUGE_GRID)
+        state, run = state_flow(m, rho0, GAUGE_GRID)
+        lam, run_lam = invariant_flow(m, lam_f, "end", GAUGE_GRID)
+        run()
+        run_lam()
         path = _flow_path(state, lam)
         knots = np.linspace(GAUGE_GRID.t_start, GAUGE_GRID.t_end, 7)
         values = rng.uniform(-2.0, 2.0, size=7)

@@ -5,7 +5,8 @@ models and from exact unitary conjugation; they never call the integrators
 they are used to check. The generator references spell out the commutator
 and anticommutator form term by term. The per-cell action references apply
 the generator one cell at a time, with the model sampled on its own at each
-cell midpoint.
+cell midpoint. The run conveniences at the end (``integrate_state`` and the
+like) are not oracles: each runs a flow by the route the commands take.
 """
 
 import math
@@ -13,7 +14,8 @@ import math
 import numpy as np
 
 from weakinv import linalg
-from weakinv.dynamics import beside
+from weakinv.action import _flow_path, stationarity_report
+from weakinv.dynamics import beside, invariant_flow, state_flow
 from weakinv.model import LindbladModel, scaled, sinusoidal
 from weakinv.superop import apply_adjoint, apply_liouvillian
 
@@ -171,7 +173,7 @@ def unitary_conjugation(t, h_diag, op):
 
 
 def _cell_snapshots(grid, model):
-    return [model.snapshot(grid.midpoint(k)) for k in range(grid.n_steps)]
+    return [model.snapshot(t) for t in grid.midpoints()]
 
 
 def per_cell_generators(path, model):
@@ -280,3 +282,34 @@ def forked_pair(inv_flow, state_flow):
     state, run = state_flow
     inv, monitors = forked_invariant(inv_flow, run)
     return inv, state, monitors
+
+
+def integrate_state(model, rho0, grid, method="rk4", *, leakage_index=None):
+    """``(trajectory, monitors)``: a ``state_flow``, run at once."""
+    traj, run = state_flow(model, rho0, grid, method, leakage_index=leakage_index)
+    return traj, run()
+
+
+def integrate_invariant(model, seed, seed_time, grid, method="rk4"):
+    """The trajectory of an ``invariant_flow``, run at once."""
+    traj, run = invariant_flow(model, seed, seed_time, grid, method)
+    run()
+    return traj
+
+
+def auxiliary_trajectory(model, lam_final, grid, method="rk4"):
+    """Lam as ``action-check`` makes it: the invariant flow run backward
+    from ``lam_final``, its errors naming ``lambda_final``."""
+    lam, run = invariant_flow(model, lam_final, "end", grid, method, what="lambda_final")
+    run()
+    return lam
+
+
+def stationarity_check(model, rho0, lam_final, grid, method="rk4"):
+    """``action-check``'s report: the state flow, then Lam from
+    ``lam_final``, run ``beside`` it in a forked child, then
+    ``stationarity_report`` on the pair."""
+    state, run = state_flow(model, rho0, grid, method)
+    lam, run_lam = invariant_flow(model, lam_final, "end", grid, method, what="lambda_final")
+    beside(run_lam, run, "invariant flow")
+    return stationarity_report(_flow_path(state, lam), model)

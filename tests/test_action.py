@@ -5,9 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import helpers
-from helpers import PLUS_STATE, SMINUS, SX, SZ, hermitian_basis, random_hermitian
+from helpers import (PLUS_STATE, SMINUS, SX, SZ, auxiliary_trajectory, hermitian_basis,
+                     integrate_invariant, integrate_state, random_hermitian, stationarity_check)
 from weakinv import action, linalg, superop
-from weakinv.dynamics import TimeGrid, conservation_series, integrate_invariant, integrate_state
+from weakinv.dynamics import TimeGrid, conservation_series
 from weakinv.model import LindbladModel, constant, scaled, sinusoidal, tabulated
 
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
@@ -157,7 +158,7 @@ class TestGradients:
 class TestStationarity:
     def test_trivial_model_exact(self):
         grid = TimeGrid(0.0, 1.0, 100)
-        report = action.stationarity_check(
+        report = stationarity_check(
             trivial_model(), 0.5 * linalg.identity(2), np.zeros((2, 2)), grid
         )
         assert report.action_value == 0.0
@@ -167,30 +168,30 @@ class TestStationarity:
     def test_amplitude_damping_residuals(self):
         m = amp_damp()
         grid = TimeGrid(0.0, 1.0, 1000)
-        report = action.stationarity_check(m, EXCITED, SZ, grid)
+        report = stationarity_check(m, EXCITED, SZ, grid)
         assert report.grad_rho_residual <= 1e-5
         assert report.grad_lam_residual <= 1e-5
         assert report.boundary_rho_term <= 1e-8
         assert report.boundary_lam_term <= 1e-8
-        finer = action.stationarity_check(m, EXCITED, SZ, TimeGrid(0.0, 1.0, 2000))
+        finer = stationarity_check(m, EXCITED, SZ, TimeGrid(0.0, 1.0, 2000))
         assert 3.0 <= report.grad_rho_residual / finer.grad_rho_residual <= 5.0
 
     def test_unitary_pair_conserves_auxiliary(self):
         # stationary pair of the unitary qubit: Lam is then a weak invariant
         m = LindbladModel(2, SZ.copy())
         grid = TimeGrid(0.0, 1.0, 1000)
-        report = action.stationarity_check(m, PLUS_STATE, SX, grid)
+        report = stationarity_check(m, PLUS_STATE, SX, grid)
         assert report.grad_rho_residual <= 1e-5
         assert report.grad_lam_residual <= 1e-5
         state, _ = integrate_state(m, PLUS_STATE, grid)
-        lam = action.auxiliary_trajectory(m, SX, grid)
+        lam = auxiliary_trajectory(m, SX, grid)
         series = conservation_series(lam, state)
         assert np.max(np.abs(series - series[0])) <= 1e-8
 
     def test_driven_residuals_shrink_quadratically(self):
         # a generator read anywhere but the cell midpoint leaves O(dt) residuals
         m = LindbladModel(2, scaled(sinusoidal(1.0, 0.5, 2.0), EXCITED), [(SMINUS, 0.5)])
-        coarse, fine = (action.stationarity_check(m, PLUS_STATE, SZ, TimeGrid(0.0, 1.0, n))
+        coarse, fine = (stationarity_check(m, PLUS_STATE, SZ, TimeGrid(0.0, 1.0, n))
                         for n in (200, 400))
         assert 3.5 <= coarse.grad_rho_residual / fine.grad_rho_residual <= 4.5
         assert 3.5 <= coarse.grad_lam_residual / fine.grad_lam_residual <= 4.5
@@ -208,7 +209,7 @@ class TestStationarity:
 
     def test_report_serialization(self):
         grid = TimeGrid(0.0, 1.0, 100)
-        payload = action.stationarity_check(amp_damp(), EXCITED, SZ, grid).to_dict()
+        payload = stationarity_check(amp_damp(), EXCITED, SZ, grid).to_dict()
         assert set(payload) == {
             "action", "grad_rho_residual", "grad_lam_residual",
             "boundary_rho", "boundary_lam", "grid",
@@ -330,7 +331,7 @@ class TestBlockEdges:
         grid = TimeGrid(0.0, 1.0, n_steps)
         path = random_path(rng, grid, dim=3)
         sched = tabulated([0.0, 0.4, 1.0], [0.8, -0.3, 1.4])
-        lam_mid = np.array([sched(grid.midpoint(k)) for k in range(n_steps)])
+        lam_mid = np.array([sched(t) for t in grid.midpoints()])
         phi = np.append(np.cumsum((grid.dt * lam_mid)[::-1])[::-1], 0.0)
         shifted = action.DiscretizedPath(
             grid=grid, rho=path.rho, lam=path.lam + phi[:, None, None] * np.eye(3))
@@ -371,7 +372,7 @@ class TestAuxiliaryEquivalence:
         # weak-invariant equation; propagating either way must agree exactly
         m = amp_damp()
         grid = TimeGrid(0.0, 1.0, 500)
-        aux = action.auxiliary_trajectory(m, SZ, grid)
+        aux = auxiliary_trajectory(m, SZ, grid)
         inv = integrate_invariant(m, SZ, "end", grid)
         for a, b in zip(aux.samples, inv.samples):
             assert linalg.maxabs(a - b) <= 1e-12
@@ -413,7 +414,7 @@ class TestGaugeShift:
         delta = action.gauge_shift_check(broken, m, sched)
         assert delta <= 1e-11
         # the shift genuinely moves the action here
-        lam_mid = [float(sched(grid.midpoint(k))) for k in range(400)]
+        lam_mid = [float(sched(t)) for t in grid.midpoints()]
         rhs = sum(
             grid.dt * lam_mid[k] * (0.5 * (np.trace(rho[k]) + np.trace(rho[k + 1])).real - 1.0)
             for k in range(400)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import helpers
 import weakinv
 from weakinv import action, cli, config, dynamics, linalg, scenarios, superop, verify
 from weakinv.cli import _write_json, main
@@ -882,8 +883,8 @@ class TestLambdaExpectationDrift:
         assert main(["action-check", "--config", cfg, "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "action_report.json").read_text())
         setup = cli.RunSetup(cli.build_parser().parse_args(["action-check", "--config", cfg]))
-        state, _ = dynamics.integrate_state(setup.model, setup.rho0, setup.grid)
-        lam = action.auxiliary_trajectory(setup.model, setup.lambda_final(), setup.grid)
+        state, _ = helpers.integrate_state(setup.model, setup.rho0, setup.grid)
+        lam = helpers.auxiliary_trajectory(setup.model, setup.lambda_final(), setup.grid)
         series = dynamics.conservation_series(lam, state)
         drifts = np.abs(series - series[-1])
         assert report["lambda_expectation_drift"] == float(drifts.max())

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import pickle
@@ -8,14 +9,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 import helpers
-from helpers import (PLUS_STATE, SMINUS, SX, SZ, random_constant_model, random_density,
-                     random_hermitian)
+from helpers import (PLUS_STATE, SMINUS, SX, SZ, integrate_invariant, integrate_state,
+                     random_constant_model, random_density, random_hermitian)
 from weakinv import dynamics, linalg, scenarios
-from weakinv.dynamics import (TimeGrid, Trajectory, beside, conservation_series,
-                              integrate_invariant, integrate_state, invariant_flow, state_flow)
+from weakinv.dynamics import (TimeGrid, Trajectory, beside, conservation_series, invariant_flow,
+                              state_flow)
 from weakinv.errors import (BlowupError, ConfigError, IntegrationError, ModelValidationError,
                             NotHermitianError)
 from weakinv.model import LindbladModel, scaled, sinusoidal, tabulated
+from weakinv.superop import Generator
 
 EXCITED = np.diag([0.0, 1.0]).astype(complex)
 
@@ -34,7 +36,7 @@ class TestTimeGrid:
         g = TimeGrid(0.0, 1.0, 4)
         assert_allclose(g.nodes(), [0.0, 0.25, 0.5, 0.75, 1.0])
         assert g.dt == 0.25
-        assert g.midpoint(0) == 0.125
+        assert g.midpoints()[0] == 0.125
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n_steps"):
@@ -445,6 +447,30 @@ class TestStepMatrixOnSupport:
         assert fast.step == direct.step > 0
         assert fast.magnitude == pytest.approx(direct.magnitude, rel=1e-12)
 
+    def test_damped_ho_supports(self):
+        # a gather slot of zero weight (the lowering operator's empty row and column) is no
+        # edge: rho0's lowest 4x4 block is closed under the channel, and so is a block of Lam
+        spec = scenarios.build_scenario("damped-ho", omega_schedule=1.0)
+        lattice = spec.model.on_grid(spec.default_grid)
+        block = np.zeros((20, 20), dtype=complex)
+        block[:4, :4] = 1.0
+        low = (20 * np.arange(4)[:, None] + np.arange(4)).reshape(-1)
+        assert np.array_equal(Generator(lattice, False).support(spec.default_rho0), low)
+        for seed, size in [(spec.default_invariant_seed, 20), (block, 128),
+                           (np.diag(np.arange(20.0)).astype(complex), 19)]:
+            assert Generator(lattice, True).support(seed).size == size
+
+    def test_a_constant_omega_state_stays_on_its_block(self, monkeypatch):
+        spec = scenarios.build_scenario("damped-ho", omega_schedule=1.0)
+        units, step = [], dynamics._step
+        monkeypatch.setattr(dynamics, "_step", lambda *args: units.append(len(args[2]))
+                            or step(*args))
+        traj, _ = integrate_state(spec.model, spec.default_rho0, spec.default_grid)
+        assert units == [16]  # one step of the 16 unit operators of the block
+        off = np.ones((20, 20), dtype=bool)
+        off[:4, :4] = False
+        assert (traj.samples[:, off] == 0).all()
+
 
 class TestStepGuard:
     """Both flows share one per-step guard: a finite magnitude beyond
@@ -822,3 +848,35 @@ class TestCsvExport:
         # 17 significant digits round-trip exactly
         assert float(cells[1]) == 0.1
         assert float(cells[2]) == 0.2
+
+
+class TestWriteFile:
+    """``write_file`` writes a file whole or not at all; an ``OSError`` is a
+    ``ConfigError`` naming the file, and any other error passes unchanged."""
+
+    def test_a_directory_in_place_of_the_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.mkdir()
+        with pytest.raises(ConfigError) as err:
+            dynamics.write_file(path, [b"t\n"])
+        assert str(err.value) == f"cannot write {path}: Is a directory"
+        assert err.value.field is None
+
+    @pytest.mark.parametrize("error, raised", [
+        (OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), ConfigError),
+        (KeyboardInterrupt(), KeyboardInterrupt),
+    ])
+    def test_an_error_midway_leaves_no_file(self, tmp_path, error, raised):
+        def chunks():
+            yield b"t,x\n"
+            yield b"0,1\n"
+            raise error
+
+        path = tmp_path / "out.csv"
+        with pytest.raises(raised) as err:
+            dynamics.write_file(path, chunks())
+        if raised is ConfigError:
+            assert str(err.value) == f"cannot write {path}: {os.strerror(errno.ENOSPC)}"
+        else:
+            assert err.value is error
+        assert os.listdir(tmp_path) == []

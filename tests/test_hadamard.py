@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import SMINUS, partial_permutation, random_density, random_hadamard_model
+from helpers import (SMINUS, integrate_invariant, integrate_state, partial_permutation,
+                     random_density, random_hadamard_model)
 from weakinv import action, dynamics, linalg, model, scenarios, superop
-from weakinv.dynamics import (TimeGrid, integrate_invariant, integrate_state,
-                              invariant_flow, state_flow)
+from weakinv.dynamics import TimeGrid, invariant_flow, state_flow
 from weakinv.model import LindbladModel, constant, scaled, sinusoidal, tabulated
 
 EXCITED = np.diag([0.0, 1.0]).astype(complex)

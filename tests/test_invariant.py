@@ -5,10 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import helpers
-from helpers import PLUS_STATE, SMINUS, SX, SZ
+from helpers import PLUS_STATE, SMINUS, SX, SZ, integrate_invariant, integrate_state
 from weakinv import invariant, linalg
-from weakinv.dynamics import (TimeGrid, Trajectory, integrate_invariant, integrate_state,
-                              invariant_flow, state_flow)
+from weakinv.dynamics import TimeGrid, Trajectory, invariant_flow, state_flow
 from weakinv.errors import NotHermitianError
 from weakinv.model import LindbladModel
 

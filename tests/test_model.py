@@ -171,7 +171,7 @@ class TestOnGrid:
         assert ch.alpha.shape == (2 * grid.n_steps + 1, 1, 1)
         nodes = grid.nodes()
         for n in range(grid.n_steps + 1):
-            for entry, t in [(2 * n, nodes[n])] + ([(2 * n + 1, grid.midpoint(n))]
+            for entry, t in [(2 * n, nodes[n])] + ([(2 * n + 1, grid.midpoints()[n])]
                                                    if n < grid.n_steps else []):
                 ref = m.snapshot(t)
                 assert np.array_equal(h[entry], ref.h)

@@ -5,9 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import helpers
-from helpers import expectation
+from helpers import expectation, integrate_invariant, integrate_state
 from weakinv import linalg, scenarios
-from weakinv.dynamics import TimeGrid, conservation_series, integrate_invariant, integrate_state
+from weakinv.dynamics import TimeGrid, conservation_series
 from weakinv.errors import ConfigError
 from weakinv.model import constant, sinusoidal
 

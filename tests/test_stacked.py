@@ -14,9 +14,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from helpers import PLUS_STATE, SMINUS, SX, SZ, random_density, random_hermitian
+from helpers import (PLUS_STATE, SMINUS, SX, SZ, integrate_invariant, integrate_state,
+                     random_density, random_hermitian)
 from weakinv import action, dynamics, invariant, linalg, scenarios
-from weakinv.dynamics import TimeGrid, Trajectory, conservation_series, integrate_invariant, integrate_state
+from weakinv.dynamics import TimeGrid, Trajectory, conservation_series
 from weakinv.errors import NotHermitianError
 from weakinv.model import LindbladModel, constant
 
