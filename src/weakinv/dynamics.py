@@ -16,14 +16,17 @@ lattice serves both flows and the action. The stages call the lattice's
 bound a block of steps at a time.
 
 A flow steps only the entries it can reach, S = ``Generator.support`` of
-its initial operator. Where the lattice is constant on S (a ``constant``
+its initial operator. In Hadamard form it steps the vector of its values
+on S (``Generator.on``), and every entry off S is exactly 0; in K-form S
+is all d² entries. Where the lattice is constant on S (a ``constant``
 lattice, or a driven Hadamard one whose driven part is zero on S, as on
 the damped oscillator's diagonal, where ω(t) cancels) and |S| ≤
 ``STEP_MATRIX_MAX_DIM``², one step is one fixed |S|×|S| matrix P, and a
 chunk of nodes takes one product with P's powers, kept as increments
-P^j − 1 (``_propagate``); every entry off S is exactly 0. Other flows
-evaluate the stages at every step, each step re-symmetrized to (A + A†)/2,
-which suppresses Hermiticity drift without touching the order of accuracy.
+P^j − 1 (``_propagate``). Other flows evaluate the stages at every step,
+on S in Hadamard form and on the d×d operator in K-form, each step
+re-symmetrized to (A + A†)/2, which suppresses Hermiticity drift without
+touching the order of accuracy.
 Both flows step a block of nodes at a time, and each block's raw steps are
 checked once against ``BLOWUP_CAP`` (non-finite values and finite
 magnitudes beyond the cap both abort, naming the first such node). A
@@ -77,13 +80,14 @@ METHODS = ("rk4", "midpoint")
 BLOWUP_CAP = 1e12
 
 # A flow steps by its step matrix P on the entries S it can reach while |S|
-# ≤ STEP_MATRIX_MAX_DIM² (P is |S|²·16 bytes; its build steps |S| unit
-# operators of d² entries). Measured on constant models, S all d² entries,
-# at one BLAS thread (Xeon, 2 cores, best of 5): one RK4 step with one
-# channel at d=16 takes 110-160 µs direct, and the 1 MB matrix is built in
-# 21 ms; at d=20 the 2.6 MB matrix no longer stays in cache and its 52-60
-# ms build repays only grids of more than ~500-1200 steps; from d=24 a
-# product is slower than the direct step. Per step, the product and
+# ≤ STEP_MATRIX_MAX_DIM² (P is |S|²·16 bytes; its build steps the |S| unit
+# vectors of S, of |S| entries each in Hadamard form, as d×d operators in
+# K-form, where S is all d² entries). Measured on constant models, S all
+# d² entries, at one BLAS thread (Xeon, 2 cores, best of 5): one RK4 step
+# with one channel at d=16 takes 110-160 µs direct, and the 1 MB matrix is
+# built in 21 ms; at d=20 the 2.6 MB matrix no longer stays in cache and
+# its 52-60 ms build repays only grids of more than ~500-1200 steps; from
+# d=24 a product is slower than the direct step. Per step, the product and
 # symmetrization of one node at a time against those of a chunk of K nodes
 # (best of 3 runs): d=2 4.2 µs, 0.05 µs at K=512; d=4 4.2 µs, 0.23 µs at
 # K=128; d=8 10 µs, 2.2 µs at K=8 but 3.1 µs at K=32; d=12 15 µs, 17 µs at
@@ -214,19 +218,26 @@ def _propagate(model, y0, grid, dual, first, method, what, samples):
     ``samples``, and the largest Hermiticity defect of a raw step (None with
     ``dual``: only the state monitor reports it).
 
-    The flow steps E entries: those of S = ``Generator.support(y0)``, by
-    its step matrix, where the lattice is constant on S and 0 < |S| ≤
-    ``STEP_MATRIX_MAX_DIM``², else all d², by stages. Blocks of B =
-    ``linalg.BLOCK_ENTRIES`` // (4 E) steps keep a block's raw steps, its
-    2B + 1 lattice entries (one ``Generator.span``) and the guard's
-    temporaries within one block of entries. Each node is written as (y +
-    y†)/2 of its raw step; after each block one pass over the raw steps
-    raises ``IntegrationError`` (not finite) or ``BlowupError`` (beyond
+    The flow steps the entries S = ``Generator.support(y0)``. In Hadamard
+    form it steps the vector of its values on S (``Generator.on``): by its
+    step matrix where the lattice is constant on S
+    (``Generator.constant_on_s``) and |S| ≤ ``STEP_MATRIX_MAX_DIM``², else
+    by stages on S. In K-form S is all d² entries: by the step matrix, as
+    one vector, where the lattice is constant and d² ≤
+    ``STEP_MATRIX_MAX_DIM``², else by stages on the d×d operator. A zero y0
+    (S empty) stays 0. Blocks of B = ``linalg.BLOCK_ENTRIES`` // (4 |S|)
+    steps keep a block's raw steps, its 2B + 1 lattice entries (one
+    ``Generator.span``) and the guard's temporaries within one block of
+    entries. Each node is written as (y + y†)/2 of its raw step (on S by
+    the permutation t of S that transposes, y[t] conjugated); a vector on
+    S is scattered onto S once per block, and every entry off S is exactly
+    0. After each block one pass over the raw steps raises
+    ``IntegrationError`` (not finite) or ``BlowupError`` (beyond
     ``BLOWUP_CAP``) naming ``what`` and the first such node.
 
     Stepped by stages, a node is the next step's input. On S a step is
     linear and the same at every node, so it is one |S|×|S| matrix P: the
-    step of the |S| unit operators of S, read on S. Its powers are kept as
+    step of the |S| unit vectors of S. Its powers are kept as
     increments Q_j = P^j − 1, from the method's own increment Q_1, which
     keeps the digits that a product of plain powers loses. They are built
     by doubling, Q_(j+b) = Q_j Q_b + Q_j + Q_b for b = 1..j in one stacked
@@ -236,8 +247,7 @@ def _propagate(model, y0, grid, dual, first, method, what, samples):
     K = min(B, n_steps, 4 ``BLOCK_ENTRIES`` // |S|²), lie side by side in
     one (|S|, K |S|) matrix, so that one product takes the raw steps y_k +
     y_k Q_j of a chunk of m ≤ K nodes from its first, y_k; the chunk's last
-    node is the next chunk's input. Each node is scattered onto S, and
-    every entry off S is exactly 0. The powers of an unstable model may
+    node is the next chunk's input. The powers of an unstable model may
     overflow, so K stops at the last finite one: an infinite power would
     make NaN (0 · inf) of a node that stepping one by one keeps finite.
     """
@@ -245,20 +255,24 @@ def _propagate(model, y0, grid, dual, first, method, what, samples):
     d = 1 if first == 0 else -1
     h = d * grid.dt
     gen = Generator(model.on_grid(grid), dual, 1j if dual else -1j)
-    dim, dim2 = model.dim, y0.size
-    s = gen.support(y0)  # the entries stepped by P, or None: all d², stepped by stages
-    if s is not None and not 0 < s.size <= STEP_MATRIX_MAX_DIM ** 2:
-        s = None
-    size = dim2 if s is None else s.size
+    s = gen.support(y0)
+    gen = gen.on(s)
+    dim, size = model.dim, s.size
+    samples[first] = y0
+    if not size:  # a zero y0 stays 0
+        samples[np.arange(n + 1) != first] = 0.0
+        return None if dual else 0.0
+    by_p = gen.constant_on_s and size <= STEP_MATRIX_MAX_DIM ** 2
+    on_s = gen.hadamard or by_p  # the flow's vector on S, else its d×d operator
     block = max(1, linalg.BLOCK_ENTRIES // (4 * size))
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values are checked instead
-        if s is not None:
+        if by_p:
             chunk = max(1, min(block, n, 4 * linalg.BLOCK_ENTRIES // size ** 2))
-            units = np.zeros((size, dim2), dtype=complex)
-            units[np.arange(size), s] = 1.0
+            units = np.eye(size, dtype=complex)  # the unit vectors of S
+            if not gen.hadamard:  # as d×d operators: S is every entry
+                units = units.reshape(size, dim, dim)
             q = np.empty((chunk, size, size), dtype=complex)  # q[j] = Q_(j+1) = P^(j+1) - 1
-            q[0] = _step(gen.span(0, 3), 1 - d, units.reshape(size, dim, dim), h,
-                         method).reshape(size, dim2)[:, s]
+            q[0] = _step(gen.span(0, 3), 1 - d, units, h, method).reshape(size, size)
             j = 1
             while j < chunk:  # Q_(j+b) = Q_j Q_b + Q_j + Q_b for b = 1..j, as one stack
                 b = min(j, chunk - j)
@@ -269,35 +283,45 @@ def _propagate(model, y0, grid, dual, first, method, what, samples):
             # the finite powers only: 0 · inf is NaN where stepping one by one keeps 0
             chunk = max(1, int(np.isfinite(q).all(axis=(1, 2)).cumprod().sum()))
             q = q[:chunk].transpose(1, 0, 2).reshape(size, chunk * size)  # y q = [y Q_1, ...]
+        if on_s:
             t = np.searchsorted(s, s % dim * dim + s // dim)  # y[t] is y† on S, conjugated
-            flat = samples.reshape(n + 1, dim2)
-
-        samples[first] = y0
-        y = y0 if s is None else y0.reshape(-1)[s]
+            flat = samples.reshape(n + 1, dim * dim)
+            y = y0.reshape(-1)[s]
+        else:
+            y = y0
         max_defect = 0.0
         raw = np.empty((block,) + y.shape, dtype=complex)  # a block's raw steps, stepping order
+        herm = np.empty_like(raw) if on_s else None  # a block's nodes on S, stepping order
         for k0 in range(first, n - first, d * block):  # the steps from nodes k0..k1-d
             k1 = k0 + d * min(block, abs(n - first - k0))
             steps = raw[:abs(k1 - k0)]
-            if s is not None:  # node k + dj is the Hermitian part of y_k + y_k Q_j on S
-                nodes = flat[min(k0 + d, k1):max(k0 + d, k1) + 1][::d]  # in stepping order
-                nodes[...] = 0.0
+            lo = min(k0, k1)
+            if by_p:  # node k + dj is the Hermitian part of y_k + y_k Q_j on S
                 for i in range(0, len(steps), chunk):
                     r = steps[i:i + chunk]
                     np.matmul(y, q[:, :size * len(r)], out=r.reshape(-1))
                     r += y
-                    y = r + r[:, t].conj()
+                    y = np.add(r, r[:, t].conj(), out=herm[i:i + len(r)])
                     y /= 2.0  # linalg.hermitize, on S
-                    nodes[i:i + chunk, s] = y
                     y = y[-1]
+            elif on_s:
+                f = gen.span(2 * lo, 2 * max(k0, k1) + 1)
+                for i, k in enumerate(range(k0, k1, d)):  # computes node k + d from node k
+                    raw[i] = y = y + _step(f, 2 * (k - lo), y, h, method)
+                    y = np.add(y, y[t].conj(), out=herm[i])
+                    y /= 2.0  # linalg.hermitize, on S
+                del f  # before the next block binds its span
             else:
-                lo = min(k0, k1)
                 f = gen.span(2 * lo, 2 * max(k0, k1) + 1)
                 for i, k in enumerate(range(k0, k1, d)):  # computes node k + d from node k
                     raw[i] = y = y + _step(f, 2 * (k - lo), y, h, method)
                     y = np.add(y, y.conj().T, out=samples[k + d])  # (y + y†) / 2, bitwise
                     y /= 2.0  # linalg.hermitize
                 del f  # before the next block binds its span
+            if on_s:  # the block's nodes, scattered onto S
+                nodes = flat[min(k0 + d, k1):max(k0 + d, k1) + 1][::d]  # in stepping order
+                nodes[...] = 0.0
+                nodes[:, s] = herm[:len(steps)]
             # |z| <= 2 max(|Re z|, |Im z|): only a block beyond half the cap needs |z|
             if not np.abs(steps.view(float)).max() <= BLOWUP_CAP / 2:
                 mag = np.abs(steps).reshape(len(steps), -1).max(axis=1)
@@ -312,7 +336,7 @@ def _propagate(model, y0, grid, dual, first, method, what, samples):
                         magnitude=m,
                     )
             if not dual:
-                dagger = steps.swapaxes(1, 2) if s is None else steps[:, t]
+                dagger = steps[:, t] if on_s else steps.swapaxes(1, 2)
                 max_defect = max(max_defect, np.abs(steps - dagger.conj()).max())
     return None if dual else float(max_defect)
 

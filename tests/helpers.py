@@ -5,8 +5,11 @@ models and from exact unitary conjugation; they never call the integrators
 they are used to check. The generator references spell out the commutator
 and anticommutator form term by term. The per-cell action references apply
 the generator one cell at a time, with the model sampled on its own at each
-cell midpoint. The run conveniences at the end (``integrate_state`` and the
-like) are not oracles: each runs a flow by the route the commands take.
+cell midpoint. ``all_entries_flow`` is the one oracle that shares the
+integrators' step: it is the stage loop on every entry that a flow stepped
+on the entries it can reach must match bitwise. The run conveniences at the
+end (``integrate_state`` and the like) are not oracles: each runs a flow by
+the route the commands take.
 """
 
 import math
@@ -15,9 +18,9 @@ import numpy as np
 
 from weakinv import linalg
 from weakinv.action import _flow_path, stationarity_report
-from weakinv.dynamics import beside, invariant_flow, state_flow
+from weakinv.dynamics import _step, beside, invariant_flow, state_flow
 from weakinv.model import LindbladModel, scaled, sinusoidal
-from weakinv.superop import apply_adjoint, apply_liouvillian
+from weakinv.superop import Generator, apply_adjoint, apply_liouvillian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -266,6 +269,38 @@ def per_step_flow(model, y0, grid, dual, first, method="rk4", cap=1e12):
             y = y + y.conj().T
             y /= 2.0
             samples[k + d] = y
+    return samples, defect
+
+
+def all_entries_flow(model, y0, grid, dual, first, method="rk4"):
+    """The flow y' = ±i generator(y) by the stage loop that ``dynamics._propagate``
+    ran on a Hadamard-form lattice before it stepped only the entries S a
+    flow can reach: every d² entry, a block of B = ``linalg.BLOCK_ENTRIES``
+    // (4 d²) steps per ``Generator.span``, each raw step re-symmetrized to
+    (y + y†)/2. Returns the stack of nodes and the largest raw-step
+    Hermiticity defect. Not independent of the integrators (it calls the
+    RK4/midpoint step and the Hadamard kernel): it is the oracle that a flow
+    on S matches bitwise."""
+    n = grid.n_steps
+    d = 1 if first == 0 else -1
+    h = d * grid.dt
+    gen = Generator(model.on_grid(grid), dual, 1j if dual else -1j)
+    block = max(1, linalg.BLOCK_ENTRIES // (4 * y0.size))
+    samples = np.empty((n + 1,) + y0.shape, dtype=complex)
+    samples[first] = y = y0
+    raw = np.empty((block,) + y0.shape, dtype=complex)
+    defect = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(first, n - first, d * block):  # the steps from nodes k0..k1-d
+            k1 = k0 + d * min(block, abs(n - first - k0))
+            lo = min(k0, k1)
+            f = gen.span(2 * lo, 2 * max(k0, k1) + 1)
+            for i, k in enumerate(range(k0, k1, d)):  # computes node k + d from node k
+                raw[i] = y = y + _step(f, 2 * (k - lo), y, h, method)
+                y = np.add(y, y.conj().T, out=samples[k + d])
+                y /= 2.0
+            steps = raw[:abs(k1 - k0)]
+            defect = max(defect, np.abs(steps - steps.swapaxes(1, 2).conj()).max())
     return samples, defect
 
 

@@ -392,7 +392,7 @@ class TestStepMatrix:
 def ho_and_twin(gamma=0.1):
     """``damped_oscillator(8)`` at rate ``gamma``, and its twin at rate gamma
     + 0 sin t: bitwise the same snapshots, but a rate that varies, so the
-    twin's flows take the direct stages on every entry."""
+    twin's flows take the direct stages (on the entries they reach)."""
     return (scenarios.damped_oscillator(8, gamma_schedule=gamma).model,
             scenarios.damped_oscillator(8, gamma_schedule=sinusoidal(gamma, 0.0, 1.0)).model)
 
@@ -416,7 +416,7 @@ class TestStepMatrixOnSupport:
         seed = self.NUMBER + 0.5 * linalg.identity(8) if at == "start" else self.NUMBER
         steps = counting_steps(monkeypatch)
         fast = integrate_invariant(m, seed, at, self.GRID, method)
-        assert len(steps) == 1  # one step of the 8 unit operators
+        assert len(steps) == 1  # one step of the 8 unit vectors of the diagonal
         direct = integrate_invariant(twin, seed, at, self.GRID, method)
         assert len(steps) == 1 + self.GRID.n_steps
         assert (linalg.maxabs(fast.samples - direct.samples)
@@ -449,27 +449,101 @@ class TestStepMatrixOnSupport:
 
     def test_damped_ho_supports(self):
         # a gather slot of zero weight (the lowering operator's empty row and column) is no
-        # edge: rho0's lowest 4x4 block is closed under the channel, and so is a block of Lam
-        spec = scenarios.build_scenario("damped-ho", omega_schedule=1.0)
-        lattice = spec.model.on_grid(spec.default_grid)
+        # edge: rho0's lowest 4x4 block is closed under the channel, and so is a block of Lam;
+        # the driven lattice has the same supports, constant only on the diagonal
         block = np.zeros((20, 20), dtype=complex)
         block[:4, :4] = 1.0
         low = (20 * np.arange(4)[:, None] + np.arange(4)).reshape(-1)
-        assert np.array_equal(Generator(lattice, False).support(spec.default_rho0), low)
-        for seed, size in [(spec.default_invariant_seed, 20), (block, 128),
-                           (np.diag(np.arange(20.0)).astype(complex), 19)]:
-            assert Generator(lattice, True).support(seed).size == size
+        for args in ({"omega_schedule": 1.0}, {}):  # a constant omega, then omega(t)
+            spec = scenarios.build_scenario("damped-ho", **args)
+            lattice = spec.model.on_grid(spec.default_grid)
+            gen = Generator(lattice, False)
+            assert np.array_equal(gen.support(spec.default_rho0), low)
+            assert gen.on(low).constant_on_s == bool(args)
+            for seed, size in [(spec.default_invariant_seed, 20), (block, 128),
+                               (np.diag(np.arange(20.0)).astype(complex), 19)]:
+                gen = Generator(lattice, True)
+                s = gen.support(seed)
+                assert s.size == size
+                assert gen.on(s).constant_on_s == (bool(args) or size != 128)
 
     def test_a_constant_omega_state_stays_on_its_block(self, monkeypatch):
         spec = scenarios.build_scenario("damped-ho", omega_schedule=1.0)
-        units, step = [], dynamics._step
+        units, shapes, step = [], [], dynamics._step
         monkeypatch.setattr(dynamics, "_step", lambda *args: units.append(len(args[2]))
-                            or step(*args))
+                            or shapes.append(args[2].shape) or step(*args))
         traj, _ = integrate_state(spec.model, spec.default_rho0, spec.default_grid)
-        assert units == [16]  # one step of the 16 unit operators of the block
+        assert units == [16]  # one step of the 16 unit vectors of the block
+        assert shapes == [(16, 16)]  # vectors on the block, not 20 x 20 operators
         off = np.ones((20, 20), dtype=bool)
         off[:4, :4] = False
         assert (traj.samples[:, off] == 0).all()
+
+
+class TestStagesOnSupport:
+    """In Hadamard form a flow whose lattice varies on the entries S it can
+    reach steps by stages on the vector of its values on S; its nodes and
+    raw-step defect are bitwise those of the stage loop on every entry
+    (``helpers.all_entries_flow``), signs of zero included, and every entry
+    off S is exactly +0."""
+
+    @staticmethod
+    def sparse_seed(rng, dim):
+        """A Hermitian seed on three entries of the diagonal and one pair."""
+        y0 = np.zeros((dim, dim), dtype=complex)
+        y0[[0, 2, 3], [0, 2, 3]] = rng.standard_normal(3)
+        y0[1, 4] = rng.standard_normal() + 1j * rng.standard_normal()
+        y0[4, 1] = y0[1, 4].conj()
+        return y0
+
+    def cases(self):
+        rng = np.random.default_rng(7)
+        ho = scenarios.build_scenario("damped-ho").model  # omega(t) = 1 + 0.1 sin t
+        lam = np.zeros((20, 20), dtype=complex)
+        lam[:4, :4] = random_hermitian(rng, 4)
+        driven = helpers.random_hadamard_model(rng, 6, driven=True)  # sinusoidal rates: k0 is None
+        y0 = self.sparse_seed(rng, 6)
+        # a diagonal H tabulated per entry, constant channels: x is bound per entry, not affine
+        tab = LindbladModel(6, tabulated([0.0, 1.0], [np.diag(rng.standard_normal(6))
+                                                      for _ in range(2)]),
+                            [(scenarios.lowering_operator(6), 0.3)])
+        ho_grid, grid = TimeGrid(0.0, 5.0, 1000), TimeGrid(0.0, 1.0, 200)
+        assert driven.on_grid(grid).k0 is None and tab.on_grid(grid).scale is None
+        return [  # (model, y0, grid, dual, first, |S|)
+            (ho, scenarios.build_scenario("damped-ho").default_rho0, ho_grid, False, 0, 16),
+            (ho, lam, ho_grid, True, ho_grid.n_steps, 128),
+            (driven, y0, grid, False, 0, None),
+            (driven, y0, grid, True, 0, None),
+            (tab, y0, grid, True, grid.n_steps, None),
+            (driven, np.zeros((6, 6), dtype=complex), grid, True, grid.n_steps, 0),
+        ]
+
+    @pytest.mark.parametrize("case", range(6), ids=["ho-state", "ho-block-lam-end",
+                                                    "random-state", "random-invariant",
+                                                    "tabulated-h-end", "zero-seed"])
+    @pytest.mark.parametrize("method", ["rk4", "midpoint"])
+    def test_bitwise_the_all_entries_loop(self, monkeypatch, method, case):
+        m, y0, grid, dual, first, size = self.cases()[case]
+        lattice = m.on_grid(grid)
+        assert lattice.hadamard and not lattice.constant
+        s = Generator(lattice, dual).support(y0)
+        if size is not None:
+            assert s.size == size
+        assert 0 < s.size < y0.size or size == 0
+        shapes = []
+        step = dynamics._step
+        monkeypatch.setattr(dynamics, "_step", lambda *args: shapes.append(args[2].shape)
+                            or step(*args))
+        got = np.empty((grid.n_steps + 1,) + y0.shape, dtype=complex)
+        defect = dynamics._propagate(m, y0, grid, dual, first, method, "flow", got)
+        assert shapes == [(s.size,)] * (grid.n_steps if s.size else 0)  # stages on S
+        monkeypatch.undo()
+        want, want_defect = helpers.all_entries_flow(m, y0, grid, dual, first, method)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert defect == (None if dual else want_defect)
+        off = np.ones(y0.size, dtype=bool)
+        off[s] = False
+        assert not got.reshape(len(got), -1)[:, off].tobytes().strip(b"\0")  # +0, not -0
 
 
 class TestStepGuard:
@@ -498,7 +572,7 @@ class TestStepGuard:
             calls.append(1)
             out = direct(*args)
             if len(calls) == 3:
-                out[0, 0] = bad
+                out.flat[0] = bad  # entry (0, 0), first on S too
             return out
 
         monkeypatch.setattr(dynamics, "_step", poisoned)
